@@ -1,10 +1,11 @@
 """Pattern discovery: bottom-up average-linkage clustering with a
 Davies-Bouldin cut tuner.
 
-The dendrogram is exact (Lance-Williams updates over a full distance matrix)
-and deterministic: equal-distance merge candidates are ordered by the pair of
-smallest leaf indices they contain. Memory is O(n^2) in the tower count,
-which is fine at city scale (n^2 doubles at ~10k towers is under a gigabyte).
+The dendrogram is scipy's average linkage: the nearest-neighbour chain
+(Muellner 2011) over the condensed n(n-1)/2 Euclidean distance matrix, O(n^2)
+in time and memory. It is deterministic for a given input order, and
+``fit_vectors`` fixes that order by tower id. Exact distance ties between
+distinct clusters are broken as scipy breaks them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import pdist, squareform
 
 from .vectorize import TrafficVector
 
@@ -89,16 +92,6 @@ class DbiTracePoint(NamedTuple):
     dbi: float
 
 
-def _pairwise_distances(matrix: np.ndarray) -> np.ndarray:
-    n = matrix.shape[0]
-    dist = np.zeros((n, n))
-    for i in range(n - 1):
-        d = np.linalg.norm(matrix[i + 1 :] - matrix[i], axis=1)
-        dist[i, i + 1 :] = d
-        dist[i + 1 :, i] = d
-    return dist
-
-
 def _check_vectors(vectors: Sequence[TrafficVector]) -> np.ndarray:
     if len(vectors) < 2:
         raise ClusterError(f"clustering needs at least 2 vectors, got {len(vectors)}")
@@ -110,67 +103,29 @@ def _check_vectors(vectors: Sequence[TrafficVector]) -> np.ndarray:
     n = vectors[0].n
     if any(v.n != n for v in vectors):
         raise ClusterError("vectors have mixed lengths")
-    return np.stack([v.values for v in vectors])
+    matrix = np.stack([v.values for v in vectors])
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ClusterError(
+            f"tower {vectors[int(np.argmin(finite))].tower_id}: vector holds non-finite values"
+        )
+    return matrix
 
 
 def hac_average_linkage(vectors: Sequence[TrafficVector]) -> Dendrogram:
     """Exact average-linkage agglomeration under Euclidean distance.
 
-    Ties between equally close cluster pairs are broken by the
-    lexicographically smallest (min leaf index, max leaf index) of the two
-    clusters' smallest-leaf representatives, making the merge sequence
-    deterministic and order-independent.
+    Identical vectors merge at height 0. Under exact distance ties between
+    distinct clusters the tree follows scipy's tie order, so a permuted input
+    can give a different tree; sorting the input, as ``fit_vectors`` does,
+    makes the result independent of the caller's order.
     """
     matrix = _check_vectors(vectors)
-    n = matrix.shape[0]
-    dist = _pairwise_distances(matrix)
-    np.fill_diagonal(dist, np.inf)
-
-    active = np.ones(n, dtype=bool)
-    sizes = np.ones(n, dtype=int)
-    min_leaf = np.arange(n)
-    node_of_slot = np.arange(n)
-    merges: list[Merge] = []
-
-    for step in range(n - 1):
-        d_min = dist.min()
-        ties = np.argwhere(dist == d_min)
-        best = None
-        for i, j in ties:
-            if i >= j:
-                continue
-            key = (min(min_leaf[i], min_leaf[j]), max(min_leaf[i], min_leaf[j]))
-            if best is None or key < best[0]:
-                best = (key, int(i), int(j))
-        _, i, j = best
-
-        node = n + step
-        merges.append(
-            Merge(
-                min(node_of_slot[i], node_of_slot[j]),
-                max(node_of_slot[i], node_of_slot[j]),
-                float(d_min),
-                int(sizes[i] + sizes[j]),
-            )
-        )
-        # Lance-Williams update for average linkage: the merged cluster's
-        # distance to k is the size-weighted mean of the parts' distances.
-        others = active.copy()
-        others[i] = others[j] = False
-        new_d = (sizes[i] * dist[i, others] + sizes[j] * dist[j, others]) / (
-            sizes[i] + sizes[j]
-        )
-        dist[i, others] = new_d
-        dist[others, i] = new_d
-        # retire slot j entirely
-        dist[j, :] = np.inf
-        dist[:, j] = np.inf
-        active[j] = False
-        sizes[i] += sizes[j]
-        min_leaf[i] = min(min_leaf[i], min_leaf[j])
-        node_of_slot[i] = node
-
-    return Dendrogram(n, merges, [v.tower_id for v in vectors])
+    merges = [
+        Merge(int(min(a, b)), int(max(a, b)), float(height), int(size))
+        for a, b, height, size in linkage(pdist(matrix), method="average")
+    ]
+    return Dendrogram(matrix.shape[0], merges, [v.tower_id for v in vectors])
 
 
 def davies_bouldin_from_labels(matrix: np.ndarray, labels: np.ndarray) -> float:
@@ -187,21 +142,17 @@ def davies_bouldin_from_labels(matrix: np.ndarray, labels: np.ndarray) -> float:
             for idx, c in enumerate(cluster_ids)
         ]
     )
-    total = 0.0
-    for i in range(r):
-        worst = -np.inf
-        for j in range(r):
-            if i == j:
-                continue
-            m_ij = float(np.linalg.norm(centroids[i] - centroids[j]))
-            if m_ij == 0.0:
-                raise ClusterError(
-                    f"coincident centroids for clusters {cluster_ids[i]} and "
-                    f"{cluster_ids[j]}: separation is zero"
-                )
-            worst = max(worst, (scatter[i] + scatter[j]) / m_ij)
-        total += worst
-    return total / r
+    separation = squareform(pdist(centroids))
+    np.fill_diagonal(separation, np.inf)
+    coincident = np.argwhere(separation == 0.0)
+    if coincident.size:
+        i, j = coincident[0]
+        raise ClusterError(
+            f"coincident centroids for clusters {cluster_ids[i]} and "
+            f"{cluster_ids[j]}: separation is zero"
+        )
+    ratios = (scatter[:, None] + scatter[None, :]) / separation
+    return float(ratios.max(axis=1).mean())
 
 
 def davies_bouldin(model: ClusterModel, vectors: Sequence[TrafficVector]) -> float:

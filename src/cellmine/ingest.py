@@ -286,10 +286,18 @@ def read_binned(csv_path: str | Path, manifest_path: str | Path) -> tuple[dict[s
         if header != BINNED_HEADER:
             raise IngestError(f"bad binned header: {header}")
         for row in reader:
-            tower_id, idx, value = row
-            if tower_id not in series:
-                series[tower_id] = BinnedSeries(tower_id, origin, np.zeros(n_slots))
-            series[tower_id].slot_bytes[int(idx)] = float(value)
+            try:
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 fields, got {len(row)}")
+                tower_id, idx, value = row
+                if tower_id not in series:
+                    raise ValueError(f"tower {tower_id} is not in the manifest")
+                slot = int(idx)
+                if not 0 <= slot < n_slots:
+                    raise ValueError(f"slot {slot} outside 0..{n_slots - 1}")
+                series[tower_id].slot_bytes[slot] = float(value)
+            except ValueError as exc:
+                raise IngestError(f"{csv_path} line {reader.line_num}: {exc}") from None
     return series, manifest
 
 

@@ -93,6 +93,8 @@ def normalize(series: BinnedSeries) -> TrafficVector:
     raw = np.asarray(series.slot_bytes, dtype=float)
     if raw.size == 0:
         raise VectorizeError(f"tower {series.tower_id}: empty series")
+    if not np.isfinite(raw).all():
+        raise VectorizeError(f"tower {series.tower_id}: series holds non-finite values")
     if np.ptp(raw) == 0.0:
         return TrafficVector(series.tower_id, np.zeros_like(raw), degenerate=True)
     std = raw.std()
@@ -146,15 +148,22 @@ def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> 
 def read_vectors_binary(path: str | Path) -> list[TrafficVector]:
     out = []
     with open(path, "rb") as f:
+
+        def read_exact(size: int) -> bytes:
+            data = f.read(size)
+            if len(data) != size:
+                raise VectorizeError(f"truncated vector file: {path}")
+            return data
+
         magic = f.read(len(_BIN_MAGIC))
         if magic != _BIN_MAGIC:
             raise VectorizeError(f"not a cellmine vector file: {path}")
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = struct.unpack("<I", read_exact(4))
         for _ in range(count):
-            (id_len,) = struct.unpack("<H", f.read(2))
-            tower_id = f.read(id_len).decode("utf-8")
-            degenerate, n = struct.unpack("<BI", f.read(5))
-            values = np.frombuffer(f.read(8 * n), dtype="<f8").astype(float)
+            (id_len,) = struct.unpack("<H", read_exact(2))
+            tower_id = read_exact(id_len).decode("utf-8")
+            degenerate, n = struct.unpack("<BI", read_exact(5))
+            values = np.frombuffer(read_exact(8 * n), dtype="<f8").astype(float)
             out.append(TrafficVector(tower_id, values, bool(degenerate)))
     return out
 

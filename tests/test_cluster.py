@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellmine.cluster import (
     ClusterError,
@@ -128,6 +130,58 @@ def test_hac_permutation_invariance():
         frozenset(np.array(other.leaf_ids)[other.cut(3) == c]) for c in (1, 2, 3)
     }
     assert base_partition == other_partition
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hac_rejects_non_finite_vector(bad):
+    pts = np.zeros((3, 2))
+    pts[1] = [1.0, 2.0]
+    pts[2] = [bad, 0.0]
+    with pytest.raises(ClusterError, match="t002"):
+        hac_average_linkage(vecs(pts))
+
+
+def leaf_sets(n, merges):
+    """Clusters formed by a merge list, as frozensets of leaf indices."""
+    members = {i: frozenset([i]) for i in range(n)}
+    for node, (a, b) in enumerate(merges, start=n):
+        members[node] = members[a] | members[b]
+    return {members[node] for node in range(n, n + len(merges))}
+
+
+def partition(dend, r):
+    labels = dend.cut(r)
+    ids = np.array(dend.leaf_ids)
+    return {frozenset(ids[labels == c]) for c in range(1, r + 1)}
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(2, 10),
+    dim=st.integers(1, 3),
+    n_dup=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hac_property_same_tree_as_oracle(n, dim, n_dup, seed):
+    """Compares trees as leaf sets, not merge order: with duplicated rows the
+    zero-height merges may come in another order than the oracle's."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-5, 5, size=(n, dim))
+    k = min(n_dup, n - 1)
+    pts[n - k :] = pts[rng.integers(0, n - k, size=k)]
+    dend = hac_average_linkage(vecs(pts))
+    oracle = naive_average_linkage(pts)
+    assert leaf_sets(n, [m[:2] for m in dend.merges]) == leaf_sets(
+        n, [m[:2] for m in oracle]
+    )
+    assert sorted(m.height for m in dend.merges) == pytest.approx(
+        sorted(m[2] for m in oracle), rel=1e-9
+    )
+    if k == 0:
+        perm = rng.permutation(n)
+        other = hac_average_linkage([TrafficVector(f"t{i:03d}", pts[i]) for i in perm])
+        for r in range(1, n + 1):
+            assert partition(dend, r) == partition(other, r)
 
 
 def test_dbi_hand_case():

@@ -203,3 +203,30 @@ def test_binned_round_trip(tmp_path):
     assert manifest["slot_seconds"] == 600
     np.testing.assert_array_equal(series["t1"].slot_bytes, result.series["t1"].slot_bytes)
     np.testing.assert_array_equal(series["t2"].slot_bytes, result.series["t2"].slot_bytes)
+
+
+def _binned_files(tmp_path, rows):
+    result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1)
+    csv_path, manifest_path = write_binned(tmp_path, result, origin=0, days=1)
+    with open(csv_path, "a") as f:
+        f.writelines(row + "\n" for row in rows)
+    return csv_path, manifest_path
+
+
+def test_read_binned_rejects_wrong_field_count(tmp_path):
+    paths = _binned_files(tmp_path, ["t1,5"])
+    with pytest.raises(IngestError, match="line 4: expected 3 fields, got 2"):
+        read_binned(*paths)
+
+
+def test_read_binned_rejects_tower_missing_from_manifest(tmp_path):
+    paths = _binned_files(tmp_path, ["ghost,5,1.0"])
+    with pytest.raises(IngestError, match="line 4: tower ghost is not in the manifest"):
+        read_binned(*paths)
+
+
+@pytest.mark.parametrize("slot", [144, -1])
+def test_read_binned_rejects_slot_outside_window(tmp_path, slot):
+    paths = _binned_files(tmp_path, [f"t1,{slot},1.0"])
+    with pytest.raises(IngestError, match=f"line 4: slot {slot} outside 0..143"):
+        read_binned(*paths)

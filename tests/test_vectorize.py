@@ -102,3 +102,22 @@ def test_vector_io_round_trip(tmp_path):
         assert [v.tower_id for v in loaded] == ["a", "b"]
         assert loaded[0].degenerate and not loaded[1].degenerate
         np.testing.assert_allclose(loaded[1].values, vectors[0].values, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_normalize_rejects_non_finite_series(bad):
+    raw = np.arange(10, dtype=float)
+    raw[4] = bad
+    with pytest.raises(VectorizeError, match="tower t7"):
+        normalize(BinnedSeries("t7", 0, raw))
+
+
+def test_read_vectors_binary_truncated(tmp_path):
+    vectors = [TrafficVector("a", np.arange(5.0)), TrafficVector("b", np.ones(5))]
+    path = write_vectors_binary(tmp_path / "v.bin", vectors)
+    data = path.read_bytes()
+    # cut inside the count, an id length, an id, the flag/length header and the values
+    for size in (9, 13, 15, 16, 30, len(data) - 1):
+        path.write_bytes(data[:size])
+        with pytest.raises(VectorizeError, match="truncated vector file: .*v.bin"):
+            read_vectors(path)
