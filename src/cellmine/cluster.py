@@ -254,10 +254,18 @@ def write_assignments(path: str | Path, model: ClusterModel) -> Path:
 def read_assignments(path: str | Path) -> dict[str, int]:
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, [])
         if header != ["tower_id", "cluster"]:
             raise ClusterError(f"bad assignments header: {header}")
-        return {row[0]: int(row[1]) for row in reader}
+        assignments = {}
+        for row in reader:
+            try:
+                if len(row) != 2:
+                    raise ValueError(f"expected 2 fields, got {len(row)}")
+                assignments[row[0]] = int(row[1])
+            except ValueError as exc:
+                raise ClusterError(f"{path} line {reader.line_num}: {exc}") from None
+        return assignments
 
 
 def write_centroids(path: str | Path, model: ClusterModel) -> Path:

@@ -10,8 +10,6 @@ SLOT_SECONDS = 600
 SLOTS_PER_DAY = 144
 DAYS_PER_WEEK = 7
 SLOTS_PER_WEEK = SLOTS_PER_DAY * DAYS_PER_WEEK  # 1008
-CANONICAL_WEEKS = 4
-CANONICAL_SLOTS = CANONICAL_WEEKS * SLOTS_PER_WEEK  # 4032
 
 # Civil clock used to interpret ISO timestamps and weekday boundaries.
 # A fixed offset, not a zoneinfo zone: slot arithmetic must never cross a

@@ -5,6 +5,13 @@ Wire formats:
     towers.csv    ``tower_id,lat,lon``
     binned.csv    ``tower_id,slot_index,bytes`` (zero slots omitted) plus a JSON
                   manifest carrying origin, slot_seconds=600, days and the tower list.
+
+``deduplicate`` and ``bin_traffic`` work on whole arrays, one entry per session
+(or per session and slot), with no per-session Python loop. They hold start,
+end and bytes as int64, so a session must keep ``start``, ``end``,
+``end - start`` and ``bytes * SLOT_SECONDS`` inside the int64 range.
+``parse_sessions`` rejects a row outside these limits as malformed; the array
+passes raise ``IngestError`` naming the tower of such a session.
 """
 
 from __future__ import annotations
@@ -12,8 +19,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +31,10 @@ from .common import SLOT_SECONDS, SLOTS_PER_DAY, DEFAULT_TZ_OFFSET_MINUTES, epoc
 SESSIONS_HEADER = ["user_id", "tower_id", "start_epoch_s", "end_epoch_s", "bytes"]
 TOWERS_HEADER = ["tower_id", "lat", "lon"]
 BINNED_HEADER = ["tower_id", "slot_index", "bytes"]
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# bin_traffic multiplies a byte count by an overlap of at most one slot in int64.
+_MAX_BYTES = _INT64_MAX // SLOT_SECONDS
 
 
 class IngestError(ValueError):
@@ -73,10 +86,23 @@ class BinResult:
     out_of_window_bytes: float
 
 
+def _int64_fault(start: int, end: int, nbytes: int) -> str | None:
+    """Why a session does not fit the int64 arithmetic of the array passes."""
+    if not (_INT64_MIN <= start <= _INT64_MAX and _INT64_MIN <= end <= _INT64_MAX):
+        return "timestamp outside the int64 range"
+    if not _INT64_MIN <= end - start <= _INT64_MAX:
+        return "end - start overflows int64"
+    if not -_MAX_BYTES <= nbytes <= _MAX_BYTES:
+        return f"bytes * {SLOT_SECONDS} overflows int64"
+    return None
+
+
 def _session_from_row(row: Sequence[str]) -> SessionLog:
     if len(row) != 5:
         raise ValueError(f"expected 5 fields, got {len(row)}")
-    user_id, tower_id, start_s, end_s, bytes_s = (field.strip() for field in row)
+    user_id, tower_id, start_s, end_s, bytes_s = row
+    user_id = user_id.strip()
+    tower_id = tower_id.strip()
     if not user_id or not tower_id:
         raise ValueError("empty user_id or tower_id")
     try:
@@ -89,6 +115,10 @@ def _session_from_row(row: Sequence[str]) -> SessionLog:
         raise ValueError("end < start")
     if nbytes < 0:
         raise ValueError("negative bytes")
+    # _int64_fault's limits: with end >= start and nbytes >= 0 these four
+    # comparisons suffice, and they cost less per row than the call.
+    if start < _INT64_MIN or end > _INT64_MAX or end - start > _INT64_MAX or nbytes > _MAX_BYTES:
+        raise ValueError(_int64_fault(start, end, nbytes))
     return SessionLog(user_id, tower_id, start, end, nbytes)
 
 
@@ -160,22 +190,59 @@ def parse_towers(lines: Iterable[str]) -> dict[str, TowerRecord]:
     return registry
 
 
+def _int64_fields(logs: list[SessionLog]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """start, end and bytes of every session as int64 arrays."""
+    try:
+        start, end, nbytes = (
+            np.fromiter(map(attrgetter(name), logs), np.int64, len(logs))
+            for name in ("start", "end", "bytes")
+        )
+    except OverflowError:
+        fits = False
+    else:
+        # int64 subtraction wraps exactly when its sign disagrees with end < start.
+        fits = not (
+            ((end - start < 0) != (end < start)).any()
+            or (nbytes > _MAX_BYTES).any()
+            or (nbytes < -_MAX_BYTES).any()
+        )
+    if not fits:
+        bad = next(s for s in logs if _int64_fault(s.start, s.end, s.bytes))
+        raise IngestError(
+            f"session on tower {bad.tower_id}: {_int64_fault(bad.start, bad.end, bad.bytes)}"
+        )
+    return start, end, nbytes
+
+
+def _codes(ids: list[str], names: list[str]) -> np.ndarray:
+    """Position of each id in ``names``, or -1 for an id not in it."""
+    index = dict(zip(names, range(len(names))))
+    return np.fromiter(map(index.get, ids, repeat(-1)), np.int64, len(ids))
+
+
 def deduplicate(logs: Iterable[SessionLog]) -> list[SessionLog]:
     """Collapse exact duplicates; for conflicting logs (same user, tower and
-    interval but different bytes) keep the larger byte count. Output is sorted
-    by (tower_id, start) with a full deterministic tiebreak."""
-    best: dict[tuple[str, str, int, int], int] = {}
-    for log in logs:
-        key = (log.user_id, log.tower_id, log.start, log.end)
-        prev = best.get(key)
-        if prev is None or log.bytes > prev:
-            best[key] = log.bytes
-    out = [
-        SessionLog(user, tower, start, end, nbytes)
-        for (user, tower, start, end), nbytes in best.items()
-    ]
-    out.sort(key=lambda s: (s.tower_id, s.start, s.user_id, s.end, s.bytes))
-    return out
+    interval but different bytes) keep the one with the larger byte count.
+
+    Returns input objects, one per (user_id, tower_id, start, end), sorted by
+    (tower_id, start, user_id, end). A stable ``np.lexsort`` over int64 keys
+    puts each group of duplicates in a run that ends with its largest byte
+    count, and the last of each run is kept. Ids are keyed by their rank
+    among the sorted distinct ids, compared as Python strings. Raises
+    ``IngestError`` for a session outside the int64 limits in the module
+    docstring.
+    """
+    logs = list(logs)
+    start, end, nbytes = _int64_fields(logs)
+    towers = [s.tower_id for s in logs]
+    users = [s.user_id for s in logs]
+    tower = _codes(towers, sorted(set(towers)))
+    user = _codes(users, sorted(set(users)))
+    order = np.lexsort((nbytes, end, user, start, tower))
+    key = np.stack((tower, start, user, end))[:, order]
+    last = np.ones(len(logs), dtype=bool)
+    last[:-1] = (key[:, 1:] != key[:, :-1]).any(axis=0)
+    return list(map(logs.__getitem__, order[last].tolist()))
 
 
 def bin_traffic(
@@ -191,49 +258,64 @@ def bin_traffic(
     start. Portions outside [origin, origin + days*86400) are dropped and
     accounted in ``out_of_window_bytes``. When a registry is supplied,
     sessions on unknown towers are counted and skipped, and every registry
-    tower gets a series (all-zero if silent).
+    tower gets a series (all-zero if silent); without one, every tower with
+    a session does. Series come sorted by tower id.
+
+    A session's share of a slot is ``bytes * overlap / duration``, the
+    product in int64 and the quotient in float64. While ``bytes * overlap``
+    stays below 2**53 it converts to float64 exactly, and the share is the
+    correctly rounded quotient; above that it is rounded twice. The dropped
+    part outside the window is computed in float64 with the same 2**53
+    bound. One ``np.bincount`` adds the shares in input order, so each slot
+    is the left-to-right float64 sum of its sessions' shares, and
+    ``out_of_window_bytes`` the left-to-right sum of their dropped parts.
+    Raises ``IngestError`` for a session outside the int64 limits in the
+    module docstring.
+
+    Working memory holds several int64/float64 arrays with one entry per
+    (session, slot) pair, so it grows with the total number of slots the
+    sessions cover: up to ``len(logs) * days * 144`` entries for sessions
+    that span the whole window.
     """
     if days <= 0:
         raise IngestError(f"days must be positive, got {days}")
+    logs = list(logs)
     n_slots = days * SLOTS_PER_DAY
     window_end = origin + days * 86400
-    series: dict[str, np.ndarray] = {}
-    if registry is not None:
-        for tower_id in registry:
-            series[tower_id] = np.zeros(n_slots)
-    unknown = 0
-    dropped = 0.0
-    for log in logs:
-        if registry is not None and log.tower_id not in registry:
-            unknown += 1
-            continue
-        slots = series.get(log.tower_id)
-        if slots is None:
-            slots = series[log.tower_id] = np.zeros(n_slots)
-        if log.end == log.start:
-            if origin <= log.start < window_end:
-                slots[(log.start - origin) // SLOT_SECONDS] += log.bytes
-            else:
-                dropped += log.bytes
-            continue
-        duration = log.end - log.start
-        lo = max(log.start, origin)
-        hi = min(log.end, window_end)
-        if hi <= lo:
-            dropped += log.bytes
-            continue
-        first = (lo - origin) // SLOT_SECONDS
-        last = (hi - 1 - origin) // SLOT_SECONDS
-        for slot in range(first, last + 1):
-            slot_start = origin + slot * SLOT_SECONDS
-            overlap = min(log.end, slot_start + SLOT_SECONDS) - max(log.start, slot_start)
-            slots[slot] += log.bytes * overlap / duration
-        dropped += log.bytes * ((lo - log.start) + (log.end - hi)) / duration
-    result = {
-        tower_id: BinnedSeries(tower_id, origin, slots)
-        for tower_id, slots in sorted(series.items())
-    }
-    return BinResult(result, unknown, dropped)
+    start, end, nbytes = _int64_fields(logs)
+    towers = [s.tower_id for s in logs]
+    names = sorted(registry) if registry is not None else sorted(set(towers))
+    code = _codes(towers, names)
+    known = code >= 0
+
+    zero = end == start
+    lo = np.maximum(start, origin)
+    hi = np.minimum(end, window_end)
+    hit = np.flatnonzero(known & ((lo < hi) | (zero & (origin <= start) & (start < window_end))))
+    # A zero-duration session counts as the one second [start, start + 1).
+    one = zero[hit]
+    duration = end[hit] + one - start[hit]
+    lo, hi = lo[hit], hi[hit] + one
+    first = (lo - origin) // SLOT_SECONDS
+    count = (hi - 1 - origin) // SLOT_SECONDS - first + 1
+
+    # One entry per (session, slot), sessions in input order.
+    slot = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+    slot_start = origin + slot * SLOT_SECONDS
+    slot_end = np.minimum(np.repeat(end[hit] + one, count), slot_start + SLOT_SECONDS)
+    overlap = slot_end - np.maximum(np.repeat(start[hit], count), slot_start)
+    share = np.repeat(nbytes[hit], count) * overlap / np.repeat(duration, count)
+    flat = np.repeat(code[hit] * n_slots, count) + slot
+    sums = np.bincount(flat, weights=share, minlength=len(names) * n_slots)
+    sums = sums.reshape(len(names), n_slots)
+
+    dropped = np.where(known, nbytes, 0).astype(np.float64)
+    # The outside seconds can reach end - start, so this product is taken in
+    # float64, where it cannot overflow and is exact below 2**53.
+    dropped[hit] = nbytes[hit].astype(np.float64) * (duration - (hi - lo)) / duration
+    series = {name: BinnedSeries(name, origin, sums[i]) for i, name in enumerate(names)}
+    out_of_window = float(np.cumsum(dropped)[-1]) if len(logs) else 0.0
+    return BinResult(series, int(np.count_nonzero(~known)), out_of_window)
 
 
 def write_binned(
@@ -309,8 +391,3 @@ def write_reject_report(path: str | Path, rejects: Sequence[RejectedRow]) -> Pat
         for r in rejects:
             writer.writerow([r.line_no, r.reason, r.line])
     return path
-
-
-def iter_file_lines(path: str | Path) -> Iterator[str]:
-    with open(path, newline="") as f:
-        yield from f

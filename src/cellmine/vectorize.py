@@ -118,13 +118,17 @@ def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
     out = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["tower_id", "degenerate"]:
             raise VectorizeError(f"bad vectors header: {header[:2]}")
         for row in reader:
-            out.append(
-                TrafficVector(row[0], np.array([float(x) for x in row[2:]]), bool(int(row[1])))
-            )
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                values = np.array([float(x) for x in row[2:]])
+                out.append(TrafficVector(row[0], values, bool(int(row[1]))))
+            except ValueError as exc:
+                raise VectorizeError(f"{path} line {reader.line_num}: {exc}") from None
     return out
 
 

@@ -15,6 +15,7 @@ from cellmine.cluster import (
     distance_cdf,
     fit_vectors,
     hac_average_linkage,
+    read_assignments,
     tune_cut,
 )
 from cellmine.vectorize import TrafficVector
@@ -294,3 +295,19 @@ def test_fit_vectors_excludes_degenerate_and_sorts():
     model, trace, excluded = fit_vectors(vectors, 2, 3)
     assert excluded == ["dead"]
     assert set(model.assignments) == {"a", "m", "z"}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tower_id,cluster\nt1\n", "a.csv line 2: expected 2 fields, got 1"),
+        ("tower_id,cluster\nt1,1,2\n", "a.csv line 2: expected 2 fields, got 3"),
+        ("tower_id,cluster\nt1,x\n", "a.csv line 2: invalid literal"),
+        ("", "bad assignments header"),
+    ],
+)
+def test_read_assignments_rejects_malformed_row(tmp_path, text, message):
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    with pytest.raises(ClusterError, match=message):
+        read_assignments(path)

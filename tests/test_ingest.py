@@ -1,10 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellmine.ingest import (
     BinResult,
     IngestError,
     SessionLog,
+    TowerRecord,
     bin_traffic,
     deduplicate,
     parse_sessions,
@@ -230,3 +235,193 @@ def test_read_binned_rejects_slot_outside_window(tmp_path, slot):
     paths = _binned_files(tmp_path, [f"t1,{slot},1.0"])
     with pytest.raises(IngestError, match=f"line 4: slot {slot} outside 0..143"):
         read_binned(*paths)
+
+
+# --- reference oracles: the per-session loops the array passes replaced -----
+
+
+def loop_deduplicate(logs):
+    """Dict oracle: keep the largest byte count per (user, tower, start, end),
+    sorted by (tower_id, start, user_id, end, bytes)."""
+    best = {}
+    for log in logs:
+        key = (log.user_id, log.tower_id, log.start, log.end)
+        prev = best.get(key)
+        if prev is None or log.bytes > prev:
+            best[key] = log.bytes
+    out = [
+        SessionLog(user, tower, start, end, nbytes)
+        for (user, tower, start, end), nbytes in best.items()
+    ]
+    out.sort(key=lambda s: (s.tower_id, s.start, s.user_id, s.end, s.bytes))
+    return out
+
+
+def loop_bin_traffic(logs, origin, days, registry=None):
+    """Per-session loop oracle with Python-int arithmetic; each slot adds its
+    sessions' shares in input order."""
+    n_slots = days * 144
+    window_end = origin + days * 86400
+    series = {}
+    if registry is not None:
+        for tower_id in registry:
+            series[tower_id] = np.zeros(n_slots)
+    unknown = 0
+    dropped = 0.0
+    for log in logs:
+        if registry is not None and log.tower_id not in registry:
+            unknown += 1
+            continue
+        slots = series.get(log.tower_id)
+        if slots is None:
+            slots = series[log.tower_id] = np.zeros(n_slots)
+        if log.end == log.start:
+            if origin <= log.start < window_end:
+                slots[(log.start - origin) // 600] += log.bytes
+            else:
+                dropped += log.bytes
+            continue
+        duration = log.end - log.start
+        lo = max(log.start, origin)
+        hi = min(log.end, window_end)
+        if hi <= lo:
+            dropped += log.bytes
+            continue
+        first = (lo - origin) // 600
+        last = (hi - 1 - origin) // 600
+        for slot in range(first, last + 1):
+            slot_start = origin + slot * 600
+            overlap = min(log.end, slot_start + 600) - max(log.start, slot_start)
+            slots[slot] += log.bytes * overlap / duration
+        dropped += log.bytes * ((lo - log.start) + (log.end - hi)) / duration
+    return dict(sorted(series.items())), unknown, dropped
+
+
+# --- property tests against the oracles ---------------------------------------
+
+
+@st.composite
+def session_cases(draw):
+    """Sessions around a window with zero-duration sessions, sessions that
+    straddle either window edge or lie outside it, exact and conflicting
+    duplicates, and (with a registry) sessions on unknown towers."""
+    origin = draw(st.integers(-(10**6), 2 * 10**9))
+    days = draw(st.integers(1, 2))
+    window_end = origin + days * 86400
+    ids = st.text(min_size=1, max_size=3)
+    users = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    towers = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    edges = [origin - 601, origin - 1, origin, origin + 599, window_end - 1, window_end]
+    logs = []
+    for _ in range(draw(st.integers(0, 30))):
+        if logs and draw(st.integers(0, 3)) == 0:
+            prev = logs[draw(st.integers(0, len(logs) - 1))]
+            nbytes = draw(st.one_of(st.just(prev.bytes), st.integers(0, 10**9)))
+            logs.append(SessionLog(prev.user_id, prev.tower_id, prev.start, prev.end, nbytes))
+            continue
+        start = draw(st.one_of(st.sampled_from(edges), st.integers(origin - 7200, window_end + 7200)))
+        duration = draw(
+            st.one_of(st.just(0), st.integers(1, 1800), st.integers(1800, days * 86400 + 7200))
+        )
+        logs.append(
+            SessionLog(
+                draw(st.sampled_from(users)),
+                draw(st.sampled_from(towers)),
+                start,
+                start + duration,
+                draw(st.integers(0, 10**9)),
+            )
+        )
+    registry = None
+    if draw(st.booleans()):
+        listed = draw(st.lists(st.sampled_from(towers), unique=True)) + ["silent"]
+        registry = {t: TowerRecord(t, 0.0, 0.0) for t in listed}
+    return logs, origin, days, registry
+
+
+@given(session_cases())
+def test_bin_traffic_property_equals_loop_oracle(case):
+    logs, origin, days, registry = case
+    result = bin_traffic(logs, origin, days, registry)
+    series, unknown, dropped = loop_bin_traffic(logs, origin, days, registry)
+    assert list(result.series) == list(series)
+    for tower_id, slots in series.items():
+        assert np.array_equal(result.series[tower_id].slot_bytes, slots)
+    assert result.unknown_towers == unknown
+    assert result.out_of_window_bytes == dropped
+
+
+# The per-second oracle costs one array element per session second.
+@settings(max_examples=40)
+@given(session_cases())
+def test_bin_traffic_property_per_second_oracle_and_conservation(case):
+    logs, origin, days, registry = case
+    known = [s for s in logs if registry is None or s.tower_id in registry]
+    result = bin_traffic(logs, origin, days, registry)
+    oracle = brute_force_bin(known, origin, days)
+    for tower_id, series in result.series.items():
+        expected = oracle.get(tower_id, np.zeros(days * 144))
+        np.testing.assert_allclose(series.slot_bytes, expected, rtol=1e-9, atol=1e-6)
+    binned = sum(s.slot_bytes.sum() for s in result.series.values())
+    total = sum(s.bytes for s in known)
+    assert binned + result.out_of_window_bytes == pytest.approx(total, rel=1e-9, abs=1e-6)
+
+
+@given(session_cases(), st.randoms())
+def test_deduplicate_property_equals_dict_oracle(case, rnd):
+    logs = case[0]
+    expected = loop_deduplicate(logs)
+    assert deduplicate(logs) == expected
+    shuffled = list(logs)
+    rnd.shuffle(shuffled)
+    assert deduplicate(shuffled) == expected
+
+
+# --- int64 limits of the array passes -----------------------------------------
+
+INT64_MAX = 2**63 - 1
+MAX_BYTES = INT64_MAX // 600
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        (f"u1,t1,0,10,{10**30}", "bytes * 600 overflows int64"),
+        (f"u1,t1,0,10,{MAX_BYTES + 1}", "bytes * 600 overflows int64"),
+        (f"u1,t1,{-(2**63)},{INT64_MAX},5", "end - start overflows int64"),
+        (f"u1,t1,{-(2**64)},0,5", "timestamp outside the int64 range"),
+        (f"u1,t1,0,{2**63},5", "timestamp outside the int64 range"),
+    ],
+)
+def test_parse_sessions_rejects_int64_overflow(row, reason):
+    sessions, rejects = parse_sessions([HEADER, "u0,t0,0,1,1", row])
+    assert len(sessions) == 1
+    assert [(r.line_no, r.reason) for r in rejects] == [(3, reason)]
+    with pytest.raises(IngestError, match=re.escape(f"line 3: {reason}")):
+        parse_sessions([HEADER, "u0,t0,0,1,1", row], strict=True)
+
+
+def test_parse_sessions_accepts_int64_limits():
+    row = f"u1,t1,{-(2**62)},{2**62 - 1},{MAX_BYTES}"
+    sessions, rejects = parse_sessions([HEADER, row])
+    assert rejects == []
+    assert sessions == [SessionLog("u1", "t1", -(2**62), 2**62 - 1, MAX_BYTES)]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        SessionLog("u", "t9", 0, 10, 10**30),
+        SessionLog("u", "t9", 0, 10, -MAX_BYTES - 1),
+        SessionLog("u", "t9", -(2**63), INT64_MAX, 5),
+        SessionLog("u", "t9", INT64_MAX, -(2**63), 5),
+        SessionLog("u", "t9", 2**64, 2**64, 5),
+    ],
+)
+@pytest.mark.parametrize(
+    "array_pass", [deduplicate, lambda logs: bin_traffic(logs, 0, 1)], ids=["dedup", "bin"]
+)
+def test_array_passes_reject_int64_overflow(bad, array_pass):
+    good = SessionLog("u", "t1", 0, 10, 5)
+    with pytest.raises(IngestError, match="session on tower t9"):
+        array_pass([good, bad, good])

@@ -121,3 +121,26 @@ def test_read_vectors_binary_truncated(tmp_path):
         path.write_bytes(data[:size])
         with pytest.raises(VectorizeError, match="truncated vector file: .*v.bin"):
             read_vectors(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("a", "line 2: expected 4 fields, got 1"),
+        ("a,0,1.0", "line 2: expected 4 fields, got 3"),
+        ("a,0,1.0,2.0,3.0", "line 2: expected 4 fields, got 5"),
+        ("a,0,1.0,x", "line 2: could not convert"),
+    ],
+)
+def test_read_vectors_csv_rejects_malformed_row(tmp_path, row, message):
+    path = tmp_path / "v.csv"
+    path.write_text(f"tower_id,degenerate,v0,v1\n{row}\n")
+    with pytest.raises(VectorizeError, match=f"v.csv {message}"):
+        read_vectors(path)
+
+
+def test_read_vectors_csv_rejects_empty_file(tmp_path):
+    path = tmp_path / "v.csv"
+    path.write_text("")
+    with pytest.raises(VectorizeError, match="bad vectors header"):
+        read_vectors(path)
