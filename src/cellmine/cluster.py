@@ -10,7 +10,6 @@ distinct clusters are broken as scipy breaks them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -19,7 +18,10 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist, squareform
 
+from .common import read_csv, write_csv
 from .vectorize import TrafficVector
+
+ASSIGNMENTS_HEADER = ["tower_id", "cluster"]
 
 
 class ClusterError(ValueError):
@@ -242,60 +244,36 @@ def fit_vectors(
 
 
 def write_assignments(path: str | Path, model: ClusterModel) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["tower_id", "cluster"])
-        for tower_id in sorted(model.assignments):
-            writer.writerow([tower_id, model.assignments[tower_id]])
-    return path
+    return write_csv(path, ASSIGNMENTS_HEADER, sorted(model.assignments.items()))
 
 
 def read_assignments(path: str | Path) -> dict[str, int]:
+    assignments = {}
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
-        if header != ["tower_id", "cluster"]:
-            raise ClusterError(f"bad assignments header: {header}")
-        assignments = {}
-        for row in reader:
+        for line_no, (tower_id, cluster) in read_csv(
+            f, ASSIGNMENTS_HEADER, ClusterError, path, "assignments"
+        ):
             try:
-                if len(row) != 2:
-                    raise ValueError(f"expected 2 fields, got {len(row)}")
-                assignments[row[0]] = int(row[1])
+                assignments[tower_id] = int(cluster)
             except ValueError as exc:
-                raise ClusterError(f"{path} line {reader.line_num}: {exc}") from None
-        return assignments
+                raise ClusterError(f"{path} line {line_no}: {exc}") from None
+    return assignments
 
 
 def write_centroids(path: str | Path, model: ClusterModel) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["cluster", "size"] + [f"v{i}" for i in range(model.centroids.shape[1])])
-        for c in range(model.r):
-            writer.writerow(
-                [c + 1, model.sizes[c]] + [repr(float(x)) for x in model.centroids[c]]
-            )
-    return path
+    header = ["cluster", "size"] + [f"v{i}" for i in range(model.centroids.shape[1])]
+    rows = ([c + 1, model.sizes[c]] + model.centroids[c].tolist() for c in range(model.r))
+    return write_csv(path, header, rows)
 
 
 def write_dbi_trace(path: str | Path, trace: Sequence[DbiTracePoint]) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["R", "cut_height", "dbi"])
-        for point in trace:
-            writer.writerow([point.r, repr(point.cut_height), repr(point.dbi)])
-    return path
+    return write_csv(path, ["R", "cut_height", "dbi"], trace)
 
 
 def write_distance_cdf(path: str | Path, cdf: DistanceCdf) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["cluster", "rank", "distance"])
-        for cluster in sorted(cdf.distances):
-            for rank, d in enumerate(cdf.distances[cluster], start=1):
-                writer.writerow([cluster, rank, repr(float(d))])
-    return path
+    rows = (
+        (cluster, rank, d)
+        for cluster in sorted(cdf.distances)
+        for rank, d in enumerate(cdf.distances[cluster].tolist(), start=1)
+    )
+    return write_csv(path, ["cluster", "rank", "distance"], rows)

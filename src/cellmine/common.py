@@ -1,10 +1,15 @@
-"""Shared time constants and small helpers used across pipeline stages."""
+"""Shared time constants, the CSV and JSON file helpers every stage reads and
+writes its tables with, and small helpers used across pipeline stages."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 SLOT_SECONDS = 600
 SLOTS_PER_DAY = 144
@@ -72,3 +77,98 @@ def sha256_file(path: str | Path) -> str:
                 break
             h.update(block)
     return h.hexdigest()
+
+
+def parse_lat_lon(lat: str, lon: str) -> tuple[float, float]:
+    """Latitude and longitude in degrees; ``ValueError`` when either is not
+    a number or lies outside [-90, 90] x [-180, 180]."""
+    try:
+        lat_deg, lon_deg = float(lat), float(lon)
+    except ValueError:
+        raise ValueError("non-numeric coordinate") from None
+    if not (-90.0 <= lat_deg <= 90.0 and -180.0 <= lon_deg <= 180.0):
+        raise ValueError("coordinate out of range")
+    return lat_deg, lon_deg
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Path:
+    """Write ``header`` and then ``rows`` to ``path`` as CSV.
+
+    The header row is always written. A float is written as its shortest
+    round-trip repr, which ``float`` reads back bit for bit, ``None`` as an
+    empty cell and any other field as ``str`` gives it. Rows end in ``\n``;
+    a field holding a comma, a quote, ``\n`` or ``\r`` is quoted.
+    """
+    path = Path(path)
+    with open(path, "w", newline="") as f:
+        write = f.write
+        # csv quotes a field only for the characters of its line terminator,
+        # and a bare "\r" left unquoted would end the row for a reader. So the
+        # writer ends rows in "\r\n", and since it writes each row with one
+        # call, that call swaps the ending for "\n".
+        out = SimpleNamespace(write=lambda line: write(line[:-2] + "\n"))
+        writer = csv.writer(out, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def read_header(reader, header: Sequence[str], error: type[Exception], source: str | Path,
+                kind: str) -> bool:
+    """Consume ``reader`` (a ``csv.reader``) up to its first non-blank row and
+    check that row, with stripped fields, against ``header``; a different row
+    raises ``error`` naming the ``kind`` of table. Returns False when the
+    stream ends first."""
+    for fields in reader:
+        if fields:
+            if [c.strip() for c in fields] != list(header):
+                raise error(
+                    f"{source} line {reader.line_num}: bad {kind} header, "
+                    f"expected {','.join(header)}"
+                )
+            return True
+    return False
+
+
+def read_csv(lines: Iterable[str], header: Sequence[str], error: type[Exception],
+             source: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line_no, fields)`` for every non-blank row after the header.
+
+    ``lines`` is a file opened with ``newline=""`` or any iterable of lines.
+    The header row is required and blank rows are skipped. A stream without
+    a header (see ``read_header``) and a row whose width differs from the
+    header's raise ``error`` as ``<source> line <n>: <reason>``. ``n`` and
+    ``line_no`` are the physical line that ends the row, so a quoted newline
+    in an earlier row does not shift them; callers raise their own
+    conversion errors in the same form.
+    """
+    reader = csv.reader(lines)
+    if not read_header(reader, header, error, source, kind):
+        raise error(f"{source}: bad {kind} header: no header row, expected {','.join(header)}")
+    width = len(header)
+    for fields in reader:
+        if len(fields) != width:
+            if not fields:
+                continue
+            raise error(f"{source} line {reader.line_num}: expected {width} fields, got {len(fields)}")
+        yield reader.line_num, fields
+
+
+def write_json(path: str | Path, payload: Any) -> Path:
+    """Write ``payload`` as JSON indented by 2 with sorted keys, and a final newline."""
+    path = Path(path)
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return path
+
+
+def read_json(path: str | Path, error: type[Exception], parse: Callable[[Any], Any]) -> Any:
+    """Load the JSON file at ``path`` and return ``parse(payload)``. Bad JSON,
+    and the ``KeyError``, ``TypeError`` or ``ValueError`` that ``parse``
+    raises on a missing key or a wrong type, raise ``error`` naming the file."""
+    try:
+        with open(path) as f:
+            return parse(json.load(f))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"{path}: {type(exc).__name__}: {exc}") from None

@@ -11,15 +11,14 @@ with zero residual; points outside project onto the hull.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .common import read_csv, read_json, write_csv, write_json
 from .spectrum import SpectralFeature, Spectrum, dft, reconstruct
 
 DEFAULT_FEATURE_NAMES = ("amp_day", "phase_day", "amp_half_day")
@@ -231,37 +230,26 @@ def render_components(
 
 
 def write_mixtures(path: str | Path, mixtures: Sequence[MixtureCoefficients]) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(MIXTURES_HEADER)
-        for m in sorted(mixtures, key=lambda x: x.tower_id):
-            writer.writerow(
-                [m.tower_id]
-                + [repr(float(v)) for v in m.x]
-                + [repr(float(m.residual))]
-            )
-    return path
+    rows = (
+        [m.tower_id] + m.x.tolist() + [m.residual]
+        for m in sorted(mixtures, key=lambda x: x.tower_id)
+    )
+    return write_csv(path, MIXTURES_HEADER, rows)
 
 
 def read_mixtures(path: str | Path) -> list[MixtureCoefficients]:
     out = []
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != MIXTURES_HEADER:
-            raise DecomposeError(f"bad mixtures header: {header}")
-        for row in reader:
-            out.append(
-                MixtureCoefficients(
-                    row[0], np.array([float(v) for v in row[1:5]]), float(row[5])
-                )
-            )
+        for line_no, fields in read_csv(f, MIXTURES_HEADER, DecomposeError, path, "mixtures"):
+            try:
+                vals = [float(v) for v in fields[1:]]
+            except ValueError as exc:
+                raise DecomposeError(f"{path} line {line_no}: {exc}") from None
+            out.append(MixtureCoefficients(fields[0], np.array(vals[:4]), vals[4]))
     return out
 
 
 def write_vertices(path: str | Path, model: PolygonModel) -> Path:
-    path = Path(path)
     payload = {
         "feature_names": list(model.space.names),
         "standardization": {
@@ -278,23 +266,22 @@ def write_vertices(path: str | Path, model: PolygonModel) -> Path:
             for cluster, vertex in zip(model.vertex_clusters, model.vertices)
         ],
     }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
+    return write_json(path, payload)
 
 
-def read_vertices(path: str | Path) -> PolygonModel:
-    with open(path) as f:
-        payload = json.load(f)
+def _polygon_from_payload(payload: dict) -> PolygonModel:
     space = FeatureSpace(
         tuple(payload["feature_names"]),
-        np.array(payload["standardization"]["mean"]),
-        np.array(payload["standardization"]["std"]),
+        np.array(payload["standardization"]["mean"], dtype=float),
+        np.array(payload["standardization"]["std"], dtype=float),
     )
     vertices = [
-        FeaturePoint(v["tower_id"], np.array(v["standardized"]))
+        FeaturePoint(v["tower_id"], np.array(v["standardized"], dtype=float))
         for v in payload["vertices"]
     ]
     clusters = [v["cluster"] for v in payload["vertices"]]
     return PolygonModel(vertices, clusters, space)
+
+
+def read_vertices(path: str | Path) -> PolygonModel:
+    return read_json(path, DecomposeError, _polygon_from_payload)

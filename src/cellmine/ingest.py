@@ -17,16 +17,26 @@ passes raise ``IngestError`` naming the tower of such a session.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .common import SLOT_SECONDS, SLOTS_PER_DAY, DEFAULT_TZ_OFFSET_MINUTES, epoch_to_iso
+from .common import (
+    DEFAULT_TZ_OFFSET_MINUTES,
+    SLOT_SECONDS,
+    SLOTS_PER_DAY,
+    epoch_to_iso,
+    parse_lat_lon,
+    read_csv,
+    read_header,
+    read_json,
+    write_csv,
+    write_json,
+)
 
 SESSIONS_HEADER = ["user_id", "tower_id", "start_epoch_s", "end_epoch_s", "bytes"]
 TOWERS_HEADER = ["tower_id", "lat", "lon"]
@@ -128,65 +138,45 @@ def parse_sessions(
     """Parse a sessions.csv stream.
 
     Malformed rows go to the reject report and parsing continues; with
-    ``strict`` the first malformed row raises ``IngestError`` instead.
-    The header row is structural and always required.
+    ``strict`` the first malformed row raises ``IngestError`` instead. An
+    empty stream gives no sessions; otherwise its first non-blank row must
+    be the header. This is the one reader that carries on past a bad row, so
+    it keeps its own row loop in place of ``read_csv``.
     """
     reader = csv.reader(lines)
     sessions: list[SessionLog] = []
     rejects: list[RejectedRow] = []
-    header_seen = False
-    for line_no, row in enumerate(reader, start=1):
+    if not read_header(reader, SESSIONS_HEADER, IngestError, "sessions", "sessions"):
+        return sessions, rejects
+    for row in reader:
         if not row:
-            continue
-        if not header_seen:
-            if [c.strip() for c in row] != SESSIONS_HEADER:
-                raise IngestError(
-                    f"bad sessions header on line {line_no}: expected {','.join(SESSIONS_HEADER)}"
-                )
-            header_seen = True
             continue
         try:
             sessions.append(_session_from_row(row))
         except ValueError as exc:
             if strict:
-                raise IngestError(f"line {line_no}: {exc}") from None
-            rejects.append(RejectedRow(line_no, ",".join(row), str(exc)))
-    if not header_seen and (sessions or rejects):
-        raise IngestError("sessions stream missing header row")
+                raise IngestError(f"sessions line {reader.line_num}: {exc}") from None
+            rejects.append(RejectedRow(reader.line_num, ",".join(row), str(exc)))
     return sessions, rejects
 
 
 def parse_towers(lines: Iterable[str]) -> dict[str, TowerRecord]:
     """Parse towers.csv into a registry. The registry must be clean: any
     malformed row or duplicate tower_id raises."""
-    reader = csv.reader(lines)
     registry: dict[str, TowerRecord] = {}
-    header_seen = False
-    for line_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if not header_seen:
-            if [c.strip() for c in row] != TOWERS_HEADER:
-                raise IngestError(
-                    f"bad towers header on line {line_no}: expected {','.join(TOWERS_HEADER)}"
-                )
-            header_seen = True
-            continue
-        if len(row) != 3:
-            raise IngestError(f"towers line {line_no}: expected 3 fields")
-        tower_id = row[0].strip()
+    for line_no, (tower_id, lat, lon) in read_csv(
+        lines, TOWERS_HEADER, IngestError, "towers", "towers"
+    ):
+        tower_id = tower_id.strip()
         try:
-            lat = float(row[1])
-            lon = float(row[2])
-        except ValueError:
-            raise IngestError(f"towers line {line_no}: non-numeric coordinate") from None
-        if not tower_id:
-            raise IngestError(f"towers line {line_no}: empty tower_id")
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            raise IngestError(f"towers line {line_no}: coordinate out of range")
-        if tower_id in registry:
-            raise IngestError(f"towers line {line_no}: duplicate tower_id {tower_id}")
-        registry[tower_id] = TowerRecord(tower_id, lat, lon)
+            coordinates = parse_lat_lon(lat, lon)
+            if not tower_id:
+                raise ValueError("empty tower_id")
+            if tower_id in registry:
+                raise ValueError(f"duplicate tower_id {tower_id}")
+        except ValueError as exc:
+            raise IngestError(f"towers line {line_no}: {exc}") from None
+        registry[tower_id] = TowerRecord(tower_id, *coordinates)
     return registry
 
 
@@ -325,69 +315,67 @@ def write_binned(
     days: int,
     tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES,
 ) -> tuple[Path, Path]:
-    """Write binned.csv (non-zero slots only) and its JSON manifest."""
+    """Write binned.csv (non-zero slots only) and its JSON manifest. The
+    manifest also records ``origin`` as an ISO date, so it must lie in the
+    years 1 to 9999."""
+    try:
+        origin_iso = epoch_to_iso(origin, tz_offset_minutes)
+    except (OverflowError, ValueError):
+        raise IngestError(f"origin {origin} is not a date in the years 1 to 9999") from None
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    csv_path = directory / "binned.csv"
-    manifest_path = directory / "binned_manifest.json"
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(BINNED_HEADER)
-        for tower_id in sorted(result.series):
-            slots = result.series[tower_id].slot_bytes
-            for idx in np.nonzero(slots)[0]:
-                writer.writerow([tower_id, int(idx), repr(float(slots[idx]))])
+    towers = sorted(result.series)
+    rows = chain.from_iterable(_nonzero_slots(result.series[t]) for t in towers)
+    csv_path = write_csv(directory / "binned.csv", BINNED_HEADER, rows)
     manifest = {
         "origin_epoch_s": origin,
-        "origin_iso": epoch_to_iso(origin, tz_offset_minutes),
+        "origin_iso": origin_iso,
         "slot_seconds": SLOT_SECONDS,
         "days": days,
         "tz_offset_minutes": tz_offset_minutes,
-        "towers": sorted(result.series),
+        "towers": towers,
         "unknown_tower_sessions": result.unknown_towers,
         "out_of_window_bytes": result.out_of_window_bytes,
     }
-    with open(manifest_path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return csv_path, manifest_path
+    return csv_path, write_json(directory / "binned_manifest.json", manifest)
+
+
+def _nonzero_slots(series: BinnedSeries) -> Iterable[tuple[str, int, float]]:
+    idx = np.flatnonzero(series.slot_bytes)
+    return zip(repeat(series.tower_id), idx.tolist(), series.slot_bytes[idx].tolist())
+
+
+def _manifest_series(manifest: dict) -> tuple[dict, dict[str, BinnedSeries]]:
+    """The manifest and one all-zero series per manifest tower."""
+    origin = int(manifest["origin_epoch_s"])
+    n_slots = int(manifest["days"]) * SLOTS_PER_DAY
+    towers = manifest["towers"]
+    if not (isinstance(towers, list) and all(isinstance(t, str) for t in towers)):
+        raise TypeError("towers is not a list of strings")
+    return manifest, {t: BinnedSeries(t, origin, np.zeros(n_slots)) for t in towers}
 
 
 def read_binned(csv_path: str | Path, manifest_path: str | Path) -> tuple[dict[str, BinnedSeries], dict]:
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    origin = int(manifest["origin_epoch_s"])
+    manifest, series = read_json(manifest_path, IngestError, _manifest_series)
+    arrays = {t: s.slot_bytes for t, s in series.items()}
     n_slots = int(manifest["days"]) * SLOTS_PER_DAY
-    series = {
-        tower_id: BinnedSeries(tower_id, origin, np.zeros(n_slots))
-        for tower_id in manifest["towers"]
-    }
     with open(csv_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != BINNED_HEADER:
-            raise IngestError(f"bad binned header: {header}")
-        for row in reader:
+        for line_no, (tower_id, idx, value) in read_csv(
+            f, BINNED_HEADER, IngestError, csv_path, "binned"
+        ):
             try:
-                if len(row) != 3:
-                    raise ValueError(f"expected 3 fields, got {len(row)}")
-                tower_id, idx, value = row
-                if tower_id not in series:
+                slots = arrays.get(tower_id)
+                if slots is None:
                     raise ValueError(f"tower {tower_id} is not in the manifest")
                 slot = int(idx)
                 if not 0 <= slot < n_slots:
                     raise ValueError(f"slot {slot} outside 0..{n_slots - 1}")
-                series[tower_id].slot_bytes[slot] = float(value)
+                slots[slot] = float(value)
             except ValueError as exc:
-                raise IngestError(f"{csv_path} line {reader.line_num}: {exc}") from None
+                raise IngestError(f"{csv_path} line {line_no}: {exc}") from None
     return series, manifest
 
 
 def write_reject_report(path: str | Path, rejects: Sequence[RejectedRow]) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["line_no", "reason", "line"])
-        for r in rejects:
-            writer.writerow([r.line_no, r.reason, r.line])
-    return path
+    rows = ((r.line_no, r.reason, r.line) for r in rejects)
+    return write_csv(path, ["line_no", "reason", "line"], rows)

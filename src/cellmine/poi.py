@@ -8,7 +8,6 @@ O(towers + pois).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .common import parse_lat_lon, read_csv, write_csv
 from .ingest import TowerRecord
 
 POI_TYPES = ("resident", "transport", "office", "entertain")
@@ -62,31 +62,19 @@ def haversine_m(lat1, lon1, lat2, lon2):
 
 
 def parse_pois(lines: Iterable[str]) -> list[PoiRecord]:
-    reader = csv.reader(lines)
     out: list[PoiRecord] = []
-    header_seen = False
-    for line_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if not header_seen:
-            if [c.strip() for c in row] != POIS_HEADER:
-                raise PoiError(f"bad pois header on line {line_no}: expected {','.join(POIS_HEADER)}")
-            header_seen = True
-            continue
-        if len(row) != 4:
-            raise PoiError(f"pois line {line_no}: expected 4 fields")
-        poi_id, poi_type = row[0].strip(), row[1].strip()
-        if poi_type not in POI_TYPES:
-            raise PoiError(
-                f"pois line {line_no}: unknown type {poi_type!r} (expected one of {POI_TYPES})"
-            )
+    for line_no, (poi_id, poi_type, lat, lon) in read_csv(
+        lines, POIS_HEADER, PoiError, "pois", "pois"
+    ):
+        poi_id, poi_type = poi_id.strip(), poi_type.strip()
         try:
-            lat, lon = float(row[2]), float(row[3])
-        except ValueError:
-            raise PoiError(f"pois line {line_no}: non-numeric coordinate") from None
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            raise PoiError(f"pois line {line_no}: coordinate out of range")
-        out.append(PoiRecord(poi_id, poi_type, lat, lon))
+            if not poi_id:
+                raise ValueError("empty poi_id")
+            if poi_type not in POI_TYPES:
+                raise ValueError(f"unknown type {poi_type!r} (expected one of {POI_TYPES})")
+            out.append(PoiRecord(poi_id, poi_type, *parse_lat_lon(lat, lon)))
+        except ValueError as exc:
+            raise PoiError(f"pois line {line_no}: {exc}") from None
     return out
 
 
@@ -227,42 +215,32 @@ def ntfidf(counts: Mapping[str, np.ndarray]) -> dict[str, PoiProfile]:
     return out
 
 
+def _profile_row(tower_id: str, p: PoiProfile) -> list:
+    if p.ntfidf is None:
+        ntfidf = [None] * len(POI_TYPES) + [0]
+    else:
+        ntfidf = p.ntfidf.tolist() + [1]
+    return [tower_id] + p.counts.tolist() + p.tfidf.tolist() + ntfidf
+
+
 def write_poi_profiles(path: str | Path, profiles: Mapping[str, PoiProfile]) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        header = ["tower_id"]
-        header += [f"count_{t}" for t in POI_TYPES]
-        header += [f"tfidf_{t}" for t in POI_TYPES]
-        header += [f"ntfidf_{t}" for t in POI_TYPES]
-        header.append("ntfidf_defined")
-        writer.writerow(header)
-        for tower_id in sorted(profiles):
-            p = profiles[tower_id]
-            row = [tower_id]
-            row += [int(c) for c in p.counts]
-            row += [repr(float(v)) for v in p.tfidf]
-            if p.ntfidf is None:
-                row += ["", "", "", "", 0]
-            else:
-                row += [repr(float(v)) for v in p.ntfidf] + [1]
-            writer.writerow(row)
-    return path
+    """Counts and TF-IDF per tower; an undefined NTF-IDF is written as empty
+    cells with ``ntfidf_defined`` 0."""
+    header = ["tower_id"]
+    for prefix in ("count", "tfidf", "ntfidf"):
+        header += [f"{prefix}_{t}" for t in POI_TYPES]
+    header.append("ntfidf_defined")
+    rows = (_profile_row(t, profiles[t]) for t in sorted(profiles))
+    return write_csv(path, header, rows)
 
 
 def write_poi_cluster_table(path: str | Path, table: PoiClusterTable) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["cluster"] + list(POI_TYPES) + ["row_max"])
-        for r, cluster in enumerate(table.clusters):
-            cells = [
-                "" if np.isnan(v) else repr(float(v)) for v in table.matrix[r]
-            ]
-            writer.writerow([cluster] + cells + [table.row_max.get(cluster, "")])
-        writer.writerow(
-            ["col_max"]
-            + [str(table.col_max.get(t, "")) for t in POI_TYPES]
-            + [""]
-        )
-    return path
+    """The cluster x type matrix, NaN cells written empty, then a ``col_max`` row."""
+    rows = [
+        [cluster]
+        + [None if math.isnan(v) else v for v in table.matrix[r].tolist()]
+        + [table.row_max.get(cluster)]
+        for r, cluster in enumerate(table.clusters)
+    ]
+    rows.append(["col_max"] + [table.col_max.get(t) for t in POI_TYPES] + [None])
+    return write_csv(path, ["cluster"] + list(POI_TYPES) + ["row_max"], rows)

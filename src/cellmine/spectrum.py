@@ -9,14 +9,13 @@ of the traffic energy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .common import SLOTS_PER_WEEK
+from .common import SLOTS_PER_WEEK, read_csv, write_csv
 
 # A component with amplitude below this is treated as null: its phase is
 # meaningless and reported as 0 with the null flag set.
@@ -169,24 +168,25 @@ def amplitude_variance(
 
 
 def write_spectral_features(path: str | Path, features: Sequence[SpectralFeature]) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(FEATURES_HEADER)
-        for feat in sorted(features, key=lambda x: x.tower_id):
-            writer.writerow([feat.tower_id] + [repr(float(v)) for v in feat.as_array()])
-    return path
+    rows = (
+        [feat.tower_id] + feat.as_array().tolist()
+        for feat in sorted(features, key=lambda x: x.tower_id)
+    )
+    return write_csv(path, FEATURES_HEADER, rows)
 
 
 def read_spectral_features(path: str | Path) -> list[SpectralFeature]:
+    """Features as written; a bin is null when its amplitude is below
+    NULL_AMPLITUDE."""
     out = []
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != FEATURES_HEADER:
-            raise SpectrumError(f"bad spectral features header: {header}")
-        for row in reader:
-            vals = [float(x) for x in row[1:]]
+        for line_no, fields in read_csv(
+            f, FEATURES_HEADER, SpectrumError, path, "spectral features"
+        ):
+            try:
+                vals = [float(x) for x in fields[1:]]
+            except ValueError as exc:
+                raise SpectrumError(f"{path} line {line_no}: {exc}") from None
             nulls = tuple(vals[2 * i] < NULL_AMPLITUDE for i in range(3))
-            out.append(SpectralFeature(row[0], *vals, nulls))
+            out.append(SpectralFeature(fields[0], *vals, nulls))
     return out

@@ -9,8 +9,8 @@ them.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -23,6 +23,7 @@ from .common import (
     SLOTS_PER_WEEK,
     local_seconds_of_day,
     local_weekday,
+    write_csv,
 )
 from .ingest import BinnedSeries
 
@@ -211,46 +212,9 @@ def _times(slots: Sequence[int]) -> str:
 
 
 def write_time_features(path: str | Path, features: Sequence[TimeFeatures]) -> Path:
-    path = Path(path)
-
-    def fmt(value):
-        return "" if value is None else repr(float(value))
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(
-            [
-                "source_id",
-                "units",
-                "weekday_weekend_ratio",
-                "weekday_peak",
-                "weekday_valley",
-                "weekday_peak_valley_ratio",
-                "weekend_peak",
-                "weekend_valley",
-                "weekend_peak_valley_ratio",
-                "weekday_peak_times",
-                "weekday_valley_times",
-                "weekend_peak_times",
-                "weekend_valley_times",
-            ]
-        )
-        for t in features:
-            writer.writerow(
-                [
-                    t.source_id,
-                    t.units,
-                    fmt(t.weekday_weekend_ratio),
-                    fmt(t.weekday_peak),
-                    fmt(t.weekday_valley),
-                    fmt(t.weekday_peak_valley_ratio),
-                    fmt(t.weekend_peak),
-                    fmt(t.weekend_valley),
-                    fmt(t.weekend_peak_valley_ratio),
-                    _times(t.weekday_peak_times),
-                    _times(t.weekday_valley_times),
-                    _times(t.weekend_peak_times),
-                    _times(t.weekend_valley_times),
-                ]
-            )
-    return path
+    """One column per ``TimeFeatures`` field; slot lists are written as
+    space-separated HH:MM times."""
+    header = [f.name for f in fields(TimeFeatures)]
+    values = attrgetter(*header)
+    rows = ([_times(v) if isinstance(v, list) else v for v in values(t)] for t in features)
+    return write_csv(path, header, rows)

@@ -1,13 +1,12 @@
 """Turn binned series into fixed-length, zero-score-normalized traffic vectors.
 
 The canonical configuration is 4 aligned weeks of 10-minute slots (4032
-values). Vectors can be stored as CSV (``tower_id,v0,...``) or as a compact
-length-prefixed little-endian binary.
+values). Vectors can be stored as CSV (``tower_id,degenerate,v0,...``) or as
+a compact length-prefixed little-endian binary.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +21,8 @@ from .common import (
     SLOTS_PER_WEEK,
     local_seconds_of_day,
     local_weekday,
+    read_csv,
+    write_csv,
 )
 from .ingest import BinnedSeries
 
@@ -101,34 +102,32 @@ def normalize(series: BinnedSeries) -> TrafficVector:
     return TrafficVector(series.tower_id, (raw - raw.mean()) / std, degenerate=False)
 
 
+def _vectors_header(n: int) -> list[str]:
+    return ["tower_id", "degenerate"] + [f"v{i}" for i in range(n)]
+
+
 def write_vectors_csv(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        n = vectors[0].n if vectors else 0
-        writer.writerow(["tower_id", "degenerate"] + [f"v{i}" for i in range(n)])
-        for vec in sorted(vectors, key=lambda v: v.tower_id):
-            writer.writerow(
-                [vec.tower_id, int(vec.degenerate)] + [repr(float(x)) for x in vec.values]
-            )
-    return path
+    rows = (
+        [vec.tower_id, int(vec.degenerate)] + vec.values.tolist()
+        for vec in sorted(vectors, key=lambda v: v.tower_id)
+    )
+    return write_csv(path, _vectors_header(vectors[0].n if vectors else 0), rows)
 
 
 def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
     out = []
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
-        if header[:2] != ["tower_id", "degenerate"]:
-            raise VectorizeError(f"bad vectors header: {header[:2]}")
-        for row in reader:
+        # The header names one column per value: size it from the first
+        # non-blank line, and read_csv checks every name.
+        first = next((line for line in iter(f.readline, "") if line.strip("\r\n")), "")
+        f.seek(0)
+        header = _vectors_header(first.count(",") - 1)
+        for line_no, fields in read_csv(f, header, VectorizeError, path, "vectors"):
             try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                values = np.array([float(x) for x in row[2:]])
-                out.append(TrafficVector(row[0], values, bool(int(row[1]))))
+                values = np.array([float(x) for x in fields[2:]])
+                out.append(TrafficVector(fields[0], values, bool(int(fields[1]))))
             except ValueError as exc:
-                raise VectorizeError(f"{path} line {reader.line_num}: {exc}") from None
+                raise VectorizeError(f"{path} line {line_no}: {exc}") from None
     return out
 
 

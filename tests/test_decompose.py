@@ -324,3 +324,35 @@ def test_mixture_and_vertices_io(tmp_path):
         v.tower_id for v in model.vertices
     ]
     np.testing.assert_allclose(loaded_model.matrix, model.matrix)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "m.csv: bad mixtures header: no header row"),
+        ("tower_id,x1,x2,x3,x4,residual\nt1,1,0\n", "m.csv line 2: expected 6 fields, got 3"),
+        ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,0,9\n", "m.csv line 2: expected 6 fields, got 7"),
+        ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,x\n", "m.csv line 2: could not convert"),
+    ],
+)
+def test_read_mixtures_rejects_malformed_file(tmp_path, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(DecomposeError, match=message):
+        read_mixtures(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{}", "v.json: KeyError: 'feature_names'"),
+        ("[1]", "v.json: TypeError"),
+        ('{"feature_names": [], "standardization": {"mean": "x", "std": []}}', "v.json: ValueError"),
+        ("{", "v.json: JSONDecodeError"),
+    ],
+)
+def test_read_vertices_rejects_malformed_file(tmp_path, text, message):
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    with pytest.raises(DecomposeError, match=message):
+        read_vertices(path)

@@ -1,3 +1,4 @@
+import io
 import re
 
 import numpy as np
@@ -425,3 +426,48 @@ def test_array_passes_reject_int64_overflow(bad, array_pass):
     good = SessionLog("u", "t1", 0, 10, 5)
     with pytest.raises(IngestError, match="session on tower t9"):
         array_pass([good, bad, good])
+
+
+@pytest.mark.parametrize(
+    "binned, manifest, message",
+    [
+        ("", None, "binned.csv: bad binned header: no header row"),
+        ("tower_id,slot,bytes\n", None, "binned.csv line 1: bad binned header"),
+        (None, '{"origin_epoch_s": 0, "days": 1}', "binned_manifest.json: KeyError: 'towers'"),
+        (None, '{"origin_epoch_s": 0, "days": 1, "towers": "t1"}',
+         "binned_manifest.json: TypeError: towers is not a list of strings"),
+        (None, '{"origin_epoch_s": null, "days": 1, "towers": []}', "binned_manifest.json: TypeError"),
+        (None, "{", "binned_manifest.json: JSONDecodeError"),
+    ],
+)
+def test_read_binned_rejects_malformed_file(tmp_path, binned, manifest, message):
+    csv_path, manifest_path = _binned_files(tmp_path, [])
+    if binned is not None:
+        csv_path.write_text(binned)
+    if manifest is not None:
+        manifest_path.write_text(manifest)
+    with pytest.raises(IngestError, match=message):
+        read_binned(csv_path, manifest_path)
+
+
+def test_parse_sessions_counts_physical_lines():
+    # the quoted user id spans lines 2-3, so the bad session sits on line 4
+    text = f'{HEADER}\n"u\n1",t1,0,10,5\nu2,t1,9,1,5\n'
+    sessions, rejects = parse_sessions(io.StringIO(text))
+    assert [s.user_id for s in sessions] == ["u\n1"]
+    assert [(r.line_no, r.reason) for r in rejects] == [(4, "end < start")]
+    with pytest.raises(IngestError, match="sessions line 4: end < start"):
+        parse_sessions(io.StringIO(text), strict=True)
+
+
+def test_parse_towers_counts_physical_lines():
+    text = 'tower_id,lat,lon\n"t\n1",0,0\nt2,95,0\n'
+    with pytest.raises(IngestError, match="towers line 4: coordinate out of range"):
+        parse_towers(io.StringIO(text))
+
+
+@pytest.mark.parametrize("origin", [-(2**40) * 600, 2**40 * 600, -62135596800 - 86400])
+def test_write_binned_rejects_origin_outside_iso_dates(tmp_path, origin):
+    result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1)
+    with pytest.raises(IngestError, match=f"origin {origin} is not a date"):
+        write_binned(tmp_path, result, origin=origin, days=1)

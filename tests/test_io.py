@@ -2,23 +2,61 @@
 
 The golden texts pin each writer's output, including the cells where the CSV
 conventions matter: ``None`` and NaN as empty cells, ``-0.0``, and floats that
-need all 17 significant digits.
+need all 17 significant digits. The properties write drawn values with each
+public writer and require its reader to give them back bit for bit.
 """
 
-import numpy as np
+import ast
+import tempfile
+from pathlib import Path
 
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+import cellmine
 from cellmine.cluster import (
     ClusterModel,
     DbiTracePoint,
     DistanceCdf,
+    read_assignments,
     write_assignments,
     write_centroids,
     write_dbi_trace,
     write_distance_cdf,
 )
-from cellmine.ingest import RejectedRow, write_reject_report
+from cellmine.decompose import (
+    FeaturePoint,
+    FeatureSpace,
+    MixtureCoefficients,
+    PolygonModel,
+    read_mixtures,
+    read_vertices,
+    write_mixtures,
+    write_vertices,
+)
+from cellmine.ingest import (
+    BinnedSeries,
+    BinResult,
+    RejectedRow,
+    read_binned,
+    write_binned,
+    write_reject_report,
+)
 from cellmine.poi import PoiClusterTable, PoiProfile, write_poi_cluster_table, write_poi_profiles
+from cellmine.spectrum import (
+    NULL_AMPLITUDE,
+    SpectralFeature,
+    read_spectral_features,
+    write_spectral_features,
+)
 from cellmine.timefeat import TimeFeatures, write_time_features
+from cellmine.vectorize import (
+    TrafficVector,
+    read_vectors,
+    write_vectors_binary,
+    write_vectors_csv,
+)
 
 # 0.1 + 0.2: its shortest round-trip repr needs 17 significant digits
 F17 = 0.30000000000000004
@@ -118,3 +156,176 @@ def test_write_poi_cluster_table_golden(tmp_path):
         "3,,,,,\n"
         "col_max,2,,1,1,\n"
     )
+
+
+# --- write -> read round trips ----------------------------------------------
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, F17]
+FLOATS = st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS)
+IDS = st.text()
+
+
+def same(a, b) -> bool:
+    """Equal float64 arrays bit for bit, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def round_trip(write, read, value, name="t.csv"):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        write(path, value)
+        return read(path)
+
+
+@st.composite
+def binned_results(draw):
+    days = draw(st.integers(1, 2))
+    towers = draw(st.lists(IDS, unique=True, max_size=4))
+    series = {}
+    for tower in towers:
+        slots = np.zeros(days * 144)
+        for slot, value in draw(st.dictionaries(st.integers(0, days * 144 - 1), FLOATS, max_size=5)).items():
+            slots[slot] = value
+        series[tower] = BinnedSeries(tower, 0, slots)
+    result = BinResult(series, draw(st.integers(0, 2**40)), draw(FLOATS))
+    # origins from the year 1425 to 6325, inside the ISO dates the manifest records
+    return result, draw(st.integers(-(2**34), 2**37)), days
+
+
+@given(binned_results())
+def test_binned_round_trip_property(case):
+    result, origin, days = case
+    with tempfile.TemporaryDirectory() as tmp:
+        series, manifest = read_binned(*write_binned(tmp, result, origin, days))
+    assert manifest["origin_epoch_s"] == origin and manifest["days"] == days
+    assert manifest["unknown_tower_sessions"] == result.unknown_towers
+    assert same(manifest["out_of_window_bytes"], result.out_of_window_bytes)
+    assert manifest["towers"] == list(series) == sorted(result.series)
+    for tower, s in series.items():
+        assert s.tower_id == tower and s.origin == origin
+        # zero slots, -0.0 among them, are not written and read back as 0.0
+        assert np.array_equal(s.slot_bytes, result.series[tower].slot_bytes)
+
+
+@st.composite
+def vector_lists(draw):
+    n = draw(st.integers(0, 4))
+    vector = st.builds(
+        TrafficVector, IDS, st.lists(FLOATS, min_size=n, max_size=n).map(np.array), st.booleans()
+    )
+    return draw(st.lists(vector, max_size=4))
+
+
+def _assert_same_vectors(loaded, vectors):
+    expected = sorted(vectors, key=lambda v: v.tower_id)
+    assert [(v.tower_id, v.degenerate) for v in loaded] == [
+        (v.tower_id, v.degenerate) for v in expected
+    ]
+    assert all(same(a.values, b.values) for a, b in zip(loaded, expected))
+
+
+@given(vector_lists())
+def test_vectors_csv_round_trip_property(vectors):
+    _assert_same_vectors(round_trip(write_vectors_csv, read_vectors, vectors), vectors)
+
+
+@given(vector_lists())
+def test_vectors_binary_round_trip_property(vectors):
+    _assert_same_vectors(round_trip(write_vectors_binary, read_vectors, vectors, "v.bin"), vectors)
+
+
+@given(st.dictionaries(IDS, st.integers()))
+def test_assignments_round_trip_property(assignments):
+    model = _model(assignments)
+    assert round_trip(write_assignments, read_assignments, model) == assignments
+
+
+@st.composite
+def spectral_features(draw):
+    amplitude = st.floats(min_value=0.0) | st.sampled_from([x for x in EDGE_FLOATS if x >= 0])
+    amps = draw(st.lists(amplitude, min_size=3, max_size=3))
+    phases = draw(st.lists(FLOATS, min_size=3, max_size=3))
+    nulls = tuple(a < NULL_AMPLITUDE for a in amps)
+    values = [v for pair in zip(amps, phases) for v in pair]
+    return SpectralFeature(draw(IDS), *values, nulls)
+
+
+@given(st.lists(spectral_features(), max_size=4))
+def test_spectral_features_round_trip_property(features):
+    loaded = round_trip(write_spectral_features, read_spectral_features, features)
+    expected = sorted(features, key=lambda f: f.tower_id)
+    assert [(f.tower_id, f.null_components) for f in loaded] == [
+        (f.tower_id, f.null_components) for f in expected
+    ]
+    assert all(same(a.as_array(), b.as_array()) for a, b in zip(loaded, expected))
+
+
+mixtures = st.builds(
+    MixtureCoefficients, IDS, st.lists(FLOATS, min_size=4, max_size=4).map(np.array), FLOATS
+)
+
+
+@given(st.lists(mixtures, max_size=4))
+def test_mixtures_round_trip_property(mixes):
+    loaded = round_trip(write_mixtures, read_mixtures, mixes)
+    expected = sorted(mixes, key=lambda m: m.tower_id)
+    assert [m.tower_id for m in loaded] == [m.tower_id for m in expected]
+    assert all(same(a.x, b.x) and same(a.residual, b.residual) for a, b in zip(loaded, expected))
+
+
+@st.composite
+def polygon_models(draw):
+    dims = draw(st.integers(1, 3))
+    floats = st.lists(FLOATS, min_size=dims, max_size=dims).map(np.array)
+    names = tuple(draw(st.lists(IDS, min_size=dims, max_size=dims)))
+    vertices = draw(st.lists(st.builds(FeaturePoint, IDS, floats), max_size=4))
+    clusters = draw(st.lists(st.integers(), min_size=len(vertices), max_size=len(vertices)))
+    return PolygonModel(vertices, clusters, FeatureSpace(names, draw(floats), draw(floats)))
+
+
+@given(polygon_models())
+def test_vertices_round_trip_property(model):
+    with np.errstate(all="ignore"):  # the raw coordinates may overflow
+        loaded = round_trip(write_vertices, read_vertices, model, "v.json")
+    assert loaded.space.names == model.space.names
+    assert same(loaded.space.mean, model.space.mean) and same(loaded.space.std, model.space.std)
+    assert loaded.vertex_clusters == model.vertex_clusters
+    assert [v.tower_id for v in loaded.vertices] == [v.tower_id for v in model.vertices]
+    assert all(same(a.f, b.f) for a, b in zip(loaded.vertices, model.vertices))
+
+
+# --- one I/O layer ----------------------------------------------------------
+
+# (module, function) of the only calls allowed to each csv/json entry point
+ALLOWED_CALLS = {
+    "csv.reader": {("common", "read_csv"), ("ingest", "parse_sessions")},
+    "csv.writer": {("common", "write_csv")},
+    "json.dump": {("common", "write_json")},
+    "json.load": {("common", "read_json")},
+}
+
+
+def _attribute_calls(node, function=None):
+    """(innermost enclosing function, "x.y") for every ``x.y(...)`` call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and isinstance(
+            child.func.value, ast.Name
+        ):
+            yield function, f"{child.func.value.id}.{child.func.attr}"
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _attribute_calls(child, inner)
+
+
+def test_csv_and_json_calls_stay_in_the_io_helpers():
+    found = {name: set() for name in ALLOWED_CALLS}
+    for path in sorted(Path(cellmine.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            assert not (
+                isinstance(node, ast.ImportFrom) and node.module in ("csv", "json")
+            ), f"{path.name}: import the module, not names from it"
+        for function, name in _attribute_calls(tree):
+            if name in found:
+                found[name].add((path.stem, function))
+    assert found == ALLOWED_CALLS

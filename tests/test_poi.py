@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -180,3 +181,14 @@ def test_ntfidf_monotone_in_own_count():
         value = profile.ntfidf[0]
         assert value >= prev - 1e-12
         prev = value
+
+
+def test_parse_pois_counts_physical_lines():
+    text = 'poi_id,type,lat,lon\n"p\n1",office,0,0\np2,office,0,x\n'
+    with pytest.raises(PoiError, match="pois line 4: non-numeric coordinate"):
+        parse_pois(io.StringIO(text))
+
+
+def test_parse_pois_rejects_empty_poi_id():
+    with pytest.raises(PoiError, match="pois line 2: empty poi_id"):
+        parse_pois(["poi_id,type,lat,lon", " ,office,31.2,121.4"])

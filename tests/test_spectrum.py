@@ -162,3 +162,18 @@ def test_spectral_features_io(tmp_path):
     loaded = read_spectral_features(path)
     assert loaded[0].tower_id == "towerA"
     np.testing.assert_allclose(loaded[0].as_array(), feat.as_array(), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "f.csv: bad spectral features header: no header row"),
+        ("tower_id,A4,P4,A28,P28,A56,P56\nt1,1.0,0.0\n", "f.csv line 2: expected 7 fields, got 3"),
+        ("tower_id,A4,P4,A28,P28,A56,P56\nt1,1,0,1,x,1,0\n", "f.csv line 2: could not convert"),
+    ],
+)
+def test_read_spectral_features_rejects_malformed_file(tmp_path, text, message):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(SpectrumError, match=message):
+        read_spectral_features(path)

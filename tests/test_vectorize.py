@@ -144,3 +144,13 @@ def test_read_vectors_csv_rejects_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(VectorizeError, match="bad vectors header"):
         read_vectors(path)
+
+
+@pytest.mark.parametrize(
+    "header", ["tower_id,degenerate,foo", "tower_id,degenerate,v1", "tower_id,degenerate,v0,v0"]
+)
+def test_read_vectors_csv_checks_value_columns(tmp_path, header):
+    path = tmp_path / "v.csv"
+    path.write_text(f"{header}\na,0,1.0\n")
+    with pytest.raises(VectorizeError, match="v.csv line 1: bad vectors header"):
+        read_vectors(path)
