@@ -157,12 +157,6 @@ def davies_bouldin_from_labels(matrix: np.ndarray, labels: np.ndarray) -> float:
     return float(ratios.max(axis=1).mean())
 
 
-def davies_bouldin(model: ClusterModel, vectors: Sequence[TrafficVector]) -> float:
-    matrix = _check_vectors(vectors)
-    labels = np.array([model.assignments[v.tower_id] for v in vectors])
-    return davies_bouldin_from_labels(matrix, labels)
-
-
 def build_model(
     dendrogram: Dendrogram, vectors: Sequence[TrafficVector], r: int, cut_threshold: float
 ) -> ClusterModel:
@@ -248,16 +242,9 @@ def write_assignments(path: str | Path, model: ClusterModel) -> Path:
 
 
 def read_assignments(path: str | Path) -> dict[str, int]:
-    assignments = {}
-    with open(path, newline="") as f:
-        for line_no, (tower_id, cluster) in read_csv(
-            f, ASSIGNMENTS_HEADER, ClusterError, path, "assignments"
-        ):
-            try:
-                assignments[tower_id] = int(cluster)
-            except ValueError as exc:
-                raise ClusterError(f"{path} line {line_no}: {exc}") from None
-    return assignments
+    with open(path, encoding="utf-8", newline="") as f:
+        return dict(read_csv(f, ASSIGNMENTS_HEADER, ClusterError, path, "assignments",
+                             lambda fields: (fields[0], int(fields[1]))))
 
 
 def write_centroids(path: str | Path, model: ClusterModel) -> Path:

@@ -100,7 +100,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[A
     a field holding a comma, a quote, ``\n`` or ``\r`` is quoted.
     """
     path = Path(path)
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         write = f.write
         # csv quotes a field only for the characters of its line terminator,
         # and a bare "\r" left unquoted would end the row for a reader. So the
@@ -116,31 +116,35 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[A
 def read_header(reader, header: Sequence[str], error: type[Exception], source: str | Path,
                 kind: str) -> bool:
     """Consume ``reader`` (a ``csv.reader``) up to its first non-blank row and
-    check that row, with stripped fields, against ``header``; a different row
-    raises ``error`` naming the ``kind`` of table. Returns False when the
-    stream ends first."""
+    check that row, with stripped fields, against ``header``. A different row
+    raises ``error`` naming the ``kind`` of table and then the column counts,
+    when they differ, or else the first column that differs. Returns False
+    when the stream ends first."""
     for fields in reader:
         if fields:
-            if [c.strip() for c in fields] != list(header):
-                raise error(
-                    f"{source} line {reader.line_num}: bad {kind} header, "
-                    f"expected {','.join(header)}"
-                )
+            found = [c.strip() for c in fields]
+            prefix = f"{source} line {reader.line_num}: bad {kind} header"
+            if len(found) != len(header):
+                raise error(f"{prefix}, {len(found)} columns, expected {len(header)}")
+            for i, (got, want) in enumerate(zip(found, header), start=1):
+                if got != want:
+                    raise error(f"{prefix}, column {i} is {got!r}, expected {want!r}")
             return True
     return False
 
 
 def read_csv(lines: Iterable[str], header: Sequence[str], error: type[Exception],
-             source: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line_no, fields)`` for every non-blank row after the header.
+             source: str | Path, kind: str, parse: Callable[[list[str]], Any]) -> Iterator[Any]:
+    """Yield ``parse(fields)`` for every non-blank row after the header.
 
-    ``lines`` is a file opened with ``newline=""`` or any iterable of lines.
-    The header row is required and blank rows are skipped. A stream without
-    a header (see ``read_header``) and a row whose width differs from the
-    header's raise ``error`` as ``<source> line <n>: <reason>``. ``n`` and
-    ``line_no`` are the physical line that ends the row, so a quoted newline
-    in an earlier row does not shift them; callers raise their own
-    conversion errors in the same form.
+    ``lines`` is a file opened with ``encoding="utf-8"`` and ``newline=""``,
+    or any iterable of lines. The header row is required and blank rows are
+    skipped. ``parse`` gets the row's fields, as many as the header has, and
+    raises ``ValueError`` on a bad value. A stream without a header (see
+    ``read_header``), a row whose width differs from the header's and a
+    ``ValueError`` from ``parse`` all raise ``error`` as
+    ``<source> line <n>: <reason>``. ``n`` is the physical line that ends
+    the row, so a quoted newline in an earlier row does not shift it.
     """
     reader = csv.reader(lines)
     if not read_header(reader, header, error, source, kind):
@@ -151,13 +155,17 @@ def read_csv(lines: Iterable[str], header: Sequence[str], error: type[Exception]
             if not fields:
                 continue
             raise error(f"{source} line {reader.line_num}: expected {width} fields, got {len(fields)}")
-        yield reader.line_num, fields
+        try:
+            row = parse(fields)
+        except ValueError as exc:
+            raise error(f"{source} line {reader.line_num}: {exc}") from None
+        yield row
 
 
 def write_json(path: str | Path, payload: Any) -> Path:
     """Write ``payload`` as JSON indented by 2 with sorted keys, and a final newline."""
     path = Path(path)
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
     return path
@@ -168,7 +176,7 @@ def read_json(path: str | Path, error: type[Exception], parse: Callable[[Any], A
     and the ``KeyError``, ``TypeError`` or ``ValueError`` that ``parse``
     raises on a missing key or a wrong type, raise ``error`` naming the file."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return parse(json.load(f))
     except (KeyError, TypeError, ValueError) as exc:
         raise error(f"{path}: {type(exc).__name__}: {exc}") from None

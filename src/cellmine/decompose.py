@@ -201,7 +201,7 @@ def solve_mixture(
             x = np.zeros(4)
             x[list(support)] = x_sub
             obj = float(np.sum((v_full @ x - f) ** 2))
-            if obj < best_obj - 1e-15 or best_x is None:
+            if obj < best_obj or best_x is None:
                 best_obj = obj
                 best_x = x
     x = np.clip(best_x, 0.0, None)
@@ -237,16 +237,14 @@ def write_mixtures(path: str | Path, mixtures: Sequence[MixtureCoefficients]) ->
     return write_csv(path, MIXTURES_HEADER, rows)
 
 
+def _mixture_row(fields: list[str]) -> MixtureCoefficients:
+    vals = [float(v) for v in fields[1:]]
+    return MixtureCoefficients(fields[0], np.array(vals[:4]), vals[4])
+
+
 def read_mixtures(path: str | Path) -> list[MixtureCoefficients]:
-    out = []
-    with open(path, newline="") as f:
-        for line_no, fields in read_csv(f, MIXTURES_HEADER, DecomposeError, path, "mixtures"):
-            try:
-                vals = [float(v) for v in fields[1:]]
-            except ValueError as exc:
-                raise DecomposeError(f"{path} line {line_no}: {exc}") from None
-            out.append(MixtureCoefficients(fields[0], np.array(vals[:4]), vals[4]))
-    return out
+    with open(path, encoding="utf-8", newline="") as f:
+        return list(read_csv(f, MIXTURES_HEADER, DecomposeError, path, "mixtures", _mixture_row))
 
 
 def write_vertices(path: str | Path, model: PolygonModel) -> Path:

@@ -164,19 +164,19 @@ def parse_towers(lines: Iterable[str]) -> dict[str, TowerRecord]:
     """Parse towers.csv into a registry. The registry must be clean: any
     malformed row or duplicate tower_id raises."""
     registry: dict[str, TowerRecord] = {}
-    for line_no, (tower_id, lat, lon) in read_csv(
-        lines, TOWERS_HEADER, IngestError, "towers", "towers"
-    ):
+
+    def tower(fields: list[str]) -> TowerRecord:
+        tower_id, lat, lon = fields
         tower_id = tower_id.strip()
-        try:
-            coordinates = parse_lat_lon(lat, lon)
-            if not tower_id:
-                raise ValueError("empty tower_id")
-            if tower_id in registry:
-                raise ValueError(f"duplicate tower_id {tower_id}")
-        except ValueError as exc:
-            raise IngestError(f"towers line {line_no}: {exc}") from None
-        registry[tower_id] = TowerRecord(tower_id, *coordinates)
+        coordinates = parse_lat_lon(lat, lon)
+        if not tower_id:
+            raise ValueError("empty tower_id")
+        if tower_id in registry:
+            raise ValueError(f"duplicate tower_id {tower_id}")
+        return TowerRecord(tower_id, *coordinates)
+
+    for record in read_csv(lines, TOWERS_HEADER, IngestError, "towers", "towers", tower):
+        registry[record.tower_id] = record
     return registry
 
 
@@ -359,20 +359,22 @@ def read_binned(csv_path: str | Path, manifest_path: str | Path) -> tuple[dict[s
     manifest, series = read_json(manifest_path, IngestError, _manifest_series)
     arrays = {t: s.slot_bytes for t, s in series.items()}
     n_slots = int(manifest["days"]) * SLOTS_PER_DAY
-    with open(csv_path, newline="") as f:
-        for line_no, (tower_id, idx, value) in read_csv(
-            f, BINNED_HEADER, IngestError, csv_path, "binned"
+
+    def slot_value(fields: list[str]) -> tuple[np.ndarray, int, float]:
+        tower_id, idx, value = fields
+        slots = arrays.get(tower_id)
+        if slots is None:
+            raise ValueError(f"tower {tower_id} is not in the manifest")
+        slot = int(idx)
+        if not 0 <= slot < n_slots:
+            raise ValueError(f"slot {slot} outside 0..{n_slots - 1}")
+        return slots, slot, float(value)
+
+    with open(csv_path, encoding="utf-8", newline="") as f:
+        for slots, slot, value in read_csv(
+            f, BINNED_HEADER, IngestError, csv_path, "binned", slot_value
         ):
-            try:
-                slots = arrays.get(tower_id)
-                if slots is None:
-                    raise ValueError(f"tower {tower_id} is not in the manifest")
-                slot = int(idx)
-                if not 0 <= slot < n_slots:
-                    raise ValueError(f"slot {slot} outside 0..{n_slots - 1}")
-                slots[slot] = float(value)
-            except ValueError as exc:
-                raise IngestError(f"{csv_path} line {line_no}: {exc}") from None
+            slots[slot] = value
     return series, manifest
 
 

@@ -61,21 +61,18 @@ def haversine_m(lat1, lon1, lat2, lon2):
     return EARTH_RADIUS_M * 2 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
+def _poi_row(fields: list[str]) -> PoiRecord:
+    poi_id, poi_type, lat, lon = fields
+    poi_id, poi_type = poi_id.strip(), poi_type.strip()
+    if not poi_id:
+        raise ValueError("empty poi_id")
+    if poi_type not in POI_TYPES:
+        raise ValueError(f"unknown type {poi_type!r} (expected one of {POI_TYPES})")
+    return PoiRecord(poi_id, poi_type, *parse_lat_lon(lat, lon))
+
+
 def parse_pois(lines: Iterable[str]) -> list[PoiRecord]:
-    out: list[PoiRecord] = []
-    for line_no, (poi_id, poi_type, lat, lon) in read_csv(
-        lines, POIS_HEADER, PoiError, "pois", "pois"
-    ):
-        poi_id, poi_type = poi_id.strip(), poi_type.strip()
-        try:
-            if not poi_id:
-                raise ValueError("empty poi_id")
-            if poi_type not in POI_TYPES:
-                raise ValueError(f"unknown type {poi_type!r} (expected one of {POI_TYPES})")
-            out.append(PoiRecord(poi_id, poi_type, *parse_lat_lon(lat, lon)))
-        except ValueError as exc:
-            raise PoiError(f"pois line {line_no}: {exc}") from None
-    return out
+    return list(read_csv(lines, POIS_HEADER, PoiError, "pois", "pois", _poi_row))
 
 
 class PoiGrid:

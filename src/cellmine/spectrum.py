@@ -175,18 +175,16 @@ def write_spectral_features(path: str | Path, features: Sequence[SpectralFeature
     return write_csv(path, FEATURES_HEADER, rows)
 
 
+def _feature_row(fields: list[str]) -> SpectralFeature:
+    vals = [float(x) for x in fields[1:]]
+    nulls = tuple(vals[2 * i] < NULL_AMPLITUDE for i in range(3))
+    return SpectralFeature(fields[0], *vals, nulls)
+
+
 def read_spectral_features(path: str | Path) -> list[SpectralFeature]:
     """Features as written; a bin is null when its amplitude is below
     NULL_AMPLITUDE."""
-    out = []
-    with open(path, newline="") as f:
-        for line_no, fields in read_csv(
-            f, FEATURES_HEADER, SpectrumError, path, "spectral features"
-        ):
-            try:
-                vals = [float(x) for x in fields[1:]]
-            except ValueError as exc:
-                raise SpectrumError(f"{path} line {line_no}: {exc}") from None
-            nulls = tuple(vals[2 * i] < NULL_AMPLITUDE for i in range(3))
-            out.append(SpectralFeature(fields[0], *vals, nulls))
-    return out
+    with open(path, encoding="utf-8", newline="") as f:
+        return list(read_csv(
+            f, FEATURES_HEADER, SpectrumError, path, "spectral features", _feature_row
+        ))

@@ -187,9 +187,11 @@ def compute_time_features(
 def peak_offset(a: DailyProfile, b: DailyProfile, day: str = "weekday") -> int:
     """Signed circular lag in minutes by which profile ``a`` trails profile
     ``b``, from the cross-correlation of the smoothed, mean-removed curves.
-    Both profiles must contain at least one prominent peak."""
-    curve_a = a.weekday if day == "weekday" else a.weekend
-    curve_b = b.weekday if day == "weekday" else b.weekend
+    ``day`` is ``"weekday"`` or ``"weekend"``. Both profiles must contain at
+    least one prominent peak."""
+    if day not in ("weekday", "weekend"):
+        raise TimefeatError(f"day must be 'weekday' or 'weekend', got {day!r}")
+    curve_a, curve_b = getattr(a, day), getattr(b, day)
     for label, curve in (("a", curve_a), ("b", curve_b)):
         peaks, _ = _circular_extrema(curve)
         if not peaks:

@@ -114,21 +114,19 @@ def write_vectors_csv(path: str | Path, vectors: Sequence[TrafficVector]) -> Pat
     return write_csv(path, _vectors_header(vectors[0].n if vectors else 0), rows)
 
 
+def _vector_row(fields: list[str]) -> TrafficVector:
+    values = np.array([float(x) for x in fields[2:]])
+    return TrafficVector(fields[0], values, bool(int(fields[1])))
+
+
 def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
-    out = []
-    with open(path, newline="") as f:
+    with open(path, encoding="utf-8", newline="") as f:
         # The header names one column per value: size it from the first
         # non-blank line, and read_csv checks every name.
         first = next((line for line in iter(f.readline, "") if line.strip("\r\n")), "")
         f.seek(0)
         header = _vectors_header(first.count(",") - 1)
-        for line_no, fields in read_csv(f, header, VectorizeError, path, "vectors"):
-            try:
-                values = np.array([float(x) for x in fields[2:]])
-                out.append(TrafficVector(fields[0], values, bool(int(fields[1]))))
-            except ValueError as exc:
-                raise VectorizeError(f"{path} line {line_no}: {exc}") from None
-    return out
+        return list(read_csv(f, header, VectorizeError, path, "vectors", _vector_row))
 
 
 def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:

@@ -10,7 +10,6 @@ from cellmine.cluster import (
     DistanceCdf,
     build_model,
     cluster_shares,
-    davies_bouldin,
     davies_bouldin_from_labels,
     distance_cdf,
     fit_vectors,

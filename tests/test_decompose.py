@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cellmine.decompose import (
     DecomposeError,
@@ -160,6 +164,47 @@ def test_kkt_conditions_at_solution():
         assert np.max(np.abs(g[support] + lam)) < 1e-8
         if np.any(~support):
             assert np.min(g[~support] + lam) > -1e-8
+
+
+@st.composite
+def simplex_cases(draw):
+    """Vertices (dims, 4) in 3 to 6 dimensions and a point inside or outside
+    their hull. The edges from the first vertex are orthonormal directions
+    scaled by singular values in [0.8, 2], so the simplex stays well
+    conditioned."""
+    dims = draw(st.integers(3, 6))
+
+    def floats(n, lo=-1.0, hi=1.0):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    directions, _ = np.linalg.qr(floats(3 * dims).reshape(dims, 3))
+    edges = directions * floats(3, 0.8, 2.0)
+    vertices = 2.0 * floats(dims)[:, None] + np.hstack([np.zeros((dims, 1)), edges])
+    weights = floats(4, 0.0, 1.0)
+    weights = weights / weights.sum() if weights.sum() > 0 else np.full(4, 0.25)
+    outside = 3.0 * floats(dims) if draw(st.booleans()) else np.zeros(dims)
+    return vertices, vertices @ weights + outside
+
+
+@given(simplex_cases())
+# a weight of 2e-8 that moves the objective by less than 1e-15
+@example((np.hstack([np.zeros((3, 1)), np.eye(3)]), np.array([0.0, 1.0 - 2e-8, 2e-8])))
+def test_simplex_weights_property(case):
+    v, f = case
+    dims = v.shape[0]
+    space = FeatureSpace(tuple(f"f{i}" for i in range(dims)), np.zeros(dims), np.ones(dims))
+    model = PolygonModel([FeaturePoint(f"v{i}", v[:, i]) for i in range(4)], [1, 2, 3, 4], space)
+    res = solve_mixture(f, model)
+    assert np.all(res.x >= 0)
+    assert abs(res.x.sum() - 1.0) <= 1e-12
+    assert math.isclose(res.residual, np.linalg.norm(v @ res.x - f), rel_tol=1e-12)
+    # the KKT conditions of test_kkt_conditions_at_solution
+    g = 2.0 * v.T @ (v @ res.x - f)
+    support = res.x > 1e-10
+    lam = -float(np.mean(g[support]))
+    assert np.max(np.abs(g[support] + lam)) < 1e-8
+    if np.any(~support):
+        assert np.min(g[~support] + lam) > -1e-8
 
 
 def test_solution_invariant_to_vertex_reordering():

@@ -7,10 +7,15 @@ public writer and require its reader to give them back bit for bit.
 """
 
 import ast
+import codecs
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -25,6 +30,7 @@ from cellmine.cluster import (
     write_dbi_trace,
     write_distance_cdf,
 )
+from cellmine.common import read_csv
 from cellmine.decompose import (
     FeaturePoint,
     FeatureSpace,
@@ -53,6 +59,7 @@ from cellmine.spectrum import (
 from cellmine.timefeat import TimeFeatures, write_time_features
 from cellmine.vectorize import (
     TrafficVector,
+    VectorizeError,
     read_vectors,
     write_vectors_binary,
     write_vectors_csv,
@@ -329,3 +336,83 @@ def test_csv_and_json_calls_stay_in_the_io_helpers():
             if name in found:
                 found[name].add((path.stem, function))
     assert found == ALLOWED_CALLS
+
+
+def test_every_open_is_binary_or_utf8():
+    opens = 0
+    for path in sorted(Path(cellmine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            opens += 1
+            args = {kw.arg: kw.value for kw in node.keywords}
+            args.update(zip(["file", "mode"], node.args))
+            mode, encoding = args.get("mode"), args.get("encoding")
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            utf8 = isinstance(encoding, ast.Constant) and encoding.value == "utf-8"
+            assert binary or utf8, f"{path.name} line {node.lineno}: text open without UTF-8"
+    assert opens
+
+
+# --- encoding and header errors ---------------------------------------------
+
+TOWER = "塔-é"
+
+
+def _non_ascii_round_trips(directory):
+    """Write and read back every CSV file that carries a tower id, and the
+    binned manifest, with a non-ASCII id."""
+    directory = Path(directory)
+    series = {TOWER: BinnedSeries(TOWER, 0, np.arange(144.0))}
+    binned, manifest = read_binned(*write_binned(directory, BinResult(series, 0, 0.0), 0, 1))
+    assert manifest["towers"] == [TOWER]
+    assert np.array_equal(binned[TOWER].slot_bytes, series[TOWER].slot_bytes)
+    assert TOWER.encode("utf-8") in (directory / "binned.csv").read_bytes()
+    vector = TrafficVector(TOWER, np.array([1.0, -1.0]), False)
+    assert read_vectors(write_vectors_csv(directory / "v.csv", [vector]))[0].tower_id == TOWER
+    assignments = write_assignments(directory / "a.csv", _model({TOWER: 3}))
+    assert read_assignments(assignments) == {TOWER: 3}
+    feature = SpectralFeature(TOWER, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5)
+    features = write_spectral_features(directory / "f.csv", [feature])
+    assert read_spectral_features(features) == [feature]
+    mixture = MixtureCoefficients(TOWER, np.full(4, 0.25), 0.0)
+    assert read_mixtures(write_mixtures(directory / "m.csv", [mixture]))[0].tower_id == TOWER
+
+
+def test_non_ascii_tower_id_round_trips(tmp_path):
+    _non_ascii_round_trips(tmp_path)
+
+
+def test_non_ascii_tower_id_round_trips_under_an_ascii_locale(tmp_path):
+    # PYTHONUTF8=0 and PYTHONCOERCECLOCALE=0 keep Python from switching to
+    # UTF-8 under the C locale, so the locale's encoding really is ASCII.
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cellmine.__file__).parents[1]), str(Path(__file__).parent)]
+    )
+    code = (
+        f"import codecs, locale, sys, {Path(__file__).stem} as tests\n"
+        "print(codecs.lookup(locale.getpreferredencoding(False)).name)\n"
+        "tests._non_ascii_round_trips(sys.argv[1])\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["ascii"]
+
+
+def test_header_error_names_the_first_differing_column(tmp_path):
+    path = write_vectors_csv(tmp_path / "v.csv", [TrafficVector("a", np.zeros(4032), True)])
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace(",v7,", ",v7x,", 1), encoding="utf-8")
+    with pytest.raises(VectorizeError) as info:
+        read_vectors(path)
+    assert str(info.value) == f"{path} line 1: bad vectors header, column 10 is 'v7x', expected 'v7'"
+
+
+def test_header_error_gives_the_column_counts():
+    message = r"^t\.csv line 2: bad test header, 2 columns, expected 3$"
+    with pytest.raises(ValueError, match=message):
+        list(read_csv(["\n", "a,b\n"], ["a", "b", "c"], ValueError, "t.csv", "test", tuple))

@@ -156,3 +156,14 @@ def test_peak_offset_requires_peaks():
     peaked = DailyProfile("p", day_curve(60), day_curve(60))
     with pytest.raises(TimefeatError, match="no prominent peak"):
         peak_offset(flat, peaked)
+
+
+@pytest.mark.parametrize("day", ["Weekday", "holiday", ""])
+def test_peak_offset_rejects_unknown_day(day):
+    base = day_curve(60)
+    a = DailyProfile("a", base, np.roll(base, 30))
+    b = DailyProfile("b", base, base)
+    assert peak_offset(a, b, "weekday") == 0
+    assert peak_offset(a, b, "weekend") == 300
+    with pytest.raises(TimefeatError, match="day must be 'weekday' or 'weekend'"):
+        peak_offset(a, b, day)
