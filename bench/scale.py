@@ -1,0 +1,138 @@
+"""Scale probe: the traced benchmark pipeline on generated cities of growing size.
+
+Run from the repository root:
+
+    python3 bench/scale.py --label "after" [--root DIR]
+
+For 500, 2,000 and 10,000 towers it generates the seed-1 city
+``CitySpec(towers=N, sessions_per_block=1)`` with ``perfbench/citygen.py``
+(cached under ``bench/.cache``), then runs ``perfbench/pipeline.py``'s traced, in-memory
+``run_pipeline`` on it in a fresh process, with BLAS pinned to one thread.
+``--root`` picks the checkout whose ``src`` and ``perfbench`` are run, so an
+older commit can be measured with this script. The record of each run (self
+seconds per stage, ``ru_maxrss``, HAC's RSS growth, quality, failed gates, the
+probe time and the environment) goes into ``BENCH_scale.json`` under
+``--label``; records under other labels are kept. The 10k city takes minutes
+and a few GB of memory. This is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+REPO = Path(__file__).resolve().parents[1]
+OUT = REPO / "BENCH_scale.json"
+CACHE = REPO / "bench" / ".cache"
+TOWERS = (500, 2000, 10000)
+SEED = 1
+BLAS_THREADS = "1"
+# the probe time at the reference CPU speed, as in perfbench/run.py
+PROBE_REF_S = 0.45
+
+
+def _import_bench(root: Path) -> None:
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+
+
+def run_one(root: Path, city: Path) -> dict:
+    """One traced pipeline over ``city``; runs in its own process so that
+    ru_maxrss belongs to this city alone."""
+    _import_bench(root)
+    import numpy
+    import pipeline
+    import scipy
+
+    truth = json.loads((city / "truth.json").read_text())
+    tracer = pipeline.Tracer(True)
+    probe_before = pipeline.probe()
+    t0 = perf_counter()
+    with tempfile.TemporaryDirectory() as workdir:
+        out = pipeline.run_pipeline(
+            city, Path(workdir), truth["origin_epoch_s"], truth["days"], False, tracer
+        )
+    pipeline_s = perf_counter() - t0
+    maxrss_mb = pipeline._maxrss_mb()
+    out["quality"] = pipeline.quality(out, truth)
+    record = {
+        "towers": len(out["registry"]),
+        "clustered": len(out["usable"]),
+        "sessions": len(out["sessions"]),
+        "pipeline_s": round(pipeline_s, 3),
+        "ru_maxrss_mb": round(maxrss_mb, 1),
+        "hac_rss_growth_mb": round(out["hac_rss_growth_mb"], 1),
+        "r_chosen": out["model"].r,
+        **{k: round(v, 6) for k, v in out["quality"].items()},
+        "failed_gates": pipeline.check_gates(out, truth),
+        "self_s": {
+            name: round(s, 3)
+            for name, s in sorted(tracer.self_times().items(), key=lambda kv: -kv[1])
+        },
+    }
+    del out
+    probe_s = (probe_before + pipeline.probe()) / 2.0
+    record["probe_s"] = round(probe_s, 4)
+    record["probe_scale"] = round(PROBE_REF_S / probe_s, 4)
+    record["environment"] = {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "nproc": os.cpu_count(),
+    }
+    return record
+
+
+def city_for(root: Path, towers: int) -> Path:
+    city = CACHE / f"city-{towers}-s{SEED}"
+    if not (city / "truth.json").exists():
+        _import_bench(root)
+        from citygen import CitySpec, generate
+
+        generate(CitySpec(towers=towers, sessions_per_block=1), SEED, city)
+    return city
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="key of this run in the output")
+    parser.add_argument("--root", type=Path, default=REPO, help="checkout to measure")
+    parser.add_argument("--one", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    if args.one:
+        print(json.dumps(run_one(root, args.one)))
+        return 0
+
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = BLAS_THREADS
+    records = {}
+    for towers in TOWERS:
+        city = city_for(root, towers)
+        proc = subprocess.run(
+            [sys.executable, __file__, "--label", args.label, "--root", str(root),
+             "--one", str(city)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        records[str(towers)] = json.loads(proc.stdout.strip().splitlines()[-1])
+        r = records[str(towers)]
+        print(f"{towers} towers: {r['pipeline_s']} s, ru_maxrss {r['ru_maxrss_mb']} MB,"
+              f" ari {r['ari']}, poi_match {r['poi_match']}", flush=True)
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    doc["command"] = "python3 bench/scale.py --label LABEL [--root CHECKOUT]"
+    doc["seed"] = SEED
+    doc.setdefault("runs", {})[args.label] = records
+    OUT.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,6 +6,12 @@ The dendrogram is scipy's average linkage: the nearest-neighbour chain
 in time and memory. It is deterministic for a given input order, and
 ``fit_vectors`` fixes that order by tower id. Exact distance ties between
 distinct clusters are broken as scipy breaks them.
+
+The condensed matrix and the Davies-Bouldin distances come from one Gram
+form, ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b with BLAS dot products; pairs too
+close for it are recomputed as direct differences (see ``REFINE_SHARE``). The
+condensed matrix is filled a block of rows at a time, so no n x n matrix is
+built.
 """
 
 from __future__ import annotations
@@ -16,12 +22,24 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import pdist, squareform
 
 from .common import read_csv, write_csv
 from .vectorize import TrafficVector
 
 ASSIGNMENTS_HEADER = ["tower_id", "cluster"]
+# The Gram d^2 = S - 2 a.b, with S = ||a||^2 + ||b||^2, of rows of width w has
+# a rounding error of about w * u * S (u = 2**-53), which relative to d^2 is
+# w * u * S / d^2: unbounded as the pair closes in. Every pair with
+# d^2 < REFINE_SHARE * S is recomputed as sum((a - b)^2), which cancels
+# nothing, so identical rows are exactly 0.0 and every pair kept is within a
+# relative w * u / REFINE_SHARE in d^2: 5e-10 at w = 4032 (a 4-week vector),
+# half that in d. No distinct pair of the 700-tower benchmark city comes below
+# 1e-3 * S (the least is 0.0093 * S), so there this recomputes only duplicates.
+REFINE_SHARE = 1e-3
+# rows of the condensed distance matrix per BLAS product
+HAC_BLOCK_ROWS = 128
+# matrix elements per direct-difference pass of the recomputed pairs
+REFINE_ELEMENTS = 1 << 20
 
 
 class ClusterError(ValueError):
@@ -114,6 +132,43 @@ def _check_vectors(vectors: Sequence[TrafficVector]) -> np.ndarray:
     return matrix
 
 
+def _sq_norms(matrix: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", matrix, matrix)
+
+
+def _sq_distances(
+    a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray
+) -> np.ndarray:
+    """Squared Euclidean distances from every row of ``a`` to every row of
+    ``b``, given their squared norms. Pairs too close for the Gram form are
+    recomputed directly (see ``REFINE_SHARE``)."""
+    scale = a_sq[:, None] + b_sq
+    d2 = scale - 2.0 * (a @ b.T)
+    rows, cols = np.nonzero(d2 < REFINE_SHARE * scale)
+    step = max(1, REFINE_ELEMENTS // a.shape[1])
+    for s in range(0, rows.size, step):
+        i, j = rows[s : s + step], cols[s : s + step]
+        diff = a[i] - b[j]
+        d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+    return d2
+
+
+def _condensed_distances(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows, in ``pdist``'s condensed order."""
+    n = matrix.shape[0]
+    sq_norms = _sq_norms(matrix)
+    condensed = np.empty(n * (n - 1) // 2)
+    filled = 0
+    for s in range(0, n - 1, HAC_BLOCK_ROWS):
+        e = min(s + HAC_BLOCK_ROWS, n - 1)
+        # row i of the block against rows s+1.., of which it keeps those past i
+        d2 = _sq_distances(matrix[s:e], sq_norms[s:e], matrix[s + 1 :], sq_norms[s + 1 :])
+        upper = d2[np.arange(e - s)[:, None] <= np.arange(n - s - 1)]
+        np.sqrt(upper, out=condensed[filled : filled + upper.size])
+        filled += upper.size
+    return condensed
+
+
 def hac_average_linkage(vectors: Sequence[TrafficVector]) -> Dendrogram:
     """Exact average-linkage agglomeration under Euclidean distance.
 
@@ -125,7 +180,7 @@ def hac_average_linkage(vectors: Sequence[TrafficVector]) -> Dendrogram:
     matrix = _check_vectors(vectors)
     merges = [
         Merge(int(min(a, b)), int(max(a, b)), float(height), int(size))
-        for a, b, height, size in linkage(pdist(matrix), method="average")
+        for a, b, height, size in linkage(_condensed_distances(matrix), method="average")
     ]
     return Dendrogram(matrix.shape[0], merges, [v.tower_id for v in vectors])
 
@@ -133,18 +188,24 @@ def hac_average_linkage(vectors: Sequence[TrafficVector]) -> Dendrogram:
 def davies_bouldin_from_labels(matrix: np.ndarray, labels: np.ndarray) -> float:
     """DBI: mean over clusters of the worst (S_i + S_j) / M_ij ratio, where
     S is the mean member-to-centroid distance and M the centroid distance."""
-    cluster_ids = np.unique(labels)
+    if len(labels) != matrix.shape[0]:
+        raise ClusterError(f"{len(labels)} labels for {matrix.shape[0]} rows")
+    return _dbi(matrix, _sq_norms(matrix), labels)
+
+
+def _dbi(matrix: np.ndarray, sq_norms: np.ndarray, labels: np.ndarray) -> float:
+    cluster_ids, member_of, sizes = np.unique(
+        labels, return_inverse=True, return_counts=True
+    )
     r = cluster_ids.size
     if r < 2:
         raise ClusterError(f"Davies-Bouldin index needs >= 2 clusters, got {r}")
-    centroids = np.stack([matrix[labels == c].mean(axis=0) for c in cluster_ids])
-    scatter = np.array(
-        [
-            np.linalg.norm(matrix[labels == c] - centroids[idx], axis=1).mean()
-            for idx, c in enumerate(cluster_ids)
-        ]
-    )
-    separation = squareform(pdist(centroids))
+    one_hot = member_of == np.arange(r)[:, None]
+    centroids = (one_hot @ matrix) / sizes[:, None]
+    c_sq = _sq_norms(centroids)
+    own = _sq_distances(matrix, sq_norms, centroids, c_sq)[np.arange(member_of.size), member_of]
+    scatter = np.bincount(member_of, np.sqrt(own)) / sizes
+    separation = np.sqrt(_sq_distances(centroids, c_sq, centroids, c_sq))
     np.fill_diagonal(separation, np.inf)
     coincident = np.argwhere(separation == 0.0)
     if coincident.size:
@@ -162,9 +223,16 @@ def build_model(
 ) -> ClusterModel:
     matrix = _check_vectors(vectors)
     labels = dendrogram.cut(r)
+    dbi = _dbi(matrix, _sq_norms(matrix), labels)
+    return _model(dendrogram, matrix, labels, cut_threshold, dbi)
+
+
+def _model(
+    dendrogram: Dendrogram, matrix: np.ndarray, labels: np.ndarray, cut_threshold: float, dbi: float
+) -> ClusterModel:
+    r = int(labels.max())
     centroids = np.stack([matrix[labels == c].mean(axis=0) for c in range(1, r + 1)])
     sizes = [int(np.sum(labels == c)) for c in range(1, r + 1)]
-    dbi = davies_bouldin_from_labels(matrix, labels)
     assignments = {tower_id: int(lbl) for tower_id, lbl in zip(dendrogram.leaf_ids, labels)}
     return ClusterModel(assignments, centroids, sizes, cut_threshold, dbi, r)
 
@@ -181,6 +249,7 @@ def tune_cut(
     if dendrogram.n_leaves < 3:
         raise ClusterError("cut tuning needs a dendrogram over >= 3 leaves")
     matrix = _check_vectors(vectors)
+    sq_norms = _sq_norms(matrix)
     r_hi = min(r_max, dendrogram.n_leaves)
     if r_min < 2 or r_min > r_hi:
         raise ClusterError(f"invalid cluster range [{r_min}, {r_max}]")
@@ -188,9 +257,9 @@ def tune_cut(
     for r in range(r_min, r_hi + 1):
         labels = dendrogram.cut(r)
         height = dendrogram.merges[dendrogram.n_leaves - r].height
-        trace.append(DbiTracePoint(r, height, davies_bouldin_from_labels(matrix, labels)))
+        trace.append(DbiTracePoint(r, height, _dbi(matrix, sq_norms, labels)))
     best = min(trace, key=lambda p: (p.dbi, p.r))
-    model = build_model(dendrogram, vectors, best.r, best.cut_height)
+    model = _model(dendrogram, matrix, dendrogram.cut(best.r), best.cut_height, best.dbi)
     return model, trace
 
 
@@ -201,6 +270,8 @@ class DistanceCdf:
     distances: dict[int, np.ndarray] = field(default_factory=dict)
 
     def quantile(self, cluster: int, q: float) -> float:
+        if cluster not in self.distances:
+            raise ClusterError(f"no cluster {cluster} in the distance CDF")
         d = self.distances[cluster]
         if not 0.0 <= q <= 1.0:
             raise ClusterError(f"quantile out of range: {q}")

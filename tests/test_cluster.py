@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import pdist
 
 from cellmine.cluster import (
+    REFINE_SHARE,
     ClusterError,
     DistanceCdf,
     build_model,
@@ -17,6 +20,7 @@ from cellmine.cluster import (
     read_assignments,
     tune_cut,
 )
+from cellmine.cluster import _condensed_distances
 from cellmine.vectorize import TrafficVector
 
 
@@ -215,6 +219,53 @@ def test_dbi_matches_reference_reimplementation():
             continue
         got = davies_bouldin_from_labels(matrix, labels)
         assert got == pytest.approx(reference_dbi(matrix, labels), rel=1e-12)
+    # singletons (3, 4) and clusters of identical members (5: three, 6: four)
+    for _ in range(10):
+        matrix = rng.normal(size=(17, 5))
+        matrix[11:13] = matrix[10]
+        matrix[14:17] = matrix[13]
+        labels = np.array([1, 1, 1, 2, 2, 2, 2, 1, 3, 4, 5, 5, 5, 6, 6, 6, 6])
+        got = davies_bouldin_from_labels(matrix, labels)
+        assert got == pytest.approx(reference_dbi(matrix, labels), rel=1e-12)
+
+
+def test_dbi_rejects_labels_of_wrong_length():
+    with pytest.raises(ClusterError, match="2 labels for 3 rows"):
+        davies_bouldin_from_labels(np.array([[0.0], [1.0], [5.0]]), np.array([1, 2]))
+
+
+@given(
+    n=st.integers(2, 12),
+    width=st.integers(1, 300),
+    norm_exp=st.integers(0, 6),
+    spread_exp=st.integers(-6, 0),
+    n_dup=st.integers(0, 3),
+    n_near=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_condensed_distances_match_pdist(n, width, norm_exp, spread_exp, n_dup, n_near, seed):
+    """Rows around a centre of norm up to 1e6, spread from 1e-6 to 1 of it,
+    with exact duplicates and near-duplicates 1e-7 apart in one coordinate."""
+    rng = np.random.default_rng(seed)
+    centre = rng.normal(size=width)
+    centre *= 10.0**norm_exp / np.linalg.norm(centre)
+    pts = centre + rng.normal(size=(n, width)) * 10.0 ** (norm_exp + spread_exp)
+    for _ in range(n_dup):
+        pts[rng.integers(n)] = pts[rng.integers(n)]
+    for _ in range(n_near):
+        i, j = rng.integers(n, size=2)
+        pts[i] = pts[j]
+        pts[i, rng.integers(width)] += 1e-7
+    got, want = _condensed_distances(pts), pdist(pts)
+    # the relative error bound that REFINE_SHARE's derivation gives
+    bound = (width + 3) * 2.0**-53 / REFINE_SHARE
+    assert np.all(np.abs(got - want) <= bound * want)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    heights = np.sort(linkage(want, "average")[:, 2])
+    if np.all(np.diff(heights) > 1e-6 * heights[-1]):  # tie-free
+        np.testing.assert_array_equal(
+            linkage(got, "average")[:, [0, 1, 3]], linkage(want, "average")[:, [0, 1, 3]]
+        )
 
 
 def test_tune_cut_two_blobs():
@@ -268,6 +319,11 @@ def test_distance_cdf_cases():
     # singleton cluster: CDF over one value
     assert cdf.distances[single_cluster].size == 1
     assert cdf.quantile(single_cluster, 0.9) == 0.0
+
+
+def test_distance_cdf_quantile_names_unknown_cluster():
+    with pytest.raises(ClusterError, match="no cluster 2"):
+        DistanceCdf({1: np.array([0.0])}).quantile(2, 0.5)
 
 
 def test_cluster_shares():
