@@ -7,9 +7,11 @@ Wire formats:
                   manifest carrying origin, slot_seconds=600, days and the tower list.
 
 ``deduplicate`` and ``bin_traffic`` work on whole arrays, one entry per session
-(or per session and slot), with no per-session Python loop. They hold start,
-end and bytes as int64, so a session must keep ``start``, ``end``,
-``end - start`` and ``bytes * SLOT_SECONDS`` inside the int64 range.
+(or per session and slot). ``deduplicate`` sorts on integer keys; it reads and
+compares user ids only for the sessions that share a (tower_id, start) with
+another. Both hold start, end and bytes as int64, so a session must keep
+``start``, ``end``, ``end - start`` and ``bytes * SLOT_SECONDS`` inside the
+int64 range.
 ``parse_sessions`` rejects a row outside these limits as malformed; the array
 passes raise ``IngestError`` naming the tower of such a session.
 """
@@ -215,20 +217,34 @@ def deduplicate(logs: Iterable[SessionLog]) -> list[SessionLog]:
     interval but different bytes) keep the one with the larger byte count.
 
     Returns input objects, one per (user_id, tower_id, start, end), sorted by
-    (tower_id, start, user_id, end). A stable ``np.lexsort`` over int64 keys
-    puts each group of duplicates in a run that ends with its largest byte
-    count, and the last of each run is kept. Ids are keyed by their rank
-    among the sorted distinct ids, compared as Python strings. Raises
-    ``IngestError`` for a session outside the int64 limits in the module
-    docstring.
+    (tower_id, start, user_id, end). A stable ``np.lexsort`` orders every
+    session by (tower_id, start, end, bytes) on int64 keys. User ids are
+    compared, as Python strings, only among the sessions that share a
+    (tower_id, start) with another: a second stable lexsort orders each such
+    group by the rank of its ids among the sorted distinct ids of all groups.
+    Each group of duplicates is then a run that ends with its largest byte
+    count, and the last of each run is kept. Raises ``IngestError`` for a
+    session outside the int64 limits in the module docstring.
     """
     logs = list(logs)
     start, end, nbytes = _int64_fields(logs)
     towers = [s.tower_id for s in logs]
-    users = [s.user_id for s in logs]
     tower = _codes(towers, sorted(set(towers)))
-    user = _codes(users, sorted(set(users)))
-    order = np.lexsort((nbytes, end, user, start, tower))
+    order = np.lexsort((nbytes, end, start, tower))
+    # first[i]: the i-th sorted session starts a (tower_id, start) group.
+    group = np.stack((tower, start))[:, order]
+    first = np.ones(len(logs), dtype=bool)
+    first[1:] = (group[:, 1:] != group[:, :-1]).any(axis=0)
+    # Only in a group of two or more do user ids decide the order.
+    tied = ~first
+    tied[:-1] |= ~first[1:]
+    ranked = order[tied]
+    # Ids are read in input order: the sorted order scatters the reads.
+    idx = np.sort(ranked)
+    users = [logs[i].user_id for i in idx.tolist()]
+    user = np.zeros(len(logs), dtype=np.int64)
+    user[idx] = _codes(users, sorted(set(users)))
+    order[tied] = ranked[np.lexsort((user[ranked], np.cumsum(first)[tied]))]
     key = np.stack((tower, start, user, end))[:, order]
     last = np.ones(len(logs), dtype=bool)
     last[:-1] = (key[:, 1:] != key[:, :-1]).any(axis=0)
@@ -357,24 +373,35 @@ def _manifest_series(manifest: dict) -> tuple[dict, dict[str, BinnedSeries]]:
 
 def read_binned(csv_path: str | Path, manifest_path: str | Path) -> tuple[dict[str, BinnedSeries], dict]:
     manifest, series = read_json(manifest_path, IngestError, _manifest_series)
-    arrays = {t: s.slot_bytes for t, s in series.items()}
     n_slots = int(manifest["days"]) * SLOTS_PER_DAY
+    # Rows go into Python lists, which read and store one value faster than
+    # an array does, and each list becomes its tower's array at the end.
+    lists = {t: [0.0] * n_slots for t in series}
 
-    def slot_value(fields: list[str]) -> tuple[np.ndarray, int, float]:
+    def slot_value(fields: list[str]) -> tuple[list[float], int, float]:
         tower_id, idx, value = fields
-        slots = arrays.get(tower_id)
+        slots = lists.get(tower_id)
         if slots is None:
             raise ValueError(f"tower {tower_id} is not in the manifest")
         slot = int(idx)
         if not 0 <= slot < n_slots:
             raise ValueError(f"slot {slot} outside 0..{n_slots - 1}")
-        return slots, slot, float(value)
+        nbytes = float(value)
+        if nbytes != nbytes:  # NaN, the one float unequal to itself
+            raise ValueError(f"bytes {value} is not a number")
+        # write_binned writes each (tower, slot) at most once, so a slot that
+        # is already nonzero shows a repeated row without a seen-set.
+        if slots[slot]:
+            raise ValueError(f"tower {tower_id} slot {slot} already holds {slots[slot]}")
+        return slots, slot, nbytes
 
     with open(csv_path, encoding="utf-8", newline="") as f:
         for slots, slot, value in read_csv(
             f, BINNED_HEADER, IngestError, csv_path, "binned", slot_value
         ):
             slots[slot] = value
+    for tower_id, values in lists.items():
+        series[tower_id].slot_bytes = np.array(values)
     return series, manifest
 
 

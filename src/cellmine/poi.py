@@ -76,35 +76,48 @@ def parse_pois(lines: Iterable[str]) -> list[PoiRecord]:
 
 
 class PoiGrid:
-    """Bucket POIs by ~0.01 degree cells for radius queries."""
+    """Bucket POIs by ~0.01 degree cells for radius queries.
+
+    Longitude cells wrap around the globe, so a query that crosses longitude
+    +-180 finds the POIs on the other side, and one whose circle covers a pole
+    takes every cell of its latitude bands, each once.
+    """
 
     def __init__(self, pois: Sequence[PoiRecord], cell_deg: float = 0.01):
         self.cell_deg = cell_deg
+        # A whole number of longitude cells spans the 360 degrees.
+        self.lon_cells = round(360.0 / cell_deg)
+        self.lon_deg = 360.0 / self.lon_cells
         self.pois = list(pois)
         self.lats = np.array([p.lat for p in self.pois])
         self.lons = np.array([p.lon for p in self.pois])
         self.types = np.array([POI_TYPES.index(p.type) for p in self.pois], dtype=int)
         self.buckets: dict[tuple[int, int], list[int]] = {}
         for idx, p in enumerate(self.pois):
-            key = (int(math.floor(p.lat / cell_deg)), int(math.floor(p.lon / cell_deg)))
+            key = (math.floor(p.lat / cell_deg), math.floor(p.lon / self.lon_deg) % self.lon_cells)
             self.buckets.setdefault(key, []).append(idx)
 
     def candidates(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
         dlat = radius_m / _METERS_PER_DEG_LAT
-        cos_lat = max(math.cos(math.radians(lat)), 1e-9)
-        dlon = radius_m / (_METERS_PER_DEG_LAT * cos_lat)
         lat_cells = range(
-            int(math.floor((lat - dlat) / self.cell_deg)),
-            int(math.floor((lat + dlat) / self.cell_deg)) + 1,
+            math.floor(max(lat - dlat, -90.0) / self.cell_deg),
+            math.floor(min(lat + dlat, 90.0) / self.cell_deg) + 1,
         )
-        lon_cells = range(
-            int(math.floor((lon - dlon) / self.cell_deg)),
-            int(math.floor((lon + dlon) / self.cell_deg)) + 1,
-        )
+        angle = radius_m / EARTH_RADIUS_M
+        colatitude = math.pi / 2 - math.radians(abs(lat))
+        if angle >= colatitude:
+            # The circle covers a pole, so it reaches every longitude.
+            lon_cells = range(self.lon_cells)
+        else:
+            # The widest longitude offset on a circle of this angular radius.
+            dlon = math.degrees(math.asin(min(1.0, math.sin(angle) / math.sin(colatitude))))
+            first = math.floor((lon - dlon) / self.lon_deg)
+            last = math.floor((lon + dlon) / self.lon_deg)
+            lon_cells = range(first, first + min(last - first + 1, self.lon_cells))
         hits: list[int] = []
         for i in lat_cells:
             for j in lon_cells:
-                hits.extend(self.buckets.get((i, j), ()))
+                hits.extend(self.buckets.get((i, j % self.lon_cells), ()))
         return np.array(sorted(hits), dtype=int)
 
     def count_within(self, lat: float, lon: float, radius_m: float) -> np.ndarray:

@@ -305,7 +305,9 @@ def loop_bin_traffic(logs, origin, days, registry=None):
 def session_cases(draw):
     """Sessions around a window with zero-duration sessions, sessions that
     straddle either window edge or lie outside it, exact and conflicting
-    duplicates, and (with a registry) sessions on unknown towers."""
+    duplicates, and (with a registry) sessions on unknown towers. In one draw
+    mode every session shares one (tower_id, start), so user ids alone order
+    them; its ids include "a" and "a\\x00" and ids outside ASCII."""
     origin = draw(st.integers(-(10**6), 2 * 10**9))
     days = draw(st.integers(1, 2))
     window_end = origin + days * 86400
@@ -313,6 +315,11 @@ def session_cases(draw):
     users = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
     towers = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
     edges = [origin - 601, origin - 1, origin, origin + 599, window_end - 1, window_end]
+    one_group = draw(st.integers(0, 3)) == 0
+    if one_group:
+        users = ["a", "a\x00", "b", "\xe9", "\u65e5\u672c", "\U0001f600", *draw(st.lists(ids, max_size=4))]
+        towers = towers[:1]
+        edges = [draw(st.sampled_from(edges))]
     logs = []
     for _ in range(draw(st.integers(0, 30))):
         if logs and draw(st.integers(0, 3)) == 0:
@@ -320,7 +327,9 @@ def session_cases(draw):
             nbytes = draw(st.one_of(st.just(prev.bytes), st.integers(0, 10**9)))
             logs.append(SessionLog(prev.user_id, prev.tower_id, prev.start, prev.end, nbytes))
             continue
-        start = draw(st.one_of(st.sampled_from(edges), st.integers(origin - 7200, window_end + 7200)))
+        start = edges[0] if one_group else draw(
+            st.one_of(st.sampled_from(edges), st.integers(origin - 7200, window_end + 7200))
+        )
         duration = draw(
             st.one_of(st.just(0), st.integers(1, 1800), st.integers(1800, days * 86400 + 7200))
         )
@@ -372,10 +381,14 @@ def test_bin_traffic_property_per_second_oracle_and_conservation(case):
 def test_deduplicate_property_equals_dict_oracle(case, rnd):
     logs = case[0]
     expected = loop_deduplicate(logs)
-    assert deduplicate(logs) == expected
+    inputs = set(map(id, logs))
     shuffled = list(logs)
     rnd.shuffle(shuffled)
-    assert deduplicate(shuffled) == expected
+    for order in (logs, shuffled):
+        result = deduplicate(order)
+        assert result == expected
+        # The oracle builds new objects, so == cannot tell them from the inputs.
+        assert all(id(s) in inputs for s in result)
 
 
 # --- int64 limits of the array passes -----------------------------------------
@@ -438,6 +451,11 @@ def test_array_passes_reject_int64_overflow(bad, array_pass):
          "binned_manifest.json: TypeError: towers is not a list of strings"),
         (None, '{"origin_epoch_s": null, "days": 1, "towers": []}', "binned_manifest.json: TypeError"),
         (None, "{", "binned_manifest.json: JSONDecodeError"),
+        ("tower_id,slot_index,bytes\nt1,5,nan\n", None, "binned.csv line 2: bytes nan is not a number"),
+        ("tower_id,slot_index,bytes\nt1,5,1.0\nt1,6,-NaN\n", None,
+         "binned.csv line 3: bytes -NaN is not a number"),
+        ("tower_id,slot_index,bytes\nt1,5,1.0\nt1,5,2.0\n", None,
+         "binned.csv line 3: tower t1 slot 5 already holds 1.0"),
     ],
 )
 def test_read_binned_rejects_malformed_file(tmp_path, binned, manifest, message):

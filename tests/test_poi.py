@@ -87,6 +87,31 @@ def test_grid_index_matches_brute_force():
             31.0 + rng.uniform(0, 0.1), 121.0 + rng.uniform(0, 0.1))
         for i in range(300)
     ]
+    # Across longitude +-180, near and at both poles, and at the widest
+    # longitude a 500 m circle reaches from latitude 89.99.
+    towers += [
+        TowerRecord("e0", 12.5, 179.9995),
+        TowerRecord("w0", -33.0, -179.9993),
+        TowerRecord("n0", 89.9995, 12.0),
+        TowerRecord("n1", 90.0, 0.0),
+        TowerRecord("n2", 89.99, 0.0),
+        TowerRecord("s0", -89.9992, -150.0),
+        TowerRecord("s1", -90.0, 180.0),
+    ]
+    pois += [
+        poi("e1", "office", 12.5, -179.9996),
+        poi("e2", "resident", 12.5021, 180.0),
+        poi("e3", "transport", 12.4995, -180.0),
+        poi("w1", "entertain", -33.0011, 179.9991),
+        poi("w2", "office", -32.9986, -179.9984),
+        poi("n3", "resident", 89.9991, 170.0),
+        poi("n4", "office", 89.9998, -95.0),
+        poi("n5", "transport", 90.0, 33.0),
+        poi("n6", "entertain", 89.991063, 26.66421),
+        poi("s2", "resident", -89.9995, 30.0),
+        poi("s3", "office", -90.0, -180.0),
+        poi("s4", "transport", -89.9961, 100.0),
+    ]
     counts = count_poi(towers, pois, 500.0)
     for t in towers:
         brute = np.zeros(4, dtype=int)
