@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .common import read_csv, read_json, write_csv, write_json
 from .spectrum import SpectralFeature, Spectrum, dft, reconstruct
@@ -24,11 +25,31 @@ from .spectrum import SpectralFeature, Spectrum, dft, reconstruct
 DEFAULT_FEATURE_NAMES = ("amp_day", "phase_day", "amp_half_day")
 DEFAULT_DENSITY_RADIUS = 0.5
 DEFAULT_MIN_DENSITY = 5
+# select_representatives takes its distances in blocks of at most this many,
+# ~8 MB of float64, so its working memory stays flat as the towers grow.
+DISTANCE_BLOCK = 1 << 20
 
 # a simplex flatter than this in standardized units is treated as degenerate
 MIN_SIMPLEX_VOLUME = 1e-9
 
 MIXTURES_HEADER = ["tower_id", "x1", "x2", "x3", "x4", "residual"]
+
+# The supports of two or more of the four vertices, in solve_mixture's
+# enumeration order, as (11, 4) 0/1 masks. For a support S the KKT system of
+# min ||V x - f||^2 subject to sum(x) = 1 and x_i = 0 off S is
+#   [2 V'V on S x S, 1 on S] [x     ]   [2 V'f on S]
+#   [1 on S,         0     ] [lambda] = [1         ]
+# with the row and column of each i off S reduced to x_i = 0. _KKT_FRAME holds
+# the parts that do not depend on V: the border and the 1 that pins x_i.
+_SUPPORTS = np.array(
+    [[i in s for i in range(4)] for k in (2, 3, 4) for s in itertools.combinations(range(4), k)],
+    dtype=float,
+)
+_KKT_PAIRS = _SUPPORTS[:, :, None] * _SUPPORTS[:, None, :]
+_KKT_FRAME = np.zeros((len(_SUPPORTS), 5, 5))
+_KKT_FRAME[:, :4, :4] = np.eye(4) * (1.0 - _SUPPORTS[:, None, :])
+_KKT_FRAME[:, :4, 4] = _SUPPORTS
+_KKT_FRAME[:, 4, :4] = _SUPPORTS
 
 
 class DecomposeError(ValueError):
@@ -128,61 +149,52 @@ def select_representatives(
     labeled = [p for p in points if p.tower_id in assignments]
     coords = np.stack([p.f for p in labeled])
     labels = np.array([assignments[p.tower_id] for p in labeled])
+    ids = [p.tower_id for p in labeled]
+    rank = dict(zip(sorted(set(ids)), itertools.count()))
+    id_rank = np.array([rank[t] for t in ids])
+    rows = max(1, DISTANCE_BLOCK // len(labeled))
     vertices: list[FeaturePoint] = []
     for cluster in vertex_clusters:
-        member_idx = np.where(labels == cluster)[0]
+        member_idx = np.flatnonzero(labels == cluster)
         if member_idx.size == 0:
             raise DecomposeError(f"vertex cluster {cluster} has no towers")
-        other_idx = np.where(labels != cluster)[0]
-        if other_idx.size == 0:
+        if member_idx.size == len(labeled):
             raise DecomposeError("representative selection needs other clusters")
-        best = None
-        for idx in member_idx:
-            d_all = np.linalg.norm(coords - coords[idx], axis=1)
-            neighbors = int(np.sum(d_all <= density_radius)) - 1  # exclude self
-            if neighbors < min_density:
-                continue
-            separation = float(np.min(d_all[other_idx]))
-            key = (-separation, -neighbors, labeled[idx].tower_id)
-            if best is None or key < best[0]:
-                best = (key, idx)
-        if best is None:
+        neighbors = np.empty(member_idx.size, dtype=np.int64)
+        separation = np.empty(member_idx.size)
+        for lo in range(0, member_idx.size, rows):
+            d = cdist(coords[member_idx[lo : lo + rows]], coords)
+            neighbors[lo : lo + rows] = np.count_nonzero(d <= density_radius, axis=1) - 1
+            d[:, member_idx] = np.inf
+            separation[lo : lo + rows] = d.min(axis=1)
+        dense = np.flatnonzero(neighbors >= min_density)
+        if dense.size == 0:
             raise DecomposeError(
                 f"no tower in cluster {cluster} has >= {min_density} neighbors within "
                 f"{density_radius}; lower --min-density or raise --density-radius"
             )
-        vertices.append(labeled[best[1]])
+        # lexsort's last key is its first: separation, then density, then id.
+        order = np.lexsort((id_rank[member_idx[dense]], -neighbors[dense], -separation[dense]))
+        vertices.append(labeled[member_idx[dense[order[0]]]])
     model = PolygonModel(vertices, list(vertex_clusters), space)
     if simplex_volume([v.f for v in model.vertices]) <= MIN_SIMPLEX_VOLUME:
         raise DecomposeError("representative towers are affinely dependent (flat simplex)")
     return model
 
 
-def _equality_constrained_ls(v_sub: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Minimize ||V x - f||^2 subject to sum(x) = 1 via the KKT system."""
-    k = v_sub.shape[1]
-    if k == 1:
-        return np.ones(1)
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * (v_sub.T @ v_sub)
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([2.0 * (v_sub.T @ f), [1.0]])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        raise DecomposeError("degenerate vertex subset in mixture solve") from None
-    return sol[:k]
-
-
 def solve_mixture(
     point: FeaturePoint | np.ndarray, model: PolygonModel
 ) -> MixtureCoefficients:
     """Global optimum of min ||F - V x||^2 over the probability simplex,
-    by enumerating the 2^4 - 1 candidate support sets; each subproblem is a
-    tiny equality-constrained solve, so the result is exact (no iterations,
-    no tolerances). Interior points recover their barycentric weights with
-    zero residual; exterior points get the Euclidean projection onto the hull.
+    by enumerating the 2^4 - 1 candidate support sets. Each support of two
+    or more vertices is an equality-constrained least-squares problem, and
+    all eleven KKT systems are solved in one batched call; a support's
+    solution is a candidate unless a weight falls below -1e-10. The first
+    candidate of least objective wins, in the order singletons, pairs,
+    triples, all four (each in lexicographic order), and its weights are
+    clipped at 0 and renormalized. There are no iterations, so interior
+    points recover their barycentric weights with zero residual and
+    exterior points get the Euclidean projection onto the hull.
     """
     if isinstance(point, FeaturePoint):
         tower_id, f = point.tower_id, point.f
@@ -191,20 +203,18 @@ def solve_mixture(
     v_full = model.matrix
     if simplex_volume([v.f for v in model.vertices]) <= MIN_SIMPLEX_VOLUME:
         raise DecomposeError("polygon model is degenerate (affinely dependent vertices)")
-    best_x = None
-    best_obj = np.inf
-    for size in range(1, 5):
-        for support in itertools.combinations(range(4), size):
-            x_sub = _equality_constrained_ls(v_full[:, support], f)
-            if np.any(x_sub < -1e-10):
-                continue
-            x = np.zeros(4)
-            x[list(support)] = x_sub
-            obj = float(np.sum((v_full @ x - f) ** 2))
-            if obj < best_obj or best_x is None:
-                best_obj = obj
-                best_x = x
-    x = np.clip(best_x, 0.0, None)
+    kkt = _KKT_FRAME.copy()
+    kkt[:, :4, :4] += (2.0 * (v_full.T @ v_full)) * _KKT_PAIRS
+    rhs = np.ones((len(_SUPPORTS), 5, 1))
+    rhs[:, :4, 0] = (2.0 * (v_full.T @ f)) * _SUPPORTS
+    try:
+        solved = np.linalg.solve(kkt, rhs)[:, :4, 0]
+    except np.linalg.LinAlgError:
+        raise DecomposeError("degenerate vertex subset in mixture solve") from None
+    candidates = np.concatenate([np.eye(4), solved])
+    resid = candidates @ v_full.T - f
+    obj = np.where((candidates < -1e-10).any(axis=1), np.inf, np.sum(resid * resid, axis=1))
+    x = np.clip(candidates[np.argmin(obj)], 0.0, None)
     x = x / x.sum()
     residual = float(np.linalg.norm(v_full @ x - f))
     return MixtureCoefficients(tower_id, x, residual)

@@ -11,7 +11,7 @@ Wire formats:
 compares user ids only for the sessions that share a (tower_id, start) with
 another. Both hold start, end and bytes as int64, so a session must keep
 ``start``, ``end``, ``end - start`` and ``bytes * SLOT_SECONDS`` inside the
-int64 range.
+int64 range, besides ``end >= start`` and ``bytes >= 0``.
 ``parse_sessions`` rejects a row outside these limits as malformed; the array
 passes raise ``IngestError`` naming the tower of such a session.
 """
@@ -102,9 +102,13 @@ def _int64_fault(start: int, end: int, nbytes: int) -> str | None:
     """Why a session does not fit the int64 arithmetic of the array passes."""
     if not (_INT64_MIN <= start <= _INT64_MAX and _INT64_MIN <= end <= _INT64_MAX):
         return "timestamp outside the int64 range"
-    if not _INT64_MIN <= end - start <= _INT64_MAX:
+    if end < start:
+        return "end < start"
+    if end - start > _INT64_MAX:
         return "end - start overflows int64"
-    if not -_MAX_BYTES <= nbytes <= _MAX_BYTES:
+    if nbytes < 0:
+        return "negative bytes"
+    if nbytes > _MAX_BYTES:
         return f"bytes * {SLOT_SECONDS} overflows int64"
     return None
 
@@ -127,8 +131,8 @@ def _session_from_row(row: Sequence[str]) -> SessionLog:
         raise ValueError("end < start")
     if nbytes < 0:
         raise ValueError("negative bytes")
-    # _int64_fault's limits: with end >= start and nbytes >= 0 these four
-    # comparisons suffice, and they cost less per row than the call.
+    # _int64_fault's other limits: with end >= start and nbytes >= 0 these
+    # four comparisons suffice, and they cost less per row than the call.
     if start < _INT64_MIN or end > _INT64_MAX or end - start > _INT64_MAX or nbytes > _MAX_BYTES:
         raise ValueError(_int64_fault(start, end, nbytes))
     return SessionLog(user_id, tower_id, start, end, nbytes)
@@ -192,11 +196,12 @@ def _int64_fields(logs: list[SessionLog]) -> tuple[np.ndarray, np.ndarray, np.nd
     except OverflowError:
         fits = False
     else:
-        # int64 subtraction wraps exactly when its sign disagrees with end < start.
+        # With end >= start, int64 subtraction wraps exactly when it turns negative.
         fits = not (
-            ((end - start < 0) != (end < start)).any()
+            (end < start).any()
+            or (end - start < 0).any()
+            or (nbytes < 0).any()
             or (nbytes > _MAX_BYTES).any()
-            or (nbytes < -_MAX_BYTES).any()
         )
     if not fits:
         bad = next(s for s in logs if _int64_fault(s.start, s.end, s.bytes))
@@ -333,14 +338,22 @@ def write_binned(
 ) -> tuple[Path, Path]:
     """Write binned.csv (non-zero slots only) and its JSON manifest. The
     manifest also records ``origin`` as an ISO date, so it must lie in the
-    years 1 to 9999."""
+    years 1 to 9999. Every slot must hold a finite, non-negative byte count,
+    as ``read_binned`` requires."""
     try:
         origin_iso = epoch_to_iso(origin, tz_offset_minutes)
     except (OverflowError, ValueError):
         raise IngestError(f"origin {origin} is not a date in the years 1 to 9999") from None
+    towers = sorted(result.series)
+    for tower_id in towers:
+        values = result.series[tower_id].slot_bytes
+        bad = np.flatnonzero(~((values >= 0.0) & (values < np.inf)))
+        if bad.size:
+            raise IngestError(
+                f"tower {tower_id} slot {bad[0]} holds {values[bad[0]]}, not a number in [0, inf)"
+            )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    towers = sorted(result.series)
     rows = chain.from_iterable(_nonzero_slots(result.series[t]) for t in towers)
     csv_path = write_csv(directory / "binned.csv", BINNED_HEADER, rows)
     manifest = {
@@ -387,8 +400,8 @@ def read_binned(csv_path: str | Path, manifest_path: str | Path) -> tuple[dict[s
         if not 0 <= slot < n_slots:
             raise ValueError(f"slot {slot} outside 0..{n_slots - 1}")
         nbytes = float(value)
-        if nbytes != nbytes:  # NaN, the one float unequal to itself
-            raise ValueError(f"bytes {value} is not a number")
+        if not 0.0 <= nbytes < np.inf:  # also false for NaN
+            raise ValueError(f"bytes {value} is not a number in [0, inf)")
         # write_binned writes each (tower, slot) at most once, so a slot that
         # is already nonzero shows a repeated row without a seen-set.
         if slots[slot]:

@@ -80,7 +80,9 @@ class PoiGrid:
 
     Longitude cells wrap around the globe, so a query that crosses longitude
     +-180 finds the POIs on the other side, and one whose circle covers a pole
-    takes every cell of its latitude bands, each once.
+    takes every cell of its latitude bands, each once. A query whose box
+    covers more cells than there are occupied buckets walks the buckets
+    instead, so its cost stays bounded as the radius grows.
     """
 
     def __init__(self, pois: Sequence[PoiRecord], cell_deg: float = 0.01):
@@ -115,9 +117,14 @@ class PoiGrid:
             last = math.floor((lon + dlon) / self.lon_deg)
             lon_cells = range(first, first + min(last - first + 1, self.lon_cells))
         hits: list[int] = []
-        for i in lat_cells:
-            for j in lon_cells:
-                hits.extend(self.buckets.get((i, j % self.lon_cells), ()))
+        if len(lat_cells) * len(lon_cells) > len(self.buckets):
+            for (i, j), bucket in self.buckets.items():
+                if i in lat_cells and (j - lon_cells.start) % self.lon_cells < len(lon_cells):
+                    hits.extend(bucket)
+        else:
+            for i in lat_cells:
+                for j in lon_cells:
+                    hits.extend(self.buckets.get((i, j % self.lon_cells), ()))
         return np.array(sorted(hits), dtype=int)
 
     def count_within(self, lat: float, lon: float, radius_m: float) -> np.ndarray:

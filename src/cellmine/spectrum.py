@@ -68,10 +68,15 @@ class SpectralFeature:
 
 def dft(x: Sequence[float] | np.ndarray) -> Spectrum:
     """Unnormalized forward DFT (FFT-backed)."""
+    x = _series(x)
+    return Spectrum(np.fft.fft(x), int(x.size))
+
+
+def _series(x: Sequence[float] | np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise SpectrumError("dft expects a non-empty 1-D real vector")
-    return Spectrum(np.fft.fft(x), int(x.size))
+    return x
 
 
 def inverse(s: Spectrum) -> np.ndarray:
@@ -124,16 +129,18 @@ def principal_components(
 def reconstruct(s: Spectrum, indices: tuple[int, int, int] | None = None) -> np.ndarray:
     """Inverse transform keeping only DC, the three principal bins and their
     conjugate mirrors (7 bins total)."""
-    if indices is None:
-        indices = principal_indices(s.n)
+    keep = _kept_bins(s.n, indices)
     kept = np.zeros(s.n, dtype=complex)
-    keep = {0}
-    for k in indices:
-        keep.add(k % s.n)
-        keep.add((s.n - k) % s.n)
-    for k in keep:
-        kept[k] = s.coefficients[k]
+    kept[keep] = s.coefficients[keep]
     return inverse(Spectrum(kept, s.n))
+
+
+def _kept_bins(n: int, indices: tuple[int, int, int] | None) -> np.ndarray:
+    """The distinct bins of a 7-bin reconstruction: DC, the three principal
+    bins and their conjugate mirrors, each in 0..n-1."""
+    if indices is None:
+        indices = principal_indices(n)
+    return np.array(sorted({0, *(k % n for k in indices), *((n - k) % n for k in indices)}))
 
 
 def energy(x: np.ndarray) -> float:
@@ -142,11 +149,20 @@ def energy(x: np.ndarray) -> float:
 
 
 def reconstruction_energy_ratio(x: np.ndarray, indices: tuple[int, int, int] | None = None) -> float:
-    """Fraction of the signal's energy retained by the 7-bin reconstruction."""
+    """Fraction of the signal's energy retained by the 7-bin reconstruction.
+
+    By Parseval, the reconstruction's energy is the sum of |X_k|^2 over its
+    kept bins divided by n, so no inverse transform is needed. A real
+    signal's mirror bin n - k has the same |X_k| as bin k, so every kept bin
+    is read from the real FFT at min(k, n - k).
+    """
     total = energy(x)
     if total == 0.0:
         return 1.0
-    return energy(reconstruct(dft(x), indices)) / total
+    x = _series(x)
+    keep = _kept_bins(x.size, indices)
+    kept = np.fft.rfft(x)[np.minimum(keep, x.size - keep)]
+    return float(np.sum(kept.real**2 + kept.imag**2)) / (x.size * total)
 
 
 def amplitude_variance(

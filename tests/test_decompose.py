@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cellmine.decompose import (
+    MIN_SIMPLEX_VOLUME,
     DecomposeError,
     FeaturePoint,
     FeatureSpace,
@@ -73,6 +75,32 @@ def full_grid_search(v_matrix, f, denom):
     obj = np.sum(resid * resid, axis=1)
     best = int(np.argmin(obj))
     return x[best], float(np.sqrt(obj[best]))
+
+
+def loop_solve_mixture(v, f):
+    """Oracle: the support enumeration as a loop, one KKT solve per support
+    of two or more vertices. Returns the clipped, renormalized weights of the
+    first candidate of least objective."""
+    best_x, best_obj = None, np.inf
+    for size in range(1, 5):
+        for support in itertools.combinations(range(4), size):
+            k = len(support)
+            v_sub = v[:, support]
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = 2.0 * (v_sub.T @ v_sub)
+            kkt[:k, k] = 1.0
+            kkt[k, :k] = 1.0
+            rhs = np.concatenate([2.0 * (v_sub.T @ f), [1.0]])
+            x_sub = np.linalg.solve(kkt, rhs)[:k] if k > 1 else np.ones(1)
+            if np.any(x_sub < -1e-10):
+                continue
+            x = np.zeros(4)
+            x[list(support)] = x_sub
+            obj = float(np.sum((v @ x - f) ** 2))
+            if obj < best_obj or best_x is None:
+                best_obj, best_x = obj, x
+    x = np.clip(best_x, 0.0, None)
+    return x / x.sum()
 
 
 def random_simplex(rng):
@@ -205,6 +233,12 @@ def test_simplex_weights_property(case):
     assert np.max(np.abs(g[support] + lam)) < 1e-8
     if np.any(~support):
         assert np.min(g[~support] + lam) > -1e-8
+    # The support enumeration as a loop picks the same support and weights.
+    # Where a support and its superset tie to rounding, either may win with
+    # a weight of ~1e-16, so the support is read at the threshold above.
+    oracle = loop_solve_mixture(v, f)
+    np.testing.assert_array_equal(support, oracle > 1e-10)
+    np.testing.assert_allclose(res.x, oracle, rtol=0, atol=1e-12)
 
 
 def test_solution_invariant_to_vertex_reordering():
@@ -300,6 +334,70 @@ def test_select_representatives_far_side_oracle():
             if best is None or key < best[0]:
                 best = (key, p.tower_id)
         assert model.vertices[slot].tower_id == best[1]
+
+
+def brute_force_representative(points, assignments, cluster, radius, min_density):
+    """The rule of test_select_representatives_far_side_oracle: the dense
+    member of largest separation, then most neighbours, then smallest id."""
+    best = None
+    for p in points:
+        if assignments[p.tower_id] != cluster:
+            continue
+        neighbors = sum(
+            1 for q in points if q is not p and np.linalg.norm(q.f - p.f) <= radius
+        )
+        if neighbors < min_density:
+            continue
+        sep = min(
+            np.linalg.norm(q.f - p.f) for q in points if assignments[q.tower_id] != cluster
+        )
+        key = (-sep, -neighbors, p.tower_id)
+        if best is None or key < best[0]:
+            best = (key, p)
+    return None if best is None else best[1]
+
+
+@st.composite
+def representative_cases(draw):
+    """Points on a small integer grid, duplicates among them, in clusters
+    1 to 4 and a fifth cluster that is no vertex. Distances are square roots
+    of integers, so they fall exactly on a radius of sqrt(0..9) and
+    separations tie."""
+    coord = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+    coords = draw(st.lists(coord, min_size=4, max_size=24))
+    coords += [coords[i] for i in draw(st.lists(st.integers(0, len(coords) - 1), max_size=4))]
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), unique=True,
+                        min_size=len(coords), max_size=len(coords)))
+    labels = [1, 2, 3, 4] + draw(
+        st.lists(st.integers(1, 5), min_size=len(coords) - 4, max_size=len(coords) - 4)
+    )
+    points = [FeaturePoint(t, np.array(c, dtype=float)) for t, c in zip(ids, coords)]
+    radius = math.sqrt(draw(st.integers(0, 9)))
+    return points, dict(zip(ids, labels)), radius, draw(st.integers(0, 4))
+
+
+@given(representative_cases())
+def test_select_representatives_property_equals_brute_force(case):
+    points, assignments, radius, min_density = case
+    space = FeatureSpace(("a", "b", "c"), np.zeros(3), np.ones(3))
+    expected = [
+        brute_force_representative(points, assignments, c, radius, min_density)
+        for c in (1, 2, 3, 4)
+    ]
+
+    def pick():
+        return select_representatives(
+            points, assignments, [1, 2, 3, 4], space, density_radius=radius, min_density=min_density
+        )
+
+    if None in expected:
+        with pytest.raises(DecomposeError, match="min-density"):
+            pick()
+    elif simplex_volume([p.f for p in expected]) <= MIN_SIMPLEX_VOLUME:
+        with pytest.raises(DecomposeError, match="flat simplex"):
+            pick()
+    else:
+        assert [v.tower_id for v in pick().vertices] == [p.tower_id for p in expected]
 
 
 def test_select_representatives_rejects_outlier():

@@ -430,6 +430,8 @@ def test_parse_sessions_accepts_int64_limits():
         SessionLog("u", "t9", -(2**63), INT64_MAX, 5),
         SessionLog("u", "t9", INT64_MAX, -(2**63), 5),
         SessionLog("u", "t9", 2**64, 2**64, 5),
+        SessionLog("u", "t9", 0, 10, -1),
+        SessionLog("u", "t9", 10, 0, 5),
     ],
 )
 @pytest.mark.parametrize(
@@ -456,6 +458,12 @@ def test_array_passes_reject_int64_overflow(bad, array_pass):
          "binned.csv line 3: bytes -NaN is not a number"),
         ("tower_id,slot_index,bytes\nt1,5,1.0\nt1,5,2.0\n", None,
          "binned.csv line 3: tower t1 slot 5 already holds 1.0"),
+        ("tower_id,slot_index,bytes\nt1,5,inf\n", None,
+         r"binned.csv line 2: bytes inf is not a number in \[0, inf\)"),
+        ("tower_id,slot_index,bytes\nt1,5,1.0\nt1,6,-inf\n", None,
+         r"binned.csv line 3: bytes -inf is not a number in \[0, inf\)"),
+        ("tower_id,slot_index,bytes\nt1,5,-7.5\n", None,
+         r"binned.csv line 2: bytes -7.5 is not a number in \[0, inf\)"),
     ],
 )
 def test_read_binned_rejects_malformed_file(tmp_path, binned, manifest, message):
@@ -482,6 +490,15 @@ def test_parse_towers_counts_physical_lines():
     text = 'tower_id,lat,lon\n"t\n1",0,0\nt2,95,0\n'
     with pytest.raises(IngestError, match="towers line 4: coordinate out of range"):
         parse_towers(io.StringIO(text))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -7.5, -5e-324])
+def test_write_binned_rejects_impossible_byte_count(tmp_path, value):
+    result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1)
+    result.series["t1"].slot_bytes[7] = value
+    with pytest.raises(IngestError, match=f"tower t1 slot 7 holds {value}, not a number"):
+        write_binned(tmp_path, result, origin=0, days=1)
+    assert not (tmp_path / "binned.csv").exists()
 
 
 @pytest.mark.parametrize("origin", [-(2**40) * 600, 2**40 * 600, -62135596800 - 86400])

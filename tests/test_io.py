@@ -170,6 +170,11 @@ def test_write_poi_cluster_table_golden(tmp_path):
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, F17]
 FLOATS = st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS)
 IDS = st.text()
+# write_binned rejects a slot that is not a finite, non-negative byte count,
+# so the binned round trip draws slots from these; -0.0 is not written.
+BYTE_COUNTS = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(
+    [x for x in EDGE_FLOATS if x >= 0]
+)
 
 
 def same(a, b) -> bool:
@@ -192,7 +197,7 @@ def binned_results(draw):
     series = {}
     for tower in towers:
         slots = np.zeros(days * 144)
-        for slot, value in draw(st.dictionaries(st.integers(0, days * 144 - 1), FLOATS, max_size=5)).items():
+        for slot, value in draw(st.dictionaries(st.integers(0, days * 144 - 1), BYTE_COUNTS, max_size=5)).items():
             slots[slot] = value
         series[tower] = BinnedSeries(tower, 0, slots)
     result = BinResult(series, draw(st.integers(0, 2**40)), draw(FLOATS))

@@ -112,13 +112,15 @@ def test_grid_index_matches_brute_force():
         poi("s3", "office", -90.0, -180.0),
         poi("s4", "transport", -89.9961, 100.0),
     ]
-    counts = count_poi(towers, pois, 500.0)
-    for t in towers:
-        brute = np.zeros(4, dtype=int)
-        for p in pois:
-            if hand_haversine(t.lat, t.lon, p.lat, p.lon) <= 500.0:
-                brute[POI_TYPES.index(p.type)] += 1
-        assert counts[t.tower_id].tolist() == brute.tolist()
+    # 1,000 and 20,000 km boxes cover more cells than there are POI buckets.
+    for radius in (500.0, 1e6, 2e7):
+        counts = count_poi(towers, pois, radius)
+        for t in towers:
+            brute = np.zeros(4, dtype=int)
+            for p in pois:
+                if hand_haversine(t.lat, t.lon, p.lat, p.lon) <= radius:
+                    brute[POI_TYPES.index(p.type)] += 1
+            assert counts[t.tower_id].tolist() == brute.tolist()
 
 
 def test_parse_pois_validates():

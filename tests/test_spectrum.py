@@ -134,6 +134,28 @@ def test_reconstruct_white_noise_energy_fraction():
     assert np.mean(ratios) == pytest.approx(7 / n, rel=0.25)
 
 
+@pytest.mark.parametrize(
+    "n, indices",
+    [
+        (4032, None),
+        (1008, None),
+        (101, (3, 50, 7)),  # odd n: no Nyquist bin
+        (100, (50, 3, 9)),  # even n with its Nyquist bin, its own mirror
+        (100, (3, 97, 3)),  # a repeated index and a mirror of another
+        (7, (5, 5, 5)),
+        (2, (1, 1, 1)),  # only DC and Nyquist
+        (100, (-3, 150, 200)),  # indices reduced modulo n, 200 to DC
+    ],
+)
+def test_energy_ratio_equals_reconstruction_energy(n, indices):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = rng.normal(size=n) + rng.uniform(-3.0, 3.0)
+        ratio = reconstruction_energy_ratio(x, indices)
+        expected = energy(reconstruct(dft(x), indices)) / energy(x)
+        assert ratio == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_amplitude_variance_identical_towers_zero():
     x = np.cos(2 * np.pi * 7 * np.arange(1008) / 1008)
     variances, _ = amplitude_variance([dft(x), dft(x)])
