@@ -91,13 +91,23 @@ def parse_lat_lon(lat: str, lon: str) -> tuple[float, float]:
     return lat_deg, lon_deg
 
 
+def csv_cell(text: str) -> str:
+    """``text`` as one cell of a CSV row of two or more cells. A cell that
+    holds a comma, a quote, ``\r`` or ``\n`` is put in quotes, with each
+    quote inside doubled; any other cell is written as it is."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Path:
     """Write ``header`` and then ``rows`` to ``path`` as CSV.
 
     The header row is always written. A float is written as its shortest
     round-trip repr, which ``float`` reads back bit for bit, ``None`` as an
-    empty cell and any other field as ``str`` gives it. Rows end in ``\n``;
-    a field holding a comma, a quote, ``\n`` or ``\r`` is quoted.
+    empty cell and any other field as ``str`` gives it. Rows end in ``\n``,
+    and every field is quoted by the rule of ``csv_cell``: a field holding a
+    comma, a quote, ``\r`` or ``\n`` is quoted, with its quotes doubled.
     """
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as f:
@@ -110,6 +120,18 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[A
         writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
+    return path
+
+
+def write_csv_blocks(path: str | Path, header: Sequence[str], blocks: Iterable[str]) -> Path:
+    """Write ``header`` and then each of ``blocks`` to ``path``. A block is
+    whole rows of text, each ending in ``\n``, with its cells made by
+    ``csv_cell`` or by ``repr`` of a number: the same bytes ``write_csv``
+    writes, for tables too wide to send each cell through ``csv.writer``."""
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(map(csv_cell, header)) + "\n")
+        f.writelines(blocks)
     return path
 
 

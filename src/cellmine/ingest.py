@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -31,12 +31,14 @@ from .common import (
     DEFAULT_TZ_OFFSET_MINUTES,
     SLOT_SECONDS,
     SLOTS_PER_DAY,
+    csv_cell,
     epoch_to_iso,
     parse_lat_lon,
     read_csv,
     read_header,
     read_json,
     write_csv,
+    write_csv_blocks,
     write_json,
 )
 
@@ -354,8 +356,14 @@ def write_binned(
             )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    rows = chain.from_iterable(_nonzero_slots(result.series[t]) for t in towers)
-    csv_path = write_csv(directory / "binned.csv", BINNED_HEADER, rows)
+
+    def nonzero_rows(tower_id: str) -> str:
+        values = result.series[tower_id].slot_bytes
+        idx = np.flatnonzero(values)
+        q = csv_cell(tower_id)
+        return "".join(f"{q},{i},{x!r}\n" for i, x in zip(idx.tolist(), values[idx].tolist()))
+
+    csv_path = write_csv_blocks(directory / "binned.csv", BINNED_HEADER, map(nonzero_rows, towers))
     manifest = {
         "origin_epoch_s": origin,
         "origin_iso": origin_iso,
@@ -367,11 +375,6 @@ def write_binned(
         "out_of_window_bytes": result.out_of_window_bytes,
     }
     return csv_path, write_json(directory / "binned_manifest.json", manifest)
-
-
-def _nonzero_slots(series: BinnedSeries) -> Iterable[tuple[str, int, float]]:
-    idx = np.flatnonzero(series.slot_bytes)
-    return zip(repeat(series.tower_id), idx.tolist(), series.slot_bytes[idx].tolist())
 
 
 def _manifest_series(manifest: dict) -> tuple[dict, dict[str, BinnedSeries]]:

@@ -2,7 +2,10 @@
 
 The canonical configuration is 4 aligned weeks of 10-minute slots (4032
 values). Vectors can be stored as CSV (``tower_id,degenerate,v0,...``) or as
-a compact length-prefixed little-endian binary.
+a compact length-prefixed little-endian binary. In the CSV, ``degenerate`` is
+``0`` or ``1``, each value is the shortest repr of its float, and a tower id
+holding a comma, a quote, ``\r`` or ``\n`` is quoted with its quotes doubled
+(``common.csv_cell``), as every CSV table is.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from .common import (
     SLOT_SECONDS,
     SLOTS_PER_DAY,
     SLOTS_PER_WEEK,
+    csv_cell,
     local_seconds_of_day,
     local_weekday,
     read_csv,
-    write_csv,
+    write_csv_blocks,
 )
 from .ingest import BinnedSeries
 
@@ -107,16 +111,30 @@ def _vectors_header(n: int) -> list[str]:
 
 
 def write_vectors_csv(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:
-    rows = (
-        [vec.tower_id, int(vec.degenerate)] + vec.values.tolist()
-        for vec in sorted(vectors, key=lambda v: v.tower_id)
-    )
-    return write_csv(path, _vectors_header(vectors[0].n if vectors else 0), rows)
+    """Write one row per vector, sorted by tower id. Every vector must hold
+    as many values as the first, which sizes the header."""
+    n = vectors[0].n if vectors else 0
+    for vec in vectors:
+        if vec.n != n:
+            raise VectorizeError(
+                f"tower {vec.tower_id} holds {vec.n} values,"
+                f" but tower {vectors[0].tower_id} holds {n}"
+            )
+
+    def row(vec: TrafficVector) -> str:
+        cells = [csv_cell(vec.tower_id), str(int(vec.degenerate)), *map(repr, vec.values.tolist())]
+        return ",".join(cells) + "\n"
+
+    rows = map(row, sorted(vectors, key=lambda v: v.tower_id))
+    return write_csv_blocks(path, _vectors_header(n), rows)
 
 
 def _vector_row(fields: list[str]) -> TrafficVector:
+    flag = fields[1]
+    if flag not in ("0", "1"):
+        raise ValueError(f"degenerate is {flag!r}, not 0 or 1")
     values = np.array([float(x) for x in fields[2:]])
-    return TrafficVector(fields[0], values, bool(int(fields[1])))
+    return TrafficVector(fields[0], values, flag == "1")
 
 
 def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
@@ -160,12 +178,21 @@ def read_vectors_binary(path: str | Path) -> list[TrafficVector]:
         if magic != _BIN_MAGIC:
             raise VectorizeError(f"not a cellmine vector file: {path}")
         (count,) = struct.unpack("<I", read_exact(4))
-        for _ in range(count):
+        for record in range(1, count + 1):
             (id_len,) = struct.unpack("<H", read_exact(2))
-            tower_id = read_exact(id_len).decode("utf-8")
+            try:
+                tower_id = read_exact(id_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise VectorizeError(f"{path} record {record}: tower id is not UTF-8") from None
             degenerate, n = struct.unpack("<BI", read_exact(5))
+            if degenerate > 1:
+                raise VectorizeError(
+                    f"{path} record {record}: degenerate flag is {degenerate}, not 0 or 1"
+                )
             values = np.frombuffer(read_exact(8 * n), dtype="<f8").astype(float)
             out.append(TrafficVector(tower_id, values, bool(degenerate)))
+        if f.read(1):
+            raise VectorizeError(f"{path}: bytes after the last of {count} records")
     return out
 
 

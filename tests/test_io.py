@@ -8,6 +8,8 @@ public writer and require its reader to give them back bit for bit.
 
 import ast
 import codecs
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -30,7 +32,7 @@ from cellmine.cluster import (
     write_dbi_trace,
     write_distance_cdf,
 )
-from cellmine.common import read_csv
+from cellmine.common import csv_cell, read_csv
 from cellmine.decompose import (
     FeaturePoint,
     FeatureSpace,
@@ -163,6 +165,55 @@ def test_write_poi_cluster_table_golden(tmp_path):
         "3,,,,,\n"
         "col_max,2,,1,1,\n"
     )
+
+
+def test_write_binned_golden(tmp_path):
+    slots = {"a": {0: F17, 5: 5e-324, 6: -0.0}, "x,y": {143: 1e308}, 'say "hi"': {1: 2.5},
+             "a\rb": {2: 1.0}, "塔-é": {3: 7.0}, "": {4: 0.5}, "z": {}}
+    series = {}
+    for tower, values in slots.items():
+        series[tower] = BinnedSeries(tower, 0, np.zeros(144))
+        for slot, value in values.items():
+            series[tower].slot_bytes[slot] = value
+    csv_path, manifest_path = write_binned(tmp_path, BinResult(series, 3, F17), 0, 1)
+    # zero slots, -0.0 and the all-zero tower z among them, are omitted;
+    # read_bytes keeps the quoted "\r"
+    assert csv_path.read_bytes() == (
+        "tower_id,slot_index,bytes\n"
+        ",4,0.5\n"
+        "a,0,0.30000000000000004\n"
+        "a,5,5e-324\n"
+        '"a\rb",2,1.0\n'
+        '"say ""hi""",1,2.5\n'
+        '"x,y",143,1e+308\n'
+        "塔-é,3,7.0\n"
+    ).encode("utf-8")
+    assert manifest_path.read_bytes() == (
+        b'{\n  "days": 1,\n  "origin_epoch_s": 0,\n'
+        b'  "origin_iso": "1970-01-01T08:00:00+08:00",\n'
+        b'  "out_of_window_bytes": 0.30000000000000004,\n  "slot_seconds": 600,\n'
+        b'  "towers": [\n    "",\n    "a",\n    "a\\rb",\n    "say \\"hi\\"",\n'
+        b'    "x,y",\n    "z",\n    "\\u5854-\\u00e9"\n  ],\n'
+        b'  "tz_offset_minutes": 480,\n  "unknown_tower_sessions": 3\n}\n'
+    )
+
+
+def test_write_vectors_csv_golden(tmp_path):
+    ids = ["a", "x,y", 'say "hi"', "a\rb", "塔-é"]
+    values = [[5e-324, 1e308], [F17, -0.0], [-1.5, 2.0], [0.0, 1.0], [1.0, -1.0]]
+    vectors = [TrafficVector(t, np.array(v)) for t, v in zip(ids, values)]
+    vectors.append(TrafficVector("", np.zeros(2), True))
+    path = write_vectors_csv(tmp_path / "v.csv", vectors)
+    assert path.read_bytes() == (
+        "tower_id,degenerate,v0,v1\n"
+        ",1,0.0,0.0\n"
+        "a,0,5e-324,1e+308\n"
+        '"a\rb",0,0.0,1.0\n'
+        '"say ""hi""",0,-1.5,2.0\n'
+        '"x,y",0,0.30000000000000004,-0.0\n'
+        "塔-é,0,1.0,-1.0\n"
+    ).encode("utf-8")
+    assert write_vectors_csv(tmp_path / "w.csv", []).read_bytes() == b"tower_id,degenerate\n"
 
 
 # --- write -> read round trips ----------------------------------------------
@@ -308,6 +359,14 @@ def test_vertices_round_trip_property(model):
 
 
 # --- one I/O layer ----------------------------------------------------------
+
+
+@given(IDS, st.integers(), FLOATS)
+def test_csv_cell_quotes_as_csv_writer_does(text, number, value):
+    # write_csv's writer ends rows in "\r\n" so that a "\r" is quoted too
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow([text, number, value])
+    assert csv_cell(text) + "," + str(number) + "," + repr(value) + "\r\n" == out.getvalue()
 
 # (module, function) of the only calls allowed to each csv/json entry point
 ALLOWED_CALLS = {

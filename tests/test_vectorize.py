@@ -112,6 +112,13 @@ def test_normalize_rejects_non_finite_series(bad):
         normalize(BinnedSeries("t7", 0, raw))
 
 
+def test_write_vectors_csv_rejects_vectors_of_different_lengths(tmp_path):
+    vectors = [TrafficVector("a", np.zeros(2)), TrafficVector("b", np.zeros(3))]
+    with pytest.raises(VectorizeError, match="tower b holds 3 values, but tower a holds 2"):
+        write_vectors_csv(tmp_path / "v.csv", vectors)
+    assert not (tmp_path / "v.csv").exists()
+
+
 def test_read_vectors_binary_truncated(tmp_path):
     vectors = [TrafficVector("a", np.arange(5.0)), TrafficVector("b", np.ones(5))]
     path = write_vectors_binary(tmp_path / "v.bin", vectors)
@@ -130,6 +137,8 @@ def test_read_vectors_binary_truncated(tmp_path):
         ("a,0,1.0", "line 2: expected 4 fields, got 3"),
         ("a,0,1.0,2.0,3.0", "line 2: expected 4 fields, got 5"),
         ("a,0,1.0,x", "line 2: could not convert"),
+        ("a,2,1.0,2.0", "line 2: degenerate is '2', not 0 or 1"),
+        ("a, 1,1.0,2.0", "line 2: degenerate is ' 1', not 0 or 1"),
     ],
 )
 def test_read_vectors_csv_rejects_malformed_row(tmp_path, row, message):
@@ -154,3 +163,27 @@ def test_read_vectors_csv_checks_value_columns(tmp_path, header):
     path.write_text(f"{header}\na,0,1.0\n")
     with pytest.raises(VectorizeError, match="v.csv line 1: bad vectors header"):
         read_vectors(path)
+
+
+# magic, one record: id length, id "ab", degenerate flag, value count, one value
+BINARY_RECORD = b"CMVEC1\n" + b"\x01\x00\x00\x00" + b"\x02\x00ab" + b"\x00\x01\x00\x00\x00" + bytes(8)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (BINARY_RECORD.replace(b"ab", b"a\xff"), "v.bin record 1: tower id is not UTF-8"),
+        (BINARY_RECORD.replace(b"ab\x00", b"ab\x07"), "v.bin record 1: degenerate flag is 7, not 0 or 1"),
+        (BINARY_RECORD + b"\x00", "v.bin: bytes after the last of 1 records"),
+    ],
+)
+def test_read_vectors_binary_rejects_malformed_file(tmp_path, data, message):
+    path = tmp_path / "v.bin"
+    path.write_bytes(data)
+    with pytest.raises(VectorizeError, match=message):
+        read_vectors(path)
+    # the same record, well formed, reads back
+    path.write_bytes(BINARY_RECORD)
+    assert [(v.tower_id, v.degenerate, v.values.tolist()) for v in read_vectors(path)] == [
+        ("ab", False, [0.0])
+    ]
