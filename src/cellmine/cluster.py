@@ -22,6 +22,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .common import read_csv, write_csv
 from .vectorize import TrafficVector
@@ -70,27 +72,14 @@ class Dendrogram:
         numbered by their smallest leaf index."""
         if not 1 <= r <= self.n_leaves:
             raise ClusterError(f"cannot cut {self.n_leaves} leaves into {r} clusters")
-        parent = list(range(self.n_leaves + len(self.merges)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for idx in range(self.n_leaves - r):
-            m = self.merges[idx]
-            node = self.n_leaves + idx
-            parent[find(m.node_a)] = node
-            parent[find(m.node_b)] = node
-        roots: dict[int, int] = {}
-        labels = np.zeros(self.n_leaves, dtype=int)
-        for leaf in range(self.n_leaves):
-            root = find(leaf)
-            if root not in roots:
-                roots[root] = len(roots) + 1
-            labels[leaf] = roots[root]
-        return labels
+        k = self.n_leaves - r
+        # the first k merges as edges: merge i joins its two nodes to node n_leaves + i
+        ends = np.array([m[:2] for m in self.merges[:k]], dtype=np.intp).reshape(k, 2).T.ravel()
+        joins = np.tile(np.arange(self.n_leaves, self.n_leaves + k), 2)
+        graph = coo_matrix((np.ones(2 * k), (ends, joins)), shape=(self.n_leaves + k,) * 2)
+        _, component = connected_components(graph, directed=False)
+        _, smallest, label = np.unique(component[: self.n_leaves], return_index=True, return_inverse=True)
+        return np.argsort(np.argsort(smallest))[label] + 1
 
 
 @dataclass(slots=True)
@@ -130,6 +119,16 @@ def _check_vectors(vectors: Sequence[TrafficVector]) -> np.ndarray:
             f"tower {vectors[int(np.argmin(finite))].tower_id}: vector holds non-finite values"
         )
     return matrix
+
+
+def _leaf_matrix(dendrogram: Dendrogram, vectors: Sequence[TrafficVector]) -> np.ndarray:
+    """``_check_vectors`` of vectors whose ids are the dendrogram's leaves, in order."""
+    ids, leaves = [v.tower_id for v in vectors], dendrogram.leaf_ids
+    if ids != leaves:
+        i = next((i for i, (a, b) in enumerate(zip(ids, leaves)) if a != b), min(len(ids), len(leaves)))
+        raise ClusterError(f"{len(ids)} vectors for {len(leaves)} leaves differ first at position {i}: "
+                           f"tower {ids[i:i + 1]} for leaf {leaves[i:i + 1]}")
+    return _check_vectors(vectors)
 
 
 def _sq_norms(matrix: np.ndarray) -> np.ndarray:
@@ -221,7 +220,7 @@ def _dbi(matrix: np.ndarray, sq_norms: np.ndarray, labels: np.ndarray) -> float:
 def build_model(
     dendrogram: Dendrogram, vectors: Sequence[TrafficVector], r: int, cut_threshold: float
 ) -> ClusterModel:
-    matrix = _check_vectors(vectors)
+    matrix = _leaf_matrix(dendrogram, vectors)
     labels = dendrogram.cut(r)
     dbi = _dbi(matrix, _sq_norms(matrix), labels)
     return _model(dendrogram, matrix, labels, cut_threshold, dbi)
@@ -248,7 +247,7 @@ def tune_cut(
     R clusters is the height of the first merge NOT performed."""
     if dendrogram.n_leaves < 3:
         raise ClusterError("cut tuning needs a dendrogram over >= 3 leaves")
-    matrix = _check_vectors(vectors)
+    matrix = _leaf_matrix(dendrogram, vectors)
     sq_norms = _sq_norms(matrix)
     r_hi = min(r_max, dendrogram.n_leaves)
     if r_min < 2 or r_min > r_hi:
@@ -282,13 +281,14 @@ class DistanceCdf:
 
 def distance_cdf(model: ClusterModel, vectors: Sequence[TrafficVector]) -> DistanceCdf:
     matrix = _check_vectors(vectors)
-    labels = np.array([model.assignments[v.tower_id] for v in vectors])
-    cdf = DistanceCdf()
-    for c in range(1, model.r + 1):
-        members = matrix[labels == c]
-        d = np.linalg.norm(members - model.centroids[c - 1], axis=1)
-        cdf.distances[c] = np.sort(d)
-    return cdf
+    try:
+        labels = np.array([model.assignments[v.tower_id] for v in vectors])
+    except KeyError as exc:
+        raise ClusterError(f"tower {exc.args[0]!r} is not in the model") from None
+    return DistanceCdf({
+        c: np.sort(np.linalg.norm(matrix[labels == c] - model.centroids[c - 1], axis=1))
+        for c in range(1, model.r + 1)
+    })
 
 
 def cluster_shares(model: ClusterModel) -> dict[int, float]:

@@ -8,7 +8,6 @@ import hashlib
 import json
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 SLOT_SECONDS = 600
@@ -109,25 +108,16 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[A
     and every field is quoted by the rule of ``csv_cell``: a field holding a
     comma, a quote, ``\r`` or ``\n`` is quoted, with its quotes doubled.
     """
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        write = f.write
-        # csv quotes a field only for the characters of its line terminator,
-        # and a bare "\r" left unquoted would end the row for a reader. So the
-        # writer ends rows in "\r\n", and since it writes each row with one
-        # call, that call swaps the ending for "\n".
-        out = SimpleNamespace(write=lambda line: write(line[:-2] + "\n"))
-        writer = csv.writer(out, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+    lines = (
+        ",".join("" if v is None else csv_cell(str(v)) for v in row) + "\n" for row in rows
+    )
+    return write_csv_blocks(path, header, lines)
 
 
 def write_csv_blocks(path: str | Path, header: Sequence[str], blocks: Iterable[str]) -> Path:
     """Write ``header`` and then each of ``blocks`` to ``path``. A block is
     whole rows of text, each ending in ``\n``, with its cells made by
-    ``csv_cell`` or by ``repr`` of a number: the same bytes ``write_csv``
-    writes, for tables too wide to send each cell through ``csv.writer``."""
+    ``csv_cell`` or by ``repr`` of a number, as ``write_csv`` makes them."""
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(map(csv_cell, header)) + "\n")

@@ -12,7 +12,7 @@ with zero residual; points outside project onto the hull.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -80,15 +80,25 @@ class FeaturePoint:
 @dataclass(slots=True)
 class PolygonModel:
     """Simplex spanned by the four representative towers (one per
-    non-comprehensive cluster, in ``vertex_clusters`` order)."""
+    non-comprehensive cluster, in ``vertex_clusters`` order). ``matrix``
+    holds the vertices as columns. A model of other than 4 vertices, of
+    vertices that are not ``len(space.names)`` finite values, or of a simplex
+    whose volume is not above ``MIN_SIMPLEX_VOLUME`` raises ``DecomposeError``."""
 
     vertices: list[FeaturePoint]
     vertex_clusters: list[int]
     space: FeatureSpace
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)  # (dims, 4)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.stack([v.f for v in self.vertices], axis=1)  # (dims, 4)
+    def __post_init__(self):
+        dims = len(self.space.names)
+        if len(self.vertices) != 4 or any(
+            np.shape(v.f) != (dims,) or not np.isfinite(v.f).all() for v in self.vertices
+        ):
+            raise DecomposeError(f"polygon model needs 4 vertices of {dims} finite values each")
+        self.matrix = np.stack([v.f for v in self.vertices], axis=1)
+        if not simplex_volume(self.matrix.T) > MIN_SIMPLEX_VOLUME:  # NaN where it overflows
+            raise DecomposeError("polygon model is degenerate: its vertices span a flat simplex")
 
 
 @dataclass(slots=True)
@@ -176,10 +186,7 @@ def select_representatives(
         # lexsort's last key is its first: separation, then density, then id.
         order = np.lexsort((id_rank[member_idx[dense]], -neighbors[dense], -separation[dense]))
         vertices.append(labeled[member_idx[dense[order[0]]]])
-    model = PolygonModel(vertices, list(vertex_clusters), space)
-    if simplex_volume([v.f for v in model.vertices]) <= MIN_SIMPLEX_VOLUME:
-        raise DecomposeError("representative towers are affinely dependent (flat simplex)")
-    return model
+    return PolygonModel(vertices, list(vertex_clusters), space)
 
 
 def solve_mixture(
@@ -194,15 +201,18 @@ def solve_mixture(
     triples, all four (each in lexicographic order), and its weights are
     clipped at 0 and renormalized. There are no iterations, so interior
     points recover their barycentric weights with zero residual and
-    exterior points get the Euclidean projection onto the hull.
+    exterior points get the Euclidean projection onto the hull. A point that
+    is not one finite value per feature dimension raises ``DecomposeError``.
     """
     if isinstance(point, FeaturePoint):
         tower_id, f = point.tower_id, point.f
     else:
         tower_id, f = "", np.asarray(point, dtype=float)
     v_full = model.matrix
-    if simplex_volume([v.f for v in model.vertices]) <= MIN_SIMPLEX_VOLUME:
-        raise DecomposeError("polygon model is degenerate (affinely dependent vertices)")
+    if f.shape != v_full.shape[:1] or not np.isfinite(f).all():
+        raise DecomposeError(
+            f"tower {tower_id!r}: point {f.tolist()} is not {v_full.shape[0]} finite values"
+        )
     kkt = _KKT_FRAME.copy()
     kkt[:, :4, :4] += (2.0 * (v_full.T @ v_full)) * _KKT_PAIRS
     rhs = np.ones((len(_SUPPORTS), 5, 1))

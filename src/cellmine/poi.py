@@ -2,8 +2,9 @@
 and TF-IDF / NTF-IDF scores per tower.
 
 Distances are great-circle (haversine) on a sphere of radius 6371.0088 km.
-Counting uses a coarse lat/lon grid index so a city-sized registry stays
-O(towers + pois).
+Counting takes its candidates from a KD-tree over the POIs' unit vectors, so
+a city-sized registry stays O((towers + pois) log pois), and then keeps those
+within the radius by the haversine.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.spatial import KDTree
 
 from .common import parse_lat_lon, read_csv, write_csv
 from .ingest import TowerRecord
@@ -21,7 +23,8 @@ from .ingest import TowerRecord
 POI_TYPES = ("resident", "transport", "office", "entertain")
 
 EARTH_RADIUS_M = 6_371_008.8
-_METERS_PER_DEG_LAT = math.pi * EARTH_RADIUS_M / 180.0
+# added to each query's chord on the unit sphere, ~6 mm on the ground
+CHORD_SLACK = 1e-9
 
 POIS_HEADER = ["poi_id", "type", "lat", "lon"]
 DEFAULT_RADIUS_M = 200.0
@@ -61,6 +64,11 @@ def haversine_m(lat1, lon1, lat2, lon2):
     return EARTH_RADIUS_M * 2 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
+def _unit_vectors(lat, lon) -> np.ndarray:
+    lat, lon = np.radians(lat), np.radians(lon)
+    return np.stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)], axis=-1)
+
+
 def _poi_row(fields: list[str]) -> PoiRecord:
     poi_id, poi_type, lat, lon = fields
     poi_id, poi_type = poi_id.strip(), poi_type.strip()
@@ -76,67 +84,34 @@ def parse_pois(lines: Iterable[str]) -> list[PoiRecord]:
 
 
 class PoiGrid:
-    """Bucket POIs by ~0.01 degree cells for radius queries.
+    """POIs as unit vectors in a KD-tree, for radius queries. A circle of
+    arc radius r is the ball of chord 2 sin(r / 2R) about its centre, which
+    has no antimeridian or pole, and for r >= pi R holds the whole sphere."""
 
-    Longitude cells wrap around the globe, so a query that crosses longitude
-    +-180 finds the POIs on the other side, and one whose circle covers a pole
-    takes every cell of its latitude bands, each once. A query whose box
-    covers more cells than there are occupied buckets walks the buckets
-    instead, so its cost stays bounded as the radius grows.
-    """
-
-    def __init__(self, pois: Sequence[PoiRecord], cell_deg: float = 0.01):
-        self.cell_deg = cell_deg
-        # A whole number of longitude cells spans the 360 degrees.
-        self.lon_cells = round(360.0 / cell_deg)
-        self.lon_deg = 360.0 / self.lon_cells
-        self.pois = list(pois)
-        self.lats = np.array([p.lat for p in self.pois])
-        self.lons = np.array([p.lon for p in self.pois])
-        self.types = np.array([POI_TYPES.index(p.type) for p in self.pois], dtype=int)
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        for idx, p in enumerate(self.pois):
-            key = (math.floor(p.lat / cell_deg), math.floor(p.lon / self.lon_deg) % self.lon_cells)
-            self.buckets.setdefault(key, []).append(idx)
+    def __init__(self, pois: Sequence[PoiRecord]):
+        self.lats = np.array([p.lat for p in pois])
+        self.lons = np.array([p.lon for p in pois])
+        self.types = np.array([POI_TYPES.index(p.type) for p in pois], dtype=int)
+        self.tree = KDTree(_unit_vectors(self.lats, self.lons))
 
     def candidates(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
-        dlat = radius_m / _METERS_PER_DEG_LAT
-        lat_cells = range(
-            math.floor(max(lat - dlat, -90.0) / self.cell_deg),
-            math.floor(min(lat + dlat, 90.0) / self.cell_deg) + 1,
-        )
-        angle = radius_m / EARTH_RADIUS_M
-        colatitude = math.pi / 2 - math.radians(abs(lat))
-        if angle >= colatitude:
-            # The circle covers a pole, so it reaches every longitude.
-            lon_cells = range(self.lon_cells)
-        else:
-            # The widest longitude offset on a circle of this angular radius.
-            dlon = math.degrees(math.asin(min(1.0, math.sin(angle) / math.sin(colatitude))))
-            first = math.floor((lon - dlon) / self.lon_deg)
-            last = math.floor((lon + dlon) / self.lon_deg)
-            lon_cells = range(first, first + min(last - first + 1, self.lon_cells))
-        hits: list[int] = []
-        if len(lat_cells) * len(lon_cells) > len(self.buckets):
-            for (i, j), bucket in self.buckets.items():
-                if i in lat_cells and (j - lon_cells.start) % self.lon_cells < len(lon_cells):
-                    hits.extend(bucket)
-        else:
-            for i in lat_cells:
-                for j in lon_cells:
-                    hits.extend(self.buckets.get((i, j % self.lon_cells), ()))
-        return np.array(sorted(hits), dtype=int)
+        """Sorted indices of the POIs in the ball of ``radius_m``: every POI
+        the haversine puts within ``radius_m``, and perhaps a few more."""
+        # The haversine keeps a POI when 2 asin(sqrt(a)) <= radius_m / R, and
+        # a = sin^2(theta / 2) for the angle theta between the points, so the
+        # POI's chord 2 sqrt(a) is at most `chord`, theta capped at pi where
+        # the chord tops out at 2. That a and the unit vectors come from the
+        # same radians by sines and cosines correct to a few ulp, so the chord
+        # the tree measures is within ~1e-15 of 2 sqrt(a). CHORD_SLACK is ~1e6
+        # times that, so the ball drops no POI the haversine keeps.
+        chord = 2.0 * math.sin(min(radius_m / EARTH_RADIUS_M, math.pi) / 2.0)
+        ball = self.tree.query_ball_point(_unit_vectors(lat, lon), chord + CHORD_SLACK, return_sorted=True)
+        return np.array(ball, dtype=int)
 
     def count_within(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
-        counts = np.zeros(len(POI_TYPES), dtype=int)
         idx = self.candidates(lat, lon, radius_m)
-        if idx.size == 0:
-            return counts
         d = haversine_m(lat, lon, self.lats[idx], self.lons[idx])
-        within = idx[d <= radius_m]
-        for t in self.types[within]:
-            counts[t] += 1
-        return counts
+        return np.bincount(self.types[idx[d <= radius_m]], minlength=len(POI_TYPES))
 
 
 def count_poi(
@@ -147,14 +122,11 @@ def count_poi(
     """POIs of each type within ``radius_m`` of each tower (boundary inclusive)."""
     if radius_m <= 0:
         raise PoiError(f"radius must be positive, got {radius_m}")
-    if isinstance(towers, Mapping):
-        tower_list = list(towers.values())
-    else:
-        tower_list = list(towers)
     grid = PoiGrid(pois)
     return {
         t.tower_id: grid.count_within(t.lat, t.lon, radius_m)
-        for t in sorted(tower_list, key=lambda x: x.tower_id)
+        for t in sorted(towers.values() if isinstance(towers, Mapping) else towers,
+                        key=lambda x: x.tower_id)
     }
 
 
@@ -183,10 +155,7 @@ def cluster_poi_table(
     hi = raw.max(axis=0)
     span = hi - lo
     undefined = [POI_TYPES[i] for i in range(len(POI_TYPES)) if span[i] == 0.0]
-    normalized = np.full_like(raw, np.nan)
-    for i in range(len(POI_TYPES)):
-        if span[i] > 0.0:
-            normalized[:, i] = (raw[:, i] - lo[i]) / span[i]
+    normalized = (raw - lo) / np.where(span > 0.0, span, np.nan)
     clusters = sorted(set(labels.tolist()))
     matrix = np.vstack([normalized[labels == c].mean(axis=0) for c in clusters])
     row_max: dict[int, str] = {}

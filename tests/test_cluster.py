@@ -10,6 +10,7 @@ from scipy.spatial.distance import pdist
 from cellmine.cluster import (
     REFINE_SHARE,
     ClusterError,
+    Dendrogram,
     DistanceCdf,
     build_model,
     cluster_shares,
@@ -188,6 +189,51 @@ def test_hac_property_same_tree_as_oracle(n, dim, n_dup, seed):
             assert partition(dend, r) == partition(other, r)
 
 
+def union_find_cut(dend, r):
+    """The union-find cut that Dendrogram.cut replaced, kept as its oracle."""
+    parent = list(range(dend.n_leaves + len(dend.merges)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for idx in range(dend.n_leaves - r):
+        m = dend.merges[idx]
+        node = dend.n_leaves + idx
+        parent[find(m.node_a)] = node
+        parent[find(m.node_b)] = node
+    roots = {}
+    labels = np.zeros(dend.n_leaves, dtype=int)
+    for leaf in range(dend.n_leaves):
+        root = find(leaf)
+        if root not in roots:
+            roots[root] = len(roots) + 1
+        labels[leaf] = roots[root]
+    return labels
+
+
+@given(
+    n=st.integers(1, 40),
+    dim=st.integers(1, 3),
+    n_dup=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cut_property_equals_union_find(n, dim, n_dup, seed):
+    """Integer points with repeated rows, so some merges tie at height 0."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-3, 4, size=(n, dim)).astype(float)
+    for _ in range(n_dup):
+        pts[rng.integers(n)] = pts[rng.integers(n)]
+    if n == 1:
+        dend = Dendrogram(1, [], ["t000"])
+    else:
+        dend = hac_average_linkage(vecs(pts))
+    for r in range(1, n + 1):
+        np.testing.assert_array_equal(dend.cut(r), union_find_cut(dend, r))
+
+
 def test_dbi_hand_case():
     # 1-D clusters {0,2} and {10,12}: S=1 each, M=10, DBI = 0.2 exactly
     matrix = np.array([[0.0], [2.0], [10.0], [12.0]])
@@ -319,6 +365,29 @@ def test_distance_cdf_cases():
     # singleton cluster: CDF over one value
     assert cdf.distances[single_cluster].size == 1
     assert cdf.quantile(single_cluster, 0.9) == 0.0
+
+
+def test_cluster_api_rejects_vectors_that_are_not_the_leaves():
+    vectors = vecs([[0.0], [0.1], [5.0], [5.2]])
+    dend = hac_average_linkage(vectors)
+    renamed = vectors[:3] + [TrafficVector("x", vectors[3].values)]
+    cases = [
+        (vectors[:3], r"3 vectors for 4 leaves differ first at position 3: tower \[\] for leaf \['t003'\]"),
+        (vectors[::-1], r"4 vectors for 4 leaves differ first at position 0: tower \['t003'\] for leaf \['t000'\]"),
+        (renamed, r"position 3: tower \['x'\] for leaf \['t003'\]"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ClusterError, match=message):
+            tune_cut(dend, bad, 2, 3)
+        with pytest.raises(ClusterError, match=message):
+            build_model(dend, bad, 2, 0.0)
+
+
+def test_distance_cdf_names_tower_not_in_model():
+    vectors = vecs([[0.0], [0.1], [5.0]])
+    model = build_model(hac_average_linkage(vectors), vectors, 2, 0.0)
+    with pytest.raises(ClusterError, match="tower 'x' is not in the model"):
+        distance_cdf(model, vectors + [TrafficVector("x", np.array([1.0]))])
 
 
 def test_distance_cdf_quantile_names_unknown_cluster():

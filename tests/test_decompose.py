@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -270,9 +271,32 @@ def test_degenerate_model_rejected():
         [0.0, 1.0, 0.0],
         [0.5, 0.5, 0.0],
     ]
-    model = make_model(flat)
     with pytest.raises(DecomposeError, match="degenerate"):
-        solve_mixture(np.array([0.2, 0.2, 0.5]), model)
+        solve_mixture(np.array([0.2, 0.2, 0.5]), make_model(flat))
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, math.inf, 1.0]],
+    ],
+)
+def test_polygon_model_rejects_bad_vertices(vertices):
+    with pytest.raises(DecomposeError, match="needs 4 vertices of 3 finite values each"):
+        make_model(vertices, clusters=range(len(vertices)))
+
+
+@pytest.mark.parametrize("point", [[0.2, 0.2], [0.2, 0.2, 0.2, 0.2], [[0.2, 0.2, 0.2]],
+                                   [0.2, math.nan, 0.2], [0.2, 0.2, -math.inf]])
+def test_solve_mixture_rejects_bad_point(point):
+    model = make_model(random_simplex(np.random.default_rng(51)))
+    with pytest.raises(DecomposeError, match="is not 3 finite values"):
+        solve_mixture(np.array(point), model)
 
 
 def test_build_feature_points_standardizes():
@@ -485,6 +509,16 @@ def test_read_mixtures_rejects_malformed_file(tmp_path, text, message):
         read_mixtures(path)
 
 
+def _vertices_json(standardized):
+    return json.dumps({
+        "feature_names": ["a", "b", "c"],
+        "standardization": {"mean": [0, 0, 0], "std": [1, 1, 1]},
+        "vertices": [
+            {"cluster": i, "tower_id": f"v{i}", "standardized": f} for i, f in enumerate(standardized)
+        ],
+    })
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -492,6 +526,9 @@ def test_read_mixtures_rejects_malformed_file(tmp_path, text, message):
         ("[1]", "v.json: TypeError"),
         ('{"feature_names": [], "standardization": {"mean": "x", "std": []}}', "v.json: ValueError"),
         ("{", "v.json: JSONDecodeError"),
+        (_vertices_json([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), "v.json: DecomposeError: .* needs 4 vertices"),
+        (_vertices_json([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, math.nan]]), "v.json: DecomposeError: .* finite"),
+        (_vertices_json([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]), "v.json: DecomposeError: .* flat simplex"),
     ],
 )
 def test_read_vertices_rejects_malformed_file(tmp_path, text, message):

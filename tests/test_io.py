@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 import cellmine
@@ -34,6 +34,7 @@ from cellmine.cluster import (
 )
 from cellmine.common import csv_cell, read_csv
 from cellmine.decompose import (
+    DecomposeError,
     FeaturePoint,
     FeatureSpace,
     MixtureCoefficients,
@@ -339,12 +340,21 @@ def test_mixtures_round_trip_property(mixes):
 
 @st.composite
 def polygon_models(draw):
-    dims = draw(st.integers(1, 3))
+    # A model holds 4 finite vertices that span a simplex, so 3 dims or more,
+    # and coordinates past ~1e50 overflow the simplex volume.
+    dims = draw(st.integers(3, 4))
     floats = st.lists(FLOATS, min_size=dims, max_size=dims).map(np.array)
+    coordinates = st.floats(-1e50, 1e50) | st.sampled_from([x for x in EDGE_FLOATS if abs(x) < 1e50])
+    finite = st.lists(coordinates, min_size=dims, max_size=dims).map(np.array)
     names = tuple(draw(st.lists(IDS, min_size=dims, max_size=dims)))
-    vertices = draw(st.lists(st.builds(FeaturePoint, IDS, floats), max_size=4))
-    clusters = draw(st.lists(st.integers(), min_size=len(vertices), max_size=len(vertices)))
-    return PolygonModel(vertices, clusters, FeatureSpace(names, draw(floats), draw(floats)))
+    vertices = draw(st.lists(st.builds(FeaturePoint, IDS, finite), min_size=4, max_size=4))
+    clusters = draw(st.lists(st.integers(), min_size=4, max_size=4))
+    space = FeatureSpace(names, draw(floats), draw(floats))
+    try:
+        with np.errstate(all="ignore"):  # subnormal coordinates underflow the volume
+            return PolygonModel(vertices, clusters, space)
+    except DecomposeError:  # a flat simplex
+        reject()
 
 
 @given(polygon_models())
@@ -363,7 +373,7 @@ def test_vertices_round_trip_property(model):
 
 @given(IDS, st.integers(), FLOATS)
 def test_csv_cell_quotes_as_csv_writer_does(text, number, value):
-    # write_csv's writer ends rows in "\r\n" so that a "\r" is quoted too
+    # csv.writer quotes a "\r" only when its rows end in "\r\n"
     out = io.StringIO()
     csv.writer(out, lineterminator="\r\n").writerow([text, number, value])
     assert csv_cell(text) + "," + str(number) + "," + repr(value) + "\r\n" == out.getvalue()
@@ -371,7 +381,7 @@ def test_csv_cell_quotes_as_csv_writer_does(text, number, value):
 # (module, function) of the only calls allowed to each csv/json entry point
 ALLOWED_CALLS = {
     "csv.reader": {("common", "read_csv"), ("ingest", "parse_sessions")},
-    "csv.writer": {("common", "write_csv")},
+    "csv.writer": set(),
     "json.dump": {("common", "write_json")},
     "json.load": {("common", "read_json")},
 }

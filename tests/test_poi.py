@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellmine.ingest import TowerRecord
 from cellmine.poi import (
+    EARTH_RADIUS_M,
     POI_TYPES,
     PoiError,
     PoiRecord,
@@ -112,7 +115,6 @@ def test_grid_index_matches_brute_force():
         poi("s3", "office", -90.0, -180.0),
         poi("s4", "transport", -89.9961, 100.0),
     ]
-    # 1,000 and 20,000 km boxes cover more cells than there are POI buckets.
     for radius in (500.0, 1e6, 2e7):
         counts = count_poi(towers, pois, radius)
         for t in towers:
@@ -121,6 +123,53 @@ def test_grid_index_matches_brute_force():
                 if hand_haversine(t.lat, t.lon, p.lat, p.lon) <= radius:
                     brute[POI_TYPES.index(p.type)] += 1
             assert counts[t.tower_id].tolist() == brute.tolist()
+
+
+SPECIAL_LATS = [90.0, -90.0, 89.9999999, -89.9999, 0.0]
+SPECIAL_LONS = [180.0, -180.0, 179.9999999, -179.9999, 0.0]
+
+
+@st.composite
+def poi_cases(draw):
+    """Towers anywhere, a third of their coordinates at or near a pole, +-180
+    or 0, POIs anywhere or from 1e-7 to 10 degrees off a tower, and radii:
+    1e-3 m to past half the circumference, and the exact haversine distances
+    from towers to POIs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def coordinate(special, bound):
+        return float(rng.choice(special)) if rng.random() < 1 / 3 else rng.uniform(-bound, bound)
+
+    towers = [
+        TowerRecord(f"t{i}", coordinate(SPECIAL_LATS, 90.0), coordinate(SPECIAL_LONS, 180.0))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    pois = []
+    for i in range(draw(st.integers(1, 12))):
+        t, scale = towers[rng.integers(len(towers))], 10.0 ** rng.integers(-7, 2)
+        if rng.random() < 0.5:
+            lat, lon = coordinate(SPECIAL_LATS, 90.0), coordinate(SPECIAL_LONS, 180.0)
+        else:
+            lat = min(90.0, max(-90.0, t.lat + scale * rng.uniform(-1.0, 1.0)))
+            lon = (t.lon + scale * rng.uniform(-1.0, 1.0) + 180.0) % 360.0 - 180.0
+        pois.append(PoiRecord(f"p{i}", POI_TYPES[rng.integers(4)], lat, lon))
+    half = math.pi * EARTH_RADIUS_M
+    radii = [1e-3, half, 1.5 * half] + list(10.0 ** rng.uniform(-3.0, 7.5, size=2))
+    for t in towers:
+        radii += [float(haversine_m(t.lat, t.lon, p.lat, p.lon)) for p in pois[:4]]
+    return towers, pois, [r for r in radii if r > 0.0]
+
+
+@given(poi_cases())
+def test_count_poi_property_equals_brute_force(case):
+    towers, pois, radii = case
+    lats, lons = np.array([p.lat for p in pois]), np.array([p.lon for p in pois])
+    types = np.array([POI_TYPES.index(p.type) for p in pois])
+    for radius in radii:
+        counts = count_poi(towers, pois, radius)
+        for t in towers:
+            within = types[haversine_m(t.lat, t.lon, lats, lons) <= radius]
+            assert counts[t.tower_id].tolist() == np.bincount(within, minlength=4).tolist()
 
 
 def test_parse_pois_validates():
