@@ -3,9 +3,8 @@ Davies-Bouldin cut tuner.
 
 The dendrogram is scipy's average linkage: the nearest-neighbour chain
 (Muellner 2011) over the condensed n(n-1)/2 Euclidean distance matrix, O(n^2)
-in time and memory. It is deterministic for a given input order, and
-``fit_vectors`` fixes that order by tower id. Exact distance ties between
-distinct clusters are broken as scipy breaks them.
+in time and memory. It is deterministic for a given input order. Exact
+distance ties between distinct clusters are broken as scipy breaks them.
 
 The condensed matrix and the Davies-Bouldin distances come from one Gram
 form, ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b with BLAS dot products; pairs too
@@ -16,7 +15,7 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -173,8 +172,8 @@ def hac_average_linkage(vectors: Sequence[TrafficVector]) -> Dendrogram:
 
     Identical vectors merge at height 0. Under exact distance ties between
     distinct clusters the tree follows scipy's tie order, so a permuted input
-    can give a different tree; sorting the input, as ``fit_vectors`` does,
-    makes the result independent of the caller's order.
+    can give a different tree; sorting the input, say by tower id, makes the
+    result independent of the caller's order.
     """
     matrix = _check_vectors(vectors)
     merges = [
@@ -184,15 +183,10 @@ def hac_average_linkage(vectors: Sequence[TrafficVector]) -> Dendrogram:
     return Dendrogram(matrix.shape[0], merges, [v.tower_id for v in vectors])
 
 
-def davies_bouldin_from_labels(matrix: np.ndarray, labels: np.ndarray) -> float:
-    """DBI: mean over clusters of the worst (S_i + S_j) / M_ij ratio, where
-    S is the mean member-to-centroid distance and M the centroid distance."""
-    if len(labels) != matrix.shape[0]:
-        raise ClusterError(f"{len(labels)} labels for {matrix.shape[0]} rows")
-    return _dbi(matrix, _sq_norms(matrix), labels)
-
-
 def _dbi(matrix: np.ndarray, sq_norms: np.ndarray, labels: np.ndarray) -> float:
+    """DBI of the rows of ``matrix``, whose squared norms are ``sq_norms``:
+    the mean over clusters of the worst (S_i + S_j) / M_ij ratio, where S is
+    the mean member-to-centroid distance and M the centroid distance."""
     cluster_ids, member_of, sizes = np.unique(
         labels, return_inverse=True, return_counts=True
     )
@@ -217,25 +211,6 @@ def _dbi(matrix: np.ndarray, sq_norms: np.ndarray, labels: np.ndarray) -> float:
     return float(ratios.max(axis=1).mean())
 
 
-def build_model(
-    dendrogram: Dendrogram, vectors: Sequence[TrafficVector], r: int, cut_threshold: float
-) -> ClusterModel:
-    matrix = _leaf_matrix(dendrogram, vectors)
-    labels = dendrogram.cut(r)
-    dbi = _dbi(matrix, _sq_norms(matrix), labels)
-    return _model(dendrogram, matrix, labels, cut_threshold, dbi)
-
-
-def _model(
-    dendrogram: Dendrogram, matrix: np.ndarray, labels: np.ndarray, cut_threshold: float, dbi: float
-) -> ClusterModel:
-    r = int(labels.max())
-    centroids = np.stack([matrix[labels == c].mean(axis=0) for c in range(1, r + 1)])
-    sizes = [int(np.sum(labels == c)) for c in range(1, r + 1)]
-    assignments = {tower_id: int(lbl) for tower_id, lbl in zip(dendrogram.leaf_ids, labels)}
-    return ClusterModel(assignments, centroids, sizes, cut_threshold, dbi, r)
-
-
 def tune_cut(
     dendrogram: Dendrogram,
     vectors: Sequence[TrafficVector],
@@ -258,25 +233,18 @@ def tune_cut(
         height = dendrogram.merges[dendrogram.n_leaves - r].height
         trace.append(DbiTracePoint(r, height, _dbi(matrix, sq_norms, labels)))
     best = min(trace, key=lambda p: (p.dbi, p.r))
-    model = _model(dendrogram, matrix, dendrogram.cut(best.r), best.cut_height, best.dbi)
-    return model, trace
+    labels = dendrogram.cut(best.r)
+    centroids = np.stack([matrix[labels == c].mean(axis=0) for c in range(1, best.r + 1)])
+    sizes = [int(np.sum(labels == c)) for c in range(1, best.r + 1)]
+    assignments = {tower_id: int(lbl) for tower_id, lbl in zip(dendrogram.leaf_ids, labels)}
+    return ClusterModel(assignments, centroids, sizes, best.cut_height, best.dbi, best.r), trace
 
 
 @dataclass(slots=True)
 class DistanceCdf:
     """Per-cluster empirical distribution of member-to-centroid distance."""
 
-    distances: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def quantile(self, cluster: int, q: float) -> float:
-        if cluster not in self.distances:
-            raise ClusterError(f"no cluster {cluster} in the distance CDF")
-        d = self.distances[cluster]
-        if not 0.0 <= q <= 1.0:
-            raise ClusterError(f"quantile out of range: {q}")
-        # inverted CDF: smallest value whose empirical CDF reaches q
-        idx = max(0, int(np.ceil(q * d.size)) - 1)
-        return float(d[idx])
+    distances: dict[int, np.ndarray]
 
 
 def distance_cdf(model: ClusterModel, vectors: Sequence[TrafficVector]) -> DistanceCdf:
@@ -289,23 +257,6 @@ def distance_cdf(model: ClusterModel, vectors: Sequence[TrafficVector]) -> Dista
         c: np.sort(np.linalg.norm(matrix[labels == c] - model.centroids[c - 1], axis=1))
         for c in range(1, model.r + 1)
     })
-
-
-def cluster_shares(model: ClusterModel) -> dict[int, float]:
-    total = sum(model.sizes)
-    return {c + 1: 100.0 * size / total for c, size in enumerate(model.sizes)}
-
-
-def fit_vectors(
-    vectors: Sequence[TrafficVector], r_min: int = 2, r_max: int = 15
-) -> tuple[ClusterModel, list[DbiTracePoint], list[str]]:
-    """Cluster non-degenerate vectors (sorted by tower id for determinism);
-    returns the tuned model, the DBI trace, and excluded tower ids."""
-    excluded = sorted(v.tower_id for v in vectors if v.degenerate)
-    usable = sorted((v for v in vectors if not v.degenerate), key=lambda v: v.tower_id)
-    dendrogram = hac_average_linkage(usable)
-    model, trace = tune_cut(dendrogram, usable, r_min, r_max)
-    return model, trace, excluded
 
 
 def write_assignments(path: str | Path, model: ClusterModel) -> Path:

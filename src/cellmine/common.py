@@ -4,44 +4,26 @@ writes its tables with, and small helpers used across pipeline stages."""
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 SLOT_SECONDS = 600
 SLOTS_PER_DAY = 144
 DAYS_PER_WEEK = 7
 SLOTS_PER_WEEK = SLOTS_PER_DAY * DAYS_PER_WEEK  # 1008
 
-# Civil clock used to interpret ISO timestamps and weekday boundaries.
+# Civil clock used to write ISO dates and to find weekday boundaries.
 # A fixed offset, not a zoneinfo zone: slot arithmetic must never cross a
 # DST discontinuity.
 DEFAULT_TZ_OFFSET_MINUTES = 480  # UTC+8
 
-WEEKDAY_NAMES = ("monday", "tuesday", "wednesday", "thursday", "friday",
-                 "saturday", "sunday")
-
-
-def tz_from_offset(offset_minutes: int) -> timezone:
-    return timezone(timedelta(minutes=offset_minutes))
-
-
-def parse_iso_to_epoch(text: str, tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES) -> int:
-    """Parse an ISO-8601 timestamp to epoch seconds.
-
-    Naive timestamps are interpreted in the configured fixed-offset civil
-    timezone; aware timestamps keep their own offset.
-    """
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=tz_from_offset(tz_offset_minutes))
-    return int(dt.timestamp())
-
 
 def epoch_to_iso(epoch_s: int, tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES) -> str:
-    dt = datetime.fromtimestamp(epoch_s, tz=tz_from_offset(tz_offset_minutes))
+    dt = datetime.fromtimestamp(epoch_s, tz=timezone(timedelta(minutes=tz_offset_minutes)))
     return dt.isoformat()
 
 
@@ -54,28 +36,6 @@ def local_weekday(epoch_s: int, tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUT
 
 def local_seconds_of_day(epoch_s: int, tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES) -> int:
     return (epoch_s + tz_offset_minutes * 60) % 86400
-
-
-def parse_week_start(value: str | int) -> int:
-    if isinstance(value, int):
-        if not 0 <= value <= 6:
-            raise ValueError(f"week start out of range: {value}")
-        return value
-    name = value.strip().lower()
-    if name not in WEEKDAY_NAMES:
-        raise ValueError(f"unknown weekday name: {value!r}")
-    return WEEKDAY_NAMES.index(name)
-
-
-def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        while True:
-            block = f.read(1 << 20)
-            if not block:
-                break
-            h.update(block)
-    return h.hexdigest()
 
 
 def parse_lat_lon(lat: str, lon: str) -> tuple[float, float]:
@@ -172,6 +132,15 @@ def read_csv(lines: Iterable[str], header: Sequence[str], error: type[Exception]
         except ValueError as exc:
             raise error(f"{source} line {reader.line_num}: {exc}") from None
         yield row
+
+
+def reject_nan(values: Sequence[float] | np.ndarray, column: Callable[[int], str]) -> None:
+    """Raise ``ValueError`` naming ``column(i)`` for the first NaN
+    ``values[i]``, if there is one. A reader calls it on each row it parses,
+    so that no NaN in a file passes on in silence."""
+    nan = np.isnan(values)
+    if nan.any():
+        raise ValueError(f"{column(int(nan.argmax()))} is NaN")
 
 
 def write_json(path: str | Path, payload: Any) -> Path:

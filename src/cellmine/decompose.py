@@ -1,7 +1,7 @@
 """Convex mixture decomposition in frequency-feature space.
 
-Each tower is summarized by a standardized feature vector (by default
-day-bin amplitude, day-bin phase, half-day amplitude). The four most
+Each tower is summarized by a standardized feature vector (day-bin
+amplitude, day-bin phase, half-day amplitude). The four most
 representative towers of the non-comprehensive clusters span a simplex, and
 any tower's feature point is expressed as the convex combination of those
 vertices that best approximates it: an exact 4-variable simplex-constrained
@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .common import read_csv, read_json, write_csv, write_json
-from .spectrum import SpectralFeature, Spectrum, dft, reconstruct
+from .common import read_csv, read_json, reject_nan, write_csv, write_json
+from .spectrum import SpectralFeature
 
 DEFAULT_FEATURE_NAMES = ("amp_day", "phase_day", "amp_half_day")
 DEFAULT_DENSITY_RADIUS = 0.5
@@ -82,8 +82,10 @@ class PolygonModel:
     """Simplex spanned by the four representative towers (one per
     non-comprehensive cluster, in ``vertex_clusters`` order). ``matrix``
     holds the vertices as columns. A model of other than 4 vertices, of
-    vertices that are not ``len(space.names)`` finite values, or of a simplex
-    whose volume is not above ``MIN_SIMPLEX_VOLUME`` raises ``DecomposeError``."""
+    vertices that are not ``len(space.names)`` finite values, of a space whose
+    means are not that many finite values or whose stds are not that many
+    positive finite values, or of a simplex whose volume is not above
+    ``MIN_SIMPLEX_VOLUME`` raises ``DecomposeError``."""
 
     vertices: list[FeaturePoint]
     vertex_clusters: list[int]
@@ -96,6 +98,16 @@ class PolygonModel:
             np.shape(v.f) != (dims,) or not np.isfinite(v.f).all() for v in self.vertices
         ):
             raise DecomposeError(f"polygon model needs 4 vertices of {dims} finite values each")
+        mean, std = self.space.mean, self.space.std
+        if not (
+            np.shape(mean) == np.shape(std) == (dims,)
+            and np.isfinite(mean).all()
+            and (np.isfinite(std) & (std > 0)).all()
+        ):
+            raise DecomposeError(
+                f"polygon model needs {dims} finite means and {dims} positive finite stds,"
+                f" not mean {np.asarray(mean).tolist()} and std {np.asarray(std).tolist()}"
+            )
         self.matrix = np.stack([v.f for v in self.vertices], axis=1)
         if not simplex_volume(self.matrix.T) > MIN_SIMPLEX_VOLUME:  # NaN where it overflows
             raise DecomposeError("polygon model is degenerate: its vertices span a flat simplex")
@@ -110,17 +122,17 @@ class MixtureCoefficients:
 
 def build_feature_points(
     features: Sequence[SpectralFeature],
-    names: tuple[str, ...] = DEFAULT_FEATURE_NAMES,
 ) -> tuple[list[FeaturePoint], FeatureSpace]:
     if len(features) < 2:
         raise DecomposeError("feature standardization needs at least 2 towers")
+    names = DEFAULT_FEATURE_NAMES
     raw = np.array([[getattr(f, n) for n in names] for f in features], dtype=float)
     mean = raw.mean(axis=0)
     std = raw.std(axis=0)
     flat = [names[i] for i in range(len(names)) if std[i] == 0.0]
     if flat:
         raise DecomposeError(f"feature dimensions with zero variance: {flat}")
-    space = FeatureSpace(tuple(names), mean, std)
+    space = FeatureSpace(names, mean, std)
     points = [
         FeaturePoint(f.tower_id, space.transform(row)) for f, row in zip(features, raw)
     ]
@@ -181,7 +193,7 @@ def select_representatives(
         if dense.size == 0:
             raise DecomposeError(
                 f"no tower in cluster {cluster} has >= {min_density} neighbors within "
-                f"{density_radius}; lower --min-density or raise --density-radius"
+                f"{density_radius}; lower min_density or raise density_radius"
             )
         # lexsort's last key is its first: separation, then density, then id.
         order = np.lexsort((id_rank[member_idx[dense]], -neighbors[dense], -separation[dense]))
@@ -230,25 +242,6 @@ def solve_mixture(
     return MixtureCoefficients(tower_id, x, residual)
 
 
-def render_components(
-    coefficients: MixtureCoefficients,
-    vertex_vectors: Sequence[np.ndarray],
-    tower_scale: float,
-    indices: tuple[int, int, int] | None = None,
-) -> np.ndarray:
-    """Time-domain mixture components: each vertex's normalized canonical
-    pattern (its 7-bin reconstruction), weighted by its coefficient and
-    rescaled by the target tower's raw standard deviation so the stack lives
-    in the tower's units. Returns a (4, N) array."""
-    if len(vertex_vectors) != 4:
-        raise DecomposeError(f"expected 4 vertex vectors, got {len(vertex_vectors)}")
-    comps = []
-    for weight, vec in zip(coefficients.x, vertex_vectors):
-        pattern = reconstruct(dft(np.asarray(vec, dtype=float)), indices)
-        comps.append(weight * tower_scale * pattern)
-    return np.stack(comps)
-
-
 def write_mixtures(path: str | Path, mixtures: Sequence[MixtureCoefficients]) -> Path:
     rows = (
         [m.tower_id] + m.x.tolist() + [m.residual]
@@ -259,6 +252,7 @@ def write_mixtures(path: str | Path, mixtures: Sequence[MixtureCoefficients]) ->
 
 def _mixture_row(fields: list[str]) -> MixtureCoefficients:
     vals = [float(v) for v in fields[1:]]
+    reject_nan(vals, lambda i: MIXTURES_HEADER[1 + i])
     return MixtureCoefficients(fields[0], np.array(vals[:4]), vals[4])
 
 

@@ -37,7 +37,6 @@ from .common import (
     read_csv,
     read_header,
     read_json,
-    write_csv,
     write_csv_blocks,
     write_json,
 )
@@ -52,7 +51,8 @@ _MAX_BYTES = _INT64_MAX // SLOT_SECONDS
 
 
 class IngestError(ValueError):
-    """Raised on malformed input files or (in strict mode) malformed rows."""
+    """Raised on malformed input files and on sessions outside the int64
+    limits of the array passes."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,16 +140,13 @@ def _session_from_row(row: Sequence[str]) -> SessionLog:
     return SessionLog(user_id, tower_id, start, end, nbytes)
 
 
-def parse_sessions(
-    lines: Iterable[str], strict: bool = False
-) -> tuple[list[SessionLog], list[RejectedRow]]:
+def parse_sessions(lines: Iterable[str]) -> tuple[list[SessionLog], list[RejectedRow]]:
     """Parse a sessions.csv stream.
 
-    Malformed rows go to the reject report and parsing continues; with
-    ``strict`` the first malformed row raises ``IngestError`` instead. An
-    empty stream gives no sessions; otherwise its first non-blank row must
-    be the header. This is the one reader that carries on past a bad row, so
-    it keeps its own row loop in place of ``read_csv``.
+    Malformed rows go to the reject report and parsing continues. An empty
+    stream gives no sessions; otherwise its first non-blank row must be the
+    header. This is the one reader that carries on past a bad row, so it
+    keeps its own row loop in place of ``read_csv``.
     """
     reader = csv.reader(lines)
     sessions: list[SessionLog] = []
@@ -162,8 +159,6 @@ def parse_sessions(
         try:
             sessions.append(_session_from_row(row))
         except ValueError as exc:
-            if strict:
-                raise IngestError(f"sessions line {reader.line_num}: {exc}") from None
             rejects.append(RejectedRow(reader.line_num, ",".join(row), str(exc)))
     return sessions, rejects
 
@@ -379,17 +374,24 @@ def write_binned(
 
 def _manifest_series(manifest: dict) -> tuple[dict, dict[str, BinnedSeries]]:
     """The manifest and one all-zero series per manifest tower."""
-    origin = int(manifest["origin_epoch_s"])
-    n_slots = int(manifest["days"]) * SLOTS_PER_DAY
+    origin = manifest["origin_epoch_s"]
+    if type(origin) is not int:
+        raise TypeError(f"origin_epoch_s is {origin!r}, not an integer")
     towers = manifest["towers"]
     if not (isinstance(towers, list) and all(isinstance(t, str) for t in towers)):
         raise TypeError("towers is not a list of strings")
+    if manifest["slot_seconds"] != SLOT_SECONDS:
+        raise ValueError(f"slot_seconds is {manifest['slot_seconds']!r}, not {SLOT_SECONDS}")
+    days = manifest["days"]
+    if type(days) is not int or days < 1:
+        raise ValueError(f"days is {days!r}, not a positive integer")
+    n_slots = days * SLOTS_PER_DAY
     return manifest, {t: BinnedSeries(t, origin, np.zeros(n_slots)) for t in towers}
 
 
 def read_binned(csv_path: str | Path, manifest_path: str | Path) -> tuple[dict[str, BinnedSeries], dict]:
     manifest, series = read_json(manifest_path, IngestError, _manifest_series)
-    n_slots = int(manifest["days"]) * SLOTS_PER_DAY
+    n_slots = manifest["days"] * SLOTS_PER_DAY
     # Rows go into Python lists, which read and store one value faster than
     # an array does, and each list becomes its tower's array at the end.
     lists = {t: [0.0] * n_slots for t in series}
@@ -420,7 +422,3 @@ def read_binned(csv_path: str | Path, manifest_path: str | Path) -> tuple[dict[s
         series[tower_id].slot_bytes = np.array(values)
     return series, manifest
 
-
-def write_reject_report(path: str | Path, rejects: Sequence[RejectedRow]) -> Path:
-    rows = ((r.line_no, r.reason, r.line) for r in rejects)
-    return write_csv(path, ["line_no", "reason", "line"], rows)

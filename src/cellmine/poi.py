@@ -9,8 +9,10 @@ within the radius by the haversine.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -83,6 +85,19 @@ def parse_pois(lines: Iterable[str]) -> list[PoiRecord]:
     return list(read_csv(lines, POIS_HEADER, PoiError, "pois", "pois", _poi_row))
 
 
+def _ball_radius(radius_m: float) -> float:
+    """Chord radius of a ball about a point that holds every POI the
+    haversine puts within ``radius_m`` of it, and perhaps a few more."""
+    # The haversine keeps a POI when 2 asin(sqrt(a)) <= radius_m / R, and
+    # a = sin^2(theta / 2) for the angle theta between the points, so the
+    # POI's chord 2 sqrt(a) is at most the chord below, theta capped at pi
+    # where the chord tops out at 2. That a and the unit vectors come from the
+    # same radians by sines and cosines correct to a few ulp, so the chord
+    # the tree measures is within ~1e-15 of 2 sqrt(a). CHORD_SLACK is ~1e6
+    # times that, so the ball drops no POI the haversine keeps.
+    return 2.0 * math.sin(min(radius_m / EARTH_RADIUS_M, math.pi) / 2.0) + CHORD_SLACK
+
+
 class PoiGrid:
     """POIs as unit vectors in a KD-tree, for radius queries. A circle of
     arc radius r is the ball of chord 2 sin(r / 2R) about its centre, which
@@ -97,37 +112,34 @@ class PoiGrid:
     def candidates(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
         """Sorted indices of the POIs in the ball of ``radius_m``: every POI
         the haversine puts within ``radius_m``, and perhaps a few more."""
-        # The haversine keeps a POI when 2 asin(sqrt(a)) <= radius_m / R, and
-        # a = sin^2(theta / 2) for the angle theta between the points, so the
-        # POI's chord 2 sqrt(a) is at most `chord`, theta capped at pi where
-        # the chord tops out at 2. That a and the unit vectors come from the
-        # same radians by sines and cosines correct to a few ulp, so the chord
-        # the tree measures is within ~1e-15 of 2 sqrt(a). CHORD_SLACK is ~1e6
-        # times that, so the ball drops no POI the haversine keeps.
-        chord = 2.0 * math.sin(min(radius_m / EARTH_RADIUS_M, math.pi) / 2.0)
-        ball = self.tree.query_ball_point(_unit_vectors(lat, lon), chord + CHORD_SLACK, return_sorted=True)
+        ball = self.tree.query_ball_point(_unit_vectors(lat, lon), _ball_radius(radius_m),
+                                          return_sorted=True)
         return np.array(ball, dtype=int)
-
-    def count_within(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
-        idx = self.candidates(lat, lon, radius_m)
-        d = haversine_m(lat, lon, self.lats[idx], self.lons[idx])
-        return np.bincount(self.types[idx[d <= radius_m]], minlength=len(POI_TYPES))
 
 
 def count_poi(
-    towers: Mapping[str, TowerRecord] | Sequence[TowerRecord],
+    towers: Mapping[str, TowerRecord],
     pois: Sequence[PoiRecord],
     radius_m: float = DEFAULT_RADIUS_M,
 ) -> dict[str, np.ndarray]:
-    """POIs of each type within ``radius_m`` of each tower (boundary inclusive)."""
+    """POIs of each type within ``radius_m`` of each tower (boundary
+    inclusive), by tower id in sorted order. One ball query over all towers
+    gives the candidate (tower, POI) pairs and one haversine keeps those
+    within the radius."""
     if radius_m <= 0:
         raise PoiError(f"radius must be positive, got {radius_m}")
     grid = PoiGrid(pois)
-    return {
-        t.tower_id: grid.count_within(t.lat, t.lon, radius_m)
-        for t in sorted(towers.values() if isinstance(towers, Mapping) else towers,
-                        key=lambda x: x.tower_id)
-    }
+    records = sorted(towers.values(), key=attrgetter("tower_id"))
+    lat = np.array([t.lat for t in records])
+    lon = np.array([t.lon for t in records])
+    balls = grid.tree.query_ball_point(_unit_vectors(lat, lon), _ball_radius(radius_m))
+    sizes = np.fromiter(map(len, balls), np.intp, len(records))
+    tower = np.repeat(np.arange(len(records)), sizes)
+    poi = np.fromiter(itertools.chain.from_iterable(balls), np.intp, int(sizes.sum()))
+    keep = haversine_m(lat[tower], lon[tower], grid.lats[poi], grid.lons[poi]) <= radius_m
+    pair = tower[keep] * len(POI_TYPES) + grid.types[poi[keep]]
+    counts = np.bincount(pair, minlength=len(records) * len(POI_TYPES)).reshape(-1, len(POI_TYPES))
+    return {t.tower_id: row for t, row in zip(records, counts)}
 
 
 @dataclass(slots=True)

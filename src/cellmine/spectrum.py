@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import SLOTS_PER_WEEK, read_csv, write_csv
+from .common import SLOTS_PER_WEEK, read_csv, reject_nan, write_csv
 
 # A component with amplitude below this is treated as null: its phase is
 # meaningless and reported as 0 with the null flag set.
@@ -79,25 +79,11 @@ def _series(x: Sequence[float] | np.ndarray) -> np.ndarray:
     return x
 
 
-def inverse(s: Spectrum) -> np.ndarray:
-    """Inverse transform with the 1/N convention; returns the real part after
-    checking the imaginary residue is negligible."""
-    x = np.fft.ifft(s.coefficients)
-    scale = max(1.0, float(np.max(np.abs(x.real))))
-    residue = float(np.max(np.abs(x.imag)))
-    if residue > 1e-9 * scale:
-        raise SpectrumError(f"imaginary residue {residue:g} too large for a real signal")
-    return x.real
-
-
 def principal_indices(n: int) -> tuple[int, int, int]:
     """Bin indices of the week / day / half-day periodicities for an
     ``n``-slot series of whole weeks (k = weeks, 7*weeks, 14*weeks)."""
     if n % SLOTS_PER_WEEK != 0:
-        raise SpectrumError(
-            f"series length {n} is not a whole number of weeks; "
-            "pass explicit indices for non-canonical lengths"
-        )
+        raise SpectrumError(f"series length {n} is not a whole number of weeks")
     weeks = n // SLOTS_PER_WEEK
     return weeks, 7 * weeks, 14 * weeks
 
@@ -112,35 +98,20 @@ def _amp_phase(coef: complex) -> tuple[float, float, bool]:
     return amp, phase, False
 
 
-def principal_components(
-    s: Spectrum, tower_id: str = "", indices: tuple[int, int, int] | None = None
-) -> SpectralFeature:
-    if indices is None:
-        indices = principal_indices(s.n)
-    k_week, k_day, k_half = indices
-    if not all(0 < k < s.n for k in indices):
-        raise SpectrumError(f"principal indices {indices} out of range for n={s.n}")
+def principal_components(s: Spectrum, tower_id: str = "") -> SpectralFeature:
+    k_week, k_day, k_half = principal_indices(s.n)
     aw, pw, nw = _amp_phase(s.coefficients[k_week])
     ad, pd, nd = _amp_phase(s.coefficients[k_day])
     ah, ph, nh = _amp_phase(s.coefficients[k_half])
     return SpectralFeature(tower_id, aw, pw, ad, pd, ah, ph, (nw, nd, nh))
 
 
-def reconstruct(s: Spectrum, indices: tuple[int, int, int] | None = None) -> np.ndarray:
-    """Inverse transform keeping only DC, the three principal bins and their
-    conjugate mirrors (7 bins total)."""
-    keep = _kept_bins(s.n, indices)
-    kept = np.zeros(s.n, dtype=complex)
-    kept[keep] = s.coefficients[keep]
-    return inverse(Spectrum(kept, s.n))
-
-
-def _kept_bins(n: int, indices: tuple[int, int, int] | None) -> np.ndarray:
-    """The distinct bins of a 7-bin reconstruction: DC, the three principal
-    bins and their conjugate mirrors, each in 0..n-1."""
-    if indices is None:
-        indices = principal_indices(n)
-    return np.array(sorted({0, *(k % n for k in indices), *((n - k) % n for k in indices)}))
+def _kept_bins(n: int) -> np.ndarray:
+    """The 7 bins of the reconstruction from DC and the three principal bins
+    with their conjugate mirrors, in ascending order. For a whole number of
+    weeks the three bins are distinct and below n/2, so the 7 are distinct."""
+    indices = principal_indices(n)
+    return np.array(sorted((0, *indices, *(n - k for k in indices))))
 
 
 def energy(x: np.ndarray) -> float:
@@ -148,8 +119,9 @@ def energy(x: np.ndarray) -> float:
     return float(np.sum(x * x))
 
 
-def reconstruction_energy_ratio(x: np.ndarray, indices: tuple[int, int, int] | None = None) -> float:
-    """Fraction of the signal's energy retained by the 7-bin reconstruction.
+def reconstruction_energy_ratio(x: np.ndarray) -> float:
+    """Fraction of the signal's energy retained by the 7-bin reconstruction:
+    the inverse transform of DC, the three principal bins and their mirrors.
 
     By Parseval, the reconstruction's energy is the sum of |X_k|^2 over its
     kept bins divided by n, so no inverse transform is needed. A real
@@ -160,7 +132,7 @@ def reconstruction_energy_ratio(x: np.ndarray, indices: tuple[int, int, int] | N
     if total == 0.0:
         return 1.0
     x = _series(x)
-    keep = _kept_bins(x.size, indices)
+    keep = _kept_bins(x.size)
     kept = np.fft.rfft(x)[np.minimum(keep, x.size - keep)]
     return float(np.sum(kept.real**2 + kept.imag**2)) / (x.size * total)
 
@@ -193,6 +165,7 @@ def write_spectral_features(path: str | Path, features: Sequence[SpectralFeature
 
 def _feature_row(fields: list[str]) -> SpectralFeature:
     vals = [float(x) for x in fields[1:]]
+    reject_nan(vals, lambda i: FEATURES_HEADER[1 + i])
     nulls = tuple(vals[2 * i] < NULL_AMPLITUDE for i in range(3))
     return SpectralFeature(fields[0], *vals, nulls)
 

@@ -131,7 +131,7 @@ def _circular_smooth(curve: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarr
     return np.convolve(extended, kernel, mode="valid")
 
 
-def _circular_extrema(curve: np.ndarray, prominence_fraction: float = PROMINENCE_FRACTION):
+def _circular_extrema(curve: np.ndarray):
     """Prominent local maxima/minima of a daily curve treated as circular.
 
     Peaks are found on a tripled copy so wrap-around maxima are not lost;
@@ -141,7 +141,7 @@ def _circular_extrema(curve: np.ndarray, prominence_fraction: float = PROMINENCE
     span = float(smoothed.max() - smoothed.min())
     if span == 0.0:
         return [], []
-    threshold = prominence_fraction * span
+    threshold = PROMINENCE_FRACTION * span
     tripled = np.concatenate([smoothed, smoothed, smoothed])
     n = smoothed.size
     peaks, _ = find_peaks(tripled, prominence=threshold)
@@ -151,22 +151,20 @@ def _circular_extrema(curve: np.ndarray, prominence_fraction: float = PROMINENCE
     return peak_slots, valley_slots
 
 
-def peak_valley(curve: np.ndarray, prominence_fraction: float = PROMINENCE_FRACTION):
+def peak_valley(curve: np.ndarray):
     """Peak/valley values from the raw curve, detection times from the
     smoothed one. Returns (peak, valley, ratio-or-None, peak_slots, valley_slots)."""
     curve = np.asarray(curve, dtype=float)
     peak = float(curve.max())
     valley = float(curve.min())
     ratio = peak / valley if valley > 0.0 else None
-    peak_slots, valley_slots = _circular_extrema(curve, prominence_fraction)
+    peak_slots, valley_slots = _circular_extrema(curve)
     return peak, valley, ratio, peak_slots, valley_slots
 
 
-def compute_time_features(
-    profile: DailyProfile, prominence_fraction: float = PROMINENCE_FRACTION
-) -> TimeFeatures:
-    wd_peak, wd_valley, wd_ratio, wd_pt, wd_vt = peak_valley(profile.weekday, prominence_fraction)
-    we_peak, we_valley, we_ratio, we_pt, we_vt = peak_valley(profile.weekend, prominence_fraction)
+def compute_time_features(profile: DailyProfile) -> TimeFeatures:
+    wd_peak, wd_valley, wd_ratio, wd_pt, wd_vt = peak_valley(profile.weekday)
+    we_peak, we_valley, we_ratio, we_pt, we_vt = peak_valley(profile.weekend)
     return TimeFeatures(
         profile.source_id,
         profile.units,

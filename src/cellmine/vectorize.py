@@ -26,6 +26,7 @@ from .common import (
     local_seconds_of_day,
     local_weekday,
     read_csv,
+    reject_nan,
     write_csv_blocks,
 )
 from .ingest import BinnedSeries
@@ -55,13 +56,10 @@ class TrafficVector:
 
 
 def trim_to_weeks(
-    series: BinnedSeries,
-    weeks: int,
-    week_start: int = 0,
-    tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES,
+    series: BinnedSeries, weeks: int, tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES
 ) -> BinnedSeries:
-    """Keep the first ``weeks`` whole weeks starting on the configured
-    week-start day (civil midnight). Slots before that boundary are dropped.
+    """Keep the first ``weeks`` whole weeks, each starting on a Monday at
+    civil midnight. Slots before the first such Monday are dropped.
     """
     if weeks < 1:
         raise VectorizeError(f"weeks must be >= 1, got {weeks}")
@@ -71,10 +69,10 @@ def trim_to_weeks(
             f"series origin is not slot-aligned to civil midnight "
             f"(seconds of day {sod}); no week boundary falls on a slot edge"
         )
-    # slots until the next civil midnight, then whole days to the week start
+    # slots until the next civil midnight, then whole days to Monday (weekday 0)
     to_midnight = (-sod % 86400) // SLOT_SECONDS
     first_midnight = series.origin + to_midnight * SLOT_SECONDS
-    days_ahead = (week_start - local_weekday(first_midnight, tz_offset_minutes)) % 7
+    days_ahead = -local_weekday(first_midnight, tz_offset_minutes) % 7
     offset = to_midnight + days_ahead * SLOTS_PER_DAY
     needed = offset + weeks * SLOTS_PER_WEEK
     if needed > series.n_slots:
@@ -134,6 +132,7 @@ def _vector_row(fields: list[str]) -> TrafficVector:
     if flag not in ("0", "1"):
         raise ValueError(f"degenerate is {flag!r}, not 0 or 1")
     values = np.array([float(x) for x in fields[2:]])
+    reject_nan(values, "v{}".format)
     return TrafficVector(fields[0], values, flag == "1")
 
 
@@ -190,6 +189,10 @@ def read_vectors_binary(path: str | Path) -> list[TrafficVector]:
                     f"{path} record {record}: degenerate flag is {degenerate}, not 0 or 1"
                 )
             values = np.frombuffer(read_exact(8 * n), dtype="<f8").astype(float)
+            try:
+                reject_nan(values, "v{}".format)
+            except ValueError as exc:
+                raise VectorizeError(f"{path} record {record}: {exc}") from None
             out.append(TrafficVector(tower_id, values, bool(degenerate)))
         if f.read(1):
             raise VectorizeError(f"{path}: bytes after the last of {count} records")
@@ -206,11 +209,6 @@ def read_vectors(path: str | Path) -> list[TrafficVector]:
 
 
 def vectorize_all(
-    series: Iterable[BinnedSeries],
-    weeks: int,
-    week_start: int = 0,
-    tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES,
+    series: Iterable[BinnedSeries], weeks: int, tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES
 ) -> list[TrafficVector]:
-    return [
-        normalize(trim_to_weeks(s, weeks, week_start, tz_offset_minutes)) for s in series
-    ]
+    return [normalize(trim_to_weeks(s, weeks, tz_offset_minutes)) for s in series]

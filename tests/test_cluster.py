@@ -11,17 +11,12 @@ from cellmine.cluster import (
     REFINE_SHARE,
     ClusterError,
     Dendrogram,
-    DistanceCdf,
-    build_model,
-    cluster_shares,
-    davies_bouldin_from_labels,
     distance_cdf,
-    fit_vectors,
     hac_average_linkage,
     read_assignments,
     tune_cut,
 )
-from cellmine.cluster import _condensed_distances
+from cellmine.cluster import _condensed_distances, _dbi, _sq_norms
 from cellmine.vectorize import TrafficVector
 
 
@@ -234,26 +229,30 @@ def test_cut_property_equals_union_find(n, dim, n_dup, seed):
         np.testing.assert_array_equal(dend.cut(r), union_find_cut(dend, r))
 
 
+def dbi(matrix, labels):
+    return _dbi(matrix, _sq_norms(matrix), labels)
+
+
 def test_dbi_hand_case():
     # 1-D clusters {0,2} and {10,12}: S=1 each, M=10, DBI = 0.2 exactly
     matrix = np.array([[0.0], [2.0], [10.0], [12.0]])
     labels = np.array([1, 1, 2, 2])
-    assert davies_bouldin_from_labels(matrix, labels) == 0.2
+    assert dbi(matrix, labels) == 0.2
 
 
 def test_dbi_singletons_zero():
     matrix = np.array([[0.0], [5.0]])
     labels = np.array([1, 2])
-    assert davies_bouldin_from_labels(matrix, labels) == 0.0
+    assert dbi(matrix, labels) == 0.0
 
 
 def test_dbi_errors():
     matrix = np.array([[0.0], [1.0]])
     with pytest.raises(ClusterError, match=">= 2"):
-        davies_bouldin_from_labels(matrix, np.array([1, 1]))
+        dbi(matrix, np.array([1, 1]))
     coincident = np.array([[0.0], [2.0], [1.0], [1.0]])
     with pytest.raises(ClusterError, match="coincident"):
-        davies_bouldin_from_labels(coincident, np.array([1, 1, 2, 2]))
+        dbi(coincident, np.array([1, 1, 2, 2]))
 
 
 def test_dbi_matches_reference_reimplementation():
@@ -263,7 +262,7 @@ def test_dbi_matches_reference_reimplementation():
         labels = rng.integers(1, 4, size=30)
         if len(set(labels.tolist())) < 2:
             continue
-        got = davies_bouldin_from_labels(matrix, labels)
+        got = dbi(matrix, labels)
         assert got == pytest.approx(reference_dbi(matrix, labels), rel=1e-12)
     # singletons (3, 4) and clusters of identical members (5: three, 6: four)
     for _ in range(10):
@@ -271,13 +270,8 @@ def test_dbi_matches_reference_reimplementation():
         matrix[11:13] = matrix[10]
         matrix[14:17] = matrix[13]
         labels = np.array([1, 1, 1, 2, 2, 2, 2, 1, 3, 4, 5, 5, 5, 6, 6, 6, 6])
-        got = davies_bouldin_from_labels(matrix, labels)
+        got = dbi(matrix, labels)
         assert got == pytest.approx(reference_dbi(matrix, labels), rel=1e-12)
-
-
-def test_dbi_rejects_labels_of_wrong_length():
-    with pytest.raises(ClusterError, match="2 labels for 3 rows"):
-        davies_bouldin_from_labels(np.array([[0.0], [1.0], [5.0]]), np.array([1, 2]))
 
 
 @given(
@@ -343,7 +337,7 @@ def test_model_centroids_are_member_means():
     pts = rng.normal(size=(15, 3))
     vectors = vecs(pts)
     dend = hac_average_linkage(vectors)
-    model = build_model(dend, vectors, 3, 0.0)
+    model = tune_cut(dend, vectors, 3, 3)[0]
     labels = dend.cut(3)
     for c in range(1, 4):
         np.testing.assert_allclose(
@@ -356,15 +350,11 @@ def test_distance_cdf_cases():
     # all members at the centroid: a step at 0
     vectors = vecs([[1.0, 1.0], [1.0, 1.0], [9.0, 9.0]])
     dend = hac_average_linkage(vectors)
-    model = build_model(dend, vectors, 2, 0.0)
+    model = tune_cut(dend, vectors, 2, 2)[0]
     cdf = distance_cdf(model, vectors)
-    pair_cluster = model.assignments["t000"]
-    single_cluster = model.assignments["t002"]
-    assert cdf.quantile(pair_cluster, 0.5) == 0.0
-    assert cdf.quantile(pair_cluster, 1.0) == 0.0
+    assert cdf.distances[model.assignments["t000"]].tolist() == [0.0, 0.0]
     # singleton cluster: CDF over one value
-    assert cdf.distances[single_cluster].size == 1
-    assert cdf.quantile(single_cluster, 0.9) == 0.0
+    assert cdf.distances[model.assignments["t002"]].tolist() == [0.0]
 
 
 def test_cluster_api_rejects_vectors_that_are_not_the_leaves():
@@ -379,46 +369,13 @@ def test_cluster_api_rejects_vectors_that_are_not_the_leaves():
     for bad, message in cases:
         with pytest.raises(ClusterError, match=message):
             tune_cut(dend, bad, 2, 3)
-        with pytest.raises(ClusterError, match=message):
-            build_model(dend, bad, 2, 0.0)
 
 
 def test_distance_cdf_names_tower_not_in_model():
     vectors = vecs([[0.0], [0.1], [5.0]])
-    model = build_model(hac_average_linkage(vectors), vectors, 2, 0.0)
+    model = tune_cut(hac_average_linkage(vectors), vectors, 2, 2)[0]
     with pytest.raises(ClusterError, match="tower 'x' is not in the model"):
         distance_cdf(model, vectors + [TrafficVector("x", np.array([1.0]))])
-
-
-def test_distance_cdf_quantile_names_unknown_cluster():
-    with pytest.raises(ClusterError, match="no cluster 2"):
-        DistanceCdf({1: np.array([0.0])}).quantile(2, 0.5)
-
-
-def test_cluster_shares():
-    model = build_model(
-        hac_average_linkage(vecs([[0.0], [0.1], [9.0]])),
-        vecs([[0.0], [0.1], [9.0]]),
-        2,
-        0.0,
-    )
-    shares = cluster_shares(model)
-    assert shares[1] == pytest.approx(200 / 3)
-    assert shares[2] == pytest.approx(100 / 3)
-    two = DistanceCdf({1: np.array([0.0])})  # noqa: F841  (constructor sanity)
-
-
-def test_fit_vectors_excludes_degenerate_and_sorts():
-    rng = np.random.default_rng(18)
-    vectors = [
-        TrafficVector("z", rng.normal(size=6)),
-        TrafficVector("dead", np.zeros(6), degenerate=True),
-        TrafficVector("a", rng.normal(size=6)),
-        TrafficVector("m", rng.normal(size=6)),
-    ]
-    model, trace, excluded = fit_vectors(vectors, 2, 3)
-    assert excluded == ["dead"]
-    assert set(model.assignments) == {"a", "m", "z"}
 
 
 @pytest.mark.parametrize(

@@ -17,14 +17,13 @@ from cellmine.decompose import (
     build_feature_points,
     read_mixtures,
     read_vertices,
-    render_components,
     select_representatives,
     simplex_volume,
     solve_mixture,
     write_mixtures,
     write_vertices,
 )
-from cellmine.spectrum import SpectralFeature, dft, reconstruct
+from cellmine.spectrum import SpectralFeature
 
 
 def make_model(vertices, clusters=(1, 2, 3, 4)):
@@ -415,7 +414,7 @@ def test_select_representatives_property_equals_brute_force(case):
         )
 
     if None in expected:
-        with pytest.raises(DecomposeError, match="min-density"):
+        with pytest.raises(DecomposeError, match="min_density"):
             pick()
     elif simplex_volume([p.f for p in expected]) <= MIN_SIMPLEX_VOLUME:
         with pytest.raises(DecomposeError, match="flat simplex"):
@@ -452,29 +451,9 @@ def test_select_representatives_density_error_suggests_fix():
     points = [FeaturePoint(f"p{i}", np.array([float(i), 0, 0])) for i in range(8)]
     assignments = {f"p{i}": (i % 4) + 1 for i in range(8)}
     space = FeatureSpace(("a", "b", "c"), np.zeros(3), np.ones(3))
-    with pytest.raises(DecomposeError, match="min-density"):
+    with pytest.raises(DecomposeError, match="lower min_density or raise density_radius"):
         select_representatives(points, assignments, [1, 2, 3, 4], space,
                                density_radius=0.1, min_density=5)
-
-
-def test_render_components_single_vertex():
-    n = 1008
-    t = np.arange(n)
-    vertex = np.cos(2 * np.pi * 7 * t / n)
-    others = [np.cos(2 * np.pi * 14 * t / n)] * 3
-    coeff = MixtureCoefficients("t", np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
-    comps = render_components(coeff, [vertex] + others, tower_scale=2.5)
-    np.testing.assert_allclose(comps[0], 2.5 * reconstruct(dft(vertex)), atol=1e-9)
-    assert np.allclose(comps[1:], 0.0)
-
-
-def test_render_components_symmetric_quarters():
-    n = 1008
-    vertex = np.cos(2 * np.pi * 7 * np.arange(n) / n)
-    coeff = MixtureCoefficients("t", np.full(4, 0.25), 0.0)
-    comps = render_components(coeff, [vertex] * 4, tower_scale=1.0)
-    for i in range(1, 4):
-        np.testing.assert_allclose(comps[i], comps[0], atol=1e-12)
 
 
 def test_mixture_and_vertices_io(tmp_path):
@@ -500,6 +479,8 @@ def test_mixture_and_vertices_io(tmp_path):
         ("tower_id,x1,x2,x3,x4,residual\nt1,1,0\n", "m.csv line 2: expected 6 fields, got 3"),
         ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,0,9\n", "m.csv line 2: expected 6 fields, got 7"),
         ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,x\n", "m.csv line 2: could not convert"),
+        ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,0\nt2,1,nan,0,0,0\n", "m.csv line 3: x2 is NaN"),
+        ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,NaN\n", "m.csv line 2: residual is NaN"),
     ],
 )
 def test_read_mixtures_rejects_malformed_file(tmp_path, text, message):
@@ -509,10 +490,13 @@ def test_read_mixtures_rejects_malformed_file(tmp_path, text, message):
         read_mixtures(path)
 
 
-def _vertices_json(standardized):
+SIMPLEX = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def _vertices_json(standardized, mean=(0, 0, 0), std=(1, 1, 1)):
     return json.dumps({
         "feature_names": ["a", "b", "c"],
-        "standardization": {"mean": [0, 0, 0], "std": [1, 1, 1]},
+        "standardization": {"mean": list(mean), "std": list(std)},
         "vertices": [
             {"cluster": i, "tower_id": f"v{i}", "standardized": f} for i, f in enumerate(standardized)
         ],
@@ -529,6 +513,13 @@ def _vertices_json(standardized):
         (_vertices_json([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), "v.json: DecomposeError: .* needs 4 vertices"),
         (_vertices_json([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, math.nan]]), "v.json: DecomposeError: .* finite"),
         (_vertices_json([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]), "v.json: DecomposeError: .* flat simplex"),
+        (_vertices_json(SIMPLEX, mean=(0, math.nan, 0)),
+         r"v.json: DecomposeError: .* not mean \[0.0, nan, 0.0\] and std \[1.0, 1.0, 1.0\]"),
+        (_vertices_json(SIMPLEX, mean=(0, 0)), r"v.json: DecomposeError: .* not mean \[0.0, 0.0\] and"),
+        (_vertices_json(SIMPLEX, std=(1, math.nan, 1)),
+         r"v.json: DecomposeError: .* 3 positive finite stds, not mean .* and std \[1.0, nan, 1.0\]"),
+        (_vertices_json(SIMPLEX, std=(1, 0, 1)), r"v.json: DecomposeError: .* and std \[1.0, 0.0, 1.0\]"),
+        (_vertices_json(SIMPLEX, std=(1, 1, 1, 1)), r"v.json: DecomposeError: .* and std \[1.0, 1.0, 1.0, 1.0\]"),
     ],
 )
 def test_read_vertices_rejects_malformed_file(tmp_path, text, message):

@@ -1,5 +1,4 @@
 import io
-import re
 
 import numpy as np
 import pytest
@@ -60,12 +59,6 @@ def test_parse_sessions_rejects_end_before_start():
 def test_parse_sessions_empty_stream():
     sessions, rejects = parse_sessions([])
     assert sessions == [] and rejects == []
-
-
-def test_parse_sessions_strict_aborts():
-    lines = [HEADER, "u1,t1,x,1000,500"]
-    with pytest.raises(IngestError):
-        parse_sessions(lines, strict=True)
 
 
 def test_parse_sessions_requires_header():
@@ -411,8 +404,6 @@ def test_parse_sessions_rejects_int64_overflow(row, reason):
     sessions, rejects = parse_sessions([HEADER, "u0,t0,0,1,1", row])
     assert len(sessions) == 1
     assert [(r.line_no, r.reason) for r in rejects] == [(3, reason)]
-    with pytest.raises(IngestError, match=re.escape(f"line 3: {reason}")):
-        parse_sessions([HEADER, "u0,t0,0,1,1", row], strict=True)
 
 
 def test_parse_sessions_accepts_int64_limits():
@@ -452,7 +443,21 @@ def test_array_passes_reject_int64_overflow(bad, array_pass):
         (None, '{"origin_epoch_s": 0, "days": 1, "towers": "t1"}',
          "binned_manifest.json: TypeError: towers is not a list of strings"),
         (None, '{"origin_epoch_s": null, "days": 1, "towers": []}', "binned_manifest.json: TypeError"),
+        (None, '{"origin_epoch_s": 1.7, "slot_seconds": 600, "days": 1, "towers": []}',
+         "binned_manifest.json: TypeError: origin_epoch_s is 1.7, not an integer"),
+        (None, '{"origin_epoch_s": true, "slot_seconds": 600, "days": 1, "towers": []}',
+         "binned_manifest.json: TypeError: origin_epoch_s is True, not an integer"),
+        (None, '{"origin_epoch_s": "0", "slot_seconds": 600, "days": 1, "towers": []}',
+         "binned_manifest.json: TypeError: origin_epoch_s is '0', not an integer"),
         (None, "{", "binned_manifest.json: JSONDecodeError"),
+        (None, '{"origin_epoch_s": 0, "slot_seconds": 300, "days": 1, "towers": []}',
+         "binned_manifest.json: ValueError: slot_seconds is 300, not 600"),
+        (None, '{"origin_epoch_s": 0, "slot_seconds": 600, "days": 1.7, "towers": []}',
+         "binned_manifest.json: ValueError: days is 1.7, not a positive integer"),
+        (None, '{"origin_epoch_s": 0, "slot_seconds": 600, "days": true, "towers": []}',
+         "binned_manifest.json: ValueError: days is True, not a positive integer"),
+        (None, '{"origin_epoch_s": 0, "slot_seconds": 600, "days": 0, "towers": []}',
+         "binned_manifest.json: ValueError: days is 0, not a positive integer"),
         ("tower_id,slot_index,bytes\nt1,5,nan\n", None, "binned.csv line 2: bytes nan is not a number"),
         ("tower_id,slot_index,bytes\nt1,5,1.0\nt1,6,-NaN\n", None,
          "binned.csv line 3: bytes -NaN is not a number"),
@@ -482,8 +487,6 @@ def test_parse_sessions_counts_physical_lines():
     sessions, rejects = parse_sessions(io.StringIO(text))
     assert [s.user_id for s in sessions] == ["u\n1"]
     assert [(r.line_no, r.reason) for r in rejects] == [(4, "end < start")]
-    with pytest.raises(IngestError, match="sessions line 4: end < start"):
-        parse_sessions(io.StringIO(text), strict=True)
 
 
 def test_parse_towers_counts_physical_lines():

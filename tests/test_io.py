@@ -44,14 +44,7 @@ from cellmine.decompose import (
     write_mixtures,
     write_vertices,
 )
-from cellmine.ingest import (
-    BinnedSeries,
-    BinResult,
-    RejectedRow,
-    read_binned,
-    write_binned,
-    write_reject_report,
-)
+from cellmine.ingest import BinnedSeries, BinResult, read_binned, write_binned
 from cellmine.poi import PoiClusterTable, PoiProfile, write_poi_cluster_table, write_poi_profiles
 from cellmine.spectrum import (
     NULL_AMPLITUDE,
@@ -75,19 +68,6 @@ NAN = float("nan")
 
 def _model(assignments=None, centroids=np.zeros((1, 1)), sizes=(1,)):
     return ClusterModel(assignments or {}, centroids, list(sizes), 0.0, 0.0, len(sizes))
-
-
-def test_write_reject_report_golden(tmp_path):
-    rejects = [
-        RejectedRow(3, "u1,t1,1600,1000,5", "end < start"),
-        RejectedRow(7, 'say "hi"', "expected 5 fields, got 1"),
-    ]
-    path = write_reject_report(tmp_path / "r.csv", rejects)
-    assert path.read_text() == (
-        "line_no,reason,line\n"
-        '3,end < start,"u1,t1,1600,1000,5"\n'
-        '7,"expected 5 fields, got 1","say ""hi"""\n'
-    )
 
 
 def test_write_assignments_golden(tmp_path):
@@ -341,15 +321,23 @@ def test_mixtures_round_trip_property(mixes):
 @st.composite
 def polygon_models(draw):
     # A model holds 4 finite vertices that span a simplex, so 3 dims or more,
-    # and coordinates past ~1e50 overflow the simplex volume.
+    # and coordinates past ~1e50 overflow the simplex volume. Its space has
+    # finite means and positive finite stds.
     dims = draw(st.integers(3, 4))
-    floats = st.lists(FLOATS, min_size=dims, max_size=dims).map(np.array)
+
+    def arrays(values):
+        return st.lists(values, min_size=dims, max_size=dims).map(np.array)
+
+    means = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    stds = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from(
+        [x for x in EDGE_FLOATS if x > 0]
+    )
     coordinates = st.floats(-1e50, 1e50) | st.sampled_from([x for x in EDGE_FLOATS if abs(x) < 1e50])
-    finite = st.lists(coordinates, min_size=dims, max_size=dims).map(np.array)
+    finite = arrays(coordinates)
     names = tuple(draw(st.lists(IDS, min_size=dims, max_size=dims)))
     vertices = draw(st.lists(st.builds(FeaturePoint, IDS, finite), min_size=4, max_size=4))
     clusters = draw(st.lists(st.integers(), min_size=4, max_size=4))
-    space = FeatureSpace(names, draw(floats), draw(floats))
+    space = FeatureSpace(names, draw(arrays(means)), draw(arrays(stds)))
     try:
         with np.errstate(all="ignore"):  # subnormal coordinates underflow the volume
             return PolygonModel(vertices, clusters, space)

@@ -34,6 +34,10 @@ def poi(poi_id, type_, lat, lon):
     return PoiRecord(poi_id, type_, lat, lon)
 
 
+def registry(towers):
+    return {t.tower_id: t for t in towers}
+
+
 def test_haversine_matches_independent_formula():
     cases = [
         (31.2, 121.4, 31.21, 121.41),
@@ -47,7 +51,7 @@ def test_haversine_matches_independent_formula():
 
 def test_count_poi_identical_coordinates_counted():
     towers = [TowerRecord("t1", 31.2, 121.4)]
-    counts = count_poi(towers, [poi("p1", "office", 31.2, 121.4)])
+    counts = count_poi(registry(towers), [poi("p1", "office", 31.2, 121.4)])
     assert counts["t1"][POI_TYPES.index("office")] == 1
 
 
@@ -55,12 +59,13 @@ def test_count_poi_250m_north_not_counted():
     lat, lon = 31.2, 121.4
     north = lat + 250.0 / METERS_PER_DEG_LAT
     assert float(haversine_m(lat, lon, north, lon)) == pytest.approx(250.0, rel=1e-6)
-    counts = count_poi([TowerRecord("t1", lat, lon)], [poi("p1", "resident", north, lon)], 200.0)
+    towers = registry([TowerRecord("t1", lat, lon)])
+    counts = count_poi(towers, [poi("p1", "resident", north, lon)], 200.0)
     assert counts["t1"].sum() == 0
 
 
 def test_count_poi_empty_registry_all_zero():
-    counts = count_poi([TowerRecord("t1", 0, 0)], [])
+    counts = count_poi(registry([TowerRecord("t1", 0, 0)]), [])
     assert counts["t1"].tolist() == [0, 0, 0, 0]
 
 
@@ -74,7 +79,7 @@ def test_count_poi_radius_monotone():
     ]
     prev = np.zeros(4, dtype=int)
     for radius in (50, 100, 200, 400, 800):
-        counts = count_poi(towers, pois, radius)["t1"]
+        counts = count_poi(registry(towers), pois, radius)["t1"]
         assert np.all(counts >= prev)
         prev = counts
 
@@ -116,7 +121,7 @@ def test_grid_index_matches_brute_force():
         poi("s4", "transport", -89.9961, 100.0),
     ]
     for radius in (500.0, 1e6, 2e7):
-        counts = count_poi(towers, pois, radius)
+        counts = count_poi(registry(towers), pois, radius)
         for t in towers:
             brute = np.zeros(4, dtype=int)
             for p in pois:
@@ -166,7 +171,7 @@ def test_count_poi_property_equals_brute_force(case):
     lats, lons = np.array([p.lat for p in pois]), np.array([p.lon for p in pois])
     types = np.array([POI_TYPES.index(p.type) for p in pois])
     for radius in radii:
-        counts = count_poi(towers, pois, radius)
+        counts = count_poi(registry(towers), pois, radius)
         for t in towers:
             within = types[haversine_m(t.lat, t.lon, lats, lons) <= radius]
             assert counts[t.tower_id].tolist() == np.bincount(within, minlength=4).tolist()

@@ -1,3 +1,4 @@
+import ast
 import importlib
 from pathlib import Path
 
@@ -5,10 +6,51 @@ import pytest
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
+ROOT = Path(__file__).resolve().parents[1]
+# The code that runs the pipeline; tests are not callers.
+CALLERS = ("src/cellmine/*.py", "perfbench/*.py", "bench/*.py")
+
 
 def test_console_scripts_import():
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    pyproject = ROOT / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def _public_definitions(tree):
+    """(qualified name, node, is_method) of every public top-level function
+    and class, and of every public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node, False
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item, True
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Every public function and class of ``cellmine`` is named by an
+    ``ast.Name`` or ``ast.Attribute``, and every public method by an
+    ``ast.Attribute``, in code outside its own definition: the package, the
+    benchmark or the scale run. A docstring names nothing."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for pattern in CALLERS for path in sorted(ROOT.glob(pattern))}
+    uses: dict[str, list[tuple[ast.AST, bool]]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((node, False))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((node, True))
+    unused = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(ROOT / "src"):
+            continue
+        for name, node, is_method in _public_definitions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(id(use) not in inside and (attr or not is_method)
+                       for use, attr in uses.get(node.name, [])):
+                unused.append(f"{path.stem}.{name}")
+    assert not unused, f"public names that only tests reach, or nothing: {unused}"

@@ -7,10 +7,8 @@ from cellmine.spectrum import (
     amplitude_variance,
     dft,
     energy,
-    inverse,
     principal_components,
     principal_indices,
-    reconstruct,
     reconstruction_energy_ratio,
     read_spectral_features,
     write_spectral_features,
@@ -24,6 +22,21 @@ def naive_dft(x):
     k = np.arange(n)
     twiddle = np.exp(-2j * np.pi * np.outer(k, k) / n)
     return twiddle @ x.astype(complex)
+
+
+def reconstruct(s):
+    """Oracle of the 7-bin reconstruction: the inverse DFT, with the 1/N
+    convention, of the spectrum kept at DC, the three principal bins and
+    their conjugate mirrors, after checking that its imaginary residue is
+    negligible."""
+    n = s.n
+    indices = principal_indices(n)
+    keep = sorted({0, *(k % n for k in indices), *((n - k) % n for k in indices)})
+    kept = np.zeros(n, dtype=complex)
+    kept[keep] = s.coefficients[keep]
+    x = np.fft.ifft(kept)
+    assert np.max(np.abs(x.imag)) <= 1e-9 * max(1.0, float(np.max(np.abs(x.real))))
+    return x.real
 
 
 def test_dft_dc_only():
@@ -60,12 +73,6 @@ def test_parseval():
         lhs = energy(x)
         rhs = float(np.sum(np.abs(s.coefficients) ** 2)) / x.size
         assert lhs == pytest.approx(rhs, rel=1e-8)
-
-
-def test_round_trip():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=256)
-    np.testing.assert_allclose(inverse(dft(x)), x, atol=1e-8)
 
 
 def test_conjugate_symmetry_for_real_input():
@@ -134,25 +141,13 @@ def test_reconstruct_white_noise_energy_fraction():
     assert np.mean(ratios) == pytest.approx(7 / n, rel=0.25)
 
 
-@pytest.mark.parametrize(
-    "n, indices",
-    [
-        (4032, None),
-        (1008, None),
-        (101, (3, 50, 7)),  # odd n: no Nyquist bin
-        (100, (50, 3, 9)),  # even n with its Nyquist bin, its own mirror
-        (100, (3, 97, 3)),  # a repeated index and a mirror of another
-        (7, (5, 5, 5)),
-        (2, (1, 1, 1)),  # only DC and Nyquist
-        (100, (-3, 150, 200)),  # indices reduced modulo n, 200 to DC
-    ],
-)
-def test_energy_ratio_equals_reconstruction_energy(n, indices):
+@pytest.mark.parametrize("n", [1008, 2016, 4032])
+def test_energy_ratio_equals_reconstruction_energy(n):
     rng = np.random.default_rng(n)
     for _ in range(20):
         x = rng.normal(size=n) + rng.uniform(-3.0, 3.0)
-        ratio = reconstruction_energy_ratio(x, indices)
-        expected = energy(reconstruct(dft(x), indices)) / energy(x)
+        ratio = reconstruction_energy_ratio(x)
+        expected = energy(reconstruct(dft(x))) / energy(x)
         assert ratio == pytest.approx(expected, rel=1e-12, abs=0)
 
 
@@ -192,6 +187,8 @@ def test_spectral_features_io(tmp_path):
         ("", "f.csv: bad spectral features header: no header row"),
         ("tower_id,A4,P4,A28,P28,A56,P56\nt1,1.0,0.0\n", "f.csv line 2: expected 7 fields, got 3"),
         ("tower_id,A4,P4,A28,P28,A56,P56\nt1,1,0,1,x,1,0\n", "f.csv line 2: could not convert"),
+        ("tower_id,A4,P4,A28,P28,A56,P56\nt1,1,0,1,nan,1,0\n", "f.csv line 2: P28 is NaN"),
+        ("tower_id,A4,P4,A28,P28,A56,P56\nt1,-nan,0,1,0,1,0\n", "f.csv line 2: A4 is NaN"),
     ],
 )
 def test_read_spectral_features_rejects_malformed_file(tmp_path, text, message):

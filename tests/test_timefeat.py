@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cellmine.common import parse_iso_to_epoch
 from cellmine.ingest import BinnedSeries
 from cellmine.timefeat import (
     DailyProfile,
@@ -15,7 +14,8 @@ from cellmine.timefeat import (
     weekday_weekend_ratio,
 )
 
-MONDAY = parse_iso_to_epoch("2014-08-04T00:00:00", 480)
+# Civil midnight in UTC+8 of Monday 2014-08-04.
+MONDAY = 1407081600
 
 
 def day_curve(peak_slot, width=12.0, floor=0.2, amp=1.0):

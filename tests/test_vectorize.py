@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cellmine.common import parse_iso_to_epoch
 from cellmine.ingest import BinnedSeries
 from cellmine.vectorize import (
     TrafficVector,
@@ -13,9 +12,9 @@ from cellmine.vectorize import (
     write_vectors_csv,
 )
 
-# 2014-08-04 was a Monday; epoch at civil midnight UTC+8.
-MONDAY = parse_iso_to_epoch("2014-08-04T00:00:00", 480)
-FRIDAY = parse_iso_to_epoch("2014-08-01T00:00:00", 480)
+# Civil midnight in UTC+8 of Monday 2014-08-04 and of Friday 2014-08-01.
+MONDAY = 1407081600
+FRIDAY = 1406822400
 
 
 def make_series(origin, n_slots, tower="t"):
@@ -42,12 +41,6 @@ def test_trim_insufficient_data_errors_with_counts():
     series = make_series(MONDAY, 20 * 144)
     with pytest.raises(VectorizeError, match="4032"):
         trim_to_weeks(series, 4)
-
-
-def test_trim_respects_week_start():
-    series = make_series(MONDAY, 31 * 144)
-    trimmed = trim_to_weeks(series, 4, week_start=2)  # Wednesday
-    assert trimmed.origin == MONDAY + 2 * 86400
 
 
 def test_trim_rejects_unaligned_origin():
@@ -139,6 +132,7 @@ def test_read_vectors_binary_truncated(tmp_path):
         ("a,0,1.0,x", "line 2: could not convert"),
         ("a,2,1.0,2.0", "line 2: degenerate is '2', not 0 or 1"),
         ("a, 1,1.0,2.0", "line 2: degenerate is ' 1', not 0 or 1"),
+        ("a,0,1.0,nan", "line 2: v1 is NaN"),
     ],
 )
 def test_read_vectors_csv_rejects_malformed_row(tmp_path, row, message):
@@ -175,6 +169,7 @@ BINARY_RECORD = b"CMVEC1\n" + b"\x01\x00\x00\x00" + b"\x02\x00ab" + b"\x00\x01\x
         (BINARY_RECORD.replace(b"ab", b"a\xff"), "v.bin record 1: tower id is not UTF-8"),
         (BINARY_RECORD.replace(b"ab\x00", b"ab\x07"), "v.bin record 1: degenerate flag is 7, not 0 or 1"),
         (BINARY_RECORD + b"\x00", "v.bin: bytes after the last of 1 records"),
+        (BINARY_RECORD[:-8] + bytes(6) + b"\xf8\x7f", "v.bin record 1: v0 is NaN"),
     ],
 )
 def test_read_vectors_binary_rejects_malformed_file(tmp_path, data, message):
