@@ -143,6 +143,13 @@ def reject_nan(values: Sequence[float] | np.ndarray, column: Callable[[int], str
         raise ValueError(f"{column(int(nan.argmax()))} is NaN")
 
 
+def reject_repeat(seen: set[str], tower_id: str) -> None:
+    """Raise ``ValueError`` if a reader's row repeats a tower in ``seen``, else add it."""
+    if tower_id in seen:
+        raise ValueError(f"tower {tower_id} is repeated")
+    seen.add(tower_id)
+
+
 def write_json(path: str | Path, payload: Any) -> Path:
     """Write ``payload`` as JSON indented by 2 with sorted keys, and a final newline."""
     path = Path(path)

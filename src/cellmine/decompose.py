@@ -127,6 +127,10 @@ def build_feature_points(
         raise DecomposeError("feature standardization needs at least 2 towers")
     names = DEFAULT_FEATURE_NAMES
     raw = np.array([[getattr(f, n) for n in names] for f in features], dtype=float)
+    bad = np.argwhere(~np.isfinite(raw))
+    if bad.size:
+        i, j = bad[0]
+        raise DecomposeError(f"tower {features[i].tower_id}: {names[j]} is {raw[i, j]}, not finite")
     mean = raw.mean(axis=0)
     std = raw.std(axis=0)
     flat = [names[i] for i in range(len(names)) if std[i] == 0.0]

@@ -9,11 +9,8 @@ Wire formats:
 ``deduplicate`` and ``bin_traffic`` work on whole arrays, one entry per session
 (or per session and slot). ``deduplicate`` sorts on integer keys; it reads and
 compares user ids only for the sessions that share a (tower_id, start) with
-another. Both hold start, end and bytes as int64, so a session must keep
-``start``, ``end``, ``end - start`` and ``bytes * SLOT_SECONDS`` inside the
-int64 range, besides ``end >= start`` and ``bytes >= 0``.
-``parse_sessions`` rejects a row outside these limits as malformed; the array
-passes raise ``IngestError`` naming the tower of such a session.
+another. Both compute in int64; ``SessionLog`` holds the one rule of a valid
+session, which keeps that exact, and ``parse_sessions`` reports a row that breaks it.
 """
 
 from __future__ import annotations
@@ -51,19 +48,38 @@ _MAX_BYTES = _INT64_MAX // SLOT_SECONDS
 
 
 class IngestError(ValueError):
-    """Raised on malformed input files and on sessions outside the int64
-    limits of the array passes."""
+    """Raised on malformed input files and on an invalid ``SessionLog``."""
 
 
 @dataclass(frozen=True, slots=True)
 class SessionLog:
-    """One anonymized data-usage session."""
+    """One anonymized data-usage session. A valid one has non-empty ids,
+    ``end >= start``, ``bytes >= 0``, and ``start``, ``end``, ``end - start``
+    and ``bytes * SLOT_SECONDS`` inside the int64 range that ``deduplicate``
+    and ``bin_traffic`` compute in. Building an invalid session, also by
+    ``dataclasses.replace``, raises ``IngestError`` with the reason that
+    ``parse_sessions`` reports for its row."""
 
     user_id: str
     tower_id: str
     start: int
     end: int
     bytes: int
+
+    def __post_init__(self) -> None:
+        if not self.user_id or not self.tower_id:
+            raise IngestError("empty user_id or tower_id")
+        if self.end < self.start:
+            raise IngestError("end < start")
+        if self.bytes < 0:
+            raise IngestError("negative bytes")
+        # With end >= start and bytes >= 0, these are the int64 limits left.
+        if self.start < _INT64_MIN or self.end > _INT64_MAX:
+            raise IngestError("timestamp outside the int64 range")
+        if self.end - self.start > _INT64_MAX:
+            raise IngestError("end - start overflows int64")
+        if self.bytes > _MAX_BYTES:
+            raise IngestError(f"bytes * {SLOT_SECONDS} overflows int64")
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,43 +116,17 @@ class BinResult:
     out_of_window_bytes: float
 
 
-def _int64_fault(start: int, end: int, nbytes: int) -> str | None:
-    """Why a session does not fit the int64 arithmetic of the array passes."""
-    if not (_INT64_MIN <= start <= _INT64_MAX and _INT64_MIN <= end <= _INT64_MAX):
-        return "timestamp outside the int64 range"
-    if end < start:
-        return "end < start"
-    if end - start > _INT64_MAX:
-        return "end - start overflows int64"
-    if nbytes < 0:
-        return "negative bytes"
-    if nbytes > _MAX_BYTES:
-        return f"bytes * {SLOT_SECONDS} overflows int64"
-    return None
-
-
 def _session_from_row(row: Sequence[str]) -> SessionLog:
     if len(row) != 5:
         raise ValueError(f"expected 5 fields, got {len(row)}")
     user_id, tower_id, start_s, end_s, bytes_s = row
-    user_id = user_id.strip()
-    tower_id = tower_id.strip()
-    if not user_id or not tower_id:
-        raise ValueError("empty user_id or tower_id")
+    user_id, tower_id = user_id.strip(), tower_id.strip()
     try:
-        start = int(start_s)
-        end = int(end_s)
-        nbytes = int(bytes_s)
+        start, end, nbytes = int(start_s), int(end_s), int(bytes_s)
     except ValueError:
+        # An empty id is the reason given even when a number is bad too.
+        SessionLog(user_id, tower_id, 0, 0, 0)
         raise ValueError("non-integer timestamp or byte count") from None
-    if end < start:
-        raise ValueError("end < start")
-    if nbytes < 0:
-        raise ValueError("negative bytes")
-    # _int64_fault's other limits: with end >= start and nbytes >= 0 these
-    # four comparisons suffice, and they cost less per row than the call.
-    if start < _INT64_MIN or end > _INT64_MAX or end - start > _INT64_MAX or nbytes > _MAX_BYTES:
-        raise ValueError(_int64_fault(start, end, nbytes))
     return SessionLog(user_id, tower_id, start, end, nbytes)
 
 
@@ -184,28 +174,11 @@ def parse_towers(lines: Iterable[str]) -> dict[str, TowerRecord]:
 
 
 def _int64_fields(logs: list[SessionLog]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """start, end and bytes of every session as int64 arrays."""
-    try:
-        start, end, nbytes = (
-            np.fromiter(map(attrgetter(name), logs), np.int64, len(logs))
-            for name in ("start", "end", "bytes")
-        )
-    except OverflowError:
-        fits = False
-    else:
-        # With end >= start, int64 subtraction wraps exactly when it turns negative.
-        fits = not (
-            (end < start).any()
-            or (end - start < 0).any()
-            or (nbytes < 0).any()
-            or (nbytes > _MAX_BYTES).any()
-        )
-    if not fits:
-        bad = next(s for s in logs if _int64_fault(s.start, s.end, s.bytes))
-        raise IngestError(
-            f"session on tower {bad.tower_id}: {_int64_fault(bad.start, bad.end, bad.bytes)}"
-        )
-    return start, end, nbytes
+    """start, end and bytes of every session as int64 arrays; SessionLog keeps them in range."""
+    return tuple(
+        np.fromiter(map(attrgetter(name), logs), np.int64, len(logs))
+        for name in ("start", "end", "bytes")
+    )
 
 
 def _codes(ids: list[str], names: list[str]) -> np.ndarray:
@@ -225,8 +198,7 @@ def deduplicate(logs: Iterable[SessionLog]) -> list[SessionLog]:
     (tower_id, start) with another: a second stable lexsort orders each such
     group by the rank of its ids among the sorted distinct ids of all groups.
     Each group of duplicates is then a run that ends with its largest byte
-    count, and the last of each run is kept. Raises ``IngestError`` for a
-    session outside the int64 limits in the module docstring.
+    count, and the last of each run is kept.
     """
     logs = list(logs)
     start, end, nbytes = _int64_fields(logs)
@@ -257,17 +229,16 @@ def bin_traffic(
     logs: Iterable[SessionLog],
     origin: int,
     days: int,
-    registry: dict[str, TowerRecord] | None = None,
+    registry: dict[str, TowerRecord],
 ) -> BinResult:
     """Spread each session's bytes over the 10-minute slots it overlaps,
     proportionally to overlap duration.
 
     Zero-duration sessions assign all bytes to the slot containing their
     start. Portions outside [origin, origin + days*86400) are dropped and
-    accounted in ``out_of_window_bytes``. When a registry is supplied,
-    sessions on unknown towers are counted and skipped, and every registry
-    tower gets a series (all-zero if silent); without one, every tower with
-    a session does. Series come sorted by tower id.
+    accounted in ``out_of_window_bytes``. Sessions on towers missing from
+    the registry are counted and skipped, and every registry tower gets a
+    series (all-zero if silent). Series come sorted by tower id.
 
     A session's share of a slot is ``bytes * overlap / duration``, the
     product in int64 and the quotient in float64. While ``bytes * overlap``
@@ -277,8 +248,7 @@ def bin_traffic(
     bound. One ``np.bincount`` adds the shares in input order, so each slot
     is the left-to-right float64 sum of its sessions' shares, and
     ``out_of_window_bytes`` the left-to-right sum of their dropped parts.
-    Raises ``IngestError`` for a session outside the int64 limits in the
-    module docstring.
+    ``SessionLog`` keeps every int64 product and difference here exact.
 
     Working memory holds several int64/float64 arrays with one entry per
     (session, slot) pair, so it grows with the total number of slots the
@@ -292,7 +262,7 @@ def bin_traffic(
     window_end = origin + days * 86400
     start, end, nbytes = _int64_fields(logs)
     towers = [s.tower_id for s in logs]
-    names = sorted(registry) if registry is not None else sorted(set(towers))
+    names = sorted(registry)
     code = _codes(towers, names)
     known = code >= 0
 

@@ -27,6 +27,7 @@ from .common import (
     local_weekday,
     read_csv,
     reject_nan,
+    reject_repeat,
     write_csv_blocks,
 )
 from .ingest import BinnedSeries
@@ -91,17 +92,21 @@ def normalize(series: BinnedSeries) -> TrafficVector:
     """Zero-score normalization with the population standard deviation.
 
     A constant series cannot be scaled; it yields an all-zero vector with the
-    degenerate flag set rather than an error.
+    degenerate flag set rather than an error. A series that holds inf or NaN,
+    or whose std overflows or underflows to 0, raises ``VectorizeError``.
     """
     raw = np.asarray(series.slot_bytes, dtype=float)
     if raw.size == 0:
         raise VectorizeError(f"tower {series.tower_id}: empty series")
-    if not np.isfinite(raw).all():
-        raise VectorizeError(f"tower {series.tower_id}: series holds non-finite values")
-    if np.ptp(raw) == 0.0:
-        return TrafficVector(series.tower_id, np.zeros_like(raw), degenerate=True)
-    std = raw.std()
-    return TrafficVector(series.tower_id, (raw - raw.mean()) / std, degenerate=False)
+    with np.errstate(all="ignore"):
+        if np.ptp(raw) == 0.0:
+            return TrafficVector(series.tower_id, np.zeros_like(raw), degenerate=True)
+        std = raw.std()
+        values = (raw - raw.mean()) / std
+    # An infinite std makes every z-score 0, so it is tested apart.
+    if not (np.isfinite(std) and np.isfinite(values).all()):
+        raise VectorizeError(f"tower {series.tower_id}: z-score is not finite (std {float(std)})")
+    return TrafficVector(series.tower_id, values, degenerate=False)
 
 
 def _vectors_header(n: int) -> list[str]:
@@ -127,23 +132,25 @@ def write_vectors_csv(path: str | Path, vectors: Sequence[TrafficVector]) -> Pat
     return write_csv_blocks(path, _vectors_header(n), rows)
 
 
-def _vector_row(fields: list[str]) -> TrafficVector:
-    flag = fields[1]
-    if flag not in ("0", "1"):
-        raise ValueError(f"degenerate is {flag!r}, not 0 or 1")
-    values = np.array([float(x) for x in fields[2:]])
-    reject_nan(values, "v{}".format)
-    return TrafficVector(fields[0], values, flag == "1")
-
-
 def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
+    seen: set[str] = set()
+
+    def vector(fields: list[str]) -> TrafficVector:
+        reject_repeat(seen, fields[0])
+        flag = fields[1]
+        if flag not in ("0", "1"):
+            raise ValueError(f"degenerate is {flag!r}, not 0 or 1")
+        values = np.array([float(x) for x in fields[2:]])
+        reject_nan(values, "v{}".format)
+        return TrafficVector(fields[0], values, flag == "1")
+
     with open(path, encoding="utf-8", newline="") as f:
         # The header names one column per value: size it from the first
         # non-blank line, and read_csv checks every name.
         first = next((line for line in iter(f.readline, "") if line.strip("\r\n")), "")
         f.seek(0)
         header = _vectors_header(first.count(",") - 1)
-        return list(read_csv(f, header, VectorizeError, path, "vectors", _vector_row))
+        return list(read_csv(f, header, VectorizeError, path, "vectors", vector))
 
 
 def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:
@@ -165,6 +172,7 @@ def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> 
 
 def read_vectors_binary(path: str | Path) -> list[TrafficVector]:
     out = []
+    seen: set[str] = set()
     with open(path, "rb") as f:
 
         def read_exact(size: int) -> bytes:
@@ -190,6 +198,7 @@ def read_vectors_binary(path: str | Path) -> list[TrafficVector]:
                 )
             values = np.frombuffer(read_exact(8 * n), dtype="<f8").astype(float)
             try:
+                reject_repeat(seen, tower_id)
                 reject_nan(values, "v{}".format)
             except ValueError as exc:
                 raise VectorizeError(f"{path} record {record}: {exc}") from None

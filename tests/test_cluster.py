@@ -384,6 +384,9 @@ def test_distance_cdf_names_tower_not_in_model():
         ("tower_id,cluster\nt1\n", "a.csv line 2: expected 2 fields, got 1"),
         ("tower_id,cluster\nt1,1,2\n", "a.csv line 2: expected 2 fields, got 3"),
         ("tower_id,cluster\nt1,x\n", "a.csv line 2: invalid literal"),
+        ("tower_id,cluster\na,1\nb,2\na,2\n", "a.csv line 4: tower a is repeated"),
+        ("tower_id,cluster\na,1\nb,0\n", "a.csv line 3: cluster 0 is below 1"),
+        ("tower_id,cluster\nc,-3\n", "a.csv line 2: cluster -3 is below 1"),
         ("", "bad assignments header"),
     ],
 )

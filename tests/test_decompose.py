@@ -316,6 +316,14 @@ def test_build_feature_points_rejects_flat_dimension():
         build_feature_points(feats)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_build_feature_points_rejects_non_finite_feature(bad):
+    feats = [SpectralFeature(f"t{i}", 1.0, 0.1, float(i), 0.2 * i, 2.0 + i, 0.0) for i in range(6)]
+    feats[3] = SpectralFeature("t3", 1.0, 0.1, 3.0, bad, 5.0, 0.0)
+    with pytest.raises(DecomposeError, match=f"tower t3: phase_day is {bad}, not finite"):
+        build_feature_points(feats)
+
+
 def _blob_points(rng, centers, per_cluster=30, spread=0.15):
     points, assignments = [], {}
     for cluster, center in enumerate(centers, start=1):

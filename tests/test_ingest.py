@@ -1,8 +1,10 @@
+import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellmine.ingest import (
@@ -19,6 +21,10 @@ from cellmine.ingest import (
 )
 
 HEADER = "user_id,tower_id,start_epoch_s,end_epoch_s,bytes"
+
+
+def registry(*tower_ids):
+    return {t: TowerRecord(t, 0.0, 0.0) for t in tower_ids}
 
 
 def brute_force_bin(sessions, origin, days):
@@ -122,7 +128,7 @@ def test_deduplicate_idempotent():
 def test_bin_traffic_proportional_split():
     # 600 bytes over [0, 900): 2/3 of the duration in slot 0, 1/3 in slot 1.
     logs = [SessionLog("u", "t", 0, 900, 600)]
-    result = bin_traffic(logs, origin=0, days=1)
+    result = bin_traffic(logs, origin=0, days=1, registry=registry("t"))
     slots = result.series["t"].slot_bytes
     assert slots[0] == pytest.approx(400.0)
     assert slots[1] == pytest.approx(200.0)
@@ -131,14 +137,14 @@ def test_bin_traffic_proportional_split():
 
 def test_bin_traffic_outside_window():
     logs = [SessionLog("u", "t", -7200, -3600, 999)]
-    result = bin_traffic(logs, origin=0, days=1, registry=None)
-    assert "t" not in result.series or result.series["t"].slot_bytes.sum() == 0.0
+    result = bin_traffic(logs, origin=0, days=1, registry=registry("t"))
+    assert result.series["t"].slot_bytes.sum() == 0.0
     assert result.out_of_window_bytes == pytest.approx(999.0)
 
 
 def test_bin_traffic_zero_duration():
     logs = [SessionLog("u", "t", 3 * 600 + 5, 3 * 600 + 5, 50)]
-    result = bin_traffic(logs, origin=0, days=1)
+    result = bin_traffic(logs, origin=0, days=1, registry=registry("t"))
     assert result.series["t"].slot_bytes[3] == 50.0
 
 
@@ -176,7 +182,7 @@ def test_bin_conservation_against_per_second_oracle():
                 int(rng.integers(0, 10_000)),
             )
         )
-    result = bin_traffic(logs, origin, days)
+    result = bin_traffic(logs, origin, days, registry(*(f"t{i}" for i in range(5))))
     oracle = brute_force_bin(logs, origin, days)
     assert set(result.series) == set(oracle)
     for tower_id, series in result.series.items():
@@ -189,14 +195,14 @@ def test_bin_conservation_against_per_second_oracle():
 
 def test_bin_determinism():
     logs = [SessionLog("u", "t", i * 37, i * 37 + 1000, i) for i in range(100)]
-    a = bin_traffic(logs, 0, 1)
-    b = bin_traffic(logs, 0, 1)
+    a = bin_traffic(logs, 0, 1, registry("t"))
+    b = bin_traffic(logs, 0, 1, registry("t"))
     assert np.array_equal(a.series["t"].slot_bytes, b.series["t"].slot_bytes)
 
 
 def test_binned_round_trip(tmp_path):
     logs = [SessionLog("u", "t1", 0, 900, 600), SessionLog("u", "t2", 0, 0, 5)]
-    result = bin_traffic(logs, 0, 1)
+    result = bin_traffic(logs, 0, 1, registry("t1", "t2"))
     csv_path, manifest_path = write_binned(tmp_path, result, origin=0, days=1)
     series, manifest = read_binned(csv_path, manifest_path)
     assert manifest["slot_seconds"] == 600
@@ -205,7 +211,7 @@ def test_binned_round_trip(tmp_path):
 
 
 def _binned_files(tmp_path, rows):
-    result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1)
+    result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1, registry("t1"))
     csv_path, manifest_path = write_binned(tmp_path, result, origin=0, days=1)
     with open(csv_path, "a") as f:
         f.writelines(row + "\n" for row in rows)
@@ -251,24 +257,19 @@ def loop_deduplicate(logs):
     return out
 
 
-def loop_bin_traffic(logs, origin, days, registry=None):
+def loop_bin_traffic(logs, origin, days, registry):
     """Per-session loop oracle with Python-int arithmetic; each slot adds its
     sessions' shares in input order."""
     n_slots = days * 144
     window_end = origin + days * 86400
-    series = {}
-    if registry is not None:
-        for tower_id in registry:
-            series[tower_id] = np.zeros(n_slots)
+    series = {tower_id: np.zeros(n_slots) for tower_id in registry}
     unknown = 0
     dropped = 0.0
     for log in logs:
-        if registry is not None and log.tower_id not in registry:
+        if log.tower_id not in registry:
             unknown += 1
             continue
-        slots = series.get(log.tower_id)
-        if slots is None:
-            slots = series[log.tower_id] = np.zeros(n_slots)
+        slots = series[log.tower_id]
         if log.end == log.start:
             if origin <= log.start < window_end:
                 slots[(log.start - origin) // 600] += log.bytes
@@ -298,7 +299,8 @@ def loop_bin_traffic(logs, origin, days, registry=None):
 def session_cases(draw):
     """Sessions around a window with zero-duration sessions, sessions that
     straddle either window edge or lie outside it, exact and conflicting
-    duplicates, and (with a registry) sessions on unknown towers. In one draw
+    duplicates, and a registry that lists every tower with a session or
+    leaves some out, so that their sessions are unknown. In one draw
     mode every session shares one (tower_id, start), so user ids alone order
     them; its ids include "a" and "a\\x00" and ids outside ASCII."""
     origin = draw(st.integers(-(10**6), 2 * 10**9))
@@ -335,11 +337,8 @@ def session_cases(draw):
                 draw(st.integers(0, 10**9)),
             )
         )
-    registry = None
-    if draw(st.booleans()):
-        listed = draw(st.lists(st.sampled_from(towers), unique=True)) + ["silent"]
-        registry = {t: TowerRecord(t, 0.0, 0.0) for t in listed}
-    return logs, origin, days, registry
+    listed = towers if draw(st.booleans()) else draw(st.lists(st.sampled_from(towers), unique=True))
+    return logs, origin, days, registry(*listed, "silent")
 
 
 @given(session_cases())
@@ -359,7 +358,7 @@ def test_bin_traffic_property_equals_loop_oracle(case):
 @given(session_cases())
 def test_bin_traffic_property_per_second_oracle_and_conservation(case):
     logs, origin, days, registry = case
-    known = [s for s in logs if registry is None or s.tower_id in registry]
+    known = [s for s in logs if s.tower_id in registry]
     result = bin_traffic(logs, origin, days, registry)
     oracle = brute_force_bin(known, origin, days)
     for tower_id, series in result.series.items():
@@ -384,10 +383,73 @@ def test_deduplicate_property_equals_dict_oracle(case, rnd):
         assert all(id(s) in inputs for s in result)
 
 
-# --- int64 limits of the array passes -----------------------------------------
+# --- the rule of a valid session -----------------------------------------------
 
-INT64_MAX = 2**63 - 1
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 MAX_BYTES = INT64_MAX // 600
+
+
+def _int64_fault(start, end, nbytes):
+    """Oracle: why a session does not fit the int64 arithmetic of the array
+    passes, or None."""
+    if not (INT64_MIN <= start <= INT64_MAX and INT64_MIN <= end <= INT64_MAX):
+        return "timestamp outside the int64 range"
+    if end < start:
+        return "end < start"
+    if end - start > INT64_MAX:
+        return "end - start overflows int64"
+    if nbytes < 0:
+        return "negative bytes"
+    if nbytes > MAX_BYTES:
+        return "bytes * 600 overflows int64"
+    return None
+
+
+def _reject_reason(start, end, nbytes):
+    """The oracle's fault as a reject reason: a row is named for ``end <
+    start`` or negative bytes before any int64 limit, as parse_sessions
+    always has. The two orders differ only on a session with two faults."""
+    if _int64_fault(start, end, nbytes) is None:
+        return None
+    if end < start:
+        return "end < start"
+    if nbytes < 0:
+        return "negative bytes"
+    return _int64_fault(start, end, nbytes)
+
+
+def near(*edges):
+    """Integers at and around ``edges``, and anywhere."""
+    around = st.sampled_from(edges).flatmap(lambda v: st.integers(v - 2, v + 2))
+    return around | st.integers(-(2**65), 2**65)
+
+
+TIMES = near(INT64_MIN, 0, INT64_MAX)
+
+
+@settings(max_examples=500)
+@given(TIMES, st.none() | TIMES, near(0, MAX_BYTES))
+@example(0, 0, MAX_BYTES)
+@example(0, 0, MAX_BYTES + 1)
+@example(INT64_MIN, -1, 0)
+@example(INT64_MIN, 0, 0)
+@example(INT64_MIN - 1, None, 0)
+@example(0, INT64_MAX + 1, 0)
+@example(INT64_MIN, INT64_MAX, -1)
+def test_session_log_rule_equals_int64_oracle(start, end, nbytes):
+    """end None draws end == start."""
+    end = start if end is None else end
+    reason = _reject_reason(start, end, nbytes)
+    if reason is None:
+        SessionLog("u", "t", start, end, nbytes)
+    else:
+        with pytest.raises(IngestError) as info:
+            SessionLog("u", "t", start, end, nbytes)
+        assert str(info.value) == reason
+    sessions, rejects = parse_sessions([HEADER, f"u,t,{start},{end},{nbytes}"])
+    expected = [] if reason is None else [(2, reason)]
+    assert [(r.line_no, r.reason) for r in rejects] == expected
+    assert len(sessions) == (reason is None)
 
 
 @pytest.mark.parametrize(
@@ -414,24 +476,30 @@ def test_parse_sessions_accepts_int64_limits():
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "fields, reason",
     [
-        SessionLog("u", "t9", 0, 10, 10**30),
-        SessionLog("u", "t9", 0, 10, -MAX_BYTES - 1),
-        SessionLog("u", "t9", -(2**63), INT64_MAX, 5),
-        SessionLog("u", "t9", INT64_MAX, -(2**63), 5),
-        SessionLog("u", "t9", 2**64, 2**64, 5),
-        SessionLog("u", "t9", 0, 10, -1),
-        SessionLog("u", "t9", 10, 0, 5),
+        ((0, 10, 10**30), "bytes * 600 overflows int64"),
+        ((0, 10, -MAX_BYTES - 1), "negative bytes"),
+        ((-(2**63), INT64_MAX, 5), "end - start overflows int64"),
+        ((INT64_MAX, -(2**63), 5), "end < start"),
+        ((2**64, 2**64, 5), "timestamp outside the int64 range"),
+        ((0, 10, -1), "negative bytes"),
+        ((10, 0, 5), "end < start"),
     ],
 )
-@pytest.mark.parametrize(
-    "array_pass", [deduplicate, lambda logs: bin_traffic(logs, 0, 1)], ids=["dedup", "bin"]
-)
-def test_array_passes_reject_int64_overflow(bad, array_pass):
-    good = SessionLog("u", "t1", 0, 10, 5)
-    with pytest.raises(IngestError, match="session on tower t9"):
-        array_pass([good, bad, good])
+def test_session_log_rejects_int64_overflow(fields, reason):
+    with pytest.raises(IngestError, match=f"^{re.escape(reason)}$"):
+        SessionLog("u", "t9", *fields)
+    good = SessionLog("u", "t9", 0, 10, 5)
+    start, end, nbytes = fields
+    with pytest.raises(IngestError, match=f"^{re.escape(reason)}$"):
+        dataclasses.replace(good, start=start, end=end, bytes=nbytes)
+
+
+@pytest.mark.parametrize("ids", [("", "t"), ("u", ""), ("", "")])
+def test_session_log_rejects_empty_id(ids):
+    with pytest.raises(IngestError, match="empty user_id or tower_id"):
+        SessionLog(*ids, 0, 10, 5)
 
 
 @pytest.mark.parametrize(
@@ -481,6 +549,13 @@ def test_read_binned_rejects_malformed_file(tmp_path, binned, manifest, message)
         read_binned(csv_path, manifest_path)
 
 
+@pytest.mark.parametrize("row", [",t1,0,10,5", "u1, ,x,10,5", " ,t1,0,10,-1"])
+def test_parse_sessions_names_an_empty_id_first(row):
+    sessions, rejects = parse_sessions([HEADER, row])
+    assert sessions == []
+    assert [(r.line_no, r.reason) for r in rejects] == [(2, "empty user_id or tower_id")]
+
+
 def test_parse_sessions_counts_physical_lines():
     # the quoted user id spans lines 2-3, so the bad session sits on line 4
     text = f'{HEADER}\n"u\n1",t1,0,10,5\nu2,t1,9,1,5\n'
@@ -497,7 +572,7 @@ def test_parse_towers_counts_physical_lines():
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -7.5, -5e-324])
 def test_write_binned_rejects_impossible_byte_count(tmp_path, value):
-    result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1)
+    result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1, registry("t1"))
     result.series["t1"].slot_bytes[7] = value
     with pytest.raises(IngestError, match=f"tower t1 slot 7 holds {value}, not a number"):
         write_binned(tmp_path, result, origin=0, days=1)
@@ -506,6 +581,6 @@ def test_write_binned_rejects_impossible_byte_count(tmp_path, value):
 
 @pytest.mark.parametrize("origin", [-(2**40) * 600, 2**40 * 600, -62135596800 - 86400])
 def test_write_binned_rejects_origin_outside_iso_dates(tmp_path, origin):
-    result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1)
+    result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1, registry("t1"))
     with pytest.raises(IngestError, match=f"origin {origin} is not a date"):
         write_binned(tmp_path, result, origin=origin, days=1)

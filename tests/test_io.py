@@ -258,7 +258,8 @@ def vector_lists(draw):
     vector = st.builds(
         TrafficVector, IDS, st.lists(FLOATS, min_size=n, max_size=n).map(np.array), st.booleans()
     )
-    return draw(st.lists(vector, max_size=4))
+    # A file names each tower once, so the readers reject a repeated id.
+    return draw(st.lists(vector, max_size=4, unique_by=lambda v: v.tower_id))
 
 
 def _assert_same_vectors(loaded, vectors):
@@ -279,7 +280,7 @@ def test_vectors_binary_round_trip_property(vectors):
     _assert_same_vectors(round_trip(write_vectors_binary, read_vectors, vectors, "v.bin"), vectors)
 
 
-@given(st.dictionaries(IDS, st.integers()))
+@given(st.dictionaries(IDS, st.integers(min_value=1)))
 def test_assignments_round_trip_property(assignments):
     model = _model(assignments)
     assert round_trip(write_assignments, read_assignments, model) == assignments

@@ -105,6 +105,14 @@ def test_normalize_rejects_non_finite_series(bad):
         normalize(BinnedSeries("t7", 0, raw))
 
 
+# Finite byte counts whose mean, std or z-scores leave float64: an infinite
+# std, a z-score that overflows, and a std that underflows to 0.
+@pytest.mark.parametrize("raw", [[1e308, 1.7e308, 0.0], [1.7e308, 0.0, 0.0], [0.0, 5e-324]])
+def test_normalize_rejects_series_it_cannot_scale(raw):
+    with pytest.raises(VectorizeError, match="tower t7: z-score is not finite"):
+        normalize(BinnedSeries("t7", 0, np.array(raw)))
+
+
 def test_write_vectors_csv_rejects_vectors_of_different_lengths(tmp_path):
     vectors = [TrafficVector("a", np.zeros(2)), TrafficVector("b", np.zeros(3))]
     with pytest.raises(VectorizeError, match="tower b holds 3 values, but tower a holds 2"):
@@ -133,6 +141,7 @@ def test_read_vectors_binary_truncated(tmp_path):
         ("a,2,1.0,2.0", "line 2: degenerate is '2', not 0 or 1"),
         ("a, 1,1.0,2.0", "line 2: degenerate is ' 1', not 0 or 1"),
         ("a,0,1.0,nan", "line 2: v1 is NaN"),
+        ("a,0,1.0,2.0\nb,0,1.0,2.0\na,1,0.0,0.0", "line 4: tower a is repeated"),
     ],
 )
 def test_read_vectors_csv_rejects_malformed_row(tmp_path, row, message):
@@ -170,6 +179,8 @@ BINARY_RECORD = b"CMVEC1\n" + b"\x01\x00\x00\x00" + b"\x02\x00ab" + b"\x00\x01\x
         (BINARY_RECORD.replace(b"ab\x00", b"ab\x07"), "v.bin record 1: degenerate flag is 7, not 0 or 1"),
         (BINARY_RECORD + b"\x00", "v.bin: bytes after the last of 1 records"),
         (BINARY_RECORD[:-8] + bytes(6) + b"\xf8\x7f", "v.bin record 1: v0 is NaN"),
+        (BINARY_RECORD.replace(b"\x01", b"\x02", 1) + BINARY_RECORD[11:],
+         "v.bin record 2: tower ab is repeated"),
     ],
 )
 def test_read_vectors_binary_rejects_malformed_file(tmp_path, data, message):
