@@ -108,6 +108,12 @@ def _check_vectors(vectors: Sequence[TrafficVector]) -> np.ndarray:
         raise ClusterError(
             f"degenerate vectors must be excluded before clustering: {bad[:5]}"
         )
+    seen: set[str] = set()
+    try:
+        for v in vectors:
+            reject_repeat(seen, v.tower_id)
+    except ValueError as exc:
+        raise ClusterError(str(exc)) from None
     n = vectors[0].n
     if any(v.n != n for v in vectors):
         raise ClusterError("vectors have mixed lengths")

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .common import read_csv, read_json, reject_nan, write_csv, write_json
+from .common import read_csv, read_json, reject_nan, reject_repeat, write_csv, write_json
 from .spectrum import SpectralFeature
 
 DEFAULT_FEATURE_NAMES = ("amp_day", "phase_day", "amp_half_day")
@@ -109,7 +109,7 @@ class PolygonModel:
                 f" not mean {np.asarray(mean).tolist()} and std {np.asarray(std).tolist()}"
             )
         self.matrix = np.stack([v.f for v in self.vertices], axis=1)
-        if not simplex_volume(self.matrix.T) > MIN_SIMPLEX_VOLUME:  # NaN where it overflows
+        if not simplex_volume(self.matrix.T) > MIN_SIMPLEX_VOLUME:  # NaN where an edge overflows
             raise DecomposeError("polygon model is degenerate: its vertices span a flat simplex")
 
 
@@ -131,8 +131,15 @@ def build_feature_points(
     if bad.size:
         i, j = bad[0]
         raise DecomposeError(f"tower {features[i].tower_id}: {names[j]} is {raw[i, j]}, not finite")
-    mean = raw.mean(axis=0)
-    std = raw.std(axis=0)
+    with np.errstate(all="ignore"):
+        mean = raw.mean(axis=0)
+        std = raw.std(axis=0)
+    overflow = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflow.any():
+        j = int(overflow.argmax())
+        raise DecomposeError(
+            f"feature {names[j]}: mean {mean[j]} and std {std[j]} are not both finite"
+        )
     flat = [names[i] for i in range(len(names)) if std[i] == 0.0]
     if flat:
         raise DecomposeError(f"feature dimensions with zero variance: {flat}")
@@ -144,14 +151,13 @@ def build_feature_points(
 
 
 def simplex_volume(vertices: Sequence[np.ndarray]) -> float:
+    """Volume of the 3-simplex on four vertices: the product of the singular
+    values of its edge matrix over 6, in any number of dimensions. Vertices of
+    fewer than 3 coordinates span no volume."""
     base = np.asarray(vertices[0], dtype=float)
     edges = np.stack([np.asarray(v, dtype=float) - base for v in vertices[1:]], axis=1)
-    if edges.shape[0] != edges.shape[1]:
-        # non-square (feature dims != vertices-1): use the Gram determinant
-        gram = edges.T @ edges
-        det = float(np.linalg.det(gram))
-        return float(np.sqrt(max(det, 0.0))) / 6.0
-    return abs(float(np.linalg.det(edges))) / 6.0
+    singular = np.linalg.svd(edges, compute_uv=False)
+    return float(np.prod(singular)) / 6.0 if singular.size == len(vertices) - 1 else 0.0
 
 
 def select_representatives(
@@ -254,15 +260,17 @@ def write_mixtures(path: str | Path, mixtures: Sequence[MixtureCoefficients]) ->
     return write_csv(path, MIXTURES_HEADER, rows)
 
 
-def _mixture_row(fields: list[str]) -> MixtureCoefficients:
-    vals = [float(v) for v in fields[1:]]
-    reject_nan(vals, lambda i: MIXTURES_HEADER[1 + i])
-    return MixtureCoefficients(fields[0], np.array(vals[:4]), vals[4])
-
-
 def read_mixtures(path: str | Path) -> list[MixtureCoefficients]:
+    seen: set[str] = set()
+
+    def mixture(fields: list[str]) -> MixtureCoefficients:
+        reject_repeat(seen, fields[0])
+        vals = [float(v) for v in fields[1:]]
+        reject_nan(vals, lambda i: MIXTURES_HEADER[1 + i])
+        return MixtureCoefficients(fields[0], np.array(vals[:4]), vals[4])
+
     with open(path, encoding="utf-8", newline="") as f:
-        return list(read_csv(f, MIXTURES_HEADER, DecomposeError, path, "mixtures", _mixture_row))
+        return list(read_csv(f, MIXTURES_HEADER, DecomposeError, path, "mixtures", mixture))
 
 
 def write_vertices(path: str | Path, model: PolygonModel) -> Path:

@@ -5,6 +5,10 @@ week, day and half-day periodicities (k = 4, 28, 56 at N = 4032). Towers are
 summarized by amplitude and phase at those three bins, and a 7-bin
 reconstruction (DC plus the three bins and their mirrors) captures almost all
 of the traffic energy.
+
+Every quantity here reads one transform, the real FFT that ``dft`` returns.
+The DFT of a real series has X[n - k] = conj(X[k]), so only bins 0..n//2 are
+held; a bin above n/2 is the conjugate of its mirror below.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import SLOTS_PER_WEEK, read_csv, reject_nan, write_csv
+from .common import SLOTS_PER_WEEK, read_csv, reject_nan, reject_repeat, write_csv
 
 # A component with amplitude below this is treated as null: its phase is
 # meaningless and reported as 0 with the null flag set.
@@ -30,7 +34,8 @@ class SpectrumError(ValueError):
 
 @dataclass(slots=True)
 class Spectrum:
-    """Complex DFT coefficients of one real-valued series."""
+    """DFT bins 0..n//2 of one real series of length ``n``. The bins alone do
+    not give ``n``: lengths 2m and 2m + 1 both have m + 1 of them."""
 
     coefficients: np.ndarray
     n: int
@@ -67,9 +72,9 @@ class SpectralFeature:
 
 
 def dft(x: Sequence[float] | np.ndarray) -> Spectrum:
-    """Unnormalized forward DFT (FFT-backed)."""
+    """Unnormalized forward DFT of a real series, bins 0..n//2 (real FFT)."""
     x = _series(x)
-    return Spectrum(np.fft.fft(x), int(x.size))
+    return Spectrum(np.fft.rfft(x), int(x.size))
 
 
 def _series(x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -106,14 +111,6 @@ def principal_components(s: Spectrum, tower_id: str = "") -> SpectralFeature:
     return SpectralFeature(tower_id, aw, pw, ad, pd, ah, ph, (nw, nd, nh))
 
 
-def _kept_bins(n: int) -> np.ndarray:
-    """The 7 bins of the reconstruction from DC and the three principal bins
-    with their conjugate mirrors, in ascending order. For a whole number of
-    weeks the three bins are distinct and below n/2, so the 7 are distinct."""
-    indices = principal_indices(n)
-    return np.array(sorted((0, *indices, *(n - k for k in indices))))
-
-
 def energy(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     return float(np.sum(x * x))
@@ -124,35 +121,34 @@ def reconstruction_energy_ratio(x: np.ndarray) -> float:
     the inverse transform of DC, the three principal bins and their mirrors.
 
     By Parseval, the reconstruction's energy is the sum of |X_k|^2 over its
-    kept bins divided by n, so no inverse transform is needed. A real
-    signal's mirror bin n - k has the same |X_k| as bin k, so every kept bin
-    is read from the real FFT at min(k, n - k).
+    kept bins divided by n, so no inverse transform is needed. A mirror bin
+    has the power of its principal bin, so the sum is DC's power plus twice
+    the power of each principal bin.
     """
     total = energy(x)
     if total == 0.0:
         return 1.0
-    x = _series(x)
-    keep = _kept_bins(x.size)
-    kept = np.fft.rfft(x)[np.minimum(keep, x.size - keep)]
-    return float(np.sum(kept.real**2 + kept.imag**2)) / (x.size * total)
+    s = dft(x)
+    kept = s.coefficients[[0, *principal_indices(s.n)]]
+    power = kept.real**2 + kept.imag**2
+    return float(power[0] + 2.0 * power[1:].sum()) / (s.n * total)
 
 
 def amplitude_variance(
     spectra: Sequence[Spectrum],
 ) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """Population variance of |X[k]| across towers, per bin, plus the three
-    bins of largest variance over 1 <= k <= n/2 (mirror bins carry the same
-    amplitude for real inputs, DC is excluded)."""
+    """Population variance of |X[k]| across towers for every bin 0..n-1, plus
+    the three bins of largest variance over 1 <= k <= n/2 (DC is excluded).
+    The variance is taken once over bins 0..n//2; a mirror bin n - k has the
+    amplitude of bin k, so it repeats that bin's variance."""
     if len(spectra) < 2:
         raise SpectrumError("amplitude variance needs at least 2 towers")
     n = spectra[0].n
     if any(s.n != n for s in spectra):
         raise SpectrumError("spectra have mixed lengths")
-    amps = np.abs(np.stack([s.coefficients for s in spectra]))
-    variances = amps.var(axis=0)
-    half = variances[1 : n // 2 + 1]
-    order = np.argsort(half)[::-1][:3] + 1
-    return variances, tuple(int(k) for k in order)
+    half = np.abs(np.stack([s.coefficients for s in spectra])).var(axis=0)
+    order = np.argsort(half[1:])[::-1][:3] + 1
+    return np.concatenate([half, half[1 : n - n // 2][::-1]]), tuple(int(k) for k in order)
 
 
 def write_spectral_features(path: str | Path, features: Sequence[SpectralFeature]) -> Path:
@@ -163,17 +159,19 @@ def write_spectral_features(path: str | Path, features: Sequence[SpectralFeature
     return write_csv(path, FEATURES_HEADER, rows)
 
 
-def _feature_row(fields: list[str]) -> SpectralFeature:
-    vals = [float(x) for x in fields[1:]]
-    reject_nan(vals, lambda i: FEATURES_HEADER[1 + i])
-    nulls = tuple(vals[2 * i] < NULL_AMPLITUDE for i in range(3))
-    return SpectralFeature(fields[0], *vals, nulls)
-
-
 def read_spectral_features(path: str | Path) -> list[SpectralFeature]:
     """Features as written; a bin is null when its amplitude is below
     NULL_AMPLITUDE."""
+    seen: set[str] = set()
+
+    def feature(fields: list[str]) -> SpectralFeature:
+        reject_repeat(seen, fields[0])
+        vals = [float(x) for x in fields[1:]]
+        reject_nan(vals, lambda i: FEATURES_HEADER[1 + i])
+        nulls = tuple(vals[2 * i] < NULL_AMPLITUDE for i in range(3))
+        return SpectralFeature(fields[0], *vals, nulls)
+
     with open(path, encoding="utf-8", newline="") as f:
         return list(read_csv(
-            f, FEATURES_HEADER, SpectrumError, path, "spectral features", _feature_row
+            f, FEATURES_HEADER, SpectrumError, path, "spectral features", feature
         ))

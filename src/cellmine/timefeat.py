@@ -199,7 +199,7 @@ def peak_offset(a: DailyProfile, b: DailyProfile, day: str = "weekday") -> int:
     sa = sa - sa.mean()
     sb = sb - sb.mean()
     # circular cross-correlation c[tau] = sum_t a[t] * b[t - tau]
-    corr = np.fft.ifft(np.fft.fft(sa) * np.conj(np.fft.fft(sb))).real
+    corr = np.fft.irfft(np.fft.rfft(sa) * np.conj(np.fft.rfft(sb)), sa.size)
     lag = int(np.argmax(corr))
     minutes = lag * MINUTES_PER_SLOT
     if minutes > HALF_DAY_MINUTES:

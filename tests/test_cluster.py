@@ -371,6 +371,20 @@ def test_cluster_api_rejects_vectors_that_are_not_the_leaves():
             tune_cut(dend, bad, 2, 3)
 
 
+def test_cluster_api_rejects_a_repeated_tower():
+    vectors = vecs([[0.0], [0.1], [5.0]])
+    repeated = [vectors[0], TrafficVector("t000", np.array([0.2])), vectors[2]]
+    model = tune_cut(hac_average_linkage(vectors), vectors, 2, 2)[0]
+    calls = [
+        lambda: hac_average_linkage(repeated),
+        lambda: tune_cut(Dendrogram(3, [], ["t000", "t000", "t002"]), repeated, 2, 2),
+        lambda: distance_cdf(model, repeated),
+    ]
+    for call in calls:
+        with pytest.raises(ClusterError, match="tower t000 is repeated"):
+            call()
+
+
 def test_distance_cdf_names_tower_not_in_model():
     vectors = vecs([[0.0], [0.1], [5.0]])
     model = tune_cut(hac_average_linkage(vectors), vectors, 2, 2)[0]

@@ -274,6 +274,22 @@ def test_degenerate_model_rejected():
         solve_mixture(np.array([0.2, 0.2, 0.5]), make_model(flat))
 
 
+def test_simplex_volume_in_any_dimension():
+    # a unit-corner simplex raised into 4 or 6 dims keeps its 1/6; four points
+    # of a plane, in 2 dims or 3, span none
+    corners = np.vstack([np.zeros(3), np.eye(3)])
+    for dims in (3, 4, 6):
+        embedded = np.hstack([corners, np.ones((4, dims - 3))])
+        assert simplex_volume(list(embedded)) == pytest.approx(1 / 6, rel=1e-12)
+    assert simplex_volume(list(corners[:, :2])) == 0.0
+    assert simplex_volume([np.zeros(3), np.eye(3)[0], np.eye(3)[1], [1.0, 1.0, 0.0]]) < 1e-15
+    space = FeatureSpace(("a", "b"), np.zeros(2), np.ones(2))
+    corners = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    square = [FeaturePoint(f"v{i}", np.array(v)) for i, v in enumerate(corners)]
+    with pytest.raises(DecomposeError, match="flat simplex"):
+        PolygonModel(square, [1, 2, 3, 4], space)
+
+
 @pytest.mark.parametrize(
     "vertices",
     [
@@ -321,6 +337,13 @@ def test_build_feature_points_rejects_non_finite_feature(bad):
     feats = [SpectralFeature(f"t{i}", 1.0, 0.1, float(i), 0.2 * i, 2.0 + i, 0.0) for i in range(6)]
     feats[3] = SpectralFeature("t3", 1.0, 0.1, 3.0, bad, 5.0, 0.0)
     with pytest.raises(DecomposeError, match=f"tower t3: phase_day is {bad}, not finite"):
+        build_feature_points(feats)
+
+
+@pytest.mark.parametrize("huge", [1e308, 1.7e308])
+def test_build_feature_points_rejects_feature_whose_mean_overflows(huge):
+    feats = [SpectralFeature(f"t{i}", 1.0, 0.1, huge, 0.2 * i, 2.0 + i, 0.0) for i in range(6)]
+    with pytest.raises(DecomposeError, match="feature amp_day: mean inf"):
         build_feature_points(feats)
 
 
@@ -489,6 +512,7 @@ def test_mixture_and_vertices_io(tmp_path):
         ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,x\n", "m.csv line 2: could not convert"),
         ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,0\nt2,1,nan,0,0,0\n", "m.csv line 3: x2 is NaN"),
         ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,NaN\n", "m.csv line 2: residual is NaN"),
+        ("tower_id,x1,x2,x3,x4,residual\na,1,0,0,0,0\na,0,1,0,0,0\n", "m.csv line 3: tower a is repeated"),
     ],
 )
 def test_read_mixtures_rejects_malformed_file(tmp_path, text, message):

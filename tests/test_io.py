@@ -296,7 +296,8 @@ def spectral_features(draw):
     return SpectralFeature(draw(IDS), *values, nulls)
 
 
-@given(st.lists(spectral_features(), max_size=4))
+# A file names each tower once, so the readers reject a repeated id.
+@given(st.lists(spectral_features(), max_size=4, unique_by=lambda f: f.tower_id))
 def test_spectral_features_round_trip_property(features):
     loaded = round_trip(write_spectral_features, read_spectral_features, features)
     expected = sorted(features, key=lambda f: f.tower_id)
@@ -311,7 +312,7 @@ mixtures = st.builds(
 )
 
 
-@given(st.lists(mixtures, max_size=4))
+@given(st.lists(mixtures, max_size=4, unique_by=lambda m: m.tower_id))
 def test_mixtures_round_trip_property(mixes):
     loaded = round_trip(write_mixtures, read_mixtures, mixes)
     expected = sorted(mixes, key=lambda m: m.tower_id)

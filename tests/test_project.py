@@ -54,3 +54,28 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                        for use, attr in uses.get(node.name, [])):
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"public names that only tests reach, or nothing: {unused}"
+
+
+def _dotted(node):
+    """``"a.b.c"`` for the attribute chain ``a.b.c``, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def test_the_package_takes_only_real_ffts():
+    """The spectrum holds bins 0..n/2 of the real FFT, and the package takes
+    no complex FFT of a real series: ``np.fft.fft`` and ``np.fft.ifft`` are
+    not named, and nothing is imported from ``numpy.fft``."""
+    complex_ffts = {f"{np}.fft.{f}" for np in ("np", "numpy") for f in ("fft", "ifft")}
+    found = []
+    for path in sorted(ROOT.glob("src/cellmine/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _dotted(node) in complex_ffts or (
+                isinstance(node, ast.ImportFrom) and node.module == "numpy.fft"
+            ):
+                found.append(f"{path.name} line {node.lineno}")
+    assert not found, f"complex FFT in the package: {found}"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cellmine.spectrum import (
     Spectrum,
@@ -25,23 +27,18 @@ def naive_dft(x):
 
 
 def reconstruct(s):
-    """Oracle of the 7-bin reconstruction: the inverse DFT, with the 1/N
-    convention, of the spectrum kept at DC, the three principal bins and
-    their conjugate mirrors, after checking that its imaginary residue is
-    negligible."""
-    n = s.n
-    indices = principal_indices(n)
-    keep = sorted({0, *(k % n for k in indices), *((n - k) % n for k in indices)})
-    kept = np.zeros(n, dtype=complex)
+    """Oracle of the 7-bin reconstruction: the inverse real DFT, with the 1/N
+    convention, of the half spectrum kept at DC and the three principal bins.
+    The inverse real transform supplies their conjugate mirrors."""
+    keep = [0, *principal_indices(s.n)]
+    kept = np.zeros_like(s.coefficients)
     kept[keep] = s.coefficients[keep]
-    x = np.fft.ifft(kept)
-    assert np.max(np.abs(x.imag)) <= 1e-9 * max(1.0, float(np.max(np.abs(x.real))))
-    return x.real
+    return np.fft.irfft(kept, s.n)
 
 
 def test_dft_dc_only():
     s = dft([1.0, 1.0, 1.0, 1.0])
-    np.testing.assert_allclose(s.coefficients, [4, 0, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(s.coefficients, [4, 0, 0], atol=1e-12)
 
 
 def test_dft_matches_naive_oracle():
@@ -49,7 +46,7 @@ def test_dft_matches_naive_oracle():
     for n in (1, 2, 5, 64, 128):
         x = rng.normal(size=n)
         got = dft(x).coefficients
-        want = naive_dft(x)
+        want = naive_dft(x)[: n // 2 + 1]
         scale = np.max(np.abs(want)) or 1.0
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-8 * scale)
 
@@ -59,9 +56,9 @@ def test_dft_one_day_cosine_concentrates_at_28():
     x = np.cos(2 * np.pi * 28 * np.arange(n) / n)
     s = dft(x)
     amps = np.abs(s.coefficients)
+    assert amps.size == 2017
     assert amps[28] == pytest.approx(2016.0, rel=1e-9)
-    assert amps[4004] == pytest.approx(2016.0, rel=1e-9)
-    others = np.delete(amps, [28, 4004])
+    others = np.delete(amps, 28)
     assert np.max(others) < 1e-6
 
 
@@ -69,18 +66,21 @@ def test_parseval():
     rng = np.random.default_rng(4)
     for _ in range(10):
         x = rng.normal(size=int(rng.integers(8, 300)))
-        s = dft(x)
+        power = np.abs(dft(x).coefficients) ** 2
+        # every bin strictly between 0 and n/2 stands for itself and its mirror
+        k = np.arange(power.size)
+        weight = np.where((k == 0) | (2 * k == x.size), 1.0, 2.0)
         lhs = energy(x)
-        rhs = float(np.sum(np.abs(s.coefficients) ** 2)) / x.size
+        rhs = float(np.sum(weight * power)) / x.size
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
-def test_conjugate_symmetry_for_real_input():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=100)
-    c = dft(x).coefficients
-    for k in range(1, 100):
-        assert abs(c[100 - k] - np.conj(c[k])) < 1e-9 * max(1.0, abs(c[k]))
+@pytest.mark.parametrize("n", [100, 101])
+def test_real_series_round_trips_through_half_spectrum(n):
+    # bins 0..n//2 and the length determine a real series
+    x = np.random.default_rng(6).normal(size=n)
+    s = dft(x)
+    np.testing.assert_allclose(np.fft.irfft(s.coefficients, s.n), x, rtol=0, atol=1e-9)
 
 
 def test_principal_indices_mapping():
@@ -157,6 +157,35 @@ def test_amplitude_variance_identical_towers_zero():
     assert np.max(variances) < 1e-18
 
 
+def full_fft_amplitude_variance(series):
+    """Oracle: the variance across towers of |X[k]| for every bin of the full
+    complex DFT, and the three bins of largest variance over 1 <= k <= n/2."""
+    variances = np.abs(np.fft.fft(np.stack(series))).var(axis=0)
+    n = variances.size
+    top3 = np.argsort(variances[1 : n // 2 + 1])[::-1][:3] + 1
+    return variances, tuple(int(k) for k in top3)
+
+
+@given(st.integers(2, 8), st.integers(4, 257), st.integers(0, 2**32 - 1))
+@example(3, 1008, 0)
+@example(3, 1009, 0)
+def test_amplitude_variance_equals_full_fft_oracle(towers, n, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    # two periodic shapes at varied strength over noise: the noise bins'
+    # variances differ far beyond rounding, so the top three are not tied
+    series = [
+        rng.uniform(0, 5) + a * np.cos(2 * np.pi * 3 * t / n) + b * np.sin(2 * np.pi * t / n)
+        + 0.1 * rng.normal(size=n)
+        for a, b in rng.uniform(0, 10, size=(towers, 2))
+    ]
+    variances, top3 = amplitude_variance([dft(x) for x in series])
+    want, want_top3 = full_fft_amplitude_variance(series)
+    assert variances.shape == (n,)
+    np.testing.assert_allclose(variances, want, rtol=1e-9, atol=0)
+    assert top3 == want_top3
+
+
 def test_amplitude_variance_concentrates_at_varied_bin():
     n = 1008
     t = np.arange(n)
@@ -189,6 +218,8 @@ def test_spectral_features_io(tmp_path):
         ("tower_id,A4,P4,A28,P28,A56,P56\nt1,1,0,1,x,1,0\n", "f.csv line 2: could not convert"),
         ("tower_id,A4,P4,A28,P28,A56,P56\nt1,1,0,1,nan,1,0\n", "f.csv line 2: P28 is NaN"),
         ("tower_id,A4,P4,A28,P28,A56,P56\nt1,-nan,0,1,0,1,0\n", "f.csv line 2: A4 is NaN"),
+        ("tower_id,A4,P4,A28,P28,A56,P56\na,1,0,1,0,1,0\nb,1,0,1,0,1,0\na,2,0,1,0,1,0\n",
+         "f.csv line 4: tower a is repeated"),
     ],
 )
 def test_read_spectral_features_rejects_malformed_file(tmp_path, text, message):
