@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
@@ -182,11 +182,14 @@ def hac_average_linkage(vectors: Sequence[TrafficVector]) -> Dendrogram:
     result independent of the caller's order.
     """
     matrix = _check_vectors(vectors)
+    condensed = _condensed_distances(matrix)
+    # linkage copies the condensed array; the n x d stack is not needed by then
+    del matrix
     merges = [
         Merge(int(min(a, b)), int(max(a, b)), float(height), int(size))
-        for a, b, height, size in linkage(_condensed_distances(matrix), method="average")
+        for a, b, height, size in linkage(condensed, method="average")
     ]
-    return Dendrogram(matrix.shape[0], merges, [v.tower_id for v in vectors])
+    return Dendrogram(len(vectors), merges, [v.tower_id for v in vectors])
 
 
 def _dbi(matrix: np.ndarray, sq_norms: np.ndarray, labels: np.ndarray) -> float:
@@ -246,23 +249,18 @@ def tune_cut(
     return ClusterModel(assignments, centroids, sizes, best.cut_height, best.dbi, best.r), trace
 
 
-@dataclass(slots=True)
-class DistanceCdf:
-    """Per-cluster empirical distribution of member-to-centroid distance."""
-
-    distances: dict[int, np.ndarray]
-
-
-def distance_cdf(model: ClusterModel, vectors: Sequence[TrafficVector]) -> DistanceCdf:
+def distance_cdf(model: ClusterModel, vectors: Sequence[TrafficVector]) -> dict[int, np.ndarray]:
+    """Per-cluster empirical distribution of member-to-centroid distance:
+    each cluster's distances, sorted ascending."""
     matrix = _check_vectors(vectors)
     try:
         labels = np.array([model.assignments[v.tower_id] for v in vectors])
     except KeyError as exc:
         raise ClusterError(f"tower {exc.args[0]!r} is not in the model") from None
-    return DistanceCdf({
+    return {
         c: np.sort(np.linalg.norm(matrix[labels == c] - model.centroids[c - 1], axis=1))
         for c in range(1, model.r + 1)
-    })
+    }
 
 
 def write_assignments(path: str | Path, model: ClusterModel) -> Path:
@@ -293,10 +291,10 @@ def write_dbi_trace(path: str | Path, trace: Sequence[DbiTracePoint]) -> Path:
     return write_csv(path, ["R", "cut_height", "dbi"], trace)
 
 
-def write_distance_cdf(path: str | Path, cdf: DistanceCdf) -> Path:
+def write_distance_cdf(path: str | Path, cdf: Mapping[int, np.ndarray]) -> Path:
     rows = (
         (cluster, rank, d)
-        for cluster in sorted(cdf.distances)
-        for rank, d in enumerate(cdf.distances[cluster].tolist(), start=1)
+        for cluster in sorted(cdf)
+        for rank, d in enumerate(cdf[cluster].tolist(), start=1)
     )
     return write_csv(path, ["cluster", "rank", "distance"], rows)

@@ -84,7 +84,8 @@ class PolygonModel:
     holds the vertices as columns. A model of other than 4 vertices, of
     vertices that are not ``len(space.names)`` finite values, of a space whose
     means are not that many finite values or whose stds are not that many
-    positive finite values, or of a simplex whose volume is not above
+    positive finite values, of vertices so large that their Gram matrix
+    overflows, or of a simplex whose volume is not above
     ``MIN_SIMPLEX_VOLUME`` raises ``DecomposeError``."""
 
     vertices: list[FeaturePoint]
@@ -109,7 +110,15 @@ class PolygonModel:
                 f" not mean {np.asarray(mean).tolist()} and std {np.asarray(std).tolist()}"
             )
         self.matrix = np.stack([v.f for v in self.vertices], axis=1)
-        if not simplex_volume(self.matrix.T) > MIN_SIMPLEX_VOLUME:  # NaN where an edge overflows
+        with np.errstate(all="ignore"):
+            # the doubled Gram matrix that solve_mixture's KKT systems hold
+            kkt_finite = np.isfinite(2.0 * (self.matrix.T @ self.matrix)).all()
+            volume = simplex_volume(self.matrix.T)  # inf for a huge simplex
+        if not kkt_finite:
+            raise DecomposeError(
+                "polygon model's vertices are too large: their Gram matrix overflows"
+            )
+        if not volume > MIN_SIMPLEX_VOLUME:
             raise DecomposeError("polygon model is degenerate: its vertices span a flat simplex")
 
 

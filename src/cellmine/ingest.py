@@ -34,6 +34,7 @@ from .common import (
     read_csv,
     read_header,
     read_json,
+    reject_repeat,
     write_csv_blocks,
     write_json,
 )
@@ -342,29 +343,31 @@ def write_binned(
     return csv_path, write_json(directory / "binned_manifest.json", manifest)
 
 
-def _manifest_series(manifest: dict) -> tuple[dict, dict[str, BinnedSeries]]:
-    """The manifest and one all-zero series per manifest tower."""
+def _checked_manifest(manifest: dict) -> dict:
+    """The manifest, once its origin, tower list, slot length and days are valid."""
     origin = manifest["origin_epoch_s"]
     if type(origin) is not int:
         raise TypeError(f"origin_epoch_s is {origin!r}, not an integer")
     towers = manifest["towers"]
     if not (isinstance(towers, list) and all(isinstance(t, str) for t in towers)):
         raise TypeError("towers is not a list of strings")
+    seen: set[str] = set()
+    for tower_id in towers:
+        reject_repeat(seen, tower_id)
     if manifest["slot_seconds"] != SLOT_SECONDS:
         raise ValueError(f"slot_seconds is {manifest['slot_seconds']!r}, not {SLOT_SECONDS}")
     days = manifest["days"]
     if type(days) is not int or days < 1:
         raise ValueError(f"days is {days!r}, not a positive integer")
-    n_slots = days * SLOTS_PER_DAY
-    return manifest, {t: BinnedSeries(t, origin, np.zeros(n_slots)) for t in towers}
+    return manifest
 
 
 def read_binned(csv_path: str | Path, manifest_path: str | Path) -> tuple[dict[str, BinnedSeries], dict]:
-    manifest, series = read_json(manifest_path, IngestError, _manifest_series)
+    manifest = read_json(manifest_path, IngestError, _checked_manifest)
     n_slots = manifest["days"] * SLOTS_PER_DAY
     # Rows go into Python lists, which read and store one value faster than
     # an array does, and each list becomes its tower's array at the end.
-    lists = {t: [0.0] * n_slots for t in series}
+    lists = {t: [0.0] * n_slots for t in manifest["towers"]}
 
     def slot_value(fields: list[str]) -> tuple[list[float], int, float]:
         tower_id, idx, value = fields
@@ -388,7 +391,6 @@ def read_binned(csv_path: str | Path, manifest_path: str | Path) -> tuple[dict[s
             f, BINNED_HEADER, IngestError, csv_path, "binned", slot_value
         ):
             slots[slot] = value
-    for tower_id, values in lists.items():
-        series[tower_id].slot_bytes = np.array(values)
-    return series, manifest
+    origin = manifest["origin_epoch_s"]
+    return {t: BinnedSeries(t, origin, np.array(values)) for t, values in lists.items()}, manifest
 

@@ -71,18 +71,24 @@ def _unit_vectors(lat, lon) -> np.ndarray:
     return np.stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)], axis=-1)
 
 
-def _poi_row(fields: list[str]) -> PoiRecord:
-    poi_id, poi_type, lat, lon = fields
-    poi_id, poi_type = poi_id.strip(), poi_type.strip()
-    if not poi_id:
-        raise ValueError("empty poi_id")
-    if poi_type not in POI_TYPES:
-        raise ValueError(f"unknown type {poi_type!r} (expected one of {POI_TYPES})")
-    return PoiRecord(poi_id, poi_type, *parse_lat_lon(lat, lon))
-
-
 def parse_pois(lines: Iterable[str]) -> list[PoiRecord]:
-    return list(read_csv(lines, POIS_HEADER, PoiError, "pois", "pois", _poi_row))
+    """Parse pois.csv. Any malformed row or duplicate poi_id raises."""
+    seen: set[str] = set()
+
+    def poi(fields: list[str]) -> PoiRecord:
+        poi_id, poi_type, lat, lon = fields
+        poi_id, poi_type = poi_id.strip(), poi_type.strip()
+        if not poi_id:
+            raise ValueError("empty poi_id")
+        if poi_type not in POI_TYPES:
+            raise ValueError(f"unknown type {poi_type!r} (expected one of {POI_TYPES})")
+        record = PoiRecord(poi_id, poi_type, *parse_lat_lon(lat, lon))
+        if poi_id in seen:
+            raise ValueError(f"duplicate poi_id {poi_id}")
+        seen.add(poi_id)
+        return record
+
+    return list(read_csv(lines, POIS_HEADER, PoiError, "pois", "pois", poi))
 
 
 def _ball_radius(radius_m: float) -> float:
@@ -126,7 +132,7 @@ def count_poi(
     inclusive), by tower id in sorted order. One ball query over all towers
     gives the candidate (tower, POI) pairs and one haversine keeps those
     within the radius."""
-    if radius_m <= 0:
+    if not radius_m > 0:  # also true for NaN
         raise PoiError(f"radius must be positive, got {radius_m}")
     grid = PoiGrid(pois)
     records = sorted(towers.values(), key=attrgetter("tower_id"))
@@ -148,7 +154,6 @@ class PoiClusterTable:
 
     clusters: list[int]
     matrix: np.ndarray  # (len(clusters), 4); NaN where a type is undefined
-    undefined_types: list[str]
     row_max: dict[int, str]  # cluster -> type name of the row maximum
     col_max: dict[str, int]  # type name -> cluster of the column maximum
 
@@ -157,7 +162,8 @@ def cluster_poi_table(
     counts: Mapping[str, np.ndarray], assignments: Mapping[str, int]
 ) -> PoiClusterTable:
     """Min-max normalize each type's counts across towers, then average per
-    cluster. A type whose counts do not vary is flagged undefined (NaN column)."""
+    cluster. A type whose counts do not vary is undefined: its column of the
+    matrix is NaN, and it has no ``col_max`` entry."""
     towers = sorted(set(counts) & set(assignments))
     if not towers:
         raise PoiError("no towers shared between counts and assignments")
@@ -166,7 +172,6 @@ def cluster_poi_table(
     lo = raw.min(axis=0)
     hi = raw.max(axis=0)
     span = hi - lo
-    undefined = [POI_TYPES[i] for i in range(len(POI_TYPES)) if span[i] == 0.0]
     normalized = (raw - lo) / np.where(span > 0.0, span, np.nan)
     clusters = sorted(set(labels.tolist()))
     matrix = np.vstack([normalized[labels == c].mean(axis=0) for c in clusters])
@@ -182,7 +187,7 @@ def cluster_poi_table(
         if np.all(np.isnan(col)):
             continue
         col_max[name] = clusters[int(np.nanargmax(col))]
-    return PoiClusterTable(clusters, matrix, undefined, row_max, col_max)
+    return PoiClusterTable(clusters, matrix, row_max, col_max)
 
 
 def ntfidf(counts: Mapping[str, np.ndarray]) -> dict[str, PoiProfile]:
@@ -195,15 +200,10 @@ def ntfidf(counts: Mapping[str, np.ndarray]) -> dict[str, PoiProfile]:
         raise PoiError("TF-IDF needs at least one tower")
     raw = np.array([counts[t] for t in towers], dtype=float)
     m_i = (raw > 0).sum(axis=0)
+    # A type no tower sees keeps IDF 0; its counts are all 0, so its TF is too.
     idf = np.zeros(len(POI_TYPES))
-    for i in range(len(POI_TYPES)):
-        if m_i[i] > 0:
-            idf[i] = math.log(m_total / m_i[i])
-        else:
-            # no tower sees this type, so every count is zero and the TF
-            # factor annihilates the term regardless of IDF
-            assert np.all(raw[:, i] == 0), "M_i = 0 with a positive count is impossible"
-            idf[i] = 0.0
+    for i in np.flatnonzero(m_i):
+        idf[i] = math.log(m_total / m_i[i])
     out: dict[str, PoiProfile] = {}
     for row, tower_id in zip(raw, towers):
         tfidf = idf * np.log1p(row)

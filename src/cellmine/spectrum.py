@@ -22,7 +22,7 @@ import numpy as np
 from .common import SLOTS_PER_WEEK, read_csv, reject_nan, reject_repeat, write_csv
 
 # A component with amplitude below this is treated as null: its phase is
-# meaningless and reported as 0 with the null flag set.
+# meaningless and reported as 0.
 NULL_AMPLITUDE = 1e-12
 
 FEATURES_HEADER = ["tower_id", "A4", "P4", "A28", "P28", "A56", "P56"]
@@ -45,8 +45,8 @@ class Spectrum:
 class SpectralFeature:
     """Amplitude/phase at the week, day and half-day bins for one tower.
 
-    Phases are principal values in (-pi, pi]. ``null_components`` marks bins
-    whose amplitude was below NULL_AMPLITUDE (phase forced to 0).
+    Phases are principal values in (-pi, pi]. A bin is null when its
+    amplitude is below NULL_AMPLITUDE, and a null bin's phase is 0.
     """
 
     tower_id: str
@@ -56,7 +56,6 @@ class SpectralFeature:
     phase_day: float
     amp_half_day: float
     phase_half_day: float
-    null_components: tuple[bool, bool, bool] = (False, False, False)
 
     def as_array(self) -> np.ndarray:
         return np.array(
@@ -93,22 +92,20 @@ def principal_indices(n: int) -> tuple[int, int, int]:
     return weeks, 7 * weeks, 14 * weeks
 
 
-def _amp_phase(coef: complex) -> tuple[float, float, bool]:
+def _amp_phase(coef: complex) -> tuple[float, float]:
     amp = float(abs(coef))
     if amp < NULL_AMPLITUDE:
-        return amp, 0.0, True
+        return amp, 0.0
     phase = float(np.angle(coef))
     if phase <= -np.pi:  # principal range is (-pi, pi]
         phase = np.pi
-    return amp, phase, False
+    return amp, phase
 
 
-def principal_components(s: Spectrum, tower_id: str = "") -> SpectralFeature:
-    k_week, k_day, k_half = principal_indices(s.n)
-    aw, pw, nw = _amp_phase(s.coefficients[k_week])
-    ad, pd, nd = _amp_phase(s.coefficients[k_day])
-    ah, ph, nh = _amp_phase(s.coefficients[k_half])
-    return SpectralFeature(tower_id, aw, pw, ad, pd, ah, ph, (nw, nd, nh))
+def principal_components(s: Spectrum, tower_id: str) -> SpectralFeature:
+    # amplitude and phase of the week, day and half-day bins, in that order
+    amp_phase = (v for k in principal_indices(s.n) for v in _amp_phase(s.coefficients[k]))
+    return SpectralFeature(tower_id, *amp_phase)
 
 
 def energy(x: np.ndarray) -> float:
@@ -160,16 +157,13 @@ def write_spectral_features(path: str | Path, features: Sequence[SpectralFeature
 
 
 def read_spectral_features(path: str | Path) -> list[SpectralFeature]:
-    """Features as written; a bin is null when its amplitude is below
-    NULL_AMPLITUDE."""
     seen: set[str] = set()
 
     def feature(fields: list[str]) -> SpectralFeature:
         reject_repeat(seen, fields[0])
         vals = [float(x) for x in fields[1:]]
         reject_nan(vals, lambda i: FEATURES_HEADER[1 + i])
-        nulls = tuple(vals[2 * i] < NULL_AMPLITUDE for i in range(3))
-        return SpectralFeature(fields[0], *vals, nulls)
+        return SpectralFeature(fields[0], *vals)
 
     with open(path, encoding="utf-8", newline="") as f:
         return list(read_csv(

@@ -76,42 +76,32 @@ def slot_to_hhmm(slot: int) -> str:
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
-def daily_profile_from_values(
-    values: np.ndarray, first_day_weekday: int, source_id: str, units: str = "bytes"
-) -> DailyProfile:
-    """Build a profile from a flat slot series whose first slot starts a
-    civil day with the given weekday (Monday = 0). Requires whole weeks so
-    each weekday is represented equally."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0 or values.size % SLOTS_PER_WEEK != 0:
-        raise TimefeatError(
-            f"{source_id}: profile needs whole weeks of slots, got {values.size}"
-        )
-    days = values.reshape(-1, SLOTS_PER_DAY)
-    weekdays = (first_day_weekday + np.arange(days.shape[0])) % 7
-    weekday_mask = weekdays < 5
-    return DailyProfile(
-        source_id,
-        days[weekday_mask].mean(axis=0),
-        days[~weekday_mask].mean(axis=0),
-        units,
-    )
-
-
 def daily_profile(
     series: BinnedSeries,
     tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES,
     units: str = "bytes",
 ) -> DailyProfile:
+    """Mean weekday and weekend day of a series whose origin is a civil
+    midnight; each day's weekday follows from the origin's (Monday = 0), so
+    a series may start on any day. Requires whole weeks so each weekday is
+    represented equally."""
     if local_seconds_of_day(series.origin, tz_offset_minutes) != 0:
         raise TimefeatError(
             f"{series.tower_id}: series origin is not civil midnight; "
             "profiles need day-aligned data"
         )
-    return daily_profile_from_values(
-        series.slot_bytes,
-        local_weekday(series.origin, tz_offset_minutes),
+    values = np.asarray(series.slot_bytes, dtype=float)
+    if values.size == 0 or values.size % SLOTS_PER_WEEK != 0:
+        raise TimefeatError(
+            f"{series.tower_id}: profile needs whole weeks of slots, got {values.size}"
+        )
+    days = values.reshape(-1, SLOTS_PER_DAY)
+    weekdays = (local_weekday(series.origin, tz_offset_minutes) + np.arange(days.shape[0])) % 7
+    weekday_mask = weekdays < 5
+    return DailyProfile(
         series.tower_id,
+        days[weekday_mask].mean(axis=0),
+        days[~weekday_mask].mean(axis=0),
         units,
     )
 
@@ -125,9 +115,9 @@ def weekday_weekend_ratio(profile: DailyProfile) -> float | None:
     return float(profile.weekday.sum()) / weekend_total
 
 
-def _circular_smooth(curve: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
-    kernel = np.ones(window) / window
-    extended = np.concatenate([curve[-(window // 2):], curve, curve[: window // 2]])
+def _circular_smooth(curve: np.ndarray) -> np.ndarray:
+    kernel = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW
+    extended = np.concatenate([curve[-(SMOOTH_WINDOW // 2):], curve, curve[: SMOOTH_WINDOW // 2]])
     return np.convolve(extended, kernel, mode="valid")
 
 

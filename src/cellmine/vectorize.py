@@ -33,6 +33,8 @@ from .common import (
 from .ingest import BinnedSeries
 
 _BIN_MAGIC = b"CMVEC1\n"
+# a record's tower id length is a u16
+_MAX_ID_BYTES = 0xFFFF
 
 
 class VectorizeError(ValueError):
@@ -156,13 +158,21 @@ def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
 def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:
     """Length-prefixed binary: magic, u32 record count, then per record a
     u16 id length + UTF-8 id, u8 degenerate flag, u32 value count and the
-    values as little-endian float64."""
+    values as little-endian float64. Every id is checked before the file is
+    opened, so an id too long for its u16 length leaves the file as it was."""
     path = Path(path)
+    records = sorted(vectors, key=lambda v: v.tower_id)
+    idents = [vec.tower_id.encode("utf-8") for vec in records]
+    for vec, ident in zip(records, idents):
+        if len(ident) > _MAX_ID_BYTES:
+            raise VectorizeError(
+                f"tower {vec.tower_id[:40]}...: id is {len(ident)} UTF-8 bytes,"
+                f" more than the {_MAX_ID_BYTES} a vector file holds"
+            )
     with open(path, "wb") as f:
         f.write(_BIN_MAGIC)
         f.write(struct.pack("<I", len(vectors)))
-        for vec in sorted(vectors, key=lambda v: v.tower_id):
-            ident = vec.tower_id.encode("utf-8")
+        for vec, ident in zip(records, idents):
             f.write(struct.pack("<H", len(ident)))
             f.write(ident)
             f.write(struct.pack("<BI", int(vec.degenerate), vec.n))

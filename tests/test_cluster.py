@@ -352,9 +352,9 @@ def test_distance_cdf_cases():
     dend = hac_average_linkage(vectors)
     model = tune_cut(dend, vectors, 2, 2)[0]
     cdf = distance_cdf(model, vectors)
-    assert cdf.distances[model.assignments["t000"]].tolist() == [0.0, 0.0]
+    assert cdf[model.assignments["t000"]].tolist() == [0.0, 0.0]
     # singleton cluster: CDF over one value
-    assert cdf.distances[model.assignments["t002"]].tolist() == [0.0]
+    assert cdf[model.assignments["t002"]].tolist() == [0.0]
 
 
 def test_cluster_api_rejects_vectors_that_are_not_the_leaves():

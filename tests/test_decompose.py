@@ -290,19 +290,26 @@ def test_simplex_volume_in_any_dimension():
         PolygonModel(square, [1, 2, 3, 4], space)
 
 
+BAD_SHAPE = "needs 4 vertices of 3 finite values each"
+
+
 @pytest.mark.parametrize(
-    "vertices",
+    "vertices, message",
     [
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
-        [[0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]],
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, math.inf, 1.0]],
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], BAD_SHAPE),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]], BAD_SHAPE),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], BAD_SHAPE),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]], BAD_SHAPE),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]], BAD_SHAPE),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, math.inf, 1.0]], BAD_SHAPE),
+        # finite, but the KKT solve's Gram matrix overflows
+        ([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1e200]],
+         "vertices are too large: their Gram matrix overflows"),
     ],
+    ids=[f"vertices{i}" for i in range(7)],
 )
-def test_polygon_model_rejects_bad_vertices(vertices):
-    with pytest.raises(DecomposeError, match="needs 4 vertices of 3 finite values each"):
+def test_polygon_model_rejects_bad_vertices(vertices, message):
+    with pytest.raises(DecomposeError, match=message):
         make_model(vertices, clusters=range(len(vertices)))
 
 
@@ -545,6 +552,8 @@ def _vertices_json(standardized, mean=(0, 0, 0), std=(1, 1, 1)):
         (_vertices_json([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), "v.json: DecomposeError: .* needs 4 vertices"),
         (_vertices_json([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, math.nan]]), "v.json: DecomposeError: .* finite"),
         (_vertices_json([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]), "v.json: DecomposeError: .* flat simplex"),
+        (_vertices_json([[0, 0, 0], [1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e200]]),
+         "v.json: DecomposeError: .* vertices are too large"),
         (_vertices_json(SIMPLEX, mean=(0, math.nan, 0)),
          r"v.json: DecomposeError: .* not mean \[0.0, nan, 0.0\] and std \[1.0, 1.0, 1.0\]"),
         (_vertices_json(SIMPLEX, mean=(0, 0)), r"v.json: DecomposeError: .* not mean \[0.0, 0.0\] and"),

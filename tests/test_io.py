@@ -25,7 +25,6 @@ import cellmine
 from cellmine.cluster import (
     ClusterModel,
     DbiTracePoint,
-    DistanceCdf,
     read_assignments,
     write_assignments,
     write_centroids,
@@ -46,12 +45,7 @@ from cellmine.decompose import (
 )
 from cellmine.ingest import BinnedSeries, BinResult, read_binned, write_binned
 from cellmine.poi import PoiClusterTable, PoiProfile, write_poi_cluster_table, write_poi_profiles
-from cellmine.spectrum import (
-    NULL_AMPLITUDE,
-    SpectralFeature,
-    read_spectral_features,
-    write_spectral_features,
-)
+from cellmine.spectrum import SpectralFeature, read_spectral_features, write_spectral_features
 from cellmine.timefeat import TimeFeatures, write_time_features
 from cellmine.vectorize import (
     TrafficVector,
@@ -90,7 +84,7 @@ def test_write_dbi_trace_golden(tmp_path):
 
 
 def test_write_distance_cdf_golden(tmp_path):
-    cdf = DistanceCdf({2: np.array([0.0, F17]), 1: np.array([-0.0])})
+    cdf = {2: np.array([0.0, F17]), 1: np.array([-0.0])}
     path = write_distance_cdf(tmp_path / "d.csv", cdf)
     assert path.read_text() == (
         "cluster,rank,distance\n1,1,-0.0\n2,1,0.0\n2,2,0.30000000000000004\n"
@@ -134,7 +128,6 @@ def test_write_poi_cluster_table_golden(tmp_path):
     table = PoiClusterTable(
         [1, 2, 3],
         np.array([[0.5, NAN, -0.0, F17], [1.0, NAN, 0.0, 0.0], [NAN, NAN, NAN, NAN]]),
-        ["transport"],
         {1: "resident", 2: "resident"},
         {"resident": 2, "office": 1, "entertain": 1},
     )
@@ -291,9 +284,8 @@ def spectral_features(draw):
     amplitude = st.floats(min_value=0.0) | st.sampled_from([x for x in EDGE_FLOATS if x >= 0])
     amps = draw(st.lists(amplitude, min_size=3, max_size=3))
     phases = draw(st.lists(FLOATS, min_size=3, max_size=3))
-    nulls = tuple(a < NULL_AMPLITUDE for a in amps)
     values = [v for pair in zip(amps, phases) for v in pair]
-    return SpectralFeature(draw(IDS), *values, nulls)
+    return SpectralFeature(draw(IDS), *values)
 
 
 # A file names each tower once, so the readers reject a repeated id.
@@ -301,9 +293,7 @@ def spectral_features(draw):
 def test_spectral_features_round_trip_property(features):
     loaded = round_trip(write_spectral_features, read_spectral_features, features)
     expected = sorted(features, key=lambda f: f.tower_id)
-    assert [(f.tower_id, f.null_components) for f in loaded] == [
-        (f.tower_id, f.null_components) for f in expected
-    ]
+    assert [f.tower_id for f in loaded] == [f.tower_id for f in expected]
     assert all(same(a.as_array(), b.as_array()) for a, b in zip(loaded, expected))
 
 

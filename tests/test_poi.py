@@ -194,7 +194,7 @@ def test_cluster_poi_table_identity_pattern():
     }
     assignments = {"t1": 1, "t2": 2, "t3": 3, "t4": 4}
     table = cluster_poi_table(counts, assignments)
-    assert table.undefined_types == []
+    assert not np.isnan(table.matrix).all(axis=0).any()
     for idx, cluster in enumerate(table.clusters):
         assert table.row_max[cluster] == POI_TYPES[idx]
         assert table.col_max[POI_TYPES[idx]] == cluster
@@ -204,8 +204,8 @@ def test_cluster_poi_table_identity_pattern():
 def test_cluster_poi_table_flags_zero_range():
     counts = {"t1": np.array([3, 0, 1, 0]), "t2": np.array([3, 0, 2, 0])}
     table = cluster_poi_table(counts, {"t1": 1, "t2": 1})
-    assert "resident" in table.undefined_types
-    assert "transport" in table.undefined_types
+    undefined = np.isnan(table.matrix).all(axis=0)
+    assert [POI_TYPES[i] for i in np.flatnonzero(undefined)] == ["resident", "transport", "entertain"]
     assert np.isnan(table.matrix[0, 0])
     assert table.matrix[0, POI_TYPES.index("office")] == pytest.approx(0.5)
 
@@ -273,3 +273,16 @@ def test_parse_pois_counts_physical_lines():
 def test_parse_pois_rejects_empty_poi_id():
     with pytest.raises(PoiError, match="pois line 2: empty poi_id"):
         parse_pois(["poi_id,type,lat,lon", " ,office,31.2,121.4"])
+
+
+def test_parse_pois_rejects_duplicate_poi_id():
+    lines = ["poi_id,type,lat,lon", "p,office,31.2,121.4", "q,office,31.2,121.4", "p ,office,0,0"]
+    with pytest.raises(PoiError, match="pois line 4: duplicate poi_id p$"):
+        parse_pois(lines)
+
+
+@pytest.mark.parametrize("radius", [0.0, -200.0, math.nan])
+def test_count_poi_rejects_radius_that_is_not_positive(radius):
+    towers = registry([TowerRecord("t1", 31.2, 121.4)])
+    with pytest.raises(PoiError, match="radius must be positive"):
+        count_poi(towers, [poi("p1", "office", 31.2, 121.4)], radius)

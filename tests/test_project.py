@@ -79,3 +79,57 @@ def test_the_package_takes_only_real_ffts():
             ):
                 found.append(f"{path.name} line {node.lineno}")
     assert not found, f"complex FFT in the package: {found}"
+
+
+# Every parameter and dataclass field in src/cellmine that has a default, as
+# <module>.<class or function>.<name>. A default is an option the pipeline may
+# never set; one added to the package is added here in the same change.
+DEFAULTS = [
+    "cluster.tune_cut.r_max",
+    "cluster.tune_cut.r_min",
+    "common.epoch_to_iso.tz_offset_minutes",
+    "common.local_seconds_of_day.tz_offset_minutes",
+    "common.local_weekday.tz_offset_minutes",
+    "decompose.PolygonModel.matrix",
+    "decompose.select_representatives.density_radius",
+    "decompose.select_representatives.min_density",
+    "ingest.write_binned.tz_offset_minutes",
+    "poi.count_poi.radius_m",
+    "timefeat.DailyProfile.units",
+    "timefeat.daily_profile.tz_offset_minutes",
+    "timefeat.daily_profile.units",
+    "timefeat.peak_offset.day",
+    "vectorize.TrafficVector.degenerate",
+    "vectorize.trim_to_weeks.tz_offset_minutes",
+    "vectorize.vectorize_all.tz_offset_minutes",
+]
+
+
+def _defaults(node, prefix):
+    """``<prefix><name>.<parameter>`` of every parameter with a default of the
+    functions inside ``node``, and ``<prefix><class>.<field>`` of every
+    annotated class attribute with a value, at any depth."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            yield from (f"{prefix}{child.name}.{a.arg}" for a in with_default)
+        elif isinstance(child, ast.ClassDef):
+            yield from (
+                f"{prefix}{child.name}.{item.target.id}" for item in child.body
+                if isinstance(item, ast.AnnAssign) and item.value is not None
+            )
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _defaults(child, f"{prefix}{child.name}.")
+
+
+def test_every_default_is_on_the_list():
+    found = sorted(
+        name
+        for path in sorted(ROOT.glob("src/cellmine/*.py"))
+        for name in _defaults(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
+    )
+    assert found == DEFAULTS

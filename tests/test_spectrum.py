@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cellmine.spectrum import (
+    NULL_AMPLITUDE,
     Spectrum,
     SpectrumError,
     amplitude_variance,
@@ -99,8 +100,9 @@ def test_principal_components_pure_day_cosine():
     assert feat.amp_week < 1e-6 and feat.amp_half_day < 1e-6
     # phases of null components are zeroed
     zero = principal_components(dft(np.ones(4032)), "t")
-    assert zero.null_components == (True, True, True)
-    assert zero.phase_week == 0.0
+    amps = [zero.amp_week, zero.amp_day, zero.amp_half_day]
+    assert all(a < NULL_AMPLITUDE for a in amps)
+    assert [zero.phase_week, zero.phase_day, zero.phase_half_day] == [0.0, 0.0, 0.0]
 
 
 def test_shift_theorem():

@@ -7,7 +7,6 @@ from cellmine.timefeat import (
     TimefeatError,
     compute_time_features,
     daily_profile,
-    daily_profile_from_values,
     peak_offset,
     peak_valley,
     slot_to_hhmm,
@@ -38,7 +37,7 @@ def test_daily_profile_constant_series():
 
 def test_daily_profile_weekday_weekend_separation():
     values = weekly_series(np.ones(144), np.zeros(144))
-    profile = daily_profile_from_values(values, 0, "t")
+    profile = daily_profile(BinnedSeries("t", MONDAY, values))
     np.testing.assert_array_equal(profile.weekday, np.ones(144))
     np.testing.assert_array_equal(profile.weekend, np.zeros(144))
 
@@ -46,14 +45,14 @@ def test_daily_profile_weekday_weekend_separation():
 def test_daily_profile_respects_first_weekday():
     # series starting on Saturday: first two days are weekend
     values = weekly_series(np.ones(144), np.zeros(144))
-    profile = daily_profile_from_values(np.roll(values, 2 * 144), 5, "t")
+    profile = daily_profile(BinnedSeries("t", MONDAY - 2 * 86400, np.roll(values, 2 * 144)))
     np.testing.assert_array_equal(profile.weekday, np.ones(144))
     np.testing.assert_array_equal(profile.weekend, np.zeros(144))
 
 
 def test_daily_profile_requires_whole_weeks_and_alignment():
     with pytest.raises(TimefeatError, match="whole weeks"):
-        daily_profile_from_values(np.ones(500), 0, "t")
+        daily_profile(BinnedSeries("t", MONDAY, np.ones(500)))
     with pytest.raises(TimefeatError, match="midnight"):
         daily_profile(BinnedSeries("t", MONDAY + 600, np.ones(1008)))
 
@@ -62,7 +61,7 @@ def test_profile_conserves_totals():
     # 5 * weekday profile + 2 * weekend profile recovers one week's total
     rng = np.random.default_rng(21)
     values = rng.uniform(0, 100, size=4 * 1008)
-    profile = daily_profile_from_values(values, 0, "t")
+    profile = daily_profile(BinnedSeries("t", MONDAY, values))
     weekly_total = values.sum() / 4
     recovered = 5 * profile.weekday.sum() + 2 * profile.weekend.sum()
     assert recovered == pytest.approx(weekly_total, rel=1e-6)
@@ -119,7 +118,7 @@ def test_peak_valley_ratio_at_least_one():
 def test_compute_time_features_bundle():
     wd = day_curve(63, width=10)
     we = day_curve(72, width=10) * 0.5
-    profile = daily_profile_from_values(weekly_series(wd, we), 0, "office-ish")
+    profile = daily_profile(BinnedSeries("office-ish", MONDAY, weekly_series(wd, we)))
     feats = compute_time_features(profile)
     assert feats.weekday_peak_times == [63]
     assert feats.weekend_peak_times == [72]

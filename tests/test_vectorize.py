@@ -120,6 +120,18 @@ def test_write_vectors_csv_rejects_vectors_of_different_lengths(tmp_path):
     assert not (tmp_path / "v.csv").exists()
 
 
+def test_write_vectors_binary_rejects_id_too_long_and_keeps_the_file(tmp_path):
+    path = write_vectors_binary(tmp_path / "v.bin", [TrafficVector("a", np.arange(2.0))])
+    before = path.read_bytes()
+    # 65,535 UTF-8 bytes is the most a u16 length holds; "é" is two bytes
+    vectors = [TrafficVector("a", np.zeros(2)), TrafficVector("é" * 32768, np.zeros(2))]
+    with pytest.raises(VectorizeError, match="id is 65536 UTF-8 bytes, more than the 65535"):
+        write_vectors_binary(path, vectors)
+    assert path.read_bytes() == before
+    longest = [TrafficVector("x" * 65535, np.ones(2))]
+    assert read_vectors(write_vectors_binary(path, longest))[0].tower_id == "x" * 65535
+
+
 def test_read_vectors_binary_truncated(tmp_path):
     vectors = [TrafficVector("a", np.arange(5.0)), TrafficVector("b", np.ones(5))]
     path = write_vectors_binary(tmp_path / "v.bin", vectors)
