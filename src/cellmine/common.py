@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -16,26 +18,26 @@ SLOTS_PER_DAY = 144
 DAYS_PER_WEEK = 7
 SLOTS_PER_WEEK = SLOTS_PER_DAY * DAYS_PER_WEEK  # 1008
 
-# Civil clock used to write ISO dates and to find weekday boundaries.
-# A fixed offset, not a zoneinfo zone: slot arithmetic must never cross a
-# DST discontinuity.
-DEFAULT_TZ_OFFSET_MINUTES = 480  # UTC+8
+# The civil clock of the city the logs come from, UTC+8: it dates the ISO
+# origin of a manifest and places every day and week boundary. It is a fixed
+# offset, not a zoneinfo zone, so no DST jump ever splits a slot.
+TZ_OFFSET_MINUTES = 480
 
 
-def epoch_to_iso(epoch_s: int, tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES) -> str:
-    dt = datetime.fromtimestamp(epoch_s, tz=timezone(timedelta(minutes=tz_offset_minutes)))
+def epoch_to_iso(epoch_s: int) -> str:
+    dt = datetime.fromtimestamp(epoch_s, tz=timezone(timedelta(minutes=TZ_OFFSET_MINUTES)))
     return dt.isoformat()
 
 
-def local_weekday(epoch_s: int, tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES) -> int:
+def local_weekday(epoch_s: int) -> int:
     """Weekday of the civil date containing ``epoch_s`` (Monday = 0)."""
     # 1970-01-01 was a Thursday (weekday 3).
-    local_days = (epoch_s + tz_offset_minutes * 60) // 86400
+    local_days = (epoch_s + TZ_OFFSET_MINUTES * 60) // 86400
     return (local_days + 3) % 7
 
 
-def local_seconds_of_day(epoch_s: int, tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES) -> int:
-    return (epoch_s + tz_offset_minutes * 60) % 86400
+def local_seconds_of_day(epoch_s: int) -> int:
+    return (epoch_s + TZ_OFFSET_MINUTES * 60) % 86400
 
 
 def parse_lat_lon(lat: str, lon: str) -> tuple[float, float]:
@@ -74,12 +76,30 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[A
     return write_csv_blocks(path, header, lines)
 
 
+@contextmanager
+def open_replacing(path: Path, binary: bool) -> Iterator[IO]:
+    """Open a temporary file beside ``path`` for writing, as bytes or as
+    UTF-8 text with no newline translation, and once the block has finished
+    ``os.replace`` it over ``path``. If the block raises, the temporary file
+    is removed and ``path`` keeps what it held, so a failed write never
+    leaves a truncated table behind. Every file the package writes is
+    written through here."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv_blocks(path: str | Path, header: Sequence[str], blocks: Iterable[str]) -> Path:
     """Write ``header`` and then each of ``blocks`` to ``path``. A block is
     whole rows of text, each ending in ``\n``, with its cells made by
     ``csv_cell`` or by ``repr`` of a number, as ``write_csv`` makes them."""
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with open_replacing(path, binary=False) as f:
         f.write(",".join(map(csv_cell, header)) + "\n")
         f.writelines(blocks)
     return path
@@ -153,7 +173,7 @@ def reject_repeat(seen: set[str], tower_id: str) -> None:
 def write_json(path: str | Path, payload: Any) -> Path:
     """Write ``payload`` as JSON indented by 2 with sorted keys, and a final newline."""
     path = Path(path)
-    with open(path, "w", encoding="utf-8") as f:
+    with open_replacing(path, binary=False) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
     return path

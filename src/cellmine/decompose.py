@@ -233,7 +233,8 @@ def solve_mixture(
     clipped at 0 and renormalized. There are no iterations, so interior
     points recover their barycentric weights with zero residual and
     exterior points get the Euclidean projection onto the hull. A point that
-    is not one finite value per feature dimension raises ``DecomposeError``.
+    is not one finite value per feature dimension, or one so far out that
+    the winning squared distance is not finite, raises ``DecomposeError``.
     """
     if isinstance(point, FeaturePoint):
         tower_id, f = point.tower_id, point.f
@@ -247,15 +248,24 @@ def solve_mixture(
     kkt = _KKT_FRAME.copy()
     kkt[:, :4, :4] += (2.0 * (v_full.T @ v_full)) * _KKT_PAIRS
     rhs = np.ones((len(_SUPPORTS), 5, 1))
-    rhs[:, :4, 0] = (2.0 * (v_full.T @ f)) * _SUPPORTS
-    try:
-        solved = np.linalg.solve(kkt, rhs)[:, :4, 0]
-    except np.linalg.LinAlgError:
-        raise DecomposeError("degenerate vertex subset in mixture solve") from None
-    candidates = np.concatenate([np.eye(4), solved])
-    resid = candidates @ v_full.T - f
-    obj = np.where((candidates < -1e-10).any(axis=1), np.inf, np.sum(resid * resid, axis=1))
-    x = np.clip(candidates[np.argmin(obj)], 0.0, None)
+    # A point far enough out overflows here; its objectives come out inf or
+    # NaN, and the check on the winner below turns that into an error.
+    with np.errstate(all="ignore"):
+        rhs[:, :4, 0] = (2.0 * (v_full.T @ f)) * _SUPPORTS
+        try:
+            solved = np.linalg.solve(kkt, rhs)[:, :4, 0]
+        except np.linalg.LinAlgError:
+            raise DecomposeError("degenerate vertex subset in mixture solve") from None
+        candidates = np.concatenate([np.eye(4), solved])
+        resid = candidates @ v_full.T - f
+        obj = np.where((candidates < -1e-10).any(axis=1), np.inf, np.sum(resid * resid, axis=1))
+    best = int(np.argmin(obj))
+    if not np.isfinite(obj[best]):
+        raise DecomposeError(
+            f"tower {tower_id!r}: point {f.tolist()} is too far out for its squared"
+            " distance to the simplex to be finite"
+        )
+    x = np.clip(candidates[best], 0.0, None)
     x = x / x.sum()
     residual = float(np.linalg.norm(v_full @ x - f))
     return MixtureCoefficients(tower_id, x, residual)

@@ -4,7 +4,8 @@ Wire formats:
     sessions.csv  ``user_id,tower_id,start_epoch_s,end_epoch_s,bytes``
     towers.csv    ``tower_id,lat,lon``
     binned.csv    ``tower_id,slot_index,bytes`` (zero slots omitted) plus a JSON
-                  manifest carrying origin, slot_seconds=600, days and the tower list.
+                  manifest carrying origin, slot_seconds=600, days,
+                  tz_offset_minutes=480 (the civil clock) and the tower list.
 
 ``deduplicate`` and ``bin_traffic`` work on whole arrays, one entry per session
 (or per session and slot). ``deduplicate`` sorts on integer keys; it reads and
@@ -25,9 +26,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .common import (
-    DEFAULT_TZ_OFFSET_MINUTES,
     SLOT_SECONDS,
     SLOTS_PER_DAY,
+    TZ_OFFSET_MINUTES,
     csv_cell,
     epoch_to_iso,
     parse_lat_lon,
@@ -298,18 +299,14 @@ def bin_traffic(
 
 
 def write_binned(
-    directory: str | Path,
-    result: BinResult,
-    origin: int,
-    days: int,
-    tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES,
+    directory: str | Path, result: BinResult, origin: int, days: int
 ) -> tuple[Path, Path]:
     """Write binned.csv (non-zero slots only) and its JSON manifest. The
     manifest also records ``origin`` as an ISO date, so it must lie in the
     years 1 to 9999. Every slot must hold a finite, non-negative byte count,
     as ``read_binned`` requires."""
     try:
-        origin_iso = epoch_to_iso(origin, tz_offset_minutes)
+        origin_iso = epoch_to_iso(origin)
     except (OverflowError, ValueError):
         raise IngestError(f"origin {origin} is not a date in the years 1 to 9999") from None
     towers = sorted(result.series)
@@ -335,7 +332,7 @@ def write_binned(
         "origin_iso": origin_iso,
         "slot_seconds": SLOT_SECONDS,
         "days": days,
-        "tz_offset_minutes": tz_offset_minutes,
+        "tz_offset_minutes": TZ_OFFSET_MINUTES,
         "towers": towers,
         "unknown_tower_sessions": result.unknown_towers,
         "out_of_window_bytes": result.out_of_window_bytes,
@@ -344,7 +341,8 @@ def write_binned(
 
 
 def _checked_manifest(manifest: dict) -> dict:
-    """The manifest, once its origin, tower list, slot length and days are valid."""
+    """The manifest, once its origin, tower list, slot length, days and
+    clock are valid."""
     origin = manifest["origin_epoch_s"]
     if type(origin) is not int:
         raise TypeError(f"origin_epoch_s is {origin!r}, not an integer")
@@ -359,6 +357,10 @@ def _checked_manifest(manifest: dict) -> dict:
     days = manifest["days"]
     if type(days) is not int or days < 1:
         raise ValueError(f"days is {days!r}, not a positive integer")
+    if manifest["tz_offset_minutes"] != TZ_OFFSET_MINUTES:
+        raise ValueError(
+            f"tz_offset_minutes is {manifest['tz_offset_minutes']!r}, not {TZ_OFFSET_MINUTES}"
+        )
     return manifest
 
 

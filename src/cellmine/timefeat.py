@@ -18,7 +18,6 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from .common import (
-    DEFAULT_TZ_OFFSET_MINUTES,
     SLOTS_PER_DAY,
     SLOTS_PER_WEEK,
     local_seconds_of_day,
@@ -42,22 +41,16 @@ class TimefeatError(ValueError):
 
 @dataclass(slots=True)
 class DailyProfile:
-    """Slotwise mean day for weekdays and weekends separately.
-
-    ``units`` records whether the values are raw bytes per slot or normalized
-    scores; peak/valley magnitudes are only meaningful for raw bytes.
-    """
+    """Slotwise mean day, in bytes per slot, for weekdays and weekends separately."""
 
     source_id: str
     weekday: np.ndarray
     weekend: np.ndarray
-    units: str = "bytes"
 
 
 @dataclass(slots=True)
 class TimeFeatures:
     source_id: str
-    units: str
     weekday_weekend_ratio: float | None
     weekday_peak: float
     weekday_valley: float
@@ -76,16 +69,12 @@ def slot_to_hhmm(slot: int) -> str:
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
-def daily_profile(
-    series: BinnedSeries,
-    tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES,
-    units: str = "bytes",
-) -> DailyProfile:
+def daily_profile(series: BinnedSeries) -> DailyProfile:
     """Mean weekday and weekend day of a series whose origin is a civil
     midnight; each day's weekday follows from the origin's (Monday = 0), so
     a series may start on any day. Requires whole weeks so each weekday is
     represented equally."""
-    if local_seconds_of_day(series.origin, tz_offset_minutes) != 0:
+    if local_seconds_of_day(series.origin) != 0:
         raise TimefeatError(
             f"{series.tower_id}: series origin is not civil midnight; "
             "profiles need day-aligned data"
@@ -96,13 +85,12 @@ def daily_profile(
             f"{series.tower_id}: profile needs whole weeks of slots, got {values.size}"
         )
     days = values.reshape(-1, SLOTS_PER_DAY)
-    weekdays = (local_weekday(series.origin, tz_offset_minutes) + np.arange(days.shape[0])) % 7
+    weekdays = (local_weekday(series.origin) + np.arange(days.shape[0])) % 7
     weekday_mask = weekdays < 5
     return DailyProfile(
         series.tower_id,
         days[weekday_mask].mean(axis=0),
         days[~weekday_mask].mean(axis=0),
-        units,
     )
 
 
@@ -157,7 +145,6 @@ def compute_time_features(profile: DailyProfile) -> TimeFeatures:
     we_peak, we_valley, we_ratio, we_pt, we_vt = peak_valley(profile.weekend)
     return TimeFeatures(
         profile.source_id,
-        profile.units,
         weekday_weekend_ratio(profile),
         wd_peak,
         wd_valley,
@@ -172,14 +159,12 @@ def compute_time_features(profile: DailyProfile) -> TimeFeatures:
     )
 
 
-def peak_offset(a: DailyProfile, b: DailyProfile, day: str = "weekday") -> int:
-    """Signed circular lag in minutes by which profile ``a`` trails profile
-    ``b``, from the cross-correlation of the smoothed, mean-removed curves.
-    ``day`` is ``"weekday"`` or ``"weekend"``. Both profiles must contain at
-    least one prominent peak."""
-    if day not in ("weekday", "weekend"):
-        raise TimefeatError(f"day must be 'weekday' or 'weekend', got {day!r}")
-    curve_a, curve_b = getattr(a, day), getattr(b, day)
+def peak_offset(a: DailyProfile, b: DailyProfile) -> int:
+    """Signed circular lag in minutes by which the weekday curve of profile
+    ``a`` trails that of profile ``b``, from the cross-correlation of the
+    smoothed, mean-removed curves. Both weekday curves must contain at least
+    one prominent peak."""
+    curve_a, curve_b = a.weekday, b.weekday
     for label, curve in (("a", curve_a), ("b", curve_b)):
         peaks, _ = _circular_extrema(curve)
         if not peaks:

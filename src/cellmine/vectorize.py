@@ -18,13 +18,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .common import (
-    DEFAULT_TZ_OFFSET_MINUTES,
     SLOT_SECONDS,
     SLOTS_PER_DAY,
     SLOTS_PER_WEEK,
     csv_cell,
     local_seconds_of_day,
     local_weekday,
+    open_replacing,
     read_csv,
     reject_nan,
     reject_repeat,
@@ -46,7 +46,8 @@ class TrafficVector:
     """Zero-score-normalized per-tower time series.
 
     ``degenerate`` marks towers whose raw series was constant (dead towers);
-    their values are all zero and they are excluded from clustering by default.
+    their values are all zero. The caller drops them before clustering, which
+    raises ``ClusterError`` on a degenerate vector.
     """
 
     tower_id: str
@@ -58,15 +59,13 @@ class TrafficVector:
         return int(self.values.shape[0])
 
 
-def trim_to_weeks(
-    series: BinnedSeries, weeks: int, tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES
-) -> BinnedSeries:
+def trim_to_weeks(series: BinnedSeries, weeks: int) -> BinnedSeries:
     """Keep the first ``weeks`` whole weeks, each starting on a Monday at
     civil midnight. Slots before the first such Monday are dropped.
     """
     if weeks < 1:
         raise VectorizeError(f"weeks must be >= 1, got {weeks}")
-    sod = local_seconds_of_day(series.origin, tz_offset_minutes)
+    sod = local_seconds_of_day(series.origin)
     if sod % SLOT_SECONDS != 0:
         raise VectorizeError(
             f"series origin is not slot-aligned to civil midnight "
@@ -75,7 +74,7 @@ def trim_to_weeks(
     # slots until the next civil midnight, then whole days to Monday (weekday 0)
     to_midnight = (-sod % 86400) // SLOT_SECONDS
     first_midnight = series.origin + to_midnight * SLOT_SECONDS
-    days_ahead = -local_weekday(first_midnight, tz_offset_minutes) % 7
+    days_ahead = -local_weekday(first_midnight) % 7
     offset = to_midnight + days_ahead * SLOTS_PER_DAY
     needed = offset + weeks * SLOTS_PER_WEEK
     if needed > series.n_slots:
@@ -158,21 +157,20 @@ def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
 def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:
     """Length-prefixed binary: magic, u32 record count, then per record a
     u16 id length + UTF-8 id, u8 degenerate flag, u32 value count and the
-    values as little-endian float64. Every id is checked before the file is
-    opened, so an id too long for its u16 length leaves the file as it was."""
+    values as little-endian float64. An id too long for its u16 length
+    raises ``VectorizeError`` and, like any failed write, leaves the file as
+    it was."""
     path = Path(path)
-    records = sorted(vectors, key=lambda v: v.tower_id)
-    idents = [vec.tower_id.encode("utf-8") for vec in records]
-    for vec, ident in zip(records, idents):
-        if len(ident) > _MAX_ID_BYTES:
-            raise VectorizeError(
-                f"tower {vec.tower_id[:40]}...: id is {len(ident)} UTF-8 bytes,"
-                f" more than the {_MAX_ID_BYTES} a vector file holds"
-            )
-    with open(path, "wb") as f:
+    with open_replacing(path, binary=True) as f:
         f.write(_BIN_MAGIC)
         f.write(struct.pack("<I", len(vectors)))
-        for vec, ident in zip(records, idents):
+        for vec in sorted(vectors, key=lambda v: v.tower_id):
+            ident = vec.tower_id.encode("utf-8")
+            if len(ident) > _MAX_ID_BYTES:
+                raise VectorizeError(
+                    f"tower {vec.tower_id[:40]}...: id is {len(ident)} UTF-8 bytes,"
+                    f" more than the {_MAX_ID_BYTES} a vector file holds"
+                )
             f.write(struct.pack("<H", len(ident)))
             f.write(ident)
             f.write(struct.pack("<BI", int(vec.degenerate), vec.n))
@@ -227,7 +225,5 @@ def read_vectors(path: str | Path) -> list[TrafficVector]:
     return read_vectors_csv(path)
 
 
-def vectorize_all(
-    series: Iterable[BinnedSeries], weeks: int, tz_offset_minutes: int = DEFAULT_TZ_OFFSET_MINUTES
-) -> list[TrafficVector]:
-    return [normalize(trim_to_weeks(s, weeks, tz_offset_minutes)) for s in series]
+def vectorize_all(series: Iterable[BinnedSeries], weeks: int) -> list[TrafficVector]:
+    return [normalize(trim_to_weeks(s, weeks)) for s in series]

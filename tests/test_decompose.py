@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,16 @@ def test_solve_mixture_rejects_bad_point(point):
     model = make_model(random_simplex(np.random.default_rng(51)))
     with pytest.raises(DecomposeError, match="is not 3 finite values"):
         solve_mixture(np.array(point), model)
+
+
+@pytest.mark.parametrize("point", [[1e200, 2e200, -1e200], [1e308, 0.0, 0.0]])
+def test_solve_mixture_rejects_a_point_too_far_out(point):
+    # finite, but its squared distance to the unit-corner simplex overflows
+    model = make_model(np.vstack([np.zeros(3), np.eye(3)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DecomposeError, match="tower 'far': .* too far out"):
+            solve_mixture(FeaturePoint("far", np.array(point)), model)
 
 
 def test_build_feature_points_standardizes():

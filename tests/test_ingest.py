@@ -528,6 +528,9 @@ def test_session_log_rejects_empty_id(ids):
          "binned_manifest.json: ValueError: days is 0, not a positive integer"),
         (None, '{"origin_epoch_s": 0, "slot_seconds": 600, "days": 1, "towers": ["t1", "t2", "t1"]}',
          "binned_manifest.json: ValueError: tower t1 is repeated"),
+        (None, '{"origin_epoch_s": 0, "slot_seconds": 600, "days": 1, "tz_offset_minutes": 0,'
+               ' "towers": []}',
+         "binned_manifest.json: ValueError: tz_offset_minutes is 0, not 480"),
         ("tower_id,slot_index,bytes\nt1,5,nan\n", None, "binned.csv line 2: bytes nan is not a number"),
         ("tower_id,slot_index,bytes\nt1,5,1.0\nt1,6,-NaN\n", None,
          "binned.csv line 3: bytes -NaN is not a number"),

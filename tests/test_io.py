@@ -31,7 +31,7 @@ from cellmine.cluster import (
     write_dbi_trace,
     write_distance_cdf,
 )
-from cellmine.common import csv_cell, read_csv
+from cellmine.common import csv_cell, read_csv, write_json
 from cellmine.decompose import (
     DecomposeError,
     FeaturePoint,
@@ -93,16 +93,16 @@ def test_write_distance_cdf_golden(tmp_path):
 
 def test_write_time_features_golden(tmp_path):
     features = [
-        TimeFeatures("c1", "bytes", None, F17, -0.0, None, 2.0, 1.0, 2.0, [0, 6], [], [143], [72]),
-        TimeFeatures("t,2", "score", 1.5, 1e-300, 5e-324, 3.0, 0.0, 0.0, None, [], [1], [], []),
+        TimeFeatures("c1", None, F17, -0.0, None, 2.0, 1.0, 2.0, [0, 6], [], [143], [72]),
+        TimeFeatures("t,2", 1.5, 1e-300, 5e-324, 3.0, 0.0, 0.0, None, [], [1], [], []),
     ]
     path = write_time_features(tmp_path / "t.csv", features)
     assert path.read_text() == (
-        "source_id,units,weekday_weekend_ratio,weekday_peak,weekday_valley,"
+        "source_id,weekday_weekend_ratio,weekday_peak,weekday_valley,"
         "weekday_peak_valley_ratio,weekend_peak,weekend_valley,weekend_peak_valley_ratio,"
         "weekday_peak_times,weekday_valley_times,weekend_peak_times,weekend_valley_times\n"
-        "c1,bytes,,0.30000000000000004,-0.0,,2.0,1.0,2.0,00:00 01:00,,23:50,12:00\n"
-        '"t,2",score,1.5,1e-300,5e-324,3.0,0.0,0.0,,,00:10,,\n'
+        "c1,,0.30000000000000004,-0.0,,2.0,1.0,2.0,00:00 01:00,,23:50,12:00\n"
+        '"t,2",1.5,1e-300,5e-324,3.0,0.0,0.0,,,00:10,,\n'
     )
 
 
@@ -407,6 +407,27 @@ def test_every_open_is_binary_or_utf8():
             utf8 = isinstance(encoding, ast.Constant) and encoding.value == "utf-8"
             assert binary or utf8, f"{path.name} line {node.lineno}: text open without UTF-8"
     assert opens
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: write_vectors_csv(path, [TrafficVector("a", np.zeros(3)),
+                                              TrafficVector("b\udc80", np.ones(3))]),
+        lambda path: write_vectors_binary(path, [TrafficVector("a", np.zeros(3)),
+                                                 TrafficVector("b\udc80", np.ones(3))]),
+        lambda path: write_json(path, {"a": 1, "b": object()}),
+    ],
+    ids=["vectors_csv", "vectors_binary", "json"],
+)
+def test_a_failed_write_keeps_the_old_file(tmp_path, write):
+    # each write fails part way, after it has written a first record
+    path = write_vectors_csv(tmp_path / "old", [TrafficVector("z", np.arange(3.0))])
+    before = path.read_bytes()
+    with pytest.raises((UnicodeEncodeError, TypeError)):
+        write(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["old"]
 
 
 # --- encoding and header errors ---------------------------------------------

@@ -81,27 +81,40 @@ def test_the_package_takes_only_real_ffts():
     assert not found, f"complex FFT in the package: {found}"
 
 
+def test_the_package_writes_files_only_through_open_replacing():
+    """``common.open_replacing`` holds every ``open`` of the package whose mode
+    writes (``w``, ``a``, ``x`` or ``+``) or is not a literal, so that no
+    writer can leave a truncated file behind."""
+    found = []
+    for path in sorted(ROOT.glob("src/cellmine/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {id(n) for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and path.stem == "common" and node.name == "open_replacing"
+                  for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and _dotted(node.func) == "open"):
+                continue
+            mode = {kw.arg: kw.value for kw in node.keywords}.get("mode")
+            mode = node.args[1] if len(node.args) > 1 else mode
+            reads = mode is None or (
+                isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")
+            )
+            if not reads and id(node) not in helper:
+                found.append(f"{path.name} line {node.lineno}")
+    assert not found, f"writes that bypass open_replacing: {found}"
+
+
 # Every parameter and dataclass field in src/cellmine that has a default, as
 # <module>.<class or function>.<name>. A default is an option the pipeline may
 # never set; one added to the package is added here in the same change.
 DEFAULTS = [
     "cluster.tune_cut.r_max",
     "cluster.tune_cut.r_min",
-    "common.epoch_to_iso.tz_offset_minutes",
-    "common.local_seconds_of_day.tz_offset_minutes",
-    "common.local_weekday.tz_offset_minutes",
     "decompose.PolygonModel.matrix",
     "decompose.select_representatives.density_radius",
     "decompose.select_representatives.min_density",
-    "ingest.write_binned.tz_offset_minutes",
     "poi.count_poi.radius_m",
-    "timefeat.DailyProfile.units",
-    "timefeat.daily_profile.tz_offset_minutes",
-    "timefeat.daily_profile.units",
-    "timefeat.peak_offset.day",
     "vectorize.TrafficVector.degenerate",
-    "vectorize.trim_to_weeks.tz_offset_minutes",
-    "vectorize.vectorize_all.tz_offset_minutes",
 ]
 
 

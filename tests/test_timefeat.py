@@ -157,12 +157,8 @@ def test_peak_offset_requires_peaks():
         peak_offset(flat, peaked)
 
 
-@pytest.mark.parametrize("day", ["Weekday", "holiday", ""])
-def test_peak_offset_rejects_unknown_day(day):
+def test_peak_offset_reads_only_the_weekday_curves():
     base = day_curve(60)
     a = DailyProfile("a", base, np.roll(base, 30))
     b = DailyProfile("b", base, base)
-    assert peak_offset(a, b, "weekday") == 0
-    assert peak_offset(a, b, "weekend") == 300
-    with pytest.raises(TimefeatError, match="day must be 'weekday' or 'weekend'"):
-        peak_offset(a, b, day)
+    assert peak_offset(a, b) == 0

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cellmine.common import SLOT_SECONDS, SLOTS_PER_WEEK, local_seconds_of_day, local_weekday
 from cellmine.ingest import BinnedSeries
+from cellmine.timefeat import daily_profile
 from cellmine.vectorize import (
     TrafficVector,
     VectorizeError,
@@ -35,6 +39,22 @@ def test_trim_aligned_28_day_series_unchanged():
     trimmed = trim_to_weeks(series, 4)
     assert trimmed.origin == MONDAY
     np.testing.assert_array_equal(trimmed.slot_bytes, series.slot_bytes)
+
+
+@given(st.integers(0, 2 * SLOTS_PER_WEEK - 1), st.integers(1, 2))
+def test_trim_to_weeks_starts_on_the_first_monday_midnight(shift, weeks):
+    # slot-aligned origins over the two weeks before MONDAY
+    origin = MONDAY - (2 * SLOTS_PER_WEEK - shift) * SLOT_SECONDS
+    series = make_series(origin, (weeks + 1) * SLOTS_PER_WEEK)
+    trimmed = trim_to_weeks(series, weeks)
+    assert local_weekday(trimmed.origin) == 0
+    assert local_seconds_of_day(trimmed.origin) == 0
+    offset, rest = divmod(trimmed.origin - origin, SLOT_SECONDS)
+    assert rest == 0 and 0 <= offset < SLOTS_PER_WEEK
+    np.testing.assert_array_equal(
+        trimmed.slot_bytes, series.slot_bytes[offset : offset + weeks * SLOTS_PER_WEEK]
+    )
+    assert daily_profile(trimmed).weekday.shape == (144,)
 
 
 def test_trim_insufficient_data_errors_with_counts():
