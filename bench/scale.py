@@ -9,11 +9,13 @@ For 500, 2,000 and 10,000 towers it generates the seed-1 city
 (cached under ``bench/.cache``), then runs ``perfbench/pipeline.py``'s traced, in-memory
 ``run_pipeline`` on it in a fresh process, with BLAS pinned to one thread.
 ``--root`` picks the checkout whose ``src`` and ``perfbench`` are run, so an
-older commit can be measured with this script. The record of each run (self
-seconds per stage, ``ru_maxrss``, HAC's RSS growth, quality, failed gates, the
-probe time and the environment) goes into ``BENCH_scale.json`` under
-``--label``; records under other labels are kept. The 10k city takes minutes
-and a few GB of memory. This is not part of the test suite.
+older commit can be measured with this script. The record of each run (the
+seconds and ``ru_maxrss`` of importing numpy, scipy and the pipeline with every
+``cellmine`` stage, self seconds per stage, ``ru_maxrss``, HAC's RSS growth,
+quality, failed gates, the probe time and the environment) goes into
+``BENCH_scale.json`` under ``--label``; records under other labels are kept.
+The 10k city takes minutes and a few GB of memory. This is not part of the
+test suite.
 """
 
 from __future__ import annotations
@@ -44,12 +46,16 @@ def _import_bench(root: Path) -> None:
 
 def run_one(root: Path, city: Path) -> dict:
     """One traced pipeline over ``city``; runs in its own process so that
-    ru_maxrss belongs to this city alone."""
+    ru_maxrss belongs to this city alone, and so that the import of the
+    package and the benchmark is timed from a cold start."""
+    t0 = perf_counter()
     _import_bench(root)
     import numpy
     import pipeline
     import scipy
 
+    import_s = perf_counter() - t0
+    import_maxrss_mb = pipeline._maxrss_mb()
     truth = json.loads((city / "truth.json").read_text())
     tracer = pipeline.Tracer(True)
     probe_before = pipeline.probe()
@@ -62,6 +68,8 @@ def run_one(root: Path, city: Path) -> dict:
     maxrss_mb = pipeline._maxrss_mb()
     out["quality"] = pipeline.quality(out, truth)
     record = {
+        "import_s": round(import_s, 3),
+        "import_maxrss_mb": round(import_maxrss_mb, 1),
         "towers": len(out["registry"]),
         "clustered": len(out["usable"]),
         "sessions": len(out["sessions"]),
@@ -124,7 +132,8 @@ def main(argv=None) -> int:
         )
         records[str(towers)] = json.loads(proc.stdout.strip().splitlines()[-1])
         r = records[str(towers)]
-        print(f"{towers} towers: {r['pipeline_s']} s, ru_maxrss {r['ru_maxrss_mb']} MB,"
+        print(f"{towers} towers: import {r['import_s']} s ({r['import_maxrss_mb']} MB),"
+              f" {r['pipeline_s']} s, ru_maxrss {r['ru_maxrss_mb']} MB,"
               f" ari {r['ari']}, poi_match {r['poi_match']}", flush=True)
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc["command"] = "python3 bench/scale.py --label LABEL [--root CHECKOUT]"

@@ -61,6 +61,18 @@ def csv_cell(text: str) -> str:
     return text
 
 
+def encode_tower_id(tower_id: str, error: type[Exception]) -> bytes:
+    """``tower_id`` in UTF-8, the encoding of every file the package writes.
+    An id that UTF-8 cannot encode, such as one holding a lone surrogate,
+    raises ``error``, the writer's own, naming the tower."""
+    try:
+        return tower_id.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise error(
+            f"tower {tower_id[:40]!r}: id is not UTF-8 ({exc.reason} at character {exc.start})"
+        ) from None
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Path:
     """Write ``header`` and then ``rows`` to ``path`` as CSV.
 

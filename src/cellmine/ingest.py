@@ -30,6 +30,7 @@ from .common import (
     SLOTS_PER_DAY,
     TZ_OFFSET_MINUTES,
     csv_cell,
+    encode_tower_id,
     epoch_to_iso,
     parse_lat_lon,
     read_csv,
@@ -303,14 +304,15 @@ def write_binned(
 ) -> tuple[Path, Path]:
     """Write binned.csv (non-zero slots only) and its JSON manifest. The
     manifest also records ``origin`` as an ISO date, so it must lie in the
-    years 1 to 9999. Every slot must hold a finite, non-negative byte count,
-    as ``read_binned`` requires."""
+    years 1 to 9999. Every tower id must be UTF-8 and every slot must hold a
+    finite, non-negative byte count, as ``read_binned`` requires."""
     try:
         origin_iso = epoch_to_iso(origin)
     except (OverflowError, ValueError):
         raise IngestError(f"origin {origin} is not a date in the years 1 to 9999") from None
     towers = sorted(result.series)
     for tower_id in towers:
+        encode_tower_id(tower_id, IngestError)
         values = result.series[tower_id].slot_bytes
         bad = np.flatnonzero(~((values >= 0.0) & (values < np.inf)))
         if bad.size:

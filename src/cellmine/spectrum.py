@@ -134,18 +134,18 @@ def reconstruction_energy_ratio(x: np.ndarray) -> float:
 def amplitude_variance(
     spectra: Sequence[Spectrum],
 ) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """Population variance of |X[k]| across towers for every bin 0..n-1, plus
-    the three bins of largest variance over 1 <= k <= n/2 (DC is excluded).
-    The variance is taken once over bins 0..n//2; a mirror bin n - k has the
-    amplitude of bin k, so it repeats that bin's variance."""
+    """Population variance of |X[k]| across towers for the bins 0..n//2 the
+    spectra hold, plus the three bins of largest variance over
+    1 <= k <= n/2 (DC is excluded). A bin above n/2 has the amplitude of its
+    mirror below, so it would repeat that bin's variance."""
     if len(spectra) < 2:
         raise SpectrumError("amplitude variance needs at least 2 towers")
     n = spectra[0].n
     if any(s.n != n for s in spectra):
         raise SpectrumError("spectra have mixed lengths")
-    half = np.abs(np.stack([s.coefficients for s in spectra])).var(axis=0)
-    order = np.argsort(half[1:])[::-1][:3] + 1
-    return np.concatenate([half, half[1 : n - n // 2][::-1]]), tuple(int(k) for k in order)
+    variances = np.abs(np.stack([s.coefficients for s in spectra])).var(axis=0)
+    order = np.argsort(variances[1:])[::-1][:3] + 1
+    return variances, tuple(int(k) for k in order)
 
 
 def write_spectral_features(path: str | Path, features: Sequence[SpectralFeature]) -> Path:

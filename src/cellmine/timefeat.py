@@ -5,6 +5,23 @@ and weekends. From a profile we extract the weekday/weekend traffic ratio,
 peak and valley values, their ratio, and the times of prominent peaks and
 valleys; between two profiles we measure the circular lag that best aligns
 them.
+
+Peak and valley times are read on the smoothed curve as a circle, the
+circular moving average over ``SMOOTH_WINDOW`` slots:
+
+- A peak is a run of equal samples whose neighbouring samples are both
+  lower. A flat top counts once, at slot ``((start + end) // 2) mod n`` in
+  unwrapped run coordinates (a top that crosses midnight ends past n - 1).
+- Its prominence is ``v - max(left min, right min)``, each min taken over
+  the arc up to the first strictly higher sample. A peak with no strictly
+  higher sample has prominence ``v - min``.
+- A peak is prominent when its prominence is at least
+  ``PROMINENCE_FRACTION`` of the smoothed curve's span.
+- Valleys are the prominent peaks of the negated curve.
+
+These are the slots that ``scipy.signal.find_peaks(..., prominence=...)``
+finds on three copies of the smoothed curve laid end to end, in the middle
+copy; the tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -15,7 +32,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .common import (
     SLOTS_PER_DAY,
@@ -30,6 +46,8 @@ from .ingest import BinnedSeries
 # floor as a fraction of the smoothed peak-valley range.
 SMOOTH_WINDOW = 5
 PROMINENCE_FRACTION = 0.15
+_REACH = SMOOTH_WINDOW // 2
+_KERNEL = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW
 
 MINUTES_PER_SLOT = 10
 HALF_DAY_MINUTES = 720
@@ -103,55 +121,90 @@ def weekday_weekend_ratio(profile: DailyProfile) -> float | None:
     return float(profile.weekday.sum()) / weekend_total
 
 
-def _circular_smooth(curve: np.ndarray) -> np.ndarray:
-    kernel = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW
-    extended = np.concatenate([curve[-(SMOOTH_WINDOW // 2):], curve, curve[: SMOOTH_WINDOW // 2]])
-    return np.convolve(extended, kernel, mode="valid")
+def _circular_smooth(curves: np.ndarray) -> np.ndarray:
+    """Circular moving average of each of the k rows of ``curves`` (n slots
+    each), as k rows of n + 1 values whose last repeats the first.
+
+    One ``np.convolve`` runs over the rows laid end to end, each wrapped
+    round by the window's reach, and the outputs that straddle two rows are
+    dropped. Every output kept is the same sum, in the same order, as the
+    convolution of its row alone gives."""
+    k, n = curves.shape
+    wrapped = np.take(curves, np.arange(-_REACH, n + 1 + _REACH), axis=1, mode="wrap")
+    flat = np.convolve(wrapped.ravel(), _KERNEL, mode="full")[2 * _REACH :]
+    return flat.reshape(k, n + 1 + 2 * _REACH)[:, : n + 1]
 
 
-def _circular_extrema(curve: np.ndarray):
-    """Prominent local maxima/minima of a daily curve treated as circular.
+def _prominent(heights: list[float], first: int, threshold: float) -> list[int]:
+    """Indices ``first``, ``first + 2``, ... of ``heights``, the circular
+    list of a curve's alternating maxima and minima with the maxima at those
+    indices, whose prominence reaches ``threshold``.
 
-    Peaks are found on a tripled copy so wrap-around maxima are not lost;
-    only detections in the middle copy are kept.
-    """
-    smoothed = _circular_smooth(curve)
-    span = float(smoothed.max() - smoothed.min())
-    if span == 0.0:
-        return [], []
-    threshold = PROMINENCE_FRACTION * span
-    tripled = np.concatenate([smoothed, smoothed, smoothed])
-    n = smoothed.size
-    peaks, _ = find_peaks(tripled, prominence=threshold)
-    valleys, _ = find_peaks(-tripled, prominence=threshold)
-    peak_slots = sorted({int(p - n) for p in peaks if n <= p < 2 * n})
-    valley_slots = sorted({int(v - n) for v in valleys if n <= v < 2 * n})
-    return peak_slots, valley_slots
+    The lowest sample of an arc that ends before a higher sample is one of
+    the arc's minima, so on each side it is enough to find a minimum
+    ``threshold`` below the peak before a higher maximum. ``top - low`` is
+    rounded as ``top - max(left min, right min)`` is, so the test is exact.
+    Each walk ends within one lap: a peak with no higher maximum is the
+    highest, a whole span above the lowest minimum."""
+    m = len(heights)
+
+    def reaches(i: int, step: int) -> bool:
+        top = heights[i]
+        for k in range(i + step, i + step * m, 2 * step):
+            if top - heights[k % m] >= threshold:
+                return True
+            if heights[(k + step) % m] > top:
+                return False
+        return False
+
+    return [i for i in range(first, m, 2) if reaches(i, -1) and reaches(i, 1)]
 
 
-def peak_valley(curve: np.ndarray):
-    """Peak/valley values from the raw curve, detection times from the
-    smoothed one. Returns (peak, valley, ratio-or-None, peak_slots, valley_slots)."""
-    curve = np.asarray(curve, dtype=float)
-    peak = float(curve.max())
-    valley = float(curve.min())
-    ratio = peak / valley if valley > 0.0 else None
-    peak_slots, valley_slots = _circular_extrema(curve)
-    return peak, valley, ratio, peak_slots, valley_slots
+def _extrema(smoothed: np.ndarray) -> list[tuple[list[int], list[int]]]:
+    """(peak slots, valley slots) of each row of ``_circular_smooth``'s
+    output, by the rule in the module docstring."""
+    n = smoothed.shape[1] - 1
+    found = []
+    for row, steps, span in zip(smoothed, np.diff(smoothed, axis=1), np.ptp(smoothed, axis=1)):
+        if not span > 0.0:
+            found.append(([], []))
+            continue
+        # Runs of equal samples end where the curve steps. A run whose step
+        # in and step out differ in sign is a maximum or a minimum; these
+        # alternate round the circle.
+        ends = np.flatnonzero(steps)
+        rises = steps[ends] > 0.0
+        turns = np.flatnonzero(rises != np.roll(rises, 1)).tolist()
+        ends = ends.tolist()
+        # run j starts after ends[j - 1], a day earlier for j == 0
+        slots = [(ends[j - 1] + 1 - (n if j == 0 else 0) + ends[j]) // 2 % n for j in turns]
+        heights = [float(row[ends[j]]) for j in turns]
+        # the first turning run is a minimum when the step out of it rises
+        first_peak = 1 if rises[turns[0]] else 0
+        threshold = PROMINENCE_FRACTION * float(span)
+        peaks = _prominent(heights, first_peak, threshold)
+        valleys = _prominent([-h for h in heights], 1 - first_peak, threshold)
+        found.append((sorted(slots[i] for i in peaks), sorted(slots[i] for i in valleys)))
+    return found
 
 
 def compute_time_features(profile: DailyProfile) -> TimeFeatures:
-    wd_peak, wd_valley, wd_ratio, wd_pt, wd_vt = peak_valley(profile.weekday)
-    we_peak, we_valley, we_ratio, we_pt, we_vt = peak_valley(profile.weekend)
+    """Peak and valley values come from the raw curves, their times from the
+    smoothed ones. A peak/valley ratio is None when the valley is not above 0."""
+    curves = np.array([profile.weekday, profile.weekend], dtype=float)
+    peaks = curves.max(axis=1).tolist()
+    valleys = curves.min(axis=1).tolist()
+    ratios = [p / v if v > 0.0 else None for p, v in zip(peaks, valleys)]
+    (wd_pt, wd_vt), (we_pt, we_vt) = _extrema(_circular_smooth(curves))
     return TimeFeatures(
         profile.source_id,
         weekday_weekend_ratio(profile),
-        wd_peak,
-        wd_valley,
-        wd_ratio,
-        we_peak,
-        we_valley,
-        we_ratio,
+        peaks[0],
+        valleys[0],
+        ratios[0],
+        peaks[1],
+        valleys[1],
+        ratios[1],
         wd_pt,
         wd_vt,
         we_pt,
@@ -163,16 +216,13 @@ def peak_offset(a: DailyProfile, b: DailyProfile) -> int:
     """Signed circular lag in minutes by which the weekday curve of profile
     ``a`` trails that of profile ``b``, from the cross-correlation of the
     smoothed, mean-removed curves. Both weekday curves must contain at least
-    one prominent peak."""
-    curve_a, curve_b = a.weekday, b.weekday
-    for label, curve in (("a", curve_a), ("b", curve_b)):
-        peaks, _ = _circular_extrema(curve)
-        if not peaks:
+    one prominent peak: a smoothed curve has one unless it is flat, since
+    its highest sample's prominence is the whole span."""
+    smoothed = _circular_smooth(np.array([a.weekday, b.weekday], dtype=float))[:, :-1]
+    for label, span in zip("ab", np.ptp(smoothed, axis=1)):
+        if not span > 0.0:
             raise TimefeatError(f"profile {label} has no prominent peak; offset undefined")
-    sa = _circular_smooth(np.asarray(curve_a, dtype=float))
-    sb = _circular_smooth(np.asarray(curve_b, dtype=float))
-    sa = sa - sa.mean()
-    sb = sb - sb.mean()
+    sa, sb = (curve - curve.mean() for curve in smoothed)
     # circular cross-correlation c[tau] = sum_t a[t] * b[t - tau]
     corr = np.fft.irfft(np.fft.rfft(sa) * np.conj(np.fft.rfft(sb)), sa.size)
     lag = int(np.argmax(corr))

@@ -22,6 +22,7 @@ from .common import (
     SLOTS_PER_DAY,
     SLOTS_PER_WEEK,
     csv_cell,
+    encode_tower_id,
     local_seconds_of_day,
     local_weekday,
     open_replacing,
@@ -115,10 +116,12 @@ def _vectors_header(n: int) -> list[str]:
 
 
 def write_vectors_csv(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:
-    """Write one row per vector, sorted by tower id. Every vector must hold
-    as many values as the first, which sizes the header."""
+    """Write one row per vector, sorted by tower id. Every id must be UTF-8,
+    and every vector must hold as many values as the first, which sizes the
+    header."""
     n = vectors[0].n if vectors else 0
     for vec in vectors:
+        encode_tower_id(vec.tower_id, VectorizeError)
         if vec.n != n:
             raise VectorizeError(
                 f"tower {vec.tower_id} holds {vec.n} values,"
@@ -157,15 +160,15 @@ def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
 def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:
     """Length-prefixed binary: magic, u32 record count, then per record a
     u16 id length + UTF-8 id, u8 degenerate flag, u32 value count and the
-    values as little-endian float64. An id too long for its u16 length
-    raises ``VectorizeError`` and, like any failed write, leaves the file as
-    it was."""
+    values as little-endian float64. An id that is not UTF-8 or is too long
+    for its u16 length raises ``VectorizeError`` and, like any failed write,
+    leaves the file as it was."""
     path = Path(path)
     with open_replacing(path, binary=True) as f:
         f.write(_BIN_MAGIC)
         f.write(struct.pack("<I", len(vectors)))
         for vec in sorted(vectors, key=lambda v: v.tower_id):
-            ident = vec.tower_id.encode("utf-8")
+            ident = encode_tower_id(vec.tower_id, VectorizeError)
             if len(ident) > _MAX_ID_BYTES:
                 raise VectorizeError(
                     f"tower {vec.tower_id[:40]}...: id is {len(ident)} UTF-8 bytes,"

@@ -43,7 +43,7 @@ from cellmine.decompose import (
     write_mixtures,
     write_vertices,
 )
-from cellmine.ingest import BinnedSeries, BinResult, read_binned, write_binned
+from cellmine.ingest import BinnedSeries, BinResult, IngestError, read_binned, write_binned
 from cellmine.poi import PoiClusterTable, PoiProfile, write_poi_cluster_table, write_poi_profiles
 from cellmine.spectrum import SpectralFeature, read_spectral_features, write_spectral_features
 from cellmine.timefeat import TimeFeatures, write_time_features
@@ -413,21 +413,46 @@ def test_every_open_is_binary_or_utf8():
     "write",
     [
         lambda path: write_vectors_csv(path, [TrafficVector("a", np.zeros(3)),
-                                              TrafficVector("b\udc80", np.ones(3))]),
+                                              TrafficVector("b", np.ones(3), None)]),
         lambda path: write_vectors_binary(path, [TrafficVector("a", np.zeros(3)),
-                                                 TrafficVector("b\udc80", np.ones(3))]),
+                                                 TrafficVector("b", np.ones(3), None)]),
         lambda path: write_json(path, {"a": 1, "b": object()}),
     ],
     ids=["vectors_csv", "vectors_binary", "json"],
 )
 def test_a_failed_write_keeps_the_old_file(tmp_path, write):
-    # each write fails part way, after it has written a first record
+    # each write fails part way, after it has written a first record: a
+    # degenerate flag of None has no int, and an object() no JSON
     path = write_vectors_csv(tmp_path / "old", [TrafficVector("z", np.arange(3.0))])
     before = path.read_bytes()
-    with pytest.raises((UnicodeEncodeError, TypeError)):
+    with pytest.raises(TypeError):
         write(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["old"]
+
+
+@pytest.mark.parametrize(
+    "write, error",
+    [
+        (lambda directory, tower: write_binned(directory, BinResult(
+            {t: BinnedSeries(t, 0, np.ones(144)) for t in ("a", tower)}, 0, 0.0), 0, 1),
+         IngestError),
+        (lambda directory, tower: write_vectors_csv(
+            directory / "v.csv", [TrafficVector("a", np.zeros(3)), TrafficVector(tower, np.ones(3))]),
+         VectorizeError),
+        (lambda directory, tower: write_vectors_binary(
+            directory / "v.bin", [TrafficVector("a", np.zeros(3)), TrafficVector(tower, np.ones(3))]),
+         VectorizeError),
+    ],
+    ids=["binned", "vectors_csv", "vectors_binary"],
+)
+def test_a_tower_id_utf8_cannot_encode_fails_with_the_module_error(tmp_path, write, error):
+    write(tmp_path, "c")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # a lone surrogate, which UTF-8 cannot encode
+    with pytest.raises(error, match=r"tower 'b\\udc80': id is not UTF-8 \(surrogates not allowed"):
+        write(tmp_path, "b\udc80")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # --- encoding and header errors ---------------------------------------------

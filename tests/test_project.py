@@ -1,5 +1,9 @@
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,25 @@ def test_console_scripts_import():
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_importing_the_package_loads_no_scipy_signal_or_stats():
+    """Importing ``scipy.signal``, which imports ``scipy.stats``, takes more
+    than half of a fresh process's set-up, so no ``cellmine`` module may
+    import either. A fresh interpreter imports every module and reports
+    which of the two it holds."""
+    modules = sorted(f"cellmine.{p.stem}" for p in (ROOT / "src" / "cellmine").glob("[!_]*.py"))
+    code = (
+        "import importlib, json, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(child.stdout) == []
 
 
 def _public_definitions(tree):

@@ -160,12 +160,13 @@ def test_amplitude_variance_identical_towers_zero():
 
 
 def full_fft_amplitude_variance(series):
-    """Oracle: the variance across towers of |X[k]| for every bin of the full
-    complex DFT, and the three bins of largest variance over 1 <= k <= n/2."""
+    """Oracle: the variance across towers of |X[k]| for bins 0..n//2 of the
+    full complex DFT, and the three bins of largest variance over
+    1 <= k <= n/2."""
     variances = np.abs(np.fft.fft(np.stack(series))).var(axis=0)
-    n = variances.size
-    top3 = np.argsort(variances[1 : n // 2 + 1])[::-1][:3] + 1
-    return variances, tuple(int(k) for k in top3)
+    half = variances[: variances.size // 2 + 1]
+    top3 = np.argsort(half[1:])[::-1][:3] + 1
+    return half, tuple(int(k) for k in top3)
 
 
 @given(st.integers(2, 8), st.integers(4, 257), st.integers(0, 2**32 - 1))
@@ -183,7 +184,7 @@ def test_amplitude_variance_equals_full_fft_oracle(towers, n, seed):
     ]
     variances, top3 = amplitude_variance([dft(x) for x in series])
     want, want_top3 = full_fft_amplitude_variance(series)
-    assert variances.shape == (n,)
+    assert variances.shape == (n // 2 + 1,)
     np.testing.assert_allclose(variances, want, rtol=1e-9, atol=0)
     assert top3 == want_top3
 
@@ -197,8 +198,7 @@ def test_amplitude_variance_concentrates_at_varied_bin():
         spectra.append(dft(x))
     variances, top3 = amplitude_variance(spectra)
     assert top3[0] == 7
-    assert variances[7] == pytest.approx(variances[n - 7], rel=1e-12)
-    assert variances[7] > 100 * np.delete(variances, [7, n - 7]).max()
+    assert variances[7] > 100 * np.delete(variances, 7).max()
 
 
 def test_spectral_features_io(tmp_path):

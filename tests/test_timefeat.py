@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from cellmine.ingest import BinnedSeries
 from cellmine.timefeat import (
+    PROMINENCE_FRACTION,
+    SMOOTH_WINDOW,
     DailyProfile,
     TimefeatError,
     compute_time_features,
     daily_profile,
     peak_offset,
-    peak_valley,
     slot_to_hhmm,
     weekday_weekend_ratio,
 )
@@ -82,37 +86,93 @@ def test_ratio_zero_weekend_undefined():
     assert weekday_weekend_ratio(profile) is None
 
 
-def test_peak_valley_single_sinusoid_at_2130():
+def features_of(curve):
+    """Time features of a profile whose weekday and weekend curves are both ``curve``."""
+    return compute_time_features(DailyProfile("t", curve, curve))
+
+
+def test_time_features_single_sinusoid_at_2130():
     slot = 129  # 21:30
-    curve = 1.0 + np.cos(2 * np.pi * (np.arange(144) - slot) / 144)
-    peak, valley, ratio, peak_slots, valley_slots = peak_valley(curve)
-    assert peak_slots == [slot]
+    feats = features_of(1.0 + np.cos(2 * np.pi * (np.arange(144) - slot) / 144))
+    assert feats.weekday_peak_times == [slot]
     assert slot_to_hhmm(slot) == "21:30"
-    assert peak == pytest.approx(2.0)
-    assert valley == pytest.approx(0.0, abs=1e-12)
+    assert feats.weekday_peak == pytest.approx(2.0)
+    assert feats.weekday_valley == pytest.approx(0.0, abs=1e-12)
+    ratio = feats.weekday_peak_valley_ratio
     assert ratio is None or ratio > 1  # valley 0 -> undefined
 
 
-def test_peak_valley_double_hump():
-    curve = day_curve(48, width=8) + day_curve(108, width=8)
-    _, _, _, peak_slots, _ = peak_valley(curve)
-    assert any(abs(p - 48) <= 1 for p in peak_slots)
-    assert any(abs(p - 108) <= 1 for p in peak_slots)
+def test_time_features_double_hump():
+    feats = features_of(day_curve(48, width=8) + day_curve(108, width=8))
+    assert any(abs(p - 48) <= 1 for p in feats.weekday_peak_times)
+    assert any(abs(p - 108) <= 1 for p in feats.weekday_peak_times)
     assert [slot_to_hhmm(48), slot_to_hhmm(108)] == ["08:00", "18:00"]
 
 
-def test_peak_valley_constant_profile():
-    peak, valley, ratio, peak_slots, valley_slots = peak_valley(np.full(144, 5.0))
-    assert ratio == pytest.approx(1.0)
-    assert peak_slots == [] and valley_slots == []
+def test_time_features_constant_profile():
+    feats = features_of(np.full(144, 5.0))
+    assert feats.weekday_peak_valley_ratio == pytest.approx(1.0)
+    assert feats.weekday_peak_times == [] and feats.weekday_valley_times == []
 
 
-def test_peak_valley_ratio_at_least_one():
+def test_time_features_ratio_at_least_one():
     rng = np.random.default_rng(22)
     for _ in range(20):
-        curve = rng.uniform(0.5, 10, size=144)
-        _, _, ratio, _, _ = peak_valley(curve)
-        assert ratio >= 1.0
+        feats = features_of(rng.uniform(0.5, 10, size=144))
+        assert feats.weekday_peak_valley_ratio >= 1.0
+
+
+def scipy_extrema(curve):
+    """Oracle: the peak and valley slots that ``scipy.signal.find_peaks``
+    finds on three copies of the smoothed curve laid end to end, kept in the
+    middle copy. This was the package's own code before it moved to numpy."""
+    half = SMOOTH_WINDOW // 2
+    extended = np.concatenate([curve[-half:], curve, curve[:half]])
+    smoothed = np.convolve(extended, np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW, mode="valid")
+    span = float(smoothed.max() - smoothed.min())
+    if span == 0.0:
+        return [], []
+    threshold = PROMINENCE_FRACTION * span
+    tripled = np.concatenate([smoothed, smoothed, smoothed])
+    n = smoothed.size
+    peaks, _ = find_peaks(tripled, prominence=threshold)
+    valleys, _ = find_peaks(-tripled, prominence=threshold)
+    return (
+        sorted({int(p - n) for p in peaks if n <= p < 2 * n}),
+        sorted({int(v - n) for v in valleys if n <= v < 2 * n}),
+    )
+
+
+@st.composite
+def circle_pairs(draw):
+    """Two curves of one length, 2 to 160 slots or a day's 144. Their values
+    are small integers in runs of 1 to 12 equal samples, so the smoothed
+    curves hold ties and flat tops and bottoms; a random rotation puts some
+    of those across midnight. Near-flat curves put the integers at 1e-12 on
+    top of 1000, a few units in the last place."""
+    n = draw(st.one_of(st.just(144), st.integers(2, 160)))
+    base, scale = draw(st.sampled_from([(0.0, 1.0), (1000.0, 1e-12)]))
+
+    def curve():
+        runs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 12)), min_size=1))
+        levels, lengths = zip(*runs)
+        values = np.resize(np.repeat(levels, lengths), n)
+        return base + scale * np.roll(values, draw(st.integers(0, n - 1)))
+
+    return curve(), curve()
+
+
+@settings(max_examples=500)
+@given(circle_pairs())
+@example((np.roll(np.r_[np.ones(20), np.zeros(124)], -10), np.full(144, 3.0)))
+@example((np.r_[2.0, 1.0, 2.0, 1.0, 0.0, 1.0], 1000.0 + 1e-12 * np.r_[0.0, 0.0, 1.0, 0.0, 0.0, 0.0]))
+# a peak and a valley whose prominence equals the threshold to the last bit
+@example(2 * (np.r_[2.0, 3, 0, 0, 4, 8, 11, 3, 0, 4, 3, 3, 0, 0, 2, 10, 0, 1],))
+def test_peak_and_valley_times_equal_find_peaks_on_the_tripled_curve(curves):
+    weekday, weekend = curves
+    feats = compute_time_features(DailyProfile("t", weekday, weekend))
+    assert (feats.weekday_peak_times, feats.weekday_valley_times) == scipy_extrema(weekday)
+    assert (feats.weekend_peak_times, feats.weekend_valley_times) == scipy_extrema(weekend)
 
 
 def test_compute_time_features_bundle():
