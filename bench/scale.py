@@ -14,6 +14,10 @@ seconds and ``ru_maxrss`` of importing numpy, scipy and the pipeline with every
 ``cellmine`` stage, self seconds per stage, ``ru_maxrss``, HAC's RSS growth,
 quality, failed gates, the probe time and the environment) goes into
 ``BENCH_scale.json`` under ``--label``; records under other labels are kept.
+``pipeline_s`` and ``self_s`` are wall seconds; ``pipeline_s_scaled`` and
+``self_s_scaled`` are the same times multiplied by the record's ``probe_scale``,
+as ``perfbench/run.py`` scales them, so that records made while the host ran
+at different speeds can be compared.
 The 10k city takes minutes and a few GB of memory. This is not part of the
 test suite.
 """
@@ -67,6 +71,7 @@ def run_one(root: Path, city: Path) -> dict:
     pipeline_s = perf_counter() - t0
     maxrss_mb = pipeline._maxrss_mb()
     out["quality"] = pipeline.quality(out, truth)
+    self_s = sorted(tracer.self_times().items(), key=lambda kv: -kv[1])
     record = {
         "import_s": round(import_s, 3),
         "import_maxrss_mb": round(import_maxrss_mb, 1),
@@ -79,15 +84,15 @@ def run_one(root: Path, city: Path) -> dict:
         "r_chosen": out["model"].r,
         **{k: round(v, 6) for k, v in out["quality"].items()},
         "failed_gates": pipeline.check_gates(out, truth),
-        "self_s": {
-            name: round(s, 3)
-            for name, s in sorted(tracer.self_times().items(), key=lambda kv: -kv[1])
-        },
+        "self_s": {name: round(s, 3) for name, s in self_s},
     }
     del out
     probe_s = (probe_before + pipeline.probe()) / 2.0
     record["probe_s"] = round(probe_s, 4)
-    record["probe_scale"] = round(PROBE_REF_S / probe_s, 4)
+    scale = PROBE_REF_S / probe_s
+    record["probe_scale"] = round(scale, 4)
+    record["pipeline_s_scaled"] = round(pipeline_s * scale, 3)
+    record["self_s_scaled"] = {name: round(s * scale, 3) for name, s in self_s}
     record["environment"] = {
         "python": platform.python_version(),
         "numpy": numpy.__version__,

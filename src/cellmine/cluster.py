@@ -264,7 +264,7 @@ def distance_cdf(model: ClusterModel, vectors: Sequence[TrafficVector]) -> dict[
 
 
 def write_assignments(path: str | Path, model: ClusterModel) -> Path:
-    return write_csv(path, ASSIGNMENTS_HEADER, sorted(model.assignments.items()))
+    return write_csv(path, ASSIGNMENTS_HEADER, sorted(model.assignments.items()), ClusterError)
 
 
 def read_assignments(path: str | Path) -> dict[str, int]:
@@ -284,11 +284,11 @@ def read_assignments(path: str | Path) -> dict[str, int]:
 def write_centroids(path: str | Path, model: ClusterModel) -> Path:
     header = ["cluster", "size"] + [f"v{i}" for i in range(model.centroids.shape[1])]
     rows = ([c + 1, model.sizes[c]] + model.centroids[c].tolist() for c in range(model.r))
-    return write_csv(path, header, rows)
+    return write_csv(path, header, rows, ClusterError)
 
 
 def write_dbi_trace(path: str | Path, trace: Sequence[DbiTracePoint]) -> Path:
-    return write_csv(path, ["R", "cut_height", "dbi"], trace)
+    return write_csv(path, ["R", "cut_height", "dbi"], trace, ClusterError)
 
 
 def write_distance_cdf(path: str | Path, cdf: Mapping[int, np.ndarray]) -> Path:
@@ -297,4 +297,4 @@ def write_distance_cdf(path: str | Path, cdf: Mapping[int, np.ndarray]) -> Path:
         for cluster in sorted(cdf)
         for rank, d in enumerate(cdf[cluster].tolist(), start=1)
     )
-    return write_csv(path, ["cluster", "rank", "distance"], rows)
+    return write_csv(path, ["cluster", "rank", "distance"], rows, ClusterError)

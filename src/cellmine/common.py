@@ -1,5 +1,6 @@
 """Shared time constants, the CSV and JSON file helpers every stage reads and
-writes its tables with, and small helpers used across pipeline stages."""
+writes its tables with, and small helpers used across pipeline stages. Every
+file is UTF-8, and text that UTF-8 cannot encode raises the writer's error."""
 
 from __future__ import annotations
 
@@ -61,19 +62,8 @@ def csv_cell(text: str) -> str:
     return text
 
 
-def encode_tower_id(tower_id: str, error: type[Exception]) -> bytes:
-    """``tower_id`` in UTF-8, the encoding of every file the package writes.
-    An id that UTF-8 cannot encode, such as one holding a lone surrogate,
-    raises ``error``, the writer's own, naming the tower."""
-    try:
-        return tower_id.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise error(
-            f"tower {tower_id[:40]!r}: id is not UTF-8 ({exc.reason} at character {exc.start})"
-        ) from None
-
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Path:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]],
+              error: type[Exception]) -> Path:
     """Write ``header`` and then ``rows`` to ``path`` as CSV.
 
     The header row is always written. A float is written as its shortest
@@ -85,33 +75,41 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[A
     lines = (
         ",".join("" if v is None else csv_cell(str(v)) for v in row) + "\n" for row in rows
     )
-    return write_csv_blocks(path, header, lines)
+    return write_csv_blocks(path, header, lines, error)
 
 
 @contextmanager
-def open_replacing(path: Path, binary: bool) -> Iterator[IO]:
+def open_replacing(path: Path, binary: bool, error: type[Exception]) -> Iterator[IO]:
     """Open a temporary file beside ``path`` for writing, as bytes or as
     UTF-8 text with no newline translation, and once the block has finished
     ``os.replace`` it over ``path``. If the block raises, the temporary file
     is removed and ``path`` keeps what it held, so a failed write never
     leaves a truncated table behind. Every file the package writes is
-    written through here."""
+    written through here. Every file is UTF-8: text that UTF-8 cannot encode
+    raises ``error``, the writer's own, quoting the text up to and including
+    the first such character (at most its last 40 characters). A text file
+    encodes each non-ASCII ``write`` at once, so that text is the row or
+    block being written."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, UnicodeEncodeError):
+            text = exc.object[: exc.start + 1][-40:]
+            raise error(f"{path}: {text!r} is not UTF-8 ({exc.reason})") from None
         raise
 
 
-def write_csv_blocks(path: str | Path, header: Sequence[str], blocks: Iterable[str]) -> Path:
+def write_csv_blocks(path: str | Path, header: Sequence[str], blocks: Iterable[str],
+                     error: type[Exception]) -> Path:
     """Write ``header`` and then each of ``blocks`` to ``path``. A block is
     whole rows of text, each ending in ``\n``, with its cells made by
     ``csv_cell`` or by ``repr`` of a number, as ``write_csv`` makes them."""
     path = Path(path)
-    with open_replacing(path, binary=False) as f:
+    with open_replacing(path, binary=False, error=error) as f:
         f.write(",".join(map(csv_cell, header)) + "\n")
         f.writelines(blocks)
     return path
@@ -182,10 +180,10 @@ def reject_repeat(seen: set[str], tower_id: str) -> None:
     seen.add(tower_id)
 
 
-def write_json(path: str | Path, payload: Any) -> Path:
+def write_json(path: str | Path, payload: Any, error: type[Exception]) -> Path:
     """Write ``payload`` as JSON indented by 2 with sorted keys, and a final newline."""
     path = Path(path)
-    with open_replacing(path, binary=False) as f:
+    with open_replacing(path, binary=False, error=error) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
     return path

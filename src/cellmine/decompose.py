@@ -276,7 +276,7 @@ def write_mixtures(path: str | Path, mixtures: Sequence[MixtureCoefficients]) ->
         [m.tower_id] + m.x.tolist() + [m.residual]
         for m in sorted(mixtures, key=lambda x: x.tower_id)
     )
-    return write_csv(path, MIXTURES_HEADER, rows)
+    return write_csv(path, MIXTURES_HEADER, rows, DecomposeError)
 
 
 def read_mixtures(path: str | Path) -> list[MixtureCoefficients]:
@@ -309,7 +309,7 @@ def write_vertices(path: str | Path, model: PolygonModel) -> Path:
             for cluster, vertex in zip(model.vertex_clusters, model.vertices)
         ],
     }
-    return write_json(path, payload)
+    return write_json(path, payload, DecomposeError)
 
 
 def _polygon_from_payload(payload: dict) -> PolygonModel:

@@ -30,7 +30,6 @@ from .common import (
     SLOTS_PER_DAY,
     TZ_OFFSET_MINUTES,
     csv_cell,
-    encode_tower_id,
     epoch_to_iso,
     parse_lat_lon,
     read_csv,
@@ -158,8 +157,8 @@ def parse_sessions(lines: Iterable[str]) -> tuple[list[SessionLog], list[Rejecte
 
 def parse_towers(lines: Iterable[str]) -> dict[str, TowerRecord]:
     """Parse towers.csv into a registry. The registry must be clean: any
-    malformed row or duplicate tower_id raises."""
-    registry: dict[str, TowerRecord] = {}
+    malformed row or repeated tower_id raises."""
+    seen: set[str] = set()
 
     def tower(fields: list[str]) -> TowerRecord:
         tower_id, lat, lon = fields
@@ -167,13 +166,11 @@ def parse_towers(lines: Iterable[str]) -> dict[str, TowerRecord]:
         coordinates = parse_lat_lon(lat, lon)
         if not tower_id:
             raise ValueError("empty tower_id")
-        if tower_id in registry:
-            raise ValueError(f"duplicate tower_id {tower_id}")
+        reject_repeat(seen, tower_id)
         return TowerRecord(tower_id, *coordinates)
 
-    for record in read_csv(lines, TOWERS_HEADER, IngestError, "towers", "towers", tower):
-        registry[record.tower_id] = record
-    return registry
+    records = read_csv(lines, TOWERS_HEADER, IngestError, "towers", "towers", tower)
+    return {record.tower_id: record for record in records}
 
 
 def _int64_fields(logs: list[SessionLog]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -304,15 +301,14 @@ def write_binned(
 ) -> tuple[Path, Path]:
     """Write binned.csv (non-zero slots only) and its JSON manifest. The
     manifest also records ``origin`` as an ISO date, so it must lie in the
-    years 1 to 9999. Every tower id must be UTF-8 and every slot must hold a
-    finite, non-negative byte count, as ``read_binned`` requires."""
+    years 1 to 9999. Every slot must hold a finite, non-negative byte count,
+    as ``read_binned`` requires."""
     try:
         origin_iso = epoch_to_iso(origin)
     except (OverflowError, ValueError):
         raise IngestError(f"origin {origin} is not a date in the years 1 to 9999") from None
     towers = sorted(result.series)
     for tower_id in towers:
-        encode_tower_id(tower_id, IngestError)
         values = result.series[tower_id].slot_bytes
         bad = np.flatnonzero(~((values >= 0.0) & (values < np.inf)))
         if bad.size:
@@ -328,7 +324,8 @@ def write_binned(
         q = csv_cell(tower_id)
         return "".join(f"{q},{i},{x!r}\n" for i, x in zip(idx.tolist(), values[idx].tolist()))
 
-    csv_path = write_csv_blocks(directory / "binned.csv", BINNED_HEADER, map(nonzero_rows, towers))
+    csv_path = write_csv_blocks(directory / "binned.csv", BINNED_HEADER,
+                                map(nonzero_rows, towers), IngestError)
     manifest = {
         "origin_epoch_s": origin,
         "origin_iso": origin_iso,
@@ -339,7 +336,7 @@ def write_binned(
         "unknown_tower_sessions": result.unknown_towers,
         "out_of_window_bytes": result.out_of_window_bytes,
     }
-    return csv_path, write_json(directory / "binned_manifest.json", manifest)
+    return csv_path, write_json(directory / "binned_manifest.json", manifest, IngestError)
 
 
 def _checked_manifest(manifest: dict) -> dict:

@@ -229,7 +229,7 @@ def write_poi_profiles(path: str | Path, profiles: Mapping[str, PoiProfile]) -> 
         header += [f"{prefix}_{t}" for t in POI_TYPES]
     header.append("ntfidf_defined")
     rows = (_profile_row(t, profiles[t]) for t in sorted(profiles))
-    return write_csv(path, header, rows)
+    return write_csv(path, header, rows, PoiError)
 
 
 def write_poi_cluster_table(path: str | Path, table: PoiClusterTable) -> Path:
@@ -241,4 +241,4 @@ def write_poi_cluster_table(path: str | Path, table: PoiClusterTable) -> Path:
         for r, cluster in enumerate(table.clusters)
     ]
     rows.append(["col_max"] + [table.col_max.get(t) for t in POI_TYPES] + [None])
-    return write_csv(path, ["cluster"] + list(POI_TYPES) + ["row_max"], rows)
+    return write_csv(path, ["cluster"] + list(POI_TYPES) + ["row_max"], rows, PoiError)

@@ -153,7 +153,7 @@ def write_spectral_features(path: str | Path, features: Sequence[SpectralFeature
         [feat.tower_id] + feat.as_array().tolist()
         for feat in sorted(features, key=lambda x: x.tower_id)
     )
-    return write_csv(path, FEATURES_HEADER, rows)
+    return write_csv(path, FEATURES_HEADER, rows, SpectrumError)
 
 
 def read_spectral_features(path: str | Path) -> list[SpectralFeature]:

@@ -242,4 +242,4 @@ def write_time_features(path: str | Path, features: Sequence[TimeFeatures]) -> P
     header = [f.name for f in fields(TimeFeatures)]
     values = attrgetter(*header)
     rows = ([_times(v) if isinstance(v, list) else v for v in values(t)] for t in features)
-    return write_csv(path, header, rows)
+    return write_csv(path, header, rows, TimefeatError)

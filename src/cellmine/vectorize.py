@@ -10,6 +10,7 @@ holding a comma, a quote, ``\r`` or ``\n`` is quoted with its quotes doubled
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,6 @@ from .common import (
     SLOTS_PER_DAY,
     SLOTS_PER_WEEK,
     csv_cell,
-    encode_tower_id,
     local_seconds_of_day,
     local_weekday,
     open_replacing,
@@ -116,12 +116,10 @@ def _vectors_header(n: int) -> list[str]:
 
 
 def write_vectors_csv(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:
-    """Write one row per vector, sorted by tower id. Every id must be UTF-8,
-    and every vector must hold as many values as the first, which sizes the
-    header."""
+    """Write one row per vector, sorted by tower id. Every vector must hold
+    as many values as the first, which sizes the header."""
     n = vectors[0].n if vectors else 0
     for vec in vectors:
-        encode_tower_id(vec.tower_id, VectorizeError)
         if vec.n != n:
             raise VectorizeError(
                 f"tower {vec.tower_id} holds {vec.n} values,"
@@ -133,7 +131,7 @@ def write_vectors_csv(path: str | Path, vectors: Sequence[TrafficVector]) -> Pat
         return ",".join(cells) + "\n"
 
     rows = map(row, sorted(vectors, key=lambda v: v.tower_id))
-    return write_csv_blocks(path, _vectors_header(n), rows)
+    return write_csv_blocks(path, _vectors_header(n), rows, VectorizeError)
 
 
 def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
@@ -160,15 +158,15 @@ def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
 def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:
     """Length-prefixed binary: magic, u32 record count, then per record a
     u16 id length + UTF-8 id, u8 degenerate flag, u32 value count and the
-    values as little-endian float64. An id that is not UTF-8 or is too long
-    for its u16 length raises ``VectorizeError`` and, like any failed write,
-    leaves the file as it was."""
+    values as little-endian float64. An id of more than 65,535 UTF-8 bytes,
+    too long for its u16 length, raises ``VectorizeError`` and, like any
+    failed write, leaves the file as it was."""
     path = Path(path)
-    with open_replacing(path, binary=True) as f:
+    with open_replacing(path, binary=True, error=VectorizeError) as f:
         f.write(_BIN_MAGIC)
         f.write(struct.pack("<I", len(vectors)))
         for vec in sorted(vectors, key=lambda v: v.tower_id):
-            ident = encode_tower_id(vec.tower_id, VectorizeError)
+            ident = vec.tower_id.encode("utf-8")
             if len(ident) > _MAX_ID_BYTES:
                 raise VectorizeError(
                     f"tower {vec.tower_id[:40]}...: id is {len(ident)} UTF-8 bytes,"
@@ -185,6 +183,7 @@ def read_vectors_binary(path: str | Path) -> list[TrafficVector]:
     out = []
     seen: set[str] = set()
     with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size
 
         def read_exact(size: int) -> bytes:
             data = f.read(size)
@@ -207,7 +206,10 @@ def read_vectors_binary(path: str | Path) -> list[TrafficVector]:
                 raise VectorizeError(
                     f"{path} record {record}: degenerate flag is {degenerate}, not 0 or 1"
                 )
-            values = np.frombuffer(read_exact(8 * n), dtype="<f8").astype(float)
+            # checked before the read, so that a hostile count allocates nothing
+            if 8 * n > end - f.tell():
+                raise VectorizeError(f"truncated vector file: {path} record {record} claims {n} values")
+            values = np.frombuffer(f.read(8 * n), dtype="<f8").astype(float)
             try:
                 reject_repeat(seen, tower_id)
                 reject_nan(values, "v{}".format)

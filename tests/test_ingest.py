@@ -85,7 +85,7 @@ def test_parse_towers_registry():
 
 
 def test_parse_towers_rejects_duplicate_and_range():
-    with pytest.raises(IngestError):
+    with pytest.raises(IngestError, match="towers line 3: tower t1 is repeated"):
         parse_towers(["tower_id,lat,lon", "t1,0,0", "t1,1,1"])
     with pytest.raises(IngestError):
         parse_towers(["tower_id,lat,lon", "t1,95,0"])

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import cellmine
 from cellmine.cluster import (
+    ClusterError,
     ClusterModel,
     DbiTracePoint,
     read_assignments,
@@ -44,9 +45,20 @@ from cellmine.decompose import (
     write_vertices,
 )
 from cellmine.ingest import BinnedSeries, BinResult, IngestError, read_binned, write_binned
-from cellmine.poi import PoiClusterTable, PoiProfile, write_poi_cluster_table, write_poi_profiles
-from cellmine.spectrum import SpectralFeature, read_spectral_features, write_spectral_features
-from cellmine.timefeat import TimeFeatures, write_time_features
+from cellmine.poi import (
+    PoiClusterTable,
+    PoiError,
+    PoiProfile,
+    write_poi_cluster_table,
+    write_poi_profiles,
+)
+from cellmine.spectrum import (
+    SpectralFeature,
+    SpectrumError,
+    read_spectral_features,
+    write_spectral_features,
+)
+from cellmine.timefeat import TimefeatError, TimeFeatures, write_time_features
 from cellmine.vectorize import (
     TrafficVector,
     VectorizeError,
@@ -416,7 +428,7 @@ def test_every_open_is_binary_or_utf8():
                                               TrafficVector("b", np.ones(3), None)]),
         lambda path: write_vectors_binary(path, [TrafficVector("a", np.zeros(3)),
                                                  TrafficVector("b", np.ones(3), None)]),
-        lambda path: write_json(path, {"a": 1, "b": object()}),
+        lambda path: write_json(path, {"a": 1, "b": object()}, ValueError),
     ],
     ids=["vectors_csv", "vectors_binary", "json"],
 )
@@ -443,14 +455,32 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, write):
         (lambda directory, tower: write_vectors_binary(
             directory / "v.bin", [TrafficVector("a", np.zeros(3)), TrafficVector(tower, np.ones(3))]),
          VectorizeError),
+        (lambda directory, tower: write_assignments(directory / "a.csv", _model({"a": 1, tower: 2})),
+         ClusterError),
+        (lambda directory, tower: write_spectral_features(
+            directory / "f.csv", [SpectralFeature(t, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5) for t in ("a", tower)]),
+         SpectrumError),
+        (lambda directory, tower: write_mixtures(
+            directory / "m.csv", [MixtureCoefficients(t, np.full(4, 0.25), 0.0) for t in ("a", tower)]),
+         DecomposeError),
+        (lambda directory, tower: write_time_features(
+            directory / "t.csv",
+            [TimeFeatures(t, 1.0, 2.0, 1.0, 2.0, 2.0, 1.0, 2.0, [0], [72], [0], [72]) for t in ("a", tower)]),
+         TimefeatError),
+        (lambda directory, tower: write_poi_profiles(
+            directory / "p.csv",
+            {t: PoiProfile(t, np.zeros(4, dtype=int), np.zeros(4), None) for t in ("a", tower)}),
+         PoiError),
     ],
-    ids=["binned", "vectors_csv", "vectors_binary"],
+    ids=["binned", "vectors_csv", "vectors_binary", "assignments", "spectral_features", "mixtures",
+         "time_features", "poi_profiles"],
 )
 def test_a_tower_id_utf8_cannot_encode_fails_with_the_module_error(tmp_path, write, error):
     write(tmp_path, "c")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    # a lone surrogate, which UTF-8 cannot encode
-    with pytest.raises(error, match=r"tower 'b\\udc80': id is not UTF-8 \(surrogates not allowed"):
+    # a lone surrogate, which UTF-8 cannot encode; the message quotes the
+    # text written up to it, here the row's first cell
+    with pytest.raises(error, match=r": 'b\\udc80' is not UTF-8 \(surrogates not allowed\)$"):
         write(tmp_path, "b\udc80")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 

@@ -127,6 +127,41 @@ def test_the_package_writes_files_only_through_open_replacing():
     assert not found, f"writes that bypass open_replacing: {found}"
 
 
+# The file helpers of ``common`` that take the caller's error class.
+FILE_HELPERS = ("open_replacing", "write_csv", "write_csv_blocks", "write_json", "read_csv",
+                "read_json", "read_header")
+
+
+def test_every_file_helper_call_passes_its_own_module_error():
+    """Every call in ``src/cellmine/<m>.py`` to a file helper passes, as its
+    ``error`` argument, an error class that ``<m>`` itself defines, so that a
+    stage never raises another stage's error or a bare ``ValueError`` for a
+    bad file. Inside ``common`` a helper may pass on its own ``error``."""
+    common = ast.parse((ROOT / "src" / "cellmine" / "common.py").read_text(encoding="utf-8"))
+    position = {node.name: [a.arg for a in node.args.args].index("error")
+                for node in common.body
+                if isinstance(node, ast.FunctionDef) and node.name in FILE_HELPERS}
+    assert sorted(position) == sorted(FILE_HELPERS)
+    found, calls = [], 0
+    for path in sorted(ROOT.glob("src/cellmine/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {node.name for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name.endswith("Error")}
+        if path.stem == "common":
+            own.add("error")
+        for node in ast.walk(tree):
+            name = isinstance(node, ast.Call) and (_dotted(node.func) or "").rpartition(".")[2]
+            if name not in position:
+                continue
+            calls += 1
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            index = position[name]
+            error = node.args[index] if len(node.args) > index else keywords.get("error")
+            if not (isinstance(error, ast.Name) and error.id in own):
+                found.append(f"{path.name} line {node.lineno}: {name}")
+    assert calls and not found, f"file helper calls without their module's error: {found}"
+
+
 # Every parameter and dataclass field in src/cellmine that has a default, as
 # <module>.<class or function>.<name>. A default is an option the pipeline may
 # never set; one added to the package is added here in the same change.

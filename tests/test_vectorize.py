@@ -208,6 +208,9 @@ BINARY_RECORD = b"CMVEC1\n" + b"\x01\x00\x00\x00" + b"\x02\x00ab" + b"\x00\x01\x
     "data, message",
     [
         (BINARY_RECORD.replace(b"ab", b"a\xff"), "v.bin record 1: tower id is not UTF-8"),
+        # a value count of 2**32 - 1, some 34 GB, in a 28-byte file
+        (BINARY_RECORD[:-12] + b"\xff\xff\xff\xff" + bytes(8),
+         "v.bin record 1 claims 4294967295 values"),
         (BINARY_RECORD.replace(b"ab\x00", b"ab\x07"), "v.bin record 1: degenerate flag is 7, not 0 or 1"),
         (BINARY_RECORD + b"\x00", "v.bin: bytes after the last of 1 records"),
         (BINARY_RECORD[:-8] + bytes(6) + b"\xf8\x7f", "v.bin record 1: v0 is NaN"),
