@@ -83,14 +83,13 @@ class Dendrogram:
 
 @dataclass(slots=True)
 class ClusterModel:
-    """Result of cutting the dendrogram: assignments, centroids and the DBI
-    achieved at the chosen cut."""
+    """Result of cutting the dendrogram into ``r`` clusters: each tower's
+    cluster (1..r), and each cluster's centroid and size. The chosen cut's
+    height and DBI are its point in the trace that ``tune_cut`` returns."""
 
     assignments: dict[str, int]
     centroids: np.ndarray  # (r, n) rows indexed by cluster-1
     sizes: list[int]
-    cut_threshold: float
-    dbi: float
     r: int
 
 
@@ -227,8 +226,9 @@ def tune_cut(
     r_max: int = 15,
 ) -> tuple[ClusterModel, list[DbiTracePoint]]:
     """Evaluate the DBI at every cut producing r_min..r_max clusters and keep
-    the minimizer (ties go to the smaller R). The cut threshold reported for
-    R clusters is the height of the first merge NOT performed."""
+    the minimizer (ties go to the smaller R). Returns the model of that cut
+    and the trace of every cut evaluated. The cut height reported for R
+    clusters is the height of the first merge NOT performed."""
     if dendrogram.n_leaves < 3:
         raise ClusterError("cut tuning needs a dendrogram over >= 3 leaves")
     matrix = _leaf_matrix(dendrogram, vectors)
@@ -236,17 +236,18 @@ def tune_cut(
     r_hi = min(r_max, dendrogram.n_leaves)
     if r_min < 2 or r_min > r_hi:
         raise ClusterError(f"invalid cluster range [{r_min}, {r_max}]")
-    trace: list[DbiTracePoint] = []
-    for r in range(r_min, r_hi + 1):
-        labels = dendrogram.cut(r)
-        height = dendrogram.merges[dendrogram.n_leaves - r].height
-        trace.append(DbiTracePoint(r, height, _dbi(matrix, sq_norms, labels)))
+    cuts = {r: dendrogram.cut(r) for r in range(r_min, r_hi + 1)}
+    trace = [
+        DbiTracePoint(r, dendrogram.merges[dendrogram.n_leaves - r].height,
+                      _dbi(matrix, sq_norms, labels))
+        for r, labels in cuts.items()
+    ]
     best = min(trace, key=lambda p: (p.dbi, p.r))
-    labels = dendrogram.cut(best.r)
+    labels = cuts[best.r]
     centroids = np.stack([matrix[labels == c].mean(axis=0) for c in range(1, best.r + 1)])
     sizes = [int(np.sum(labels == c)) for c in range(1, best.r + 1)]
     assignments = {tower_id: int(lbl) for tower_id, lbl in zip(dendrogram.leaf_ids, labels)}
-    return ClusterModel(assignments, centroids, sizes, best.cut_height, best.dbi, best.r), trace
+    return ClusterModel(assignments, centroids, sizes, best.r), trace
 
 
 def distance_cdf(model: ClusterModel, vectors: Sequence[TrafficVector]) -> dict[int, np.ndarray]:

@@ -9,10 +9,13 @@ import json
 import os
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 SLOT_SECONDS = 600
 SLOTS_PER_DAY = 144
@@ -178,6 +181,17 @@ def reject_repeat(seen: set[str], tower_id: str) -> None:
     if tower_id in seen:
         raise ValueError(f"tower {tower_id} is repeated")
     seen.add(tower_id)
+
+
+def sorted_by_tower(items: Iterable[T], error: type[Exception]) -> list[T]:
+    """``items`` sorted by their ``tower_id``, as a writer puts them in its
+    file. A file names each tower once, so a tower that appears twice raises
+    ``error``, the writer's own, naming it."""
+    ordered = sorted(items, key=attrgetter("tower_id"))
+    for a, b in zip(ordered, ordered[1:]):
+        if a.tower_id == b.tower_id:
+            raise error(f"tower {a.tower_id} is repeated")
+    return ordered
 
 
 def write_json(path: str | Path, payload: Any, error: type[Exception]) -> Path:

@@ -19,12 +19,21 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .common import read_csv, read_json, reject_nan, reject_repeat, write_csv, write_json
+from .common import (
+    read_csv,
+    read_json,
+    reject_nan,
+    reject_repeat,
+    sorted_by_tower,
+    write_csv,
+    write_json,
+)
 from .spectrum import SpectralFeature
 
-DEFAULT_FEATURE_NAMES = ("amp_day", "phase_day", "amp_half_day")
-DEFAULT_DENSITY_RADIUS = 0.5
-DEFAULT_MIN_DENSITY = 5
+FEATURE_NAMES = ("amp_day", "phase_day", "amp_half_day")
+# select_representatives' noise filter, in standardized units
+DENSITY_RADIUS = 0.5
+MIN_DENSITY = 5
 # select_representatives takes its distances in blocks of at most this many,
 # ~8 MB of float64, so its working memory stays flat as the towers grow.
 DISTANCE_BLOCK = 1 << 20
@@ -58,11 +67,29 @@ class DecomposeError(ValueError):
 
 @dataclass(slots=True)
 class FeatureSpace:
-    """Per-dimension population standardization, recorded so it is invertible."""
+    """Per-dimension population standardization, recorded so it is invertible.
+
+    A valid space has one finite mean and one positive, finite std per name;
+    any other raises ``DecomposeError``, naming the first bad dimension."""
 
     names: tuple[str, ...]
     mean: np.ndarray
     std: np.ndarray
+
+    def __post_init__(self):
+        mean, std, dims = self.mean, self.std, len(self.names)
+        if not np.shape(mean) == np.shape(std) == (dims,):
+            raise DecomposeError(
+                f"feature space of {dims} names needs {dims} means and {dims} stds,"
+                f" not mean {np.asarray(mean).tolist()} and std {np.asarray(std).tolist()}"
+            )
+        bad = ~(np.isfinite(mean) & np.isfinite(std) & (std > 0))
+        if bad.any():
+            j = int(bad.argmax())
+            raise DecomposeError(
+                f"feature {self.names[j]}: mean {mean[j]} and std {std[j]} are not"
+                " a finite mean and a positive finite std"
+            )
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
         return (raw - self.mean) / self.std
@@ -81,11 +108,10 @@ class FeaturePoint:
 class PolygonModel:
     """Simplex spanned by the four representative towers (one per
     non-comprehensive cluster, in ``vertex_clusters`` order). ``matrix``
-    holds the vertices as columns. A model of other than 4 vertices, of
-    vertices that are not ``len(space.names)`` finite values, of a space whose
-    means are not that many finite values or whose stds are not that many
-    positive finite values, of vertices so large that their Gram matrix
-    overflows, or of a simplex whose volume is not above
+    holds the vertices as columns. ``space`` checks itself (see
+    ``FeatureSpace``). A model of other than 4 vertices, of vertices that are
+    not ``len(space.names)`` finite values, of vertices so large that their
+    Gram matrix overflows, or of a simplex whose volume is not above
     ``MIN_SIMPLEX_VOLUME`` raises ``DecomposeError``."""
 
     vertices: list[FeaturePoint]
@@ -99,16 +125,6 @@ class PolygonModel:
             np.shape(v.f) != (dims,) or not np.isfinite(v.f).all() for v in self.vertices
         ):
             raise DecomposeError(f"polygon model needs 4 vertices of {dims} finite values each")
-        mean, std = self.space.mean, self.space.std
-        if not (
-            np.shape(mean) == np.shape(std) == (dims,)
-            and np.isfinite(mean).all()
-            and (np.isfinite(std) & (std > 0)).all()
-        ):
-            raise DecomposeError(
-                f"polygon model needs {dims} finite means and {dims} positive finite stds,"
-                f" not mean {np.asarray(mean).tolist()} and std {np.asarray(std).tolist()}"
-            )
         self.matrix = np.stack([v.f for v in self.vertices], axis=1)
         with np.errstate(all="ignore"):
             # the doubled Gram matrix that solve_mixture's KKT systems hold
@@ -134,25 +150,15 @@ def build_feature_points(
 ) -> tuple[list[FeaturePoint], FeatureSpace]:
     if len(features) < 2:
         raise DecomposeError("feature standardization needs at least 2 towers")
-    names = DEFAULT_FEATURE_NAMES
+    names = FEATURE_NAMES
     raw = np.array([[getattr(f, n) for n in names] for f in features], dtype=float)
     bad = np.argwhere(~np.isfinite(raw))
     if bad.size:
         i, j = bad[0]
         raise DecomposeError(f"tower {features[i].tower_id}: {names[j]} is {raw[i, j]}, not finite")
+    # a mean or std that overflows, or a flat dimension, fails FeatureSpace's check
     with np.errstate(all="ignore"):
-        mean = raw.mean(axis=0)
-        std = raw.std(axis=0)
-    overflow = ~(np.isfinite(mean) & np.isfinite(std))
-    if overflow.any():
-        j = int(overflow.argmax())
-        raise DecomposeError(
-            f"feature {names[j]}: mean {mean[j]} and std {std[j]} are not both finite"
-        )
-    flat = [names[i] for i in range(len(names)) if std[i] == 0.0]
-    if flat:
-        raise DecomposeError(f"feature dimensions with zero variance: {flat}")
-    space = FeatureSpace(names, mean, std)
+        space = FeatureSpace(names, raw.mean(axis=0), raw.std(axis=0))
     points = [
         FeaturePoint(f.tower_id, space.transform(row)) for f, row in zip(features, raw)
     ]
@@ -174,16 +180,15 @@ def select_representatives(
     assignments: Mapping[str, int],
     vertex_clusters: Sequence[int],
     space: FeatureSpace,
-    density_radius: float = DEFAULT_DENSITY_RADIUS,
-    min_density: int = DEFAULT_MIN_DENSITY,
 ) -> PolygonModel:
     """Pick, per vertex cluster, the non-noise point farthest from every
     other cluster's points.
 
-    A point passes the noise filter when at least ``min_density`` other
-    towers lie within ``density_radius`` of it (standardized units). Among
+    A point passes the noise filter when at least ``MIN_DENSITY`` other
+    towers lie within ``DENSITY_RADIUS`` of it (standardized units). Among
     passing points the winner maximizes the minimum distance to points of
     other clusters; ties prefer the denser point, then the smaller tower id.
+    A vertex cluster with no passing point raises ``DecomposeError``.
     """
     if len(vertex_clusters) != 4:
         raise DecomposeError(f"expected 4 vertex clusters, got {len(vertex_clusters)}")
@@ -205,14 +210,14 @@ def select_representatives(
         separation = np.empty(member_idx.size)
         for lo in range(0, member_idx.size, rows):
             d = cdist(coords[member_idx[lo : lo + rows]], coords)
-            neighbors[lo : lo + rows] = np.count_nonzero(d <= density_radius, axis=1) - 1
+            neighbors[lo : lo + rows] = np.count_nonzero(d <= DENSITY_RADIUS, axis=1) - 1
             d[:, member_idx] = np.inf
             separation[lo : lo + rows] = d.min(axis=1)
-        dense = np.flatnonzero(neighbors >= min_density)
+        dense = np.flatnonzero(neighbors >= MIN_DENSITY)
         if dense.size == 0:
             raise DecomposeError(
-                f"no tower in cluster {cluster} has >= {min_density} neighbors within "
-                f"{density_radius}; lower min_density or raise density_radius"
+                f"no tower in cluster {cluster} has >= {MIN_DENSITY} neighbors within "
+                f"{DENSITY_RADIUS}"
             )
         # lexsort's last key is its first: separation, then density, then id.
         order = np.lexsort((id_rank[member_idx[dense]], -neighbors[dense], -separation[dense]))
@@ -274,7 +279,7 @@ def solve_mixture(
 def write_mixtures(path: str | Path, mixtures: Sequence[MixtureCoefficients]) -> Path:
     rows = (
         [m.tower_id] + m.x.tolist() + [m.residual]
-        for m in sorted(mixtures, key=lambda x: x.tower_id)
+        for m in sorted_by_tower(mixtures, DecomposeError)
     )
     return write_csv(path, MIXTURES_HEADER, rows, DecomposeError)
 

@@ -301,15 +301,23 @@ def write_binned(
 ) -> tuple[Path, Path]:
     """Write binned.csv (non-zero slots only) and its JSON manifest. The
     manifest also records ``origin`` as an ISO date, so it must lie in the
-    years 1 to 9999. Every slot must hold a finite, non-negative byte count,
-    as ``read_binned`` requires."""
+    years 1 to 9999. Every series must start at ``origin`` and hold ``days``
+    days of slots, and every slot a finite, non-negative byte count, as
+    ``read_binned`` requires."""
     try:
         origin_iso = epoch_to_iso(origin)
     except (OverflowError, ValueError):
         raise IngestError(f"origin {origin} is not a date in the years 1 to 9999") from None
     towers = sorted(result.series)
+    n_slots = days * SLOTS_PER_DAY
     for tower_id in towers:
-        values = result.series[tower_id].slot_bytes
+        series = result.series[tower_id]
+        if series.origin != origin or series.n_slots != n_slots:
+            raise IngestError(
+                f"tower {tower_id}: series of {series.n_slots} slots from {series.origin},"
+                f" not of {n_slots} slots from origin {origin}"
+            )
+        values = series.slot_bytes
         bad = np.flatnonzero(~((values >= 0.0) & (values < np.inf)))
         if bad.size:
             raise IngestError(

@@ -19,7 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import SLOTS_PER_WEEK, read_csv, reject_nan, reject_repeat, write_csv
+from .common import (
+    SLOTS_PER_WEEK,
+    read_csv,
+    reject_nan,
+    reject_repeat,
+    sorted_by_tower,
+    write_csv,
+)
 
 # A component with amplitude below this is treated as null: its phase is
 # meaningless and reported as 0.
@@ -71,7 +78,9 @@ class SpectralFeature:
 
 
 def dft(x: Sequence[float] | np.ndarray) -> Spectrum:
-    """Unnormalized forward DFT of a real series, bins 0..n//2 (real FFT)."""
+    """Unnormalized forward DFT of a real series, bins 0..n//2 (real FFT).
+    A series that is not a non-empty 1-D vector of finite values raises
+    ``SpectrumError``."""
     x = _series(x)
     return Spectrum(np.fft.rfft(x), int(x.size))
 
@@ -80,6 +89,10 @@ def _series(x: Sequence[float] | np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise SpectrumError("dft expects a non-empty 1-D real vector")
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise SpectrumError(f"dft expects finite values, but value {i} is {x[i]}")
     return x
 
 
@@ -151,7 +164,7 @@ def amplitude_variance(
 def write_spectral_features(path: str | Path, features: Sequence[SpectralFeature]) -> Path:
     rows = (
         [feat.tower_id] + feat.as_array().tolist()
-        for feat in sorted(features, key=lambda x: x.tower_id)
+        for feat in sorted_by_tower(features, SpectrumError)
     )
     return write_csv(path, FEATURES_HEADER, rows, SpectrumError)
 

@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .common import (
+    SLOT_SECONDS,
     SLOTS_PER_DAY,
     SLOTS_PER_WEEK,
     local_seconds_of_day,
@@ -49,8 +50,8 @@ PROMINENCE_FRACTION = 0.15
 _REACH = SMOOTH_WINDOW // 2
 _KERNEL = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW
 
-MINUTES_PER_SLOT = 10
-HALF_DAY_MINUTES = 720
+MINUTES_PER_SLOT = SLOT_SECONDS // 60
+HALF_DAY_MINUTES = SLOTS_PER_DAY * MINUTES_PER_SLOT // 2
 
 
 class TimefeatError(ValueError):
@@ -91,7 +92,7 @@ def daily_profile(series: BinnedSeries) -> DailyProfile:
     """Mean weekday and weekend day of a series whose origin is a civil
     midnight; each day's weekday follows from the origin's (Monday = 0), so
     a series may start on any day. Requires whole weeks so each weekday is
-    represented equally."""
+    represented equally, and a finite byte count in every slot."""
     if local_seconds_of_day(series.origin) != 0:
         raise TimefeatError(
             f"{series.tower_id}: series origin is not civil midnight; "
@@ -102,6 +103,10 @@ def daily_profile(series: BinnedSeries) -> DailyProfile:
         raise TimefeatError(
             f"{series.tower_id}: profile needs whole weeks of slots, got {values.size}"
         )
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise TimefeatError(f"{series.tower_id}: slot {i} holds {values[i]}, not a finite count")
     days = values.reshape(-1, SLOTS_PER_DAY)
     weekdays = (local_weekday(series.origin) + np.arange(days.shape[0])) % 7
     weekday_mask = weekdays < 5
@@ -119,6 +124,15 @@ def weekday_weekend_ratio(profile: DailyProfile) -> float | None:
     if weekend_total == 0.0:
         return None
     return float(profile.weekday.sum()) / weekend_total
+
+
+def _curves(what: str, *curves: np.ndarray) -> np.ndarray:
+    """``curves`` as the rows of one array; curves of unequal lengths raise
+    ``TimefeatError`` naming ``what`` they are."""
+    lengths = [np.size(c) for c in curves]
+    if len(set(lengths)) != 1:
+        raise TimefeatError(f"{what} hold unequal numbers of slots: {lengths}")
+    return np.array(curves, dtype=float)
 
 
 def _circular_smooth(curves: np.ndarray) -> np.ndarray:
@@ -190,8 +204,10 @@ def _extrema(smoothed: np.ndarray) -> list[tuple[list[int], list[int]]]:
 
 def compute_time_features(profile: DailyProfile) -> TimeFeatures:
     """Peak and valley values come from the raw curves, their times from the
-    smoothed ones. A peak/valley ratio is None when the valley is not above 0."""
-    curves = np.array([profile.weekday, profile.weekend], dtype=float)
+    smoothed ones. A peak/valley ratio is None when the valley is not above 0.
+    The two curves must be of one length."""
+    curves = _curves(f"{profile.source_id}: weekday and weekend curves",
+                     profile.weekday, profile.weekend)
     peaks = curves.max(axis=1).tolist()
     valleys = curves.min(axis=1).tolist()
     ratios = [p / v if v > 0.0 else None for p, v in zip(peaks, valleys)]
@@ -217,8 +233,10 @@ def peak_offset(a: DailyProfile, b: DailyProfile) -> int:
     ``a`` trails that of profile ``b``, from the cross-correlation of the
     smoothed, mean-removed curves. Both weekday curves must contain at least
     one prominent peak: a smoothed curve has one unless it is flat, since
-    its highest sample's prominence is the whole span."""
-    smoothed = _circular_smooth(np.array([a.weekday, b.weekday], dtype=float))[:, :-1]
+    its highest sample's prominence is the whole span. The two curves must
+    be of one length."""
+    curves = _curves(f"weekday curves of {a.source_id} and {b.source_id}", a.weekday, b.weekday)
+    smoothed = _circular_smooth(curves)[:, :-1]
     for label, span in zip("ab", np.ptp(smoothed, axis=1)):
         if not span > 0.0:
             raise TimefeatError(f"profile {label} has no prominent peak; offset undefined")

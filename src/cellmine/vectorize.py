@@ -29,6 +29,7 @@ from .common import (
     read_csv,
     reject_nan,
     reject_repeat,
+    sorted_by_tower,
     write_csv_blocks,
 )
 from .ingest import BinnedSeries
@@ -47,13 +48,18 @@ class TrafficVector:
     """Zero-score-normalized per-tower time series.
 
     ``degenerate`` marks towers whose raw series was constant (dead towers);
-    their values are all zero. The caller drops them before clustering, which
-    raises ``ClusterError`` on a degenerate vector.
+    their values are all zero, and a degenerate vector holding any other
+    value raises ``VectorizeError``. The caller drops them before clustering,
+    which raises ``ClusterError`` on a degenerate vector.
     """
 
     tower_id: str
     values: np.ndarray
     degenerate: bool = False
+
+    def __post_init__(self):
+        if self.degenerate and np.any(self.values):
+            raise VectorizeError(f"tower {self.tower_id}: degenerate, but its values are not all 0")
 
     @property
     def n(self) -> int:
@@ -130,7 +136,7 @@ def write_vectors_csv(path: str | Path, vectors: Sequence[TrafficVector]) -> Pat
         cells = [csv_cell(vec.tower_id), str(int(vec.degenerate)), *map(repr, vec.values.tolist())]
         return ",".join(cells) + "\n"
 
-    rows = map(row, sorted(vectors, key=lambda v: v.tower_id))
+    rows = map(row, sorted_by_tower(vectors, VectorizeError))
     return write_csv_blocks(path, _vectors_header(n), rows, VectorizeError)
 
 
@@ -162,10 +168,11 @@ def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> 
     too long for its u16 length, raises ``VectorizeError`` and, like any
     failed write, leaves the file as it was."""
     path = Path(path)
+    ordered = sorted_by_tower(vectors, VectorizeError)
     with open_replacing(path, binary=True, error=VectorizeError) as f:
         f.write(_BIN_MAGIC)
-        f.write(struct.pack("<I", len(vectors)))
-        for vec in sorted(vectors, key=lambda v: v.tower_id):
+        f.write(struct.pack("<I", len(ordered)))
+        for vec in ordered:
             ident = vec.tower_id.encode("utf-8")
             if len(ident) > _MAX_ID_BYTES:
                 raise VectorizeError(
@@ -213,9 +220,9 @@ def read_vectors_binary(path: str | Path) -> list[TrafficVector]:
             try:
                 reject_repeat(seen, tower_id)
                 reject_nan(values, "v{}".format)
+                out.append(TrafficVector(tower_id, values, bool(degenerate)))
             except ValueError as exc:
                 raise VectorizeError(f"{path} record {record}: {exc}") from None
-            out.append(TrafficVector(tower_id, values, bool(degenerate)))
         if f.read(1):
             raise VectorizeError(f"{path}: bytes after the last of {count} records")
     return out

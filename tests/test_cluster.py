@@ -317,8 +317,9 @@ def test_tune_cut_two_blobs():
     model, trace = tune_cut(dend, vectors, 2, 8)
     assert model.r == 2
     assert min(trace, key=lambda p: (p.dbi, p.r)).r == 2
-    # returned model attains the minimum of the emitted trace
-    assert model.dbi == min(p.dbi for p in trace)
+    # the returned model is the cut at the minimum of the emitted trace
+    labels = dend.cut(2)
+    assert model.assignments == {v.tower_id: int(c) for v, c in zip(vectors, labels)}
 
 
 def test_tune_cut_threshold_is_first_unperformed_merge():
@@ -326,10 +327,9 @@ def test_tune_cut_threshold_is_first_unperformed_merge():
     pts = rng.normal(size=(10, 2))
     vectors = vecs(pts)
     dend = hac_average_linkage(vectors)
-    model, trace = tune_cut(dend, vectors, 2, 5)
-    point = next(p for p in trace if p.r == model.r)
-    assert model.cut_threshold == point.cut_height
-    assert model.cut_threshold == dend.merges[10 - model.r].height
+    _, trace = tune_cut(dend, vectors, 2, 5)
+    assert [p.r for p in trace] == [2, 3, 4, 5]
+    assert all(p.cut_height == dend.merges[10 - p.r].height for p in trace)
 
 
 def test_model_centroids_are_member_means():

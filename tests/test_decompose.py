@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from cellmine.decompose import (
+    DENSITY_RADIUS,
+    MIN_DENSITY,
     MIN_SIMPLEX_VOLUME,
     DecomposeError,
     FeaturePoint,
@@ -346,7 +348,7 @@ def test_build_feature_points_standardizes():
 
 def test_build_feature_points_rejects_flat_dimension():
     feats = [SpectralFeature(f"t{i}", 1, 0, 1.0, 0.5, 2, 0) for i in range(4)]
-    with pytest.raises(DecomposeError, match="zero variance"):
+    with pytest.raises(DecomposeError, match="feature amp_day: mean 1.0 and std 0.0 are not"):
         build_feature_points(feats)
 
 
@@ -382,8 +384,7 @@ def test_select_representatives_far_side_oracle():
     )
     points, assignments = _blob_points(rng, centers)
     space = FeatureSpace(("a", "b", "c"), np.zeros(3), np.ones(3))
-    model = select_representatives(points, assignments, [1, 2, 3, 4], space,
-                                   density_radius=0.8, min_density=3)
+    model = select_representatives(points, assignments, [1, 2, 3, 4], space)
     # independent brute force with the same rule
     for slot, cluster in enumerate([1, 2, 3, 4]):
         best = None
@@ -393,9 +394,9 @@ def test_select_representatives_far_side_oracle():
             neighbors = sum(
                 1
                 for q in points
-                if q.tower_id != p.tower_id and np.linalg.norm(q.f - p.f) <= 0.8
+                if q.tower_id != p.tower_id and np.linalg.norm(q.f - p.f) <= DENSITY_RADIUS
             )
-            if neighbors < 3:
+            if neighbors < MIN_DENSITY:
                 continue
             sep = min(
                 np.linalg.norm(q.f - p.f)
@@ -408,17 +409,20 @@ def test_select_representatives_far_side_oracle():
         assert model.vertices[slot].tower_id == best[1]
 
 
-def brute_force_representative(points, assignments, cluster, radius, min_density):
+def neighbour_counts(points):
+    """How many other points lie within DENSITY_RADIUS of each point."""
+    return [
+        sum(1 for q in points if q is not p and np.linalg.norm(q.f - p.f) <= DENSITY_RADIUS)
+        for p in points
+    ]
+
+
+def brute_force_representative(points, assignments, cluster):
     """The rule of test_select_representatives_far_side_oracle: the dense
     member of largest separation, then most neighbours, then smallest id."""
     best = None
-    for p in points:
-        if assignments[p.tower_id] != cluster:
-            continue
-        neighbors = sum(
-            1 for q in points if q is not p and np.linalg.norm(q.f - p.f) <= radius
-        )
-        if neighbors < min_density:
+    for p, neighbors in zip(points, neighbour_counts(points)):
+        if assignments[p.tower_id] != cluster or neighbors < MIN_DENSITY:
             continue
         sep = min(
             np.linalg.norm(q.f - p.f) for q in points if assignments[q.tower_id] != cluster
@@ -431,44 +435,47 @@ def brute_force_representative(points, assignments, cluster, radius, min_density
 
 @st.composite
 def representative_cases(draw):
-    """Points on a small integer grid, duplicates among them, in clusters
-    1 to 4 and a fifth cluster that is no vertex. Distances are square roots
-    of integers, so they fall exactly on a radius of sqrt(0..9) and
-    separations tie."""
-    coord = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
-    coords = draw(st.lists(coord, min_size=4, max_size=24))
-    coords += [coords[i] for i in draw(st.lists(st.integers(0, len(coords) - 1), max_size=4))]
-    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), unique=True,
-                        min_size=len(coords), max_size=len(coords)))
+    """Points on a half-unit grid, drawn in blobs of 2 x 2 x 2 grid points
+    with duplicates among them, in clusters 1 to 4 and a fifth cluster that
+    is no vertex. Every distance is 0.5 * sqrt(k) for an integer k, so it is
+    exact: a neighbour lies exactly at DENSITY_RADIUS, separations tie, and
+    dense blobs give neighbour counts on both sides of MIN_DENSITY."""
+    grid = st.lists(st.integers(-4, 4), min_size=3, max_size=3)
+    centers = draw(st.lists(grid, min_size=2, max_size=4))
+    offset = st.lists(st.integers(0, 1), min_size=3, max_size=3)
+    size = draw(st.integers(4, 60))
+    cells = draw(st.lists(st.tuples(st.sampled_from(centers), offset), min_size=size, max_size=size))
+    ids = [str(i) for i in draw(st.permutations(range(size)))]
     labels = [1, 2, 3, 4] + draw(
-        st.lists(st.integers(1, 5), min_size=len(coords) - 4, max_size=len(coords) - 4)
+        st.lists(st.integers(1, 5), min_size=size - 4, max_size=size - 4)
     )
-    points = [FeaturePoint(t, np.array(c, dtype=float)) for t, c in zip(ids, coords)]
-    radius = math.sqrt(draw(st.integers(0, 9)))
-    return points, dict(zip(ids, labels)), radius, draw(st.integers(0, 4))
+    points = [FeaturePoint(t, 0.5 * np.add(c, o, dtype=float)) for t, (c, o) in zip(ids, cells)]
+    return points, dict(zip(ids, labels))
 
 
 @given(representative_cases())
 def test_select_representatives_property_equals_brute_force(case):
-    points, assignments, radius, min_density = case
+    points, assignments = case
+    counts = neighbour_counts(points)
+    for k in (MIN_DENSITY - 1, MIN_DENSITY):
+        if k in counts:
+            event(f"a point with exactly {k} neighbours")
     space = FeatureSpace(("a", "b", "c"), np.zeros(3), np.ones(3))
-    expected = [
-        brute_force_representative(points, assignments, c, radius, min_density)
-        for c in (1, 2, 3, 4)
-    ]
+    expected = [brute_force_representative(points, assignments, c) for c in (1, 2, 3, 4)]
 
     def pick():
-        return select_representatives(
-            points, assignments, [1, 2, 3, 4], space, density_radius=radius, min_density=min_density
-        )
+        return select_representatives(points, assignments, [1, 2, 3, 4], space)
 
     if None in expected:
-        with pytest.raises(DecomposeError, match="min_density"):
+        event("a vertex cluster with no dense point")
+        with pytest.raises(DecomposeError, match=f">= {MIN_DENSITY} neighbors within"):
             pick()
     elif simplex_volume([p.f for p in expected]) <= MIN_SIMPLEX_VOLUME:
+        event("a flat simplex")
         with pytest.raises(DecomposeError, match="flat simplex"):
             pick()
     else:
+        event("four vertices")
         assert [v.tower_id for v in pick().vertices] == [p.tower_id for p in expected]
 
 
@@ -480,29 +487,16 @@ def test_select_representatives_rejects_outlier():
     points.append(outlier)
     assignments["c1_outlier"] = 1
     space = FeatureSpace(("a", "b", "c"), np.zeros(3), np.ones(3))
-    model = select_representatives(points, assignments, [1, 2, 3, 4], space,
-                                   density_radius=0.5, min_density=3)
+    model = select_representatives(points, assignments, [1, 2, 3, 4], space)
     assert model.vertices[0].tower_id != "c1_outlier"
 
 
-def test_select_representatives_singletons_with_zero_density():
-    corners = np.array(
-        [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 1.0, 1.0]]
-    )
-    points = [FeaturePoint(f"s{i}", corners[i]) for i in range(4)]
-    assignments = {f"s{i}": i + 1 for i in range(4)}
-    space = FeatureSpace(("a", "b", "c"), np.zeros(3), np.ones(3))
-    model = select_representatives(points, assignments, [1, 2, 3, 4], space, min_density=0)
-    assert [v.tower_id for v in model.vertices] == ["s0", "s1", "s2", "s3"]
-
-
-def test_select_representatives_density_error_suggests_fix():
+def test_select_representatives_density_error_names_the_cluster():
     points = [FeaturePoint(f"p{i}", np.array([float(i), 0, 0])) for i in range(8)]
     assignments = {f"p{i}": (i % 4) + 1 for i in range(8)}
     space = FeatureSpace(("a", "b", "c"), np.zeros(3), np.ones(3))
-    with pytest.raises(DecomposeError, match="lower min_density or raise density_radius"):
-        select_representatives(points, assignments, [1, 2, 3, 4], space,
-                               density_radius=0.1, min_density=5)
+    with pytest.raises(DecomposeError, match="^no tower in cluster 1 has >= 5 neighbors within 0.5$"):
+        select_representatives(points, assignments, [1, 2, 3, 4], space)
 
 
 def test_mixture_and_vertices_io(tmp_path):
@@ -566,11 +560,11 @@ def _vertices_json(standardized, mean=(0, 0, 0), std=(1, 1, 1)):
         (_vertices_json([[0, 0, 0], [1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e200]]),
          "v.json: DecomposeError: .* vertices are too large"),
         (_vertices_json(SIMPLEX, mean=(0, math.nan, 0)),
-         r"v.json: DecomposeError: .* not mean \[0.0, nan, 0.0\] and std \[1.0, 1.0, 1.0\]"),
+         r"v.json: DecomposeError: feature b: mean nan and std 1.0 are not a finite mean"),
         (_vertices_json(SIMPLEX, mean=(0, 0)), r"v.json: DecomposeError: .* not mean \[0.0, 0.0\] and"),
         (_vertices_json(SIMPLEX, std=(1, math.nan, 1)),
-         r"v.json: DecomposeError: .* 3 positive finite stds, not mean .* and std \[1.0, nan, 1.0\]"),
-        (_vertices_json(SIMPLEX, std=(1, 0, 1)), r"v.json: DecomposeError: .* and std \[1.0, 0.0, 1.0\]"),
+         r"v.json: DecomposeError: feature b: mean 0.0 and std nan are not .* positive finite std"),
+        (_vertices_json(SIMPLEX, std=(1, 0, 1)), r"v.json: DecomposeError: feature b: mean 0.0 and std 0.0"),
         (_vertices_json(SIMPLEX, std=(1, 1, 1, 1)), r"v.json: DecomposeError: .* and std \[1.0, 1.0, 1.0, 1.0\]"),
     ],
 )

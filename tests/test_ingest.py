@@ -584,6 +584,27 @@ def test_write_binned_rejects_impossible_byte_count(tmp_path, value):
     assert not (tmp_path / "binned.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "series_days, origin, days, message",
+    [
+        # written as is, it would read back 600 s late and padded with zeros
+        (1, 600, 3, "tower t1: series of 144 slots from 0, not of 432 slots from origin 600$"),
+        # written as is, its slot 144 would fall outside the manifest's one day
+        (2, 0, 1, "tower t1: series of 288 slots from 0, not of 144 slots from origin 0$"),
+    ],
+)
+def test_write_binned_rejects_a_series_off_its_origin_or_days(
+    tmp_path, series_days, origin, days, message
+):
+    logs = [SessionLog("u", "t1", 0, 900, 600), SessionLog("u", "t1", 86400, 87300, 600)]
+    result = bin_traffic(logs, 0, series_days, registry("t1"))
+    paths = write_binned(tmp_path, bin_traffic([], 0, 1, registry("t0")), origin=0, days=1)
+    before = [p.read_bytes() for p in paths]
+    with pytest.raises(IngestError, match=message):
+        write_binned(tmp_path, result, origin=origin, days=days)
+    assert [p.read_bytes() for p in paths] == before
+
+
 @pytest.mark.parametrize("origin", [-(2**40) * 600, 2**40 * 600, -62135596800 - 86400])
 def test_write_binned_rejects_origin_outside_iso_dates(tmp_path, origin):
     result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1, registry("t1"))

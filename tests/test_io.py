@@ -73,7 +73,7 @@ NAN = float("nan")
 
 
 def _model(assignments=None, centroids=np.zeros((1, 1)), sizes=(1,)):
-    return ClusterModel(assignments or {}, centroids, list(sizes), 0.0, 0.0, len(sizes))
+    return ClusterModel(assignments or {}, centroids, list(sizes), len(sizes))
 
 
 def test_write_assignments_golden(tmp_path):
@@ -230,16 +230,17 @@ def round_trip(write, read, value, name="t.csv"):
 @st.composite
 def binned_results(draw):
     days = draw(st.integers(1, 2))
+    # origins from the year 1425 to 6325, inside the ISO dates the manifest records
+    origin = draw(st.integers(-(2**34), 2**37))
     towers = draw(st.lists(IDS, unique=True, max_size=4))
     series = {}
     for tower in towers:
         slots = np.zeros(days * 144)
         for slot, value in draw(st.dictionaries(st.integers(0, days * 144 - 1), BYTE_COUNTS, max_size=5)).items():
             slots[slot] = value
-        series[tower] = BinnedSeries(tower, 0, slots)
+        series[tower] = BinnedSeries(tower, origin, slots)
     result = BinResult(series, draw(st.integers(0, 2**40)), draw(FLOATS))
-    # origins from the year 1425 to 6325, inside the ISO dates the manifest records
-    return result, draw(st.integers(-(2**34), 2**37)), days
+    return result, origin, days
 
 
 @given(binned_results())
@@ -260,9 +261,10 @@ def test_binned_round_trip_property(case):
 @st.composite
 def vector_lists(draw):
     n = draw(st.integers(0, 4))
-    vector = st.builds(
-        TrafficVector, IDS, st.lists(FLOATS, min_size=n, max_size=n).map(np.array), st.booleans()
-    )
+    values = st.lists(FLOATS, min_size=n, max_size=n).map(np.array)
+    # a degenerate vector is all zeros
+    zeros = st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n).map(np.array)
+    vector = st.builds(TrafficVector, IDS, values) | st.builds(TrafficVector, IDS, zeros, st.just(True))
     # A file names each tower once, so the readers reject a repeated id.
     return draw(st.lists(vector, max_size=4, unique_by=lambda v: v.tower_id))
 
@@ -483,6 +485,33 @@ def test_a_tower_id_utf8_cannot_encode_fails_with_the_module_error(tmp_path, wri
     with pytest.raises(error, match=r": 'b\\udc80' is not UTF-8 \(surrogates not allowed\)$"):
         write(tmp_path, "b\udc80")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "write, error",
+    [
+        (lambda path, ids: write_vectors_csv(path, [TrafficVector(t, np.zeros(3)) for t in ids]),
+         VectorizeError),
+        (lambda path, ids: write_vectors_binary(path, [TrafficVector(t, np.zeros(3)) for t in ids]),
+         VectorizeError),
+        (lambda path, ids: write_spectral_features(
+            path, [SpectralFeature(t, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5) for t in ids]),
+         SpectrumError),
+        (lambda path, ids: write_mixtures(
+            path, [MixtureCoefficients(t, np.full(4, 0.25), 0.0) for t in ids]),
+         DecomposeError),
+    ],
+    ids=["vectors_csv", "vectors_binary", "spectral_features", "mixtures"],
+)
+def test_a_repeated_tower_fails_with_the_module_error(tmp_path, write, error):
+    # the readers reject a file that names a tower twice, so the writers do not write one
+    path = tmp_path / "out"
+    write(path, ["a", "b"])
+    before = path.read_bytes()
+    with pytest.raises(error, match="^tower b is repeated$"):
+        write(path, ["b", "a", "b"])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 # --- encoding and header errors ---------------------------------------------

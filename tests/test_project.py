@@ -129,7 +129,7 @@ def test_the_package_writes_files_only_through_open_replacing():
 
 # The file helpers of ``common`` that take the caller's error class.
 FILE_HELPERS = ("open_replacing", "write_csv", "write_csv_blocks", "write_json", "read_csv",
-                "read_json", "read_header")
+                "read_json", "read_header", "sorted_by_tower")
 
 
 def test_every_file_helper_call_passes_its_own_module_error():
@@ -169,8 +169,6 @@ DEFAULTS = [
     "cluster.tune_cut.r_max",
     "cluster.tune_cut.r_min",
     "decompose.PolygonModel.matrix",
-    "decompose.select_representatives.density_radius",
-    "decompose.select_representatives.min_density",
     "poi.count_poi.radius_m",
     "vectorize.TrafficVector.degenerate",
 ]
@@ -195,6 +193,29 @@ def _defaults(node, prefix):
             )
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield from _defaults(child, f"{prefix}{child.name}.")
+
+
+def test_every_default_constant_is_a_default():
+    """A module constant named ``DEFAULT_*`` is the default of some parameter
+    or dataclass field of the package. A value that nothing can override is
+    a plain constant, and its name says so."""
+    constants, defaults = set(), set()
+    for path in sorted(ROOT.glob("src/cellmine/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            constants.update(f"{path.stem}.{t.id}" for t in targets
+                             if isinstance(t, ast.Name) and t.id.startswith("DEFAULT_"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                values = node.args.defaults + node.args.kw_defaults
+            elif isinstance(node, ast.ClassDef):
+                values = [item.value for item in node.body if isinstance(item, ast.AnnAssign)]
+            else:
+                continue
+            defaults.update(v.id for v in values if isinstance(v, ast.Name))
+    assert constants, "no DEFAULT_* constant: the test checks nothing"
+    assert sorted(c for c in constants if c.partition(".")[2] not in defaults) == []
 
 
 def test_every_default_is_on_the_list():

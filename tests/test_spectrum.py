@@ -229,3 +229,10 @@ def test_read_spectral_features_rejects_malformed_file(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(SpectrumError, match=message):
         read_spectral_features(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("transform", [dft, reconstruction_energy_ratio])
+def test_a_non_finite_series_fails_with_spectrum_error(transform, bad):
+    with pytest.raises(SpectrumError, match=f"finite values, but value 1 is {bad}$"):
+        transform(np.array([1.0, bad, 2.0, 3.0]))

@@ -61,6 +61,14 @@ def test_daily_profile_requires_whole_weeks_and_alignment():
         daily_profile(BinnedSeries("t", MONDAY + 600, np.ones(1008)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_daily_profile_rejects_a_non_finite_slot(bad):
+    values = np.ones(1008)
+    values[300] = bad
+    with pytest.raises(TimefeatError, match=f"^t: slot 300 holds {bad}, not a finite count$"):
+        daily_profile(BinnedSeries("t", MONDAY, values))
+
+
 def test_profile_conserves_totals():
     # 5 * weekday profile + 2 * weekend profile recovers one week's total
     rng = np.random.default_rng(21)
@@ -222,3 +230,12 @@ def test_peak_offset_reads_only_the_weekday_curves():
     a = DailyProfile("a", base, np.roll(base, 30))
     b = DailyProfile("b", base, base)
     assert peak_offset(a, b) == 0
+
+
+def test_curves_of_unequal_lengths_fail_with_timefeat_error():
+    short = DailyProfile("s", day_curve(60)[:-1], day_curve(60))
+    with pytest.raises(TimefeatError, match=r"^s: weekday and weekend curves hold unequal .*: \[143, 144\]$"):
+        compute_time_features(short)
+    peaked = DailyProfile("p", day_curve(60), day_curve(60))
+    with pytest.raises(TimefeatError, match=r"^weekday curves of s and p hold unequal .*: \[143, 144\]$"):
+        peak_offset(short, peaked)

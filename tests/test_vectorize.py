@@ -173,6 +173,7 @@ def test_read_vectors_binary_truncated(tmp_path):
         ("a,2,1.0,2.0", "line 2: degenerate is '2', not 0 or 1"),
         ("a, 1,1.0,2.0", "line 2: degenerate is ' 1', not 0 or 1"),
         ("a,0,1.0,nan", "line 2: v1 is NaN"),
+        ("a,1,1.0,-1.0", "line 2: tower a: degenerate, but its values are not all 0"),
         ("a,0,1.0,2.0\nb,0,1.0,2.0\na,1,0.0,0.0", "line 4: tower a is repeated"),
     ],
 )
@@ -214,6 +215,9 @@ BINARY_RECORD = b"CMVEC1\n" + b"\x01\x00\x00\x00" + b"\x02\x00ab" + b"\x00\x01\x
         (BINARY_RECORD.replace(b"ab\x00", b"ab\x07"), "v.bin record 1: degenerate flag is 7, not 0 or 1"),
         (BINARY_RECORD + b"\x00", "v.bin: bytes after the last of 1 records"),
         (BINARY_RECORD[:-8] + bytes(6) + b"\xf8\x7f", "v.bin record 1: v0 is NaN"),
+        # flagged degenerate, with the value 1.0
+        (BINARY_RECORD.replace(b"ab\x00", b"ab\x01")[:-8] + bytes(6) + b"\xf0\x3f",
+         "v.bin record 1: tower ab: degenerate, but its values are not all 0"),
         (BINARY_RECORD.replace(b"\x01", b"\x02", 1) + BINARY_RECORD[11:],
          "v.bin record 2: tower ab is repeated"),
     ],
