@@ -24,7 +24,7 @@ from scipy.cluster.hierarchy import linkage
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .common import read_csv, reject_repeat, write_csv
+from .common import read_csv, reject_repeat, sorted_by_tower, write_csv
 from .vectorize import TrafficVector
 
 ASSIGNMENTS_HEADER = ["tower_id", "cluster"]
@@ -107,12 +107,7 @@ def _check_vectors(vectors: Sequence[TrafficVector]) -> np.ndarray:
         raise ClusterError(
             f"degenerate vectors must be excluded before clustering: {bad[:5]}"
         )
-    seen: set[str] = set()
-    try:
-        for v in vectors:
-            reject_repeat(seen, v.tower_id)
-    except ValueError as exc:
-        raise ClusterError(str(exc)) from None
+    sorted_by_tower(vectors, ClusterError)
     n = vectors[0].n
     if any(v.n != n for v in vectors):
         raise ClusterError("vectors have mixed lengths")

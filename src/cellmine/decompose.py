@@ -2,11 +2,13 @@
 
 Each tower is summarized by a standardized feature vector (day-bin
 amplitude, day-bin phase, half-day amplitude). The four most
-representative towers of the non-comprehensive clusters span a simplex, and
-any tower's feature point is expressed as the convex combination of those
-vertices that best approximates it: an exact 4-variable simplex-constrained
-least-squares solve. Points inside the hull get their barycentric weights
-with zero residual; points outside project onto the hull.
+representative towers of the non-comprehensive clusters span a simplex: in
+each cluster, the tower of a dense neighbourhood farthest from every other
+cluster, found with KD-trees. Any tower's feature point is expressed as the
+convex combination of those vertices that best approximates it: an exact
+4-variable simplex-constrained least-squares solve. Points inside the hull
+get their barycentric weights with zero residual; points outside project
+onto the hull.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import KDTree
 
 from .common import (
     read_csv,
@@ -34,9 +36,6 @@ FEATURE_NAMES = ("amp_day", "phase_day", "amp_half_day")
 # select_representatives' noise filter, in standardized units
 DENSITY_RADIUS = 0.5
 MIN_DENSITY = 5
-# select_representatives takes its distances in blocks of at most this many,
-# ~8 MB of float64, so its working memory stays flat as the towers grow.
-DISTANCE_BLOCK = 1 << 20
 
 # a simplex flatter than this in standardized units is treated as degenerate
 MIN_SIMPLEX_VOLUME = 1e-9
@@ -189,6 +188,13 @@ def select_representatives(
     passing points the winner maximizes the minimum distance to points of
     other clusters; ties prefer the denser point, then the smaller tower id.
     A vertex cluster with no passing point raises ``DecomposeError``.
+
+    Both searches run on ``scipy.spatial.KDTree``: the neighbour counts on
+    one tree over every labelled point, each separation on a tree over the
+    other clusters' points. The tree tests a neighbour by its squared
+    distance against ``DENSITY_RADIUS**2``, so it can differ from a test of
+    the distance itself only for a point within an ulp of the radius. On a
+    half-unit grid every squared distance is exact, and the two agree.
     """
     if len(vertex_clusters) != 4:
         raise DecomposeError(f"expected 4 vertex clusters, got {len(vertex_clusters)}")
@@ -198,7 +204,8 @@ def select_representatives(
     ids = [p.tower_id for p in labeled]
     rank = dict(zip(sorted(set(ids)), itertools.count()))
     id_rank = np.array([rank[t] for t in ids])
-    rows = max(1, DISTANCE_BLOCK // len(labeled))
+    # every point lies within the radius of itself
+    density = KDTree(coords).query_ball_point(coords, DENSITY_RADIUS, return_length=True) - 1
     vertices: list[FeaturePoint] = []
     for cluster in vertex_clusters:
         member_idx = np.flatnonzero(labels == cluster)
@@ -206,13 +213,8 @@ def select_representatives(
             raise DecomposeError(f"vertex cluster {cluster} has no towers")
         if member_idx.size == len(labeled):
             raise DecomposeError("representative selection needs other clusters")
-        neighbors = np.empty(member_idx.size, dtype=np.int64)
-        separation = np.empty(member_idx.size)
-        for lo in range(0, member_idx.size, rows):
-            d = cdist(coords[member_idx[lo : lo + rows]], coords)
-            neighbors[lo : lo + rows] = np.count_nonzero(d <= DENSITY_RADIUS, axis=1) - 1
-            d[:, member_idx] = np.inf
-            separation[lo : lo + rows] = d.min(axis=1)
+        neighbors = density[member_idx]
+        separation = KDTree(coords[labels != cluster]).query(coords[member_idx])[0]
         dense = np.flatnonzero(neighbors >= MIN_DENSITY)
         if dense.size == 0:
             raise DecomposeError(

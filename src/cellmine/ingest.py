@@ -387,8 +387,9 @@ def read_binned(csv_path: str | Path, manifest_path: str | Path) -> tuple[dict[s
         if not 0 <= slot < n_slots:
             raise ValueError(f"slot {slot} outside 0..{n_slots - 1}")
         nbytes = float(value)
-        if not 0.0 <= nbytes < np.inf:  # also false for NaN
-            raise ValueError(f"bytes {value} is not a number in [0, inf)")
+        # write_binned writes only nonzero slots, so a row of 0 bytes is malformed
+        if not 0.0 < nbytes < np.inf:  # also false for NaN
+            raise ValueError(f"bytes {value} is not a number in (0, inf)")
         # write_binned writes each (tower, slot) at most once, so a slot that
         # is already nonzero shows a repeated row without a seen-set.
         if slots[slot]:

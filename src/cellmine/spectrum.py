@@ -2,13 +2,16 @@
 
 For a 4-week series of 10-minute slots the interesting DFT bins are the
 week, day and half-day periodicities (k = 4, 28, 56 at N = 4032). Towers are
-summarized by amplitude and phase at those three bins, and a 7-bin
-reconstruction (DC plus the three bins and their mirrors) captures almost all
-of the traffic energy.
+summarized by amplitude and phase at those three bins. The paper finds that
+a 7-bin reconstruction (DC plus the three bins and their mirrors) keeps
+almost all of the traffic energy; ``reconstruction_energy_ratio`` measures
+the share it keeps.
 
-Every quantity here reads one transform, the real FFT that ``dft`` returns.
-The DFT of a real series has X[n - k] = conj(X[k]), so only bins 0..n//2 are
-held; a bin above n/2 is the conjugate of its mirror below.
+Every quantity here reads one real FFT of the series: the one ``dft``
+returns, or for the energy ratio, by Parseval, one of the series scaled to
+a largest |x| of 1. The DFT of a real series has X[n - k] = conj(X[k]), so
+only bins 0..n//2 are held; a bin above n/2 is the conjugate of its mirror
+below.
 """
 
 from __future__ import annotations
@@ -121,27 +124,26 @@ def principal_components(s: Spectrum, tower_id: str) -> SpectralFeature:
     return SpectralFeature(tower_id, *amp_phase)
 
 
-def energy(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(x * x))
-
-
 def reconstruction_energy_ratio(x: np.ndarray) -> float:
     """Fraction of the signal's energy retained by the 7-bin reconstruction:
     the inverse transform of DC, the three principal bins and their mirrors.
 
-    By Parseval, the reconstruction's energy is the sum of |X_k|^2 over its
-    kept bins divided by n, so no inverse transform is needed. A mirror bin
-    has the power of its principal bin, so the sum is DC's power plus twice
-    the power of each principal bin.
+    By Parseval, a series' energy is the sum of |X_k|^2 over all n bins
+    divided by n, so both energies come from one real FFT and no inverse
+    transform is needed. Of the bins 0..n//2 it holds, each but DC and, for
+    even n, bin n/2 stands for itself and its mirror. The series is first
+    divided by its largest |x|, so the sums neither overflow nor underflow;
+    a series of zeros keeps all of its (zero) energy and gives 1.0. A series
+    that ``dft`` rejects raises ``SpectrumError``.
     """
-    total = energy(x)
-    if total == 0.0:
+    x = _series(x)
+    scale = np.abs(x).max()
+    if scale == 0.0:
         return 1.0
-    s = dft(x)
-    kept = s.coefficients[[0, *principal_indices(s.n)]]
-    power = kept.real**2 + kept.imag**2
-    return float(power[0] + 2.0 * power[1:].sum()) / (s.n * total)
+    coefficients = np.fft.rfft(x / scale)
+    coefficients[1 : (x.size + 1) // 2] *= np.sqrt(2.0)  # power of X_k and its mirror
+    kept = coefficients[[0, *principal_indices(x.size)]]
+    return float(np.vdot(kept, kept).real / np.vdot(coefficients, coefficients).real)
 
 
 def amplitude_variance(

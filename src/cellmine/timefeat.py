@@ -26,6 +26,7 @@ copy; the tests hold the two equal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -103,17 +104,23 @@ def daily_profile(series: BinnedSeries) -> DailyProfile:
         raise TimefeatError(
             f"{series.tower_id}: profile needs whole weeks of slots, got {values.size}"
         )
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(finite.argmin())
+    top = np.abs(values).max()  # not finite when some slot is not
+    if not math.isfinite(top):
+        i = int(np.isfinite(values).argmin())
         raise TimefeatError(f"{series.tower_id}: slot {i} holds {values[i]}, not a finite count")
     days = values.reshape(-1, SLOTS_PER_DAY)
+    # A mean of finite values is finite, but the sum it divides may not be:
+    # d values below 2**e sum to below 2**(e + d.bit_length()). So a series
+    # that large is scaled down by a power of two, which is exact, and every
+    # other series is averaged as it is.
+    shift = max(0, math.frexp(top)[1] + days.shape[0].bit_length() - 1023)
+    days = np.ldexp(days, -shift)
     weekdays = (local_weekday(series.origin) + np.arange(days.shape[0])) % 7
     weekday_mask = weekdays < 5
     return DailyProfile(
         series.tower_id,
-        days[weekday_mask].mean(axis=0),
-        days[~weekday_mask].mean(axis=0),
+        np.ldexp(days[weekday_mask].mean(axis=0), shift),
+        np.ldexp(days[~weekday_mask].mean(axis=0), shift),
     )
 
 
@@ -137,16 +144,11 @@ def _curves(what: str, *curves: np.ndarray) -> np.ndarray:
 
 def _circular_smooth(curves: np.ndarray) -> np.ndarray:
     """Circular moving average of each of the k rows of ``curves`` (n slots
-    each), as k rows of n + 1 values whose last repeats the first.
-
-    One ``np.convolve`` runs over the rows laid end to end, each wrapped
-    round by the window's reach, and the outputs that straddle two rows are
-    dropped. Every output kept is the same sum, in the same order, as the
-    convolution of its row alone gives."""
-    k, n = curves.shape
+    each), as k rows of n + 1 values whose last repeats the first: each row
+    is wrapped round by the window's reach and convolved on its own."""
+    n = curves.shape[1]
     wrapped = np.take(curves, np.arange(-_REACH, n + 1 + _REACH), axis=1, mode="wrap")
-    flat = np.convolve(wrapped.ravel(), _KERNEL, mode="full")[2 * _REACH :]
-    return flat.reshape(k, n + 1 + 2 * _REACH)[:, : n + 1]
+    return np.array([np.convolve(row, _KERNEL, mode="valid") for row in wrapped])
 
 
 def _prominent(heights: list[float], first: int, threshold: float) -> list[int]:

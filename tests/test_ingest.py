@@ -536,12 +536,22 @@ def test_session_log_rejects_empty_id(ids):
          "binned.csv line 3: bytes -NaN is not a number"),
         ("tower_id,slot_index,bytes\nt1,5,1.0\nt1,5,2.0\n", None,
          "binned.csv line 3: tower t1 slot 5 already holds 1.0"),
+        # write_binned writes no zero slot, so a row of 0 (or -0.0) bytes is
+        # malformed, before or after a row of the same slot
+        ("tower_id,slot_index,bytes\nt1,5,0\nt1,5,7\n", None,
+         r"binned.csv line 2: bytes 0 is not a number in \(0, inf\)"),
+        ("tower_id,slot_index,bytes\nt1,5,-0.0\nt1,5,7\n", None,
+         r"binned.csv line 2: bytes -0.0 is not a number in \(0, inf\)"),
+        ("tower_id,slot_index,bytes\nt1,5,7\nt1,5,0\n", None,
+         r"binned.csv line 3: bytes 0 is not a number in \(0, inf\)"),
+        ("tower_id,slot_index,bytes\nt1,5,7\nt1,5,-0.0\n", None,
+         r"binned.csv line 3: bytes -0.0 is not a number in \(0, inf\)"),
         ("tower_id,slot_index,bytes\nt1,5,inf\n", None,
-         r"binned.csv line 2: bytes inf is not a number in \[0, inf\)"),
+         r"binned.csv line 2: bytes inf is not a number in \(0, inf\)"),
         ("tower_id,slot_index,bytes\nt1,5,1.0\nt1,6,-inf\n", None,
-         r"binned.csv line 3: bytes -inf is not a number in \[0, inf\)"),
+         r"binned.csv line 3: bytes -inf is not a number in \(0, inf\)"),
         ("tower_id,slot_index,bytes\nt1,5,-7.5\n", None,
-         r"binned.csv line 2: bytes -7.5 is not a number in \[0, inf\)"),
+         r"binned.csv line 2: bytes -7.5 is not a number in \(0, inf\)"),
     ],
 )
 def test_read_binned_rejects_malformed_file(tmp_path, binned, manifest, message):

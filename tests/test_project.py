@@ -79,6 +79,34 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not unused, f"public names that only tests reach, or nothing: {unused}"
 
 
+def test_every_module_constant_is_read():
+    """Every module-level upper-case constant of ``cellmine`` is read, as an
+    ``ast.Name`` or ``ast.Attribute`` that loads it, in code outside its own
+    assignment: the package, the benchmark or the scale run. A constant
+    that nothing reads is a leftover of code that has gone."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for pattern in CALLERS for path in sorted(ROOT.glob(pattern))}
+    reads: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                reads.setdefault(name, []).append(node)
+    constants, unread = 0, []
+    for path, tree in trees.items():
+        if not path.is_relative_to(ROOT / "src"):
+            continue
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for name in (t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()):
+                constants += 1
+                inside = {id(n) for n in ast.walk(node)}
+                if all(id(read) in inside for read in reads.get(name, [])):
+                    unread.append(f"{path.stem}.{name}")
+    assert constants, "no module constant: the test checks nothing"
+    assert not unread, f"module constants that nothing reads: {unread}"
+
+
 def _dotted(node):
     """``"a.b.c"`` for the attribute chain ``a.b.c``, else None."""
     if isinstance(node, ast.Name):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from cellmine.spectrum import (
@@ -9,7 +9,6 @@ from cellmine.spectrum import (
     SpectrumError,
     amplitude_variance,
     dft,
-    energy,
     principal_components,
     principal_indices,
     reconstruction_energy_ratio,
@@ -25,6 +24,11 @@ def naive_dft(x):
     k = np.arange(n)
     twiddle = np.exp(-2j * np.pi * np.outer(k, k) / n)
     return twiddle @ x.astype(complex)
+
+
+def energy(x):
+    """Oracle of a series' energy, the sum of its squares in the time domain."""
+    return float(np.sum(np.square(x)))
 
 
 def reconstruct(s):
@@ -151,6 +155,89 @@ def test_energy_ratio_equals_reconstruction_energy(n):
         ratio = reconstruction_energy_ratio(x)
         expected = energy(reconstruct(dft(x))) / energy(x)
         assert ratio == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@st.composite
+def scaled_weeks(draw):
+    """A seeded week of normal values times 2**e, a tenth of them zero, and a
+    k in [-1000, 1000]; e is drawn so that both 2**e and 2**(e + k) are normal."""
+    k = draw(st.integers(-1000, 1000))
+    e = draw(st.integers(max(-1000, -1000 - k), min(1000, 1000 - k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=1008) * (rng.random(1008) < 0.9)
+    return np.ldexp(x, e), k
+
+
+def is_normal(x):
+    """Every value is 0 or a finite, normal float."""
+    magnitude = np.abs(x)
+    return bool(((magnitude == 0.0) | (magnitude >= np.finfo(float).tiny)).all()
+                and np.isfinite(x).all())
+
+
+@given(scaled_weeks())
+@example((np.random.default_rng(0).normal(size=1008), 1000))
+@example((np.random.default_rng(0).normal(size=1008), -1000))
+def test_energy_ratio_is_exactly_scale_invariant(case):
+    # scaling by 2**k is exact while every value stays normal, and so is the
+    # division by the largest |x|, so the transform sees the same series
+    x, k = case
+    scaled = x * 2.0**k
+    assume(is_normal(x) and is_normal(scaled))
+    assert reconstruction_energy_ratio(scaled) == reconstruction_energy_ratio(x)
+
+
+@pytest.mark.parametrize("factor", [1e-170, 1e160])
+def test_energy_ratio_at_the_ends_of_the_float_range(factor):
+    # an energy taken as a sum of squares underflows to 0 at 1e-170 and
+    # overflows at 1e160
+    x = np.random.default_rng(12).normal(size=4032)
+    want = reconstruction_energy_ratio(x)
+    assert want < 0.01
+    assert reconstruction_energy_ratio(x * factor) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_energy_ratio_of_a_series_whose_dc_sum_overflows():
+    # the DC bin of 4032 values near 1e306 is past the largest float
+    n = 4032
+    x = 1e306 * (1.5 + 0.5 * np.cos(2 * np.pi * 28 * np.arange(n) / n))
+    assert reconstruction_energy_ratio(x) == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
+def known_answer_city(n=4032, towers=36, seed=19):
+    """Seeded towers of a DC level plus the week, day and half-day harmonics
+    of the ``n``-slot series, each of random amplitude and phase, and white
+    noise. Week amplitudes spread over [0, 8], day over [0, 4] and half-day
+    over [0, 2], so their bins' amplitude variances fall in that order. Returns
+    the series and each one's noise share, the noise energy over the series'."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    series, shares = [], []
+    for _ in range(towers):
+        signal = rng.uniform(5.0, 20.0) + sum(
+            rng.uniform(0.0, top) * np.cos(2 * np.pi * k * t / n + rng.uniform(-np.pi, np.pi))
+            for k, top in zip(principal_indices(n), (8.0, 4.0, 2.0))
+        )
+        noise = rng.normal(scale=rng.uniform(0.1, 3.0), size=n)
+        series.append(signal + noise)
+        shares.append(energy(noise) / energy(signal + noise))
+    return series, shares
+
+
+def test_known_answer_city_top_bins_are_the_principal_bins():
+    series, _ = known_answer_city()
+    _, top3 = amplitude_variance([dft(x) for x in series])
+    assert top3 == principal_indices(4032)
+
+
+def test_known_answer_city_energy_ratio_reaches_one_minus_noise_share():
+    # With x = s + e and s in the kept bins, the reconstruction misses only the
+    # noise outside them, so 1 - ratio = |e outside|^2 / |x|^2 <= |e|^2 / |x|^2.
+    # The tolerance covers rounding alone.
+    series, shares = known_answer_city()
+    for x, share in zip(series, shares):
+        ratio = reconstruction_energy_ratio(x)
+        assert 1.0 - share - 1e-12 <= ratio <= 1.0
 
 
 def test_amplitude_variance_identical_towers_zero():

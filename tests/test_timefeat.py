@@ -69,6 +69,25 @@ def test_daily_profile_rejects_a_non_finite_slot(bad):
         daily_profile(BinnedSeries("t", MONDAY, values))
 
 
+def test_daily_profile_of_huge_finite_slots_is_finite():
+    # 20 weekday copies of 1.7e308 overflow the plain sum of the day mean
+    values = np.ones(4 * 1008)
+    values[::144] = 1.7e308
+    profile = daily_profile(BinnedSeries("t", MONDAY, values))
+    want = np.ones(144)
+    want[0] = 1.7e308
+    np.testing.assert_allclose(profile.weekday, want, rtol=1e-15)
+    np.testing.assert_allclose(profile.weekend, want, rtol=1e-15)
+    features = compute_time_features(profile)
+    assert features.weekday_peak == pytest.approx(1.7e308, rel=1e-15)
+    assert features.weekend_peak == pytest.approx(1.7e308, rel=1e-15)
+    # every slot at the largest float, of either sign
+    for top in (np.finfo(float).max, -np.finfo(float).max):
+        profile = daily_profile(BinnedSeries("t", MONDAY, np.full(4 * 1008, top)))
+        np.testing.assert_allclose(profile.weekday, top, rtol=1e-15)
+        np.testing.assert_allclose(profile.weekend, top, rtol=1e-15)
+
+
 def test_profile_conserves_totals():
     # 5 * weekday profile + 2 * weekend profile recovers one week's total
     rng = np.random.default_rng(21)
