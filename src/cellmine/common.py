@@ -167,6 +167,15 @@ def read_csv(lines: Iterable[str], header: Sequence[str], error: type[Exception]
         yield row
 
 
+def unit_scaled(values: np.ndarray) -> tuple[np.ndarray, np.integer | np.ndarray]:
+    """``(values * 2**-e, e)``, ``e`` the binary exponent of the largest |value|
+    (0 for zeros): one for a 1-D series, one per column of a 2-D table. No sum,
+    mean or std of the scaled values overflows, and each value that stays normal
+    is scaled exactly, so a statistic free of scale keeps its bits."""
+    e = np.frexp(np.abs(values).max(axis=0))[1]
+    return np.ldexp(values, -e), e
+
+
 def reject_nan(values: Sequence[float] | np.ndarray, column: Callable[[int], str]) -> None:
     """Raise ``ValueError`` naming ``column(i)`` for the first NaN
     ``values[i]``, if there is one. A reader calls it on each row it parses,

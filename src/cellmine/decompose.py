@@ -27,6 +27,7 @@ from .common import (
     reject_nan,
     reject_repeat,
     sorted_by_tower,
+    unit_scaled,
     write_csv,
     write_json,
 )
@@ -37,7 +38,9 @@ FEATURE_NAMES = ("amp_day", "phase_day", "amp_half_day")
 DENSITY_RADIUS = 0.5
 MIN_DENSITY = 5
 
-# a simplex flatter than this in standardized units is treated as degenerate
+# a simplex is flat when its edges, scaled by one power of two to a largest
+# |coordinate| in [0.5, 1), span no more volume than this: a test of its shape
+# that neither its size nor its place changes
 MIN_SIMPLEX_VOLUME = 1e-9
 
 MIXTURES_HEADER = ["tower_id", "x1", "x2", "x3", "x4", "residual"]
@@ -66,7 +69,8 @@ class DecomposeError(ValueError):
 
 @dataclass(slots=True)
 class FeatureSpace:
-    """Per-dimension population standardization, recorded so it is invertible.
+    """Per-dimension population standardization, recorded so it is invertible;
+    ``build_feature_points`` finds it on columns scaled by ``common.unit_scaled``.
 
     A valid space has one finite mean and one positive, finite std per name;
     any other raises ``DecomposeError``, naming the first bad dimension."""
@@ -90,9 +94,6 @@ class FeatureSpace:
                 " a finite mean and a positive finite std"
             )
 
-    def transform(self, raw: np.ndarray) -> np.ndarray:
-        return (raw - self.mean) / self.std
-
     def inverse(self, standardized: np.ndarray) -> np.ndarray:
         return standardized * self.std + self.mean
 
@@ -110,8 +111,8 @@ class PolygonModel:
     holds the vertices as columns. ``space`` checks itself (see
     ``FeatureSpace``). A model of other than 4 vertices, of vertices that are
     not ``len(space.names)`` finite values, of vertices so large that their
-    Gram matrix overflows, or of a simplex whose volume is not above
-    ``MIN_SIMPLEX_VOLUME`` raises ``DecomposeError``."""
+    Gram matrix overflows, or of a flat simplex (see ``MIN_SIMPLEX_VOLUME``)
+    raises ``DecomposeError``."""
 
     vertices: list[FeaturePoint]
     vertex_clusters: list[int]
@@ -128,12 +129,13 @@ class PolygonModel:
         with np.errstate(all="ignore"):
             # the doubled Gram matrix that solve_mixture's KKT systems hold
             kkt_finite = np.isfinite(2.0 * (self.matrix.T @ self.matrix)).all()
-            volume = simplex_volume(self.matrix.T)  # inf for a huge simplex
         if not kkt_finite:
             raise DecomposeError(
                 "polygon model's vertices are too large: their Gram matrix overflows"
             )
-        if not volume > MIN_SIMPLEX_VOLUME:
+        edges = self.matrix.T - self.matrix.T[0]  # the simplex moved to the origin
+        scaled = unit_scaled(edges.ravel())[0].reshape(edges.shape)
+        if not simplex_volume(scaled) > MIN_SIMPLEX_VOLUME:
             raise DecomposeError("polygon model is degenerate: its vertices span a flat simplex")
 
 
@@ -155,12 +157,11 @@ def build_feature_points(
     if bad.size:
         i, j = bad[0]
         raise DecomposeError(f"tower {features[i].tower_id}: {names[j]} is {raw[i, j]}, not finite")
-    # a mean or std that overflows, or a flat dimension, fails FeatureSpace's check
-    with np.errstate(all="ignore"):
-        space = FeatureSpace(names, raw.mean(axis=0), raw.std(axis=0))
-    points = [
-        FeaturePoint(f.tower_id, space.transform(row)) for f, row in zip(features, raw)
-    ]
+    scaled, e = unit_scaled(raw)
+    mean, std = scaled.mean(axis=0), scaled.std(axis=0)
+    # a flat dimension fails FeatureSpace's check before it is divided by
+    space = FeatureSpace(names, np.ldexp(mean, e), np.ldexp(std, e))
+    points = [FeaturePoint(f.tower_id, row) for f, row in zip(features, (scaled - mean) / std)]
     return points, space
 
 

@@ -8,10 +8,11 @@ almost all of the traffic energy; ``reconstruction_energy_ratio`` measures
 the share it keeps.
 
 Every quantity here reads one real FFT of the series: the one ``dft``
-returns, or for the energy ratio, by Parseval, one of the series scaled to
-a largest |x| of 1. The DFT of a real series has X[n - k] = conj(X[k]), so
-only bins 0..n//2 are held; a bin above n/2 is the conjugate of its mirror
-below.
+returns, or for the energy ratio, by Parseval, one of the series scaled by
+``common.unit_scaled``, which the ratio does not depend on. A spectrum does
+depend on scale, so ``dft`` rejects a series whose transform overflows. The
+DFT of a real series has X[n - k] = conj(X[k]), so only bins 0..n//2 are
+held; a bin above n/2 is the conjugate of its mirror below.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .common import (
     reject_nan,
     reject_repeat,
     sorted_by_tower,
+    unit_scaled,
     write_csv,
 )
 
@@ -82,10 +84,17 @@ class SpectralFeature:
 
 def dft(x: Sequence[float] | np.ndarray) -> Spectrum:
     """Unnormalized forward DFT of a real series, bins 0..n//2 (real FFT).
-    A series that is not a non-empty 1-D vector of finite values raises
+    A series that is not a non-empty 1-D vector of finite values, or whose
+    transform is not finite (a bin is up to n times the largest |x|), raises
     ``SpectrumError``."""
     x = _series(x)
-    return Spectrum(np.fft.rfft(x), int(x.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = np.fft.rfft(x)
+    if not np.isfinite(coefficients).all():
+        raise SpectrumError(
+            f"dft of {x.size} values is not finite: the largest |value| is {np.abs(x).max()}"
+        )
+    return Spectrum(coefficients, int(x.size))
 
 
 def _series(x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -132,18 +141,16 @@ def reconstruction_energy_ratio(x: np.ndarray) -> float:
     divided by n, so both energies come from one real FFT and no inverse
     transform is needed. Of the bins 0..n//2 it holds, each but DC and, for
     even n, bin n/2 stands for itself and its mirror. The series is first
-    divided by its largest |x|, so the sums neither overflow nor underflow;
-    a series of zeros keeps all of its (zero) energy and gives 1.0. A series
-    that ``dft`` rejects raises ``SpectrumError``.
+    scaled by a power of two (``common.unit_scaled``), so the sums neither
+    overflow nor underflow; a series of zeros keeps all of its (zero) energy
+    and gives 1.0. A series that ``dft`` rejects raises ``SpectrumError``.
     """
     x = _series(x)
-    scale = np.abs(x).max()
-    if scale == 0.0:
-        return 1.0
-    coefficients = np.fft.rfft(x / scale)
+    coefficients = np.fft.rfft(unit_scaled(x)[0])
     coefficients[1 : (x.size + 1) // 2] *= np.sqrt(2.0)  # power of X_k and its mirror
     kept = coefficients[[0, *principal_indices(x.size)]]
-    return float(np.vdot(kept, kept).real / np.vdot(coefficients, coefficients).real)
+    total = np.vdot(coefficients, coefficients).real
+    return float(np.vdot(kept, kept).real / total) if total else 1.0
 
 
 def amplitude_variance(

@@ -26,7 +26,6 @@ copy; the tests hold the two equal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -40,6 +39,7 @@ from .common import (
     SLOTS_PER_WEEK,
     local_seconds_of_day,
     local_weekday,
+    unit_scaled,
     write_csv,
 )
 from .ingest import BinnedSeries
@@ -93,7 +93,8 @@ def daily_profile(series: BinnedSeries) -> DailyProfile:
     """Mean weekday and weekend day of a series whose origin is a civil
     midnight; each day's weekday follows from the origin's (Monday = 0), so
     a series may start on any day. Requires whole weeks so each weekday is
-    represented equally, and a finite byte count in every slot."""
+    represented equally, and a finite byte count in every slot. Each slot's
+    days are scaled by ``common.unit_scaled``, averaged and scaled back."""
     if local_seconds_of_day(series.origin) != 0:
         raise TimefeatError(
             f"{series.tower_id}: series origin is not civil midnight; "
@@ -104,42 +105,49 @@ def daily_profile(series: BinnedSeries) -> DailyProfile:
         raise TimefeatError(
             f"{series.tower_id}: profile needs whole weeks of slots, got {values.size}"
         )
-    top = np.abs(values).max()  # not finite when some slot is not
-    if not math.isfinite(top):
-        i = int(np.isfinite(values).argmin())
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
         raise TimefeatError(f"{series.tower_id}: slot {i} holds {values[i]}, not a finite count")
-    days = values.reshape(-1, SLOTS_PER_DAY)
-    # A mean of finite values is finite, but the sum it divides may not be:
-    # d values below 2**e sum to below 2**(e + d.bit_length()). So a series
-    # that large is scaled down by a power of two, which is exact, and every
-    # other series is averaged as it is.
-    shift = max(0, math.frexp(top)[1] + days.shape[0].bit_length() - 1023)
-    days = np.ldexp(days, -shift)
+    days, e = unit_scaled(values.reshape(-1, SLOTS_PER_DAY))
     weekdays = (local_weekday(series.origin) + np.arange(days.shape[0])) % 7
     weekday_mask = weekdays < 5
     return DailyProfile(
         series.tower_id,
-        np.ldexp(days[weekday_mask].mean(axis=0), shift),
-        np.ldexp(days[~weekday_mask].mean(axis=0), shift),
+        np.ldexp(days[weekday_mask].mean(axis=0), e),
+        np.ldexp(days[~weekday_mask].mean(axis=0), e),
     )
 
 
 def weekday_weekend_ratio(profile: DailyProfile) -> float | None:
-    """Mean weekday daily total over mean weekend daily total; None when the
-    weekend total is zero (undefined, reported as such)."""
-    weekend_total = float(profile.weekend.sum())
+    """Mean weekday over mean weekend daily total, of the curves scaled by one
+    ``common.unit_scaled``; None when the weekend total is zero (undefined)."""
+    n = len(profile.weekday)
+    both, _ = unit_scaled(np.concatenate([profile.weekday, profile.weekend]))
+    weekend_total = float(both[n:].sum())
     if weekend_total == 0.0:
         return None
-    return float(profile.weekday.sum()) / weekend_total
+    return float(both[:n].sum()) / weekend_total
 
 
-def _curves(what: str, *curves: np.ndarray) -> np.ndarray:
-    """``curves`` as the rows of one array; curves of unequal lengths raise
-    ``TimefeatError`` naming ``what`` they are."""
-    lengths = [np.size(c) for c in curves]
+def _curves(what: str, *curves: tuple[DailyProfile, str]) -> np.ndarray:
+    """The ``kind`` curve (``"weekday"`` or ``"weekend"``) of each
+    ``(profile, kind)`` as the rows of one array. Curves of unequal lengths
+    raise ``TimefeatError`` naming ``what`` they are, and a slot that is not
+    finite raises it naming the profile, the curve and the slot."""
+    rows = [getattr(profile, kind) for profile, kind in curves]
+    lengths = [np.size(c) for c in rows]
     if len(set(lengths)) != 1:
         raise TimefeatError(f"{what} hold unequal numbers of slots: {lengths}")
-    return np.array(curves, dtype=float)
+    rows = np.array(rows, dtype=float)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        k, slot = np.argwhere(~finite)[0]
+        profile, kind = curves[k]
+        raise TimefeatError(
+            f"{profile.source_id}: {kind} slot {slot} holds {rows[k, slot]}, not a finite mean"
+        )
+    return rows
 
 
 def _circular_smooth(curves: np.ndarray) -> np.ndarray:
@@ -207,9 +215,9 @@ def _extrema(smoothed: np.ndarray) -> list[tuple[list[int], list[int]]]:
 def compute_time_features(profile: DailyProfile) -> TimeFeatures:
     """Peak and valley values come from the raw curves, their times from the
     smoothed ones. A peak/valley ratio is None when the valley is not above 0.
-    The two curves must be of one length."""
+    The two curves must be finite and of one length."""
     curves = _curves(f"{profile.source_id}: weekday and weekend curves",
-                     profile.weekday, profile.weekend)
+                     (profile, "weekday"), (profile, "weekend"))
     peaks = curves.max(axis=1).tolist()
     valleys = curves.min(axis=1).tolist()
     ratios = [p / v if v > 0.0 else None for p, v in zip(peaks, valleys)]
@@ -236,8 +244,9 @@ def peak_offset(a: DailyProfile, b: DailyProfile) -> int:
     smoothed, mean-removed curves. Both weekday curves must contain at least
     one prominent peak: a smoothed curve has one unless it is flat, since
     its highest sample's prominence is the whole span. The two curves must
-    be of one length."""
-    curves = _curves(f"weekday curves of {a.source_id} and {b.source_id}", a.weekday, b.weekday)
+    be finite and of one length."""
+    curves = _curves(f"weekday curves of {a.source_id} and {b.source_id}",
+                     (a, "weekday"), (b, "weekday"))
     smoothed = _circular_smooth(curves)[:, :-1]
     for label, span in zip("ab", np.ptp(smoothed, axis=1)):
         if not span > 0.0:

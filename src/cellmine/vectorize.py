@@ -30,6 +30,7 @@ from .common import (
     reject_nan,
     reject_repeat,
     sorted_by_tower,
+    unit_scaled,
     write_csv_blocks,
 )
 from .ingest import BinnedSeries
@@ -97,24 +98,22 @@ def trim_to_weeks(series: BinnedSeries, weeks: int) -> BinnedSeries:
 
 
 def normalize(series: BinnedSeries) -> TrafficVector:
-    """Zero-score normalization with the population standard deviation.
-
-    A constant series cannot be scaled; it yields an all-zero vector with the
-    degenerate flag set rather than an error. A series that holds inf or NaN,
-    or whose std overflows or underflows to 0, raises ``VectorizeError``.
-    """
+    """Zero-score normalization with the population standard deviation, of
+    the series scaled by ``common.unit_scaled``, so it is finite for every
+    finite series. A constant series cannot be scaled; it yields an all-zero
+    vector with the degenerate flag set rather than an error. An empty series,
+    or one that holds inf or NaN, raises ``VectorizeError``."""
     raw = np.asarray(series.slot_bytes, dtype=float)
     if raw.size == 0:
         raise VectorizeError(f"tower {series.tower_id}: empty series")
-    with np.errstate(all="ignore"):
-        if np.ptp(raw) == 0.0:
-            return TrafficVector(series.tower_id, np.zeros_like(raw), degenerate=True)
-        std = raw.std()
-        values = (raw - raw.mean()) / std
-    # An infinite std makes every z-score 0, so it is tested apart.
-    if not (np.isfinite(std) and np.isfinite(values).all()):
-        raise VectorizeError(f"tower {series.tower_id}: z-score is not finite (std {float(std)})")
-    return TrafficVector(series.tower_id, values, degenerate=False)
+    finite = np.isfinite(raw)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise VectorizeError(f"tower {series.tower_id}: slot {i} holds {raw[i]}, not a finite count")
+    scaled, _ = unit_scaled(raw)
+    if np.ptp(scaled) == 0.0:
+        return TrafficVector(series.tower_id, np.zeros_like(raw), degenerate=True)
+    return TrafficVector(series.tower_id, (scaled - scaled.mean()) / scaled.std(), degenerate=False)
 
 
 def _vectors_header(n: int) -> list[str]:

@@ -409,3 +409,19 @@ def test_read_assignments_rejects_malformed_row(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ClusterError, match=message):
         read_assignments(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda dend, vectors: dend.cut(0), r"^cannot cut 4 leaves into 0 clusters$"),
+    (lambda dend, vectors: dend.cut(5), r"^cannot cut 4 leaves into 5 clusters$"),
+    (lambda dend, vectors: hac_average_linkage(vectors[:3] + [TrafficVector("x", np.zeros(2))]),
+     r"^vectors have mixed lengths$"),
+    (lambda dend, vectors: tune_cut(hac_average_linkage(vectors[:2]), vectors[:2], 2, 2),
+     r"^cut tuning needs a dendrogram over >= 3 leaves$"),
+    (lambda dend, vectors: tune_cut(dend, vectors, 1, 3), r"^invalid cluster range \[1, 3\]$"),
+    (lambda dend, vectors: tune_cut(dend, vectors, 5, 9), r"^invalid cluster range \[5, 9\]$"),
+])
+def test_cluster_api_rejects_bad_arguments(call, message):
+    vectors = vecs([[0.0], [0.1], [5.0], [5.2]])
+    with pytest.raises(ClusterError, match=message):
+        call(hac_average_linkage(vectors), vectors)

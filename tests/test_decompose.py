@@ -5,9 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given
+from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
+from scaling import exponents, is_normal, same_bits
 
+from cellmine.common import unit_scaled
 from cellmine.decompose import (
     DENSITY_RADIUS,
     MIN_DENSITY,
@@ -277,6 +279,17 @@ def test_degenerate_model_rejected():
         solve_mixture(np.array([0.2, 0.2, 0.5]), make_model(flat))
 
 
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e4, 1e8])
+def test_model_flatness_depends_on_neither_size_nor_place(s):
+    # three of the vertices 0, d*s, 2.3*d*s and w*s are collinear
+    d, w = np.array([0.3, 0.7, 0.11]), np.array([0.2, -0.5, 1.0])
+    with pytest.raises(DecomposeError, match="flat simplex"):
+        make_model([np.zeros(3), d * s, 2.3 * d * s, w * s])
+    corners = np.vstack([np.zeros(3), np.eye(3)])
+    for shift in (0.0, 1e6):
+        make_model(corners * s + shift)
+
+
 def test_simplex_volume_in_any_dimension():
     # a unit-corner simplex raised into 4 or 6 dims keeps its 1/6; four points
     # of a plane, in 2 dims or 3, span none
@@ -346,6 +359,13 @@ def test_build_feature_points_standardizes():
     np.testing.assert_allclose(space.inverse(points[3].f), [3.0, 0.6, 5.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("towers", [0, 1])
+def test_build_feature_points_needs_two_towers(towers):
+    feats = [SpectralFeature(f"t{i}", 1.0, 0.1, 1.0, 0.2, 2.0, 0.0) for i in range(towers)]
+    with pytest.raises(DecomposeError, match="^feature standardization needs at least 2 towers$"):
+        build_feature_points(feats)
+
+
 def test_build_feature_points_rejects_flat_dimension():
     feats = [SpectralFeature(f"t{i}", 1, 0, 1.0, 0.5, 2, 0) for i in range(4)]
     with pytest.raises(DecomposeError, match="feature amp_day: mean 1.0 and std 0.0 are not"):
@@ -360,11 +380,51 @@ def test_build_feature_points_rejects_non_finite_feature(bad):
         build_feature_points(feats)
 
 
-@pytest.mark.parametrize("huge", [1e308, 1.7e308])
-def test_build_feature_points_rejects_feature_whose_mean_overflows(huge):
-    feats = [SpectralFeature(f"t{i}", 1.0, 0.1, huge, 0.2 * i, 2.0 + i, 0.0) for i in range(6)]
-    with pytest.raises(DecomposeError, match="feature amp_day: mean inf"):
+def test_build_feature_points_rejects_flat_dimension_whose_sum_overflows():
+    feats = [SpectralFeature(f"t{i}", 1.0, 0.1, 1e308, 0.2 * i, 2.0 + i, 0.0) for i in range(6)]
+    with pytest.raises(DecomposeError, match=r"^feature amp_day: mean 1e\+308 and std 0\.0 are not"):
         build_feature_points(feats)
+
+
+@pytest.mark.parametrize("huge", [1e308, 1.7e308])
+def test_build_feature_points_of_huge_features(huge):
+    # huge / 5 * i standardizes as i does, though its sum and its std overflow
+    feats = [SpectralFeature(f"t{i}", 1.0, 0.1, huge / 5 * i, 0.2 * i, 2.0 + i, 0.0) for i in range(6)]
+    points, space = build_feature_points(feats)
+    want, _ = build_feature_points([
+        SpectralFeature(f"t{i}", 1.0, 0.1, float(i), 0.2 * i, 2.0 + i, 0.0) for i in range(6)
+    ])
+    np.testing.assert_allclose([p.f for p in points], [p.f for p in want], rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(space.mean[0], huge / 2, rtol=1e-15)
+    np.testing.assert_allclose(space.std[0], huge / 5 * math.sqrt(35 / 12), rtol=1e-15)
+
+
+@st.composite
+def scaled_features(draw):
+    """Seeded features of 2 to 40 towers in [1, 2) times 2**e, and a k in
+    [-1000, 1000] (see ``scaling.exponents``)."""
+    e, k = draw(exponents())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.ldexp(rng.uniform(1.0, 2.0, size=(draw(st.integers(2, 40)), 3)), e), k
+
+
+@given(scaled_features())
+@example((np.ldexp(np.arange(1.0, 13.0).reshape(4, 3), 1018), -1000))
+@example((np.ldexp(np.arange(1.0, 13.0).reshape(4, 3), -1000), 1000))
+def test_build_feature_points_is_exactly_scale_invariant(case):
+    raw, k = case
+    scaled = np.ldexp(raw, k)
+    assume(is_normal(raw) and is_normal(scaled))
+
+    def build(rows):
+        return build_feature_points([SpectralFeature(f"t{i}", 1.0, 0.0, a, p, h, 0.0)
+                                     for i, (a, p, h) in enumerate(rows)])
+
+    points, space = build(raw)
+    scaled_points, scaled_space = build(scaled)
+    assert all(same_bits(a.f, b.f) for a, b in zip(scaled_points, points))
+    assert same_bits(scaled_space.mean, np.ldexp(space.mean, k))
+    assert same_bits(scaled_space.std, np.ldexp(space.std, k))
 
 
 def _blob_points(rng, centers, per_cluster=30, spread=0.15):
@@ -433,6 +493,14 @@ def brute_force_representative(points, assignments, cluster):
     return None if best is None else best[1]
 
 
+def is_flat(vertices):
+    """PolygonModel's flatness test: the edges from the first vertex, scaled
+    by one power of two, span no more volume than MIN_SIMPLEX_VOLUME."""
+    edges = np.array(vertices) - vertices[0]
+    scaled = unit_scaled(edges.ravel())[0].reshape(edges.shape)
+    return simplex_volume(list(scaled)) <= MIN_SIMPLEX_VOLUME
+
+
 @st.composite
 def representative_cases(draw):
     """Points on a half-unit grid, drawn in blobs of 2 x 2 x 2 grid points
@@ -470,7 +538,7 @@ def test_select_representatives_property_equals_brute_force(case):
         event("a vertex cluster with no dense point")
         with pytest.raises(DecomposeError, match=f">= {MIN_DENSITY} neighbors within"):
             pick()
-    elif simplex_volume([p.f for p in expected]) <= MIN_SIMPLEX_VOLUME:
+    elif is_flat([p.f for p in expected]):
         event("a flat simplex")
         with pytest.raises(DecomposeError, match="flat simplex"):
             pick()
@@ -497,6 +565,22 @@ def test_select_representatives_density_error_names_the_cluster():
     space = FeatureSpace(("a", "b", "c"), np.zeros(3), np.ones(3))
     with pytest.raises(DecomposeError, match="^no tower in cluster 1 has >= 5 neighbors within 0.5$"):
         select_representatives(points, assignments, [1, 2, 3, 4], space)
+
+
+@pytest.mark.parametrize("vertex_clusters, relabel, message", [
+    ([1, 2, 3], {}, "^expected 4 vertex clusters, got 3$"),
+    ([1, 2, 3, 4, 5], {}, "^expected 4 vertex clusters, got 5$"),
+    ([1, 2, 3, 9], {}, "^vertex cluster 9 has no towers$"),
+    ([1, 2, 3, 4], {2: 1, 3: 1, 4: 1}, "^representative selection needs other clusters$"),
+])
+def test_select_representatives_rejects_bad_vertex_clusters(vertex_clusters, relabel, message):
+    rng = np.random.default_rng(49)
+    centers = np.array([[2.0, 0, 0], [-2.0, 0, 0], [0, 2.0, 0], [0, 0, 2.0]])
+    points, assignments = _blob_points(rng, centers, per_cluster=20, spread=0.1)
+    assignments = {t: relabel.get(c, c) for t, c in assignments.items()}
+    space = FeatureSpace(("a", "b", "c"), np.zeros(3), np.ones(3))
+    with pytest.raises(DecomposeError, match=message):
+        select_representatives(points, assignments, vertex_clusters, space)
 
 
 def test_mixture_and_vertices_io(tmp_path):

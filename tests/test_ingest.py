@@ -89,6 +89,8 @@ def test_parse_towers_rejects_duplicate_and_range():
         parse_towers(["tower_id,lat,lon", "t1,0,0", "t1,1,1"])
     with pytest.raises(IngestError):
         parse_towers(["tower_id,lat,lon", "t1,95,0"])
+    with pytest.raises(IngestError, match="^towers line 2: empty tower_id$"):
+        parse_towers(["tower_id,lat,lon", " ,0,0"])
 
 
 def test_deduplicate_identical_rows_collapse():
@@ -562,6 +564,24 @@ def test_read_binned_rejects_malformed_file(tmp_path, binned, manifest, message)
         manifest_path.write_text(manifest)
     with pytest.raises(IngestError, match=message):
         read_binned(csv_path, manifest_path)
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("u1,t1,0,10", "expected 5 fields, got 4"),
+    ("u1,t1,0,10,5,6", "expected 5 fields, got 6"),
+    ("u1,t1,0,1.5,5", "non-integer timestamp or byte count"),
+    ("u1,t1,0,10,x", "non-integer timestamp or byte count"),
+])
+def test_parse_sessions_rejects_malformed_row(row, reason):
+    sessions, rejects = parse_sessions([HEADER, "u0,t0,0,1,1", row])
+    assert len(sessions) == 1
+    assert [(r.line_no, r.reason) for r in rejects] == [(3, reason)]
+
+
+@pytest.mark.parametrize("days", [0, -1])
+def test_bin_traffic_rejects_days_below_one(days):
+    with pytest.raises(IngestError, match=f"^days must be positive, got {days}$"):
+        bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, days, registry("t1"))
 
 
 @pytest.mark.parametrize("row", [",t1,0,10,5", "u1, ,x,10,5", " ,t1,0,10,-1"])

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject
+from hypothesis import given
 from hypothesis import strategies as st
 
 import cellmine
@@ -326,9 +326,12 @@ def test_mixtures_round_trip_property(mixes):
 
 @st.composite
 def polygon_models(draw):
-    # A model holds 4 finite vertices that span a simplex, so 3 dims or more,
-    # and coordinates past ~1e50 overflow the simplex volume. Its space has
-    # finite means and positive finite stds.
+    # A model holds 4 finite vertices that span a simplex that is not flat, so
+    # 3 dims or more: the drawn coordinates, with 8 times the largest of them
+    # (at least 1) added to one axis per vertex after the first, which keeps
+    # the edge matrix diagonally dominant. Coordinates stay below 1e50, far
+    # from where the Gram matrix overflows. Its space has finite means and
+    # positive finite stds.
     dims = draw(st.integers(3, 4))
 
     def arrays(values):
@@ -339,16 +342,13 @@ def polygon_models(draw):
         [x for x in EDGE_FLOATS if x > 0]
     )
     coordinates = st.floats(-1e50, 1e50) | st.sampled_from([x for x in EDGE_FLOATS if abs(x) < 1e50])
-    finite = arrays(coordinates)
     names = tuple(draw(st.lists(IDS, min_size=dims, max_size=dims)))
-    vertices = draw(st.lists(st.builds(FeaturePoint, IDS, finite), min_size=4, max_size=4))
+    coords = np.array(draw(st.lists(arrays(coordinates), min_size=4, max_size=4)))
+    coords[1:, :3] += np.eye(3) * max(1.0, 8 * np.abs(coords).max())
+    vertices = [FeaturePoint(draw(IDS), c) for c in coords]
     clusters = draw(st.lists(st.integers(), min_size=4, max_size=4))
     space = FeatureSpace(names, draw(arrays(means)), draw(arrays(stds)))
-    try:
-        with np.errstate(all="ignore"):  # subnormal coordinates underflow the volume
-            return PolygonModel(vertices, clusters, space)
-    except DecomposeError:  # a flat simplex
-        reject()
+    return PolygonModel(vertices, clusters, space)
 
 
 @given(polygon_models())

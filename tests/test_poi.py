@@ -201,6 +201,16 @@ def test_cluster_poi_table_identity_pattern():
         assert table.matrix[idx, idx] == pytest.approx(1.0)
 
 
+def test_cluster_poi_table_needs_a_shared_tower():
+    with pytest.raises(PoiError, match="^no towers shared between counts and assignments$"):
+        cluster_poi_table({"t1": np.array([1, 0, 0, 0])}, {"t2": 1})
+
+
+def test_ntfidf_needs_a_tower():
+    with pytest.raises(PoiError, match="^TF-IDF needs at least one tower$"):
+        ntfidf({})
+
+
 def test_cluster_poi_table_flags_zero_range():
     counts = {"t1": np.array([3, 0, 1, 0]), "t2": np.array([3, 0, 2, 0])}
     table = cluster_poi_table(counts, {"t1": 1, "t2": 1})

@@ -132,6 +132,32 @@ def test_the_package_takes_only_real_ffts():
     assert not found, f"complex FFT in the package: {found}"
 
 
+def test_only_unit_scaled_takes_a_binary_exponent():
+    """Every statistic of the package that a constant factor does not change
+    scales its values through ``common.unit_scaled``, so ``frexp``, of
+    ``math`` or of numpy, is named nowhere else: as a name, an attribute or
+    an import."""
+    found, inside = [], 0
+    for path in sorted(ROOT.glob("src/cellmine/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {id(n) for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and path.stem == "common" and node.name == "unit_scaled"
+                  for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+            else:
+                names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+            if "frexp" not in names:
+                continue
+            if id(node) in helper:
+                inside += 1
+            else:
+                found.append(f"{path.name} line {node.lineno}")
+    assert inside, "common.unit_scaled names no frexp: the test checks nothing"
+    assert not found, f"frexp outside common.unit_scaled: {found}"
+
+
 def test_the_package_writes_files_only_through_open_replacing():
     """``common.open_replacing`` holds every ``open`` of the package whose mode
     writes (``w``, ``a``, ``x`` or ``+``) or is not a literal, so that no

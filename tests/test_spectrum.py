@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from scaling import exponents, is_normal
 
 from cellmine.spectrum import (
     NULL_AMPLITUDE,
@@ -160,19 +161,11 @@ def test_energy_ratio_equals_reconstruction_energy(n):
 @st.composite
 def scaled_weeks(draw):
     """A seeded week of normal values times 2**e, a tenth of them zero, and a
-    k in [-1000, 1000]; e is drawn so that both 2**e and 2**(e + k) are normal."""
-    k = draw(st.integers(-1000, 1000))
-    e = draw(st.integers(max(-1000, -1000 - k), min(1000, 1000 - k)))
+    k in [-1000, 1000] (see ``scaling.exponents``)."""
+    e, k = draw(exponents())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=1008) * (rng.random(1008) < 0.9)
     return np.ldexp(x, e), k
-
-
-def is_normal(x):
-    """Every value is 0 or a finite, normal float."""
-    magnitude = np.abs(x)
-    return bool(((magnitude == 0.0) | (magnitude >= np.finfo(float).tiny)).all()
-                and np.isfinite(x).all())
 
 
 @given(scaled_weeks())
@@ -323,3 +316,28 @@ def test_read_spectral_features_rejects_malformed_file(tmp_path, text, message):
 def test_a_non_finite_series_fails_with_spectrum_error(transform, bad):
     with pytest.raises(SpectrumError, match=f"finite values, but value 1 is {bad}$"):
         transform(np.array([1.0, bad, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.ones((2, 3)), "^dft expects a non-empty 1-D real vector$"),
+    (np.zeros(0), "^dft expects a non-empty 1-D real vector$"),
+    # finite values whose DC bin, or whose bin n/2, passes the largest float
+    (np.full(4032, 1e306), r"^dft of 4032 values is not finite: the largest \|value\| is 1e\+306$"),
+    (np.resize([1e305, -1e305], 4032), r"not finite: the largest \|value\| is 1e\+305$"),
+])
+def test_dft_rejects_a_series_it_cannot_transform(x, message):
+    with pytest.raises(SpectrumError, match=message):
+        dft(x)
+
+
+def test_energy_ratio_of_zeros_is_one():
+    assert reconstruction_energy_ratio(np.zeros(4032)) == 1.0
+
+
+@pytest.mark.parametrize("spectra, message", [
+    ([dft(np.ones(1008))], "^amplitude variance needs at least 2 towers$"),
+    ([dft(np.ones(1008)), dft(np.ones(2016))], "^spectra have mixed lengths$"),
+])
+def test_amplitude_variance_rejects_bad_spectra(spectra, message):
+    with pytest.raises(SpectrumError, match=message):
+        amplitude_variance(spectra)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scaling import exponents, is_normal
 from scipy.signal import find_peaks
 
 from cellmine.ingest import BinnedSeries
@@ -111,6 +112,26 @@ def test_ratio_weekday_double():
 def test_ratio_zero_weekend_undefined():
     profile = DailyProfile("t", np.ones(144), np.zeros(144))
     assert weekday_weekend_ratio(profile) is None
+
+
+def test_ratio_of_slots_whose_sums_overflow():
+    # every slot's mean is 1e307, and 144 of them sum past the largest float
+    profile = daily_profile(BinnedSeries("t", MONDAY, np.full(4 * 1008, 1e307)))
+    assert weekday_weekend_ratio(profile) == 1.0
+    assert compute_time_features(profile).weekday_weekend_ratio == 1.0
+
+
+@given(exponents(), st.integers(0, 2**32 - 1))
+@example((1020, -1000), 0)
+@example((-1000, 1000), 0)
+def test_ratio_is_exactly_scale_invariant(ek, seed):
+    # weekday and weekend curves below 2**e, a tenth of their slots 0, and their multiples by 2**k
+    (e, k), rng = ek, np.random.default_rng(seed)
+    weekday, weekend = np.ldexp(rng.random((2, 144)) * (rng.random((2, 144)) < 0.9), e)
+    scaled = np.ldexp([weekday, weekend], k)
+    assume(is_normal([weekday, weekend]) and is_normal(scaled))
+    assert (weekday_weekend_ratio(DailyProfile("t", *scaled))
+            == weekday_weekend_ratio(DailyProfile("t", weekday, weekend)))
 
 
 def features_of(curve):
@@ -258,3 +279,16 @@ def test_curves_of_unequal_lengths_fail_with_timefeat_error():
     peaked = DailyProfile("p", day_curve(60), day_curve(60))
     with pytest.raises(TimefeatError, match=r"^weekday curves of s and p hold unequal .*: \[143, 144\]$"):
         peak_offset(short, peaked)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_curves_with_a_non_finite_slot_fail_with_timefeat_error(bad):
+    curve = day_curve(60)
+    curve[7] = bad
+    with pytest.raises(TimefeatError, match=f"^s: weekday slot 7 holds {bad}, not a finite mean$"):
+        compute_time_features(DailyProfile("s", curve, day_curve(60)))
+    with pytest.raises(TimefeatError, match=f"^s: weekend slot 7 holds {bad}, not a finite mean$"):
+        compute_time_features(DailyProfile("s", day_curve(60), curve))
+    peaked = DailyProfile("p", day_curve(60), day_curve(60))
+    with pytest.raises(TimefeatError, match=f"^s: weekday slot 7 holds {bad}, not a finite mean$"):
+        peak_offset(peaked, DailyProfile("s", curve, day_curve(60)))

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from scaling import exponents, is_normal, same_bits
 
 from cellmine.common import SLOT_SECONDS, SLOTS_PER_WEEK, local_seconds_of_day, local_weekday
 from cellmine.ingest import BinnedSeries
@@ -11,6 +14,7 @@ from cellmine.vectorize import (
     VectorizeError,
     normalize,
     read_vectors,
+    read_vectors_binary,
     trim_to_weeks,
     write_vectors_binary,
     write_vectors_csv,
@@ -69,6 +73,12 @@ def test_trim_rejects_unaligned_origin():
         trim_to_weeks(series, 4)
 
 
+@pytest.mark.parametrize("weeks", [0, -1])
+def test_trim_rejects_fewer_than_one_week(weeks):
+    with pytest.raises(VectorizeError, match=f"^weeks must be >= 1, got {weeks}$"):
+        trim_to_weeks(make_series(MONDAY, 4032), weeks)
+
+
 def test_normalize_hand_case():
     vec = normalize(BinnedSeries("t", 0, np.array([1.0, 3.0])))
     np.testing.assert_allclose(vec.values, [-1.0, 1.0])
@@ -121,16 +131,42 @@ def test_vector_io_round_trip(tmp_path):
 def test_normalize_rejects_non_finite_series(bad):
     raw = np.arange(10, dtype=float)
     raw[4] = bad
-    with pytest.raises(VectorizeError, match="tower t7"):
+    with pytest.raises(VectorizeError, match=f"^tower t7: slot 4 holds {bad}, not a finite count$"):
         normalize(BinnedSeries("t7", 0, raw))
 
 
-# Finite byte counts whose mean, std or z-scores leave float64: an infinite
-# std, a z-score that overflows, and a std that underflows to 0.
-@pytest.mark.parametrize("raw", [[1e308, 1.7e308, 0.0], [1.7e308, 0.0, 0.0], [0.0, 5e-324]])
-def test_normalize_rejects_series_it_cannot_scale(raw):
-    with pytest.raises(VectorizeError, match="tower t7: z-score is not finite"):
-        normalize(BinnedSeries("t7", 0, np.array(raw)))
+def test_normalize_rejects_empty_series():
+    with pytest.raises(VectorizeError, match="^tower t7: empty series$"):
+        normalize(BinnedSeries("t7", 0, np.zeros(0)))
+
+
+# Finite byte counts whose std leaves float64 unless they are scaled first:
+# an infinite std, a z-score that would overflow, and stds that underflow to 0
+# or overflow. Each has the z-scores of the same shape at an ordinary scale.
+@pytest.mark.parametrize("raw, shape", [
+    ([1e308, 1.7e308, 0.0], [10.0, 17.0, 0.0]),
+    ([1.7e308, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([0.0, 5e-324], [0.0, 1.0]),
+    ([1e154, 2e154, 3e154], [1.0, 2.0, 3.0]),
+])
+def test_normalize_scales_series_at_the_ends_of_the_float_range(raw, shape):
+    vec = normalize(BinnedSeries("t7", 0, np.array(raw)))
+    want = normalize(BinnedSeries("t7", 0, np.array(shape)))
+    assert not vec.degenerate
+    np.testing.assert_allclose(vec.values, want.values, rtol=1e-15, atol=0)
+
+
+@given(exponents(), st.integers(0, 2**32 - 1))
+@example((1020, -1000), 0)
+@example((-1000, 1000), 0)
+def test_normalize_is_exactly_scale_invariant(ek, seed):
+    # a week of byte counts below 2**e, a tenth of them 0, and its multiple by 2**k
+    (e, k), rng = ek, np.random.default_rng(seed)
+    x = np.ldexp(rng.random(SLOTS_PER_WEEK) * (rng.random(SLOTS_PER_WEEK) < 0.9), e)
+    scaled = np.ldexp(x, k)
+    assume(is_normal(x) and is_normal(scaled))
+    assert same_bits(normalize(BinnedSeries("t", 0, scaled)).values,
+                     normalize(BinnedSeries("t", 0, x)).values)
 
 
 def test_write_vectors_csv_rejects_vectors_of_different_lengths(tmp_path):
@@ -232,3 +268,9 @@ def test_read_vectors_binary_rejects_malformed_file(tmp_path, data, message):
     assert [(v.tower_id, v.degenerate, v.values.tolist()) for v in read_vectors(path)] == [
         ("ab", False, [0.0])
     ]
+
+
+def test_read_vectors_binary_rejects_a_file_without_the_magic(tmp_path):
+    path = write_vectors_csv(tmp_path / "v.csv", [TrafficVector("a", np.arange(2.0))])
+    with pytest.raises(VectorizeError, match=f"^not a cellmine vector file: {re.escape(str(path))}$"):
+        read_vectors_binary(path)
