@@ -11,8 +11,9 @@ For 500, 2,000 and 10,000 towers it generates the seed-1 city
 ``--root`` picks the checkout whose ``src`` and ``perfbench`` are run, so an
 older commit can be measured with this script. The record of each run (the
 seconds and ``ru_maxrss`` of importing numpy, scipy and the pipeline with every
-``cellmine`` stage, self seconds per stage, ``ru_maxrss``, HAC's RSS growth,
-quality, failed gates, the probe time and the environment) goes into
+``cellmine`` stage, self seconds per stage, ``ru_maxrss``, each stage's
+``ru_maxrss`` growth, quality, failed gates, the probe time and the
+environment) goes into
 ``BENCH_scale.json`` under ``--label``; records under other labels are kept.
 ``pipeline_s`` and ``self_s`` are wall seconds; ``pipeline_s_scaled`` and
 ``self_s_scaled`` are the same times multiplied by the record's ``probe_scale``,
@@ -31,6 +32,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -48,6 +50,25 @@ def _import_bench(root: Path) -> None:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
 
+def rss_growth_per_span(tracer, maxrss_mb) -> dict[str, float]:
+    """Make each of ``tracer``'s spans also add the growth of ``maxrss_mb()``
+    while it is open to the returned dict, under the span's name. A stage's
+    growth is how far it raised the process's peak, so a stage that stays
+    below an earlier peak reads 0."""
+    growth: dict[str, float] = {}
+    span = tracer.span
+
+    @contextmanager
+    def measured(name: str):
+        before = maxrss_mb()
+        with span(name):
+            yield
+        growth[name] = growth.get(name, 0.0) + maxrss_mb() - before
+
+    tracer.span = measured
+    return growth
+
+
 def run_one(root: Path, city: Path) -> dict:
     """One traced pipeline over ``city``; runs in its own process so that
     ru_maxrss belongs to this city alone, and so that the import of the
@@ -62,6 +83,7 @@ def run_one(root: Path, city: Path) -> dict:
     import_maxrss_mb = pipeline._maxrss_mb()
     truth = json.loads((city / "truth.json").read_text())
     tracer = pipeline.Tracer(True)
+    rss_growth = rss_growth_per_span(tracer, pipeline._maxrss_mb)
     probe_before = pipeline.probe()
     t0 = perf_counter()
     with tempfile.TemporaryDirectory() as workdir:
@@ -80,7 +102,9 @@ def run_one(root: Path, city: Path) -> dict:
         "sessions": len(out["sessions"]),
         "pipeline_s": round(pipeline_s, 3),
         "ru_maxrss_mb": round(maxrss_mb, 1),
-        "hac_rss_growth_mb": round(out["hac_rss_growth_mb"], 1),
+        "rss_growth_mb": {
+            name: round(mb, 1) for name, mb in sorted(rss_growth.items(), key=lambda kv: -kv[1])
+        },
         "r_chosen": out["model"].r,
         **{k: round(v, 6) for k, v in out["quality"].items()},
         "failed_gates": pipeline.check_gates(out, truth),

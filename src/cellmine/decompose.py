@@ -158,8 +158,11 @@ def build_feature_points(
         i, j = bad[0]
         raise DecomposeError(f"tower {features[i].tower_id}: {names[j]} is {raw[i, j]}, not finite")
     scaled, e = unit_scaled(raw)
-    mean, std = scaled.mean(axis=0), scaled.std(axis=0)
-    # a flat dimension fails FeatureSpace's check before it is divided by
+    # A column of one value is flat even when its mean rounds, which leaves
+    # its std a little above 0; a flat dimension fails FeatureSpace's check
+    # before it is divided by.
+    mean = scaled.mean(axis=0)
+    std = np.where(np.ptp(scaled, axis=0) > 0.0, scaled.std(axis=0), 0.0)
     space = FeatureSpace(names, np.ldexp(mean, e), np.ldexp(std, e))
     points = [FeaturePoint(f.tower_id, row) for f, row in zip(features, (scaled - mean) / std)]
     return points, space

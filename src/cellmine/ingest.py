@@ -7,21 +7,24 @@ Wire formats:
                   manifest carrying origin, slot_seconds=600, days,
                   tz_offset_minutes=480 (the civil clock) and the tower list.
 
-``deduplicate`` and ``bin_traffic`` work on whole arrays, one entry per session
-(or per session and slot). ``deduplicate`` sorts on integer keys; it reads and
-compares user ids only for the sessions that share a (tower_id, start) with
-another. Both compute in int64; ``SessionLog`` holds the one rule of a valid
-session, which keeps that exact, and ``parse_sessions`` reports a row that breaks it.
+``deduplicate`` and ``bin_traffic`` work on whole arrays with one entry per
+session; ``bin_traffic`` also on arrays with one entry per session and slot,
+for one chunk of sessions at a time. ``deduplicate`` sorts on integer keys; it
+reads user ids, ends and byte counts only for the sessions that share a
+(tower_id, start) with another. Both compute in int64; ``SessionLog`` holds
+the one rule of a valid session, which keeps that exact, and
+``parse_sessions`` reports a row that breaks it.
 """
 
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +50,8 @@ BINNED_HEADER = ["tower_id", "slot_index", "bytes"]
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # bin_traffic multiplies a byte count by an overlap of at most one slot in int64.
 _MAX_BYTES = _INT64_MAX // SLOT_SECONDS
+# (session, slot) pairs that bin_traffic expands at once
+BIN_PAIRS = 1 << 16
 
 
 class IngestError(ValueError):
@@ -122,7 +127,8 @@ def _session_from_row(row: Sequence[str]) -> SessionLog:
     if len(row) != 5:
         raise ValueError(f"expected 5 fields, got {len(row)}")
     user_id, tower_id, start_s, end_s, bytes_s = row
-    user_id, tower_id = user_id.strip(), tower_id.strip()
+    # One str per tower id: the many sessions of a tower share it.
+    user_id, tower_id = user_id.strip(), sys.intern(tower_id.strip())
     try:
         start, end, nbytes = int(start_s), int(end_s), int(bytes_s)
     except ValueError:
@@ -173,12 +179,9 @@ def parse_towers(lines: Iterable[str]) -> dict[str, TowerRecord]:
     return {record.tower_id: record for record in records}
 
 
-def _int64_fields(logs: list[SessionLog]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """start, end and bytes of every session as int64 arrays; SessionLog keeps them in range."""
-    return tuple(
-        np.fromiter(map(attrgetter(name), logs), np.int64, len(logs))
-        for name in ("start", "end", "bytes")
-    )
+def _int64_fields(logs: list[SessionLog], *names: str) -> tuple[np.ndarray, ...]:
+    """The ``names`` fields of every session as int64 arrays; SessionLog keeps them in range."""
+    return tuple(np.fromiter(map(attrgetter(name), logs), np.int64, len(logs)) for name in names)
 
 
 def _codes(ids: list[str], names: list[str]) -> np.ndarray:
@@ -187,42 +190,62 @@ def _codes(ids: list[str], names: list[str]) -> np.ndarray:
     return np.fromiter(map(index.get, ids, repeat(-1)), np.int64, len(ids))
 
 
+def _ranks(ids: list[str]) -> np.ndarray:
+    """Rank of each id among the sorted distinct ids."""
+    return _codes(ids, sorted(set(ids)))
+
+
 def deduplicate(logs: Iterable[SessionLog]) -> list[SessionLog]:
     """Collapse exact duplicates; for conflicting logs (same user, tower and
     interval but different bytes) keep the one with the larger byte count.
 
     Returns input objects, one per (user_id, tower_id, start, end), sorted by
     (tower_id, start, user_id, end). A stable ``np.lexsort`` orders every
-    session by (tower_id, start, end, bytes) on int64 keys. User ids are
-    compared, as Python strings, only among the sessions that share a
-    (tower_id, start) with another: a second stable lexsort orders each such
-    group by the rank of its ids among the sorted distinct ids of all groups.
-    Each group of duplicates is then a run that ends with its largest byte
-    count, and the last of each run is kept.
+    session by (tower_id, start) on int64 keys, and a session alone in its
+    (tower_id, start) group is kept as it is. Only the sessions of the groups
+    of two or more have their user id, end and bytes read. One stable lexsort
+    ranks them on (group, user, end, bytes), where user is the rank of the id
+    among the sorted distinct ids of all such groups, compared as Python
+    strings. Each set of duplicates is then a run that ends with its largest
+    byte count, and the last of each run is kept.
     """
     logs = list(logs)
-    start, end, nbytes = _int64_fields(logs)
-    towers = [s.tower_id for s in logs]
-    tower = _codes(towers, sorted(set(towers)))
-    order = np.lexsort((nbytes, end, start, tower))
+    (start,) = _int64_fields(logs, "start")
+    tower = _ranks([s.tower_id for s in logs])
+    order = np.lexsort((start, tower))
+    tower, start = tower[order], start[order]
     # first[i]: the i-th sorted session starts a (tower_id, start) group.
-    group = np.stack((tower, start))[:, order]
     first = np.ones(len(logs), dtype=bool)
-    first[1:] = (group[:, 1:] != group[:, :-1]).any(axis=0)
-    # Only in a group of two or more do user ids decide the order.
+    first[1:] = (tower[1:] != tower[:-1]) | (start[1:] != start[:-1])
     tied = ~first
     tied[:-1] |= ~first[1:]
+    # The tied sessions are read in input order: the sorted order scatters the reads.
     ranked = order[tied]
-    # Ids are read in input order: the sorted order scatters the reads.
-    idx = np.sort(ranked)
-    users = [logs[i].user_id for i in idx.tolist()]
-    user = np.zeros(len(logs), dtype=np.int64)
-    user[idx] = _codes(users, sorted(set(users)))
-    order[tied] = ranked[np.lexsort((user[ranked], np.cumsum(first)[tied]))]
-    key = np.stack((tower, start, user, end))[:, order]
-    last = np.ones(len(logs), dtype=bool)
+    inv = np.argsort(ranked)
+    idx = ranked[inv]
+    group_logs = [logs[i] for i in idx.tolist()]
+    end, nbytes = _int64_fields(group_logs, "end", "bytes")
+    key = np.stack((np.cumsum(first)[tied][inv], _ranks([s.user_id for s in group_logs]), end))
+    rank = np.lexsort((nbytes, *key[::-1]))
+    order[tied] = idx[rank]
+    key = key[:, rank]
+    last = np.ones(len(idx), dtype=bool)
     last[:-1] = (key[:, 1:] != key[:, :-1]).any(axis=0)
-    return list(map(logs.__getitem__, order[last].tolist()))
+    keep = ~tied
+    keep[tied] = last
+    return list(map(logs.__getitem__, order[keep].tolist()))
+
+
+def _chunks(pairs: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices of ``pairs`` (one positive count per session), each
+    summing to at most ``BIN_PAIRS``, or one session long when that session
+    alone has more."""
+    ends = np.cumsum(pairs)
+    a = 0
+    while a < len(pairs):
+        b = max(int(np.searchsorted(ends, ends[a] - pairs[a] + BIN_PAIRS, side="right")), a + 1)
+        yield slice(a, b)
+        a = b
 
 
 def bin_traffic(
@@ -245,54 +268,64 @@ def bin_traffic(
     stays below 2**53 it converts to float64 exactly, and the share is the
     correctly rounded quotient; above that it is rounded twice. The dropped
     part outside the window is computed in float64 with the same 2**53
-    bound. One ``np.bincount`` adds the shares in input order, so each slot
-    is the left-to-right float64 sum of its sessions' shares, and
-    ``out_of_window_bytes`` the left-to-right sum of their dropped parts.
-    ``SessionLog`` keeps every int64 product and difference here exact.
+    bound. ``np.add.at`` adds the shares into one zeroed array in input
+    order, so each slot is the left-to-right float64 sum of its sessions'
+    shares, and ``out_of_window_bytes`` the left-to-right sum of their
+    dropped parts. ``SessionLog`` keeps every int64 product and difference
+    here exact.
 
-    Working memory holds several int64/float64 arrays with one entry per
-    (session, slot) pair, so it grows with the total number of slots the
-    sessions cover: up to ``len(logs) * days * 144`` entries for sessions
-    that span the whole window.
+    Working memory holds the towers x slots output, a few arrays with one
+    entry per session, and several int64/float64 arrays with one entry per
+    (session, slot) pair for one chunk of consecutive sessions at a time.
+    A chunk holds at most ``BIN_PAIRS`` pairs, or the slots of one session
+    that covers more, so the pairs in memory at once do not grow with the
+    number of sessions.
     """
     if days <= 0:
         raise IngestError(f"days must be positive, got {days}")
     logs = list(logs)
     n_slots = days * SLOTS_PER_DAY
     window_end = origin + days * 86400
-    start, end, nbytes = _int64_fields(logs)
-    towers = [s.tower_id for s in logs]
     names = sorted(registry)
-    code = _codes(towers, names)
+    start, end, nbytes = _int64_fields(logs, "start", "end", "bytes")
+    code = _codes([s.tower_id for s in logs], names)
     known = code >= 0
-
     zero = end == start
     lo = np.maximum(start, origin)
     hi = np.minimum(end, window_end)
     hit = np.flatnonzero(known & ((lo < hi) | (zero & (origin <= start) & (start < window_end))))
-    # A zero-duration session counts as the one second [start, start + 1).
-    one = zero[hit]
-    duration = end[hit] + one - start[hit]
-    lo, hi = lo[hit], hi[hit] + one
-    first = (lo - origin) // SLOT_SECONDS
-    count = (hi - 1 - origin) // SLOT_SECONDS - first + 1
-
-    # One entry per (session, slot), sessions in input order.
-    slot = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
-    slot_start = origin + slot * SLOT_SECONDS
-    slot_end = np.minimum(np.repeat(end[hit] + one, count), slot_start + SLOT_SECONDS)
-    overlap = slot_end - np.maximum(np.repeat(start[hit], count), slot_start)
-    share = np.repeat(nbytes[hit], count) * overlap / np.repeat(duration, count)
-    flat = np.repeat(code[hit] * n_slots, count) + slot
-    sums = np.bincount(flat, weights=share, minlength=len(names) * n_slots)
-    sums = sums.reshape(len(names), n_slots)
-
     dropped = np.where(known, nbytes, 0).astype(np.float64)
+
+    # From here on, only the sessions in ``hit``. Each array over all sessions
+    # is replaced by its part in ``hit``, or deleted, before the chunks are
+    # expanded, so that it is freed. A zero-duration session counts as the
+    # one second [start, start + 1).
+    one = zero[hit]
+    row = code[hit] * n_slots
+    start, lo = start[hit], lo[hit]
+    end, hi = end[hit] + one, hi[hit] + one
+    nbytes = nbytes[hit]
+    duration = end - start
     # The outside seconds can reach end - start, so this product is taken in
     # float64, where it cannot overflow and is exact below 2**53.
-    dropped[hit] = nbytes[hit].astype(np.float64) * (duration - (hi - lo)) / duration
-    series = {name: BinnedSeries(name, origin, sums[i]) for i, name in enumerate(names)}
+    dropped[hit] = nbytes.astype(np.float64) * (duration - (hi - lo)) / duration
     out_of_window = float(np.cumsum(dropped)[-1]) if len(logs) else 0.0
+    first = (lo - origin) // SLOT_SECONDS
+    count = (hi - 1 - origin) // SLOT_SECONDS - first + 1
+    del code, zero, lo, hi, hit, dropped
+
+    sums = np.zeros(len(names) * n_slots)
+    for part in _chunks(count):
+        # One entry per (session, slot), sessions in input order.
+        c = count[part]
+        slot = np.arange(c.sum()) + np.repeat(first[part] - (np.cumsum(c) - c), c)
+        slot_start = origin + slot * SLOT_SECONDS
+        slot_end = np.minimum(np.repeat(end[part], c), slot_start + SLOT_SECONDS)
+        overlap = slot_end - np.maximum(np.repeat(start[part], c), slot_start)
+        share = np.repeat(nbytes[part], c) * overlap / np.repeat(duration[part], c)
+        np.add.at(sums, np.repeat(row[part], c) + slot, share)
+    sums = sums.reshape(len(names), n_slots)
+    series = {name: BinnedSeries(name, origin, sums[i]) for i, name in enumerate(names)}
     return BinResult(series, int(np.count_nonzero(~known)), out_of_window)
 
 

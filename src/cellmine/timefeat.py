@@ -121,9 +121,20 @@ def daily_profile(series: BinnedSeries) -> DailyProfile:
 
 def weekday_weekend_ratio(profile: DailyProfile) -> float | None:
     """Mean weekday over mean weekend daily total, of the curves scaled by one
-    ``common.unit_scaled``; None when the weekend total is zero (undefined)."""
-    n = len(profile.weekday)
-    both, _ = unit_scaled(np.concatenate([profile.weekday, profile.weekend]))
+    ``common.unit_scaled``; None when the weekend total is zero (undefined).
+    The two curves must be finite and of one length."""
+    return _ratio(_weekday_and_weekend(profile))
+
+
+def _weekday_and_weekend(profile: DailyProfile) -> np.ndarray:
+    return _curves(f"{profile.source_id}: weekday and weekend curves",
+                   (profile, "weekday"), (profile, "weekend"))
+
+
+def _ratio(curves: np.ndarray) -> float | None:
+    """``weekday_weekend_ratio`` of the rows of ``_weekday_and_weekend``."""
+    n = curves.shape[1]
+    both, _ = unit_scaled(curves.reshape(-1))
     weekend_total = float(both[n:].sum())
     if weekend_total == 0.0:
         return None
@@ -153,9 +164,12 @@ def _curves(what: str, *curves: tuple[DailyProfile, str]) -> np.ndarray:
 def _circular_smooth(curves: np.ndarray) -> np.ndarray:
     """Circular moving average of each of the k rows of ``curves`` (n slots
     each), as k rows of n + 1 values whose last repeats the first: each row
-    is wrapped round by the window's reach and convolved on its own."""
+    is scaled by its own ``common.unit_scaled``, wrapped round by the
+    window's reach and convolved on its own. The scaling keeps every sum
+    finite and, being exact, moves no peak, valley or lag."""
     n = curves.shape[1]
-    wrapped = np.take(curves, np.arange(-_REACH, n + 1 + _REACH), axis=1, mode="wrap")
+    scaled = unit_scaled(curves.T)[0].T
+    wrapped = np.take(scaled, np.arange(-_REACH, n + 1 + _REACH), axis=1, mode="wrap")
     return np.array([np.convolve(row, _KERNEL, mode="valid") for row in wrapped])
 
 
@@ -216,15 +230,14 @@ def compute_time_features(profile: DailyProfile) -> TimeFeatures:
     """Peak and valley values come from the raw curves, their times from the
     smoothed ones. A peak/valley ratio is None when the valley is not above 0.
     The two curves must be finite and of one length."""
-    curves = _curves(f"{profile.source_id}: weekday and weekend curves",
-                     (profile, "weekday"), (profile, "weekend"))
+    curves = _weekday_and_weekend(profile)
     peaks = curves.max(axis=1).tolist()
     valleys = curves.min(axis=1).tolist()
     ratios = [p / v if v > 0.0 else None for p, v in zip(peaks, valleys)]
     (wd_pt, wd_vt), (we_pt, we_vt) = _extrema(_circular_smooth(curves))
     return TimeFeatures(
         profile.source_id,
-        weekday_weekend_ratio(profile),
+        _ratio(curves),
         peaks[0],
         valleys[0],
         ratios[0],

@@ -386,6 +386,14 @@ def test_build_feature_points_rejects_flat_dimension_whose_sum_overflows():
         build_feature_points(feats)
 
 
+@pytest.mark.parametrize("value", [0.1, 1.7e308])
+def test_build_feature_points_rejects_flat_dimension_whose_mean_rounds(value):
+    # six copies of the value have a mean that rounds, and a std of about 1e-17 of it
+    feats = [SpectralFeature(f"t{i}", 1.0, 0.1, value, 0.2 * i, 2.0 + i, 0.0) for i in range(6)]
+    with pytest.raises(DecomposeError, match=r"^feature amp_day: mean \S+ and std 0\.0 are not"):
+        build_feature_points(feats)
+
+
 @pytest.mark.parametrize("huge", [1e308, 1.7e308])
 def test_build_feature_points_of_huge_features(huge):
     # huge / 5 * i standardizes as i does, though its sum and its std overflow

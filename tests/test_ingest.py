@@ -1,12 +1,15 @@
 import dataclasses
 import io
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cellmine import ingest
 from cellmine.ingest import (
     BinResult,
     IngestError,
@@ -76,6 +79,13 @@ def test_parse_sessions_preserves_row_order():
     lines = [HEADER, "u2,t9,5,10,1", "u1,t1,0,1,2"]
     sessions, _ = parse_sessions(lines)
     assert [s.user_id for s in sessions] == ["u2", "u1"]
+
+
+def test_parse_sessions_shares_one_str_per_tower_id():
+    rows = [f"u{i},{' ' * (i % 2)}tower{i % 3},0,1,1" for i in range(30)]
+    sessions, _ = parse_sessions([HEADER, *rows])
+    assert {s.tower_id for s in sessions} == {"tower0", "tower1", "tower2"}
+    assert len({id(s.tower_id) for s in sessions}) == 3
 
 
 def test_parse_towers_registry():
@@ -193,6 +203,26 @@ def test_bin_conservation_against_per_second_oracle():
     total = sum(s.bytes for s in logs)
     binned = sum(s.slot_bytes.sum() for s in result.series.values())
     assert binned + result.out_of_window_bytes == pytest.approx(total, rel=1e-9)
+
+
+def test_bin_traffic_memory_is_bounded_by_the_chunk_budget():
+    # 500 sessions of about 30 days cover 2.16M (session, slot) pairs; all of
+    # them in memory at once took 115 MB
+    rng = np.random.default_rng(5)
+    days = 30
+    starts = rng.integers(0, 600, 500)
+    ends = starts + days * 86400 - rng.integers(1, 600, 500)
+    logs = [SessionLog("u", "t", int(a), int(b), int(n))
+            for a, b, n in zip(starts, ends, rng.integers(0, 10**9, 500))]
+    tracemalloc.start()
+    try:
+        result = bin_traffic(logs, 0, days, registry("t"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    binned = result.series["t"].slot_bytes.sum() + result.out_of_window_bytes
+    assert binned == pytest.approx(sum(s.bytes for s in logs))
 
 
 def test_bin_determinism():
@@ -343,10 +373,20 @@ def session_cases(draw):
     return logs, origin, days, registry(*listed, "silent")
 
 
-@given(session_cases())
-def test_bin_traffic_property_equals_loop_oracle(case):
+# Four sessions over the edge of slots 0 and 1, two to a chunk: a chunk's
+# shares summed apart and then added to the slot round differently.
+EDGE_SESSIONS = [SessionLog("u", "t", 599, end, nbytes) for end, nbytes in
+                 [(704, 813270239), (989, 912755577), (901, 606635775), (1181, 729496560)]]
+
+
+@given(session_cases(), st.integers(1, 7))
+@example((EDGE_SESSIONS, 0, 1, registry("t")), 4)
+def test_bin_traffic_property_equals_loop_oracle(case, budget):
+    """A budget of 1 to 7 (session, slot) pairs puts every draw of more
+    than a few pairs in several chunks."""
     logs, origin, days, registry = case
-    result = bin_traffic(logs, origin, days, registry)
+    with mock.patch.object(ingest, "BIN_PAIRS", budget):
+        result = bin_traffic(logs, origin, days, registry)
     series, unknown, dropped = loop_bin_traffic(logs, origin, days, registry)
     assert list(result.series) == list(series)
     for tower_id, slots in series.items():

@@ -233,6 +233,39 @@ def test_compute_time_features_bundle():
     assert feats.weekday_weekend_ratio == pytest.approx(wd.sum() / (0.5 * wd.sum()))
 
 
+def times_of(features):
+    return (features.weekday_peak_times, features.weekday_valley_times,
+            features.weekend_peak_times, features.weekend_valley_times)
+
+
+def test_peak_times_and_lag_of_curves_whose_sums_overflow():
+    # the mean removal of 1e307 * (1.5 + cos) and the steps of the smoothed
+    # +-1.797e308 * cos overflow unless each curve is scaled first
+    t = np.arange(144) * (2 * np.pi / 144)
+    a, b = 1.5 + np.cos(t - t[12]), 1.5 + np.cos(t)
+    huge = [DailyProfile(i, 1e307 * c, 1e307 * c) for i, c in (("a", a), ("b", b))]
+    assert peak_offset(*huge) == peak_offset(DailyProfile("a", a, a), DailyProfile("b", b, b)) == 120
+    top = np.finfo(float).max * np.cos(t)
+    features = features_of(top)
+    assert times_of(features) == times_of(features_of(np.cos(t))) == ([0], [72], [0], [72])
+    # peak and valley values are the raw curve's
+    assert (features.weekday_peak, features.weekday_valley) == (top.max(), top.min())
+
+
+@given(exponents(), st.integers(0, 2**32 - 1))
+@example((1020, -1000), 0)
+@example((-1000, 1000), 0)
+def test_peak_times_and_offset_are_exactly_scale_invariant(ek, seed):
+    # random curves below 2**e, with many extrema, and their multiples by 2**k
+    (e, k), rng = ek, np.random.default_rng(seed)
+    curves = np.ldexp(rng.random((3, 144)), e)
+    scaled = np.ldexp(curves, k)
+    assume(is_normal(curves) and is_normal(scaled))
+    a, b, sa, sb = (DailyProfile("t", c[i], c[2]) for c in (curves, scaled) for i in (0, 1))
+    assert times_of(compute_time_features(sa)) == times_of(compute_time_features(a))
+    assert peak_offset(sa, sb) == peak_offset(a, b)
+
+
 def test_peak_offset_identical_profiles_zero():
     profile = DailyProfile("t", day_curve(100), day_curve(100))
     assert peak_offset(profile, profile) == 0
@@ -276,6 +309,8 @@ def test_curves_of_unequal_lengths_fail_with_timefeat_error():
     short = DailyProfile("s", day_curve(60)[:-1], day_curve(60))
     with pytest.raises(TimefeatError, match=r"^s: weekday and weekend curves hold unequal .*: \[143, 144\]$"):
         compute_time_features(short)
+    with pytest.raises(TimefeatError, match=r"^s: weekday and weekend curves hold unequal .*: \[143, 144\]$"):
+        weekday_weekend_ratio(short)
     peaked = DailyProfile("p", day_curve(60), day_curve(60))
     with pytest.raises(TimefeatError, match=r"^weekday curves of s and p hold unequal .*: \[143, 144\]$"):
         peak_offset(short, peaked)
@@ -289,6 +324,8 @@ def test_curves_with_a_non_finite_slot_fail_with_timefeat_error(bad):
         compute_time_features(DailyProfile("s", curve, day_curve(60)))
     with pytest.raises(TimefeatError, match=f"^s: weekend slot 7 holds {bad}, not a finite mean$"):
         compute_time_features(DailyProfile("s", day_curve(60), curve))
+    with pytest.raises(TimefeatError, match=f"^s: weekday slot 7 holds {bad}, not a finite mean$"):
+        weekday_weekend_ratio(DailyProfile("s", curve, day_curve(60)))
     peaked = DailyProfile("p", day_curve(60), day_curve(60))
     with pytest.raises(TimefeatError, match=f"^s: weekday slot 7 holds {bad}, not a finite mean$"):
         peak_offset(peaked, DailyProfile("s", curve, day_curve(60)))
