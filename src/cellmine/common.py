@@ -118,6 +118,17 @@ def write_csv_blocks(path: str | Path, header: Sequence[str], blocks: Iterable[s
     return path
 
 
+@contextmanager
+def csv_errors(reader, error: type[Exception], source: str | Path) -> Iterator[None]:
+    """Raise ``error`` for what ``reader`` cannot split or decode (see ``read_csv``)."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise error(f"{source} line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{source}: {exc}") from None
+
+
 def read_header(reader, header: Sequence[str], error: type[Exception], source: str | Path,
                 kind: str) -> bool:
     """Consume ``reader`` (a ``csv.reader``) up to its first non-blank row and
@@ -146,25 +157,27 @@ def read_csv(lines: Iterable[str], header: Sequence[str], error: type[Exception]
     or any iterable of lines. The header row is required and blank rows are
     skipped. ``parse`` gets the row's fields, as many as the header has, and
     raises ``ValueError`` on a bad value. A stream without a header (see
-    ``read_header``), a row whose width differs from the header's and a
-    ``ValueError`` from ``parse`` all raise ``error`` as
-    ``<source> line <n>: <reason>``. ``n`` is the physical line that ends
-    the row, so a quoted newline in an earlier row does not shift it.
+    ``read_header``), a row csv cannot split or whose width differs from the
+    header's, and a ``ValueError`` from ``parse`` raise ``error`` as
+    ``<source> line <n>: <reason>``, ``n`` the physical line that ends the
+    row. Text that is not UTF-8 raises it as ``<source>: <reason>``: the
+    stream decodes ahead of its rows, so no line is known.
     """
     reader = csv.reader(lines)
-    if not read_header(reader, header, error, source, kind):
-        raise error(f"{source}: bad {kind} header: no header row, expected {','.join(header)}")
     width = len(header)
-    for fields in reader:
-        if len(fields) != width:
-            if not fields:
-                continue
-            raise error(f"{source} line {reader.line_num}: expected {width} fields, got {len(fields)}")
-        try:
-            row = parse(fields)
-        except ValueError as exc:
-            raise error(f"{source} line {reader.line_num}: {exc}") from None
-        yield row
+    with csv_errors(reader, error, source):
+        if not read_header(reader, header, error, source, kind):
+            raise error(f"{source}: bad {kind} header: no header row, expected {','.join(header)}")
+        for fields in reader:
+            if len(fields) != width:
+                if not fields:
+                    continue
+                raise error(f"{source} line {reader.line_num}: expected {width} fields, got {len(fields)}")
+            try:
+                row = parse(fields)
+            except ValueError as exc:
+                raise error(f"{source} line {reader.line_num}: {exc}") from None
+            yield row
 
 
 def unit_scaled(values: np.ndarray) -> tuple[np.ndarray, np.integer | np.ndarray]:
@@ -213,11 +226,11 @@ def write_json(path: str | Path, payload: Any, error: type[Exception]) -> Path:
 
 
 def read_json(path: str | Path, error: type[Exception], parse: Callable[[Any], Any]) -> Any:
-    """Load the JSON file at ``path`` and return ``parse(payload)``. Bad JSON,
-    and the ``KeyError``, ``TypeError`` or ``ValueError`` that ``parse``
+    """Return ``parse`` of the JSON file at ``path``. Bad or too deeply nested
+    JSON, and the ``KeyError``, ``TypeError`` or ``ValueError`` that ``parse``
     raises on a missing key or a wrong type, raise ``error`` naming the file."""
     try:
         with open(path, encoding="utf-8") as f:
             return parse(json.load(f))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise error(f"{path}: {type(exc).__name__}: {exc}") from None

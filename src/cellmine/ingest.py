@@ -3,9 +3,8 @@
 Wire formats:
     sessions.csv  ``user_id,tower_id,start_epoch_s,end_epoch_s,bytes``
     towers.csv    ``tower_id,lat,lon``
-    binned.csv    ``tower_id,slot_index,bytes`` (zero slots omitted) plus a JSON
-                  manifest carrying origin, slot_seconds=600, days,
-                  tz_offset_minutes=480 (the civil clock) and the tower list.
+    binned.npy    the towers x slots float64 array; its JSON manifest names the
+                  towers, origin, slot_seconds=600, days and tz_offset_minutes=480.
 
 ``deduplicate`` and ``bin_traffic`` work on whole arrays with one entry per
 session; ``bin_traffic`` also on arrays with one entry per session and slot,
@@ -32,20 +31,19 @@ from .common import (
     SLOT_SECONDS,
     SLOTS_PER_DAY,
     TZ_OFFSET_MINUTES,
-    csv_cell,
+    csv_errors,
     epoch_to_iso,
+    open_replacing,
     parse_lat_lon,
     read_csv,
     read_header,
     read_json,
     reject_repeat,
-    write_csv_blocks,
     write_json,
 )
 
 SESSIONS_HEADER = ["user_id", "tower_id", "start_epoch_s", "end_epoch_s", "bytes"]
 TOWERS_HEADER = ["tower_id", "lat", "lon"]
-BINNED_HEADER = ["tower_id", "slot_index", "bytes"]
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # bin_traffic multiplies a byte count by an overlap of at most one slot in int64.
@@ -149,15 +147,16 @@ def parse_sessions(lines: Iterable[str]) -> tuple[list[SessionLog], list[Rejecte
     reader = csv.reader(lines)
     sessions: list[SessionLog] = []
     rejects: list[RejectedRow] = []
-    if not read_header(reader, SESSIONS_HEADER, IngestError, "sessions", "sessions"):
-        return sessions, rejects
-    for row in reader:
-        if not row:
-            continue
-        try:
-            sessions.append(_session_from_row(row))
-        except ValueError as exc:
-            rejects.append(RejectedRow(reader.line_num, ",".join(row), str(exc)))
+    with csv_errors(reader, IngestError, "sessions"):
+        if not read_header(reader, SESSIONS_HEADER, IngestError, "sessions", "sessions"):
+            return sessions, rejects
+        for row in reader:
+            if not row:
+                continue
+            try:
+                sessions.append(_session_from_row(row))
+            except ValueError as exc:
+                rejects.append(RejectedRow(reader.line_num, ",".join(row), str(exc)))
     return sessions, rejects
 
 
@@ -329,44 +328,42 @@ def bin_traffic(
     return BinResult(series, int(np.count_nonzero(~known)), out_of_window)
 
 
+def _check_slots(matrix: np.ndarray, towers: Sequence[str]) -> None:
+    """Raise ``IngestError`` naming the first slot not in [0, inf); row i is ``towers[i]``."""
+    bad = ~((matrix >= 0.0) & (matrix < np.inf))  # also true for NaN
+    if bad.any():
+        i, slot = divmod(int(bad.argmax()), matrix.shape[1])
+        raise IngestError(f"tower {towers[i]} slot {slot} holds {matrix[i, slot]},"
+                          " not a number in [0, inf)")
+
+
 def write_binned(
     directory: str | Path, result: BinResult, origin: int, days: int
 ) -> tuple[Path, Path]:
-    """Write binned.csv (non-zero slots only) and its JSON manifest. The
-    manifest also records ``origin`` as an ISO date, so it must lie in the
-    years 1 to 9999. Every series must start at ``origin`` and hold ``days``
-    days of slots, and every slot a finite, non-negative byte count, as
-    ``read_binned`` requires."""
+    """Write binned.npy, a C-order float64 array whose row i is the series of
+    the i-th tower by id, and a JSON manifest that also dates ``origin`` in ISO,
+    so in the years 1 to 9999. Each series must start at ``origin``, span
+    ``days`` days and hold byte counts in [0, inf), as ``read_binned`` requires."""
+    if days <= 0:
+        raise IngestError(f"days must be positive, got {days}")
     try:
         origin_iso = epoch_to_iso(origin)
     except (OverflowError, ValueError):
         raise IngestError(f"origin {origin} is not a date in the years 1 to 9999") from None
     towers = sorted(result.series)
     n_slots = days * SLOTS_PER_DAY
-    for tower_id in towers:
-        series = result.series[tower_id]
+    for tower_id, series in sorted(result.series.items()):
         if series.origin != origin or series.n_slots != n_slots:
             raise IngestError(
                 f"tower {tower_id}: series of {series.n_slots} slots from {series.origin},"
                 f" not of {n_slots} slots from origin {origin}"
             )
-        values = series.slot_bytes
-        bad = np.flatnonzero(~((values >= 0.0) & (values < np.inf)))
-        if bad.size:
-            raise IngestError(
-                f"tower {tower_id} slot {bad[0]} holds {values[bad[0]]}, not a number in [0, inf)"
-            )
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-
-    def nonzero_rows(tower_id: str) -> str:
-        values = result.series[tower_id].slot_bytes
-        idx = np.flatnonzero(values)
-        q = csv_cell(tower_id)
-        return "".join(f"{q},{i},{x!r}\n" for i, x in zip(idx.tolist(), values[idx].tolist()))
-
-    csv_path = write_csv_blocks(directory / "binned.csv", BINNED_HEADER,
-                                map(nonzero_rows, towers), IngestError)
+    matrix = np.array([result.series[t].slot_bytes for t in towers], float).reshape(-1, n_slots)
+    _check_slots(matrix, towers)
+    path = Path(directory) / "binned.npy"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open_replacing(path, binary=True, error=IngestError) as f:
+        np.save(f, matrix, allow_pickle=False)
     manifest = {
         "origin_epoch_s": origin,
         "origin_iso": origin_iso,
@@ -377,7 +374,7 @@ def write_binned(
         "unknown_tower_sessions": result.unknown_towers,
         "out_of_window_bytes": result.out_of_window_bytes,
     }
-    return csv_path, write_json(directory / "binned_manifest.json", manifest, IngestError)
+    return path, write_json(path.with_name("binned_manifest.json"), manifest, IngestError)
 
 
 def _checked_manifest(manifest: dict) -> dict:
@@ -404,36 +401,26 @@ def _checked_manifest(manifest: dict) -> dict:
     return manifest
 
 
-def read_binned(csv_path: str | Path, manifest_path: str | Path) -> tuple[dict[str, BinnedSeries], dict]:
+def read_binned(path: str | Path, manifest_path: str | Path) -> tuple[dict[str, BinnedSeries], dict]:
+    """The series and manifest ``write_binned`` wrote. Any array but the float64
+    one of the manifest's shape, bytes after it or a slot outside [0, inf) raise
+    ``IngestError`` naming the file. It is memory-mapped while it is checked, so
+    a hostile header allocates nothing; each series is a row of one copy."""
     manifest = read_json(manifest_path, IngestError, _checked_manifest)
-    n_slots = manifest["days"] * SLOTS_PER_DAY
-    # Rows go into Python lists, which read and store one value faster than
-    # an array does, and each list becomes its tower's array at the end.
-    lists = {t: [0.0] * n_slots for t in manifest["towers"]}
-
-    def slot_value(fields: list[str]) -> tuple[list[float], int, float]:
-        tower_id, idx, value = fields
-        slots = lists.get(tower_id)
-        if slots is None:
-            raise ValueError(f"tower {tower_id} is not in the manifest")
-        slot = int(idx)
-        if not 0 <= slot < n_slots:
-            raise ValueError(f"slot {slot} outside 0..{n_slots - 1}")
-        nbytes = float(value)
-        # write_binned writes only nonzero slots, so a row of 0 bytes is malformed
-        if not 0.0 < nbytes < np.inf:  # also false for NaN
-            raise ValueError(f"bytes {value} is not a number in (0, inf)")
-        # write_binned writes each (tower, slot) at most once, so a slot that
-        # is already nonzero shows a repeated row without a seen-set.
-        if slots[slot]:
-            raise ValueError(f"tower {tower_id} slot {slot} already holds {slots[slot]}")
-        return slots, slot, nbytes
-
-    with open(csv_path, encoding="utf-8", newline="") as f:
-        for slots, slot, value in read_csv(
-            f, BINNED_HEADER, IngestError, csv_path, "binned", slot_value
-        ):
-            slots[slot] = value
+    towers = manifest["towers"]
+    shape = (len(towers), manifest["days"] * SLOTS_PER_DAY)
+    try:
+        with open(path, "rb") as f:  # np.load would open a zip file as an .npz
+            np.lib.format.read_magic(f)
+        with np.errstate(over="raise"):  # for a shape whose size overflows
+            mapped = np.load(path, mmap_mode="r", allow_pickle=False)
+        if mapped.dtype != np.float64 or mapped.shape != shape:
+            raise ValueError(f"holds {mapped.dtype.str} {mapped.shape}, not <f8 {shape}")
+        if mapped.offset + mapped.nbytes != Path(path).stat().st_size:
+            raise ValueError("holds bytes after its array")
+        matrix = np.array(mapped, order="C")
+        _check_slots(matrix, towers)  # its IngestError is a ValueError, given the file's name here
+    except (ArithmeticError, OSError, ValueError) as exc:
+        raise IngestError(f"{path}: {exc}") from None
     origin = manifest["origin_epoch_s"]
-    return {t: BinnedSeries(t, origin, np.array(values)) for t, values in lists.items()}, manifest
-
+    return {t: BinnedSeries(t, origin, matrix[i]) for i, t in enumerate(towers)}, manifest

@@ -151,12 +151,11 @@ def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
         reject_nan(values, "v{}".format)
         return TrafficVector(fields[0], values, flag == "1")
 
-    with open(path, encoding="utf-8", newline="") as f:
-        # The header names one column per value: size it from the first
-        # non-blank line, and read_csv checks every name.
+    # One header column per value, counted on the first non-blank line; read_csv checks it all.
+    with open(path, encoding="utf-8", errors="replace", newline="") as f:
         first = next((line for line in iter(f.readline, "") if line.strip("\r\n")), "")
-        f.seek(0)
-        header = _vectors_header(first.count(",") - 1)
+    header = _vectors_header(first.count(",") - 1)
+    with open(path, encoding="utf-8", newline="") as f:
         return list(read_csv(f, header, VectorizeError, path, "vectors", vector))
 
 

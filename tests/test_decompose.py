@@ -646,6 +646,7 @@ def _vertices_json(standardized, mean=(0, 0, 0), std=(1, 1, 1)):
         ("[1]", "v.json: TypeError"),
         ('{"feature_names": [], "standardization": {"mean": "x", "std": []}}', "v.json: ValueError"),
         ("{", "v.json: JSONDecodeError"),
+        pytest.param("[" * 200000, "v.json: RecursionError", id="deep_nesting"),
         (_vertices_json([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), "v.json: DecomposeError: .* needs 4 vertices"),
         (_vertices_json([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, math.nan]]), "v.json: DecomposeError: .* finite"),
         (_vertices_json([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]), "v.json: DecomposeError: .* flat simplex"),

@@ -235,38 +235,97 @@ def test_bin_determinism():
 def test_binned_round_trip(tmp_path):
     logs = [SessionLog("u", "t1", 0, 900, 600), SessionLog("u", "t2", 0, 0, 5)]
     result = bin_traffic(logs, 0, 1, registry("t1", "t2"))
-    csv_path, manifest_path = write_binned(tmp_path, result, origin=0, days=1)
-    series, manifest = read_binned(csv_path, manifest_path)
+    series, manifest = read_binned(*write_binned(tmp_path, result, origin=0, days=1))
     assert manifest["slot_seconds"] == 600
     np.testing.assert_array_equal(series["t1"].slot_bytes, result.series["t1"].slot_bytes)
     np.testing.assert_array_equal(series["t2"].slot_bytes, result.series["t2"].slot_bytes)
 
 
-def _binned_files(tmp_path, rows):
-    result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1, registry("t1"))
-    csv_path, manifest_path = write_binned(tmp_path, result, origin=0, days=1)
-    with open(csv_path, "a") as f:
-        f.writelines(row + "\n" for row in rows)
-    return csv_path, manifest_path
+def test_binned_round_trip_of_no_towers(tmp_path):
+    series, manifest = read_binned(*write_binned(tmp_path, bin_traffic([], 0, 2, {}), 0, 2))
+    assert series == {} and manifest["towers"] == [] and manifest["days"] == 2
 
 
-def test_read_binned_rejects_wrong_field_count(tmp_path):
-    paths = _binned_files(tmp_path, ["t1,5"])
-    with pytest.raises(IngestError, match="line 4: expected 3 fields, got 2"):
+def _npy(array, **kwargs):
+    f = io.BytesIO()
+    np.save(f, array, **kwargs)
+    return f.getvalue()
+
+
+def _npy_header(shape):
+    """An .npy header of float64 values claiming ``shape``, followed by 64 bytes."""
+    f = io.BytesIO()
+    np.lib.format.write_array_header_1_0(f, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return f.getvalue() + bytes(64)
+
+
+def _one_slot(slot, value):
+    slots = np.ones((1, 144))
+    slots[0, slot] = value
+    return slots
+
+
+def _npz():
+    f = io.BytesIO()
+    np.savez(f, binned=np.ones((1, 144)))
+    return f.getvalue()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, r"\[Errno 2\] No such file or directory"),
+        (b"", "EOF: reading magic string"),
+        (b"tower_id,slot_index,bytes\nt1,5,1.0\n", "the magic string is not correct"),
+        (_npz(), "the magic string is not correct"),
+        (_npy(np.full((1, 144), None, dtype=object), allow_pickle=True), ".*Python objects in dtype"),
+        (_npy(np.ones((1, 144), dtype=np.float32)), r"holds <f4 \(1, 144\), not <f8 \(1, 144\)$"),
+        (_npy(np.ones((1, 144), dtype=np.int64)), r"holds <i8 \(1, 144\), not <f8 \(1, 144\)$"),
+        (_npy(np.ones((1, 144), dtype=">f8")), r"holds >f8 \(1, 144\), not <f8 \(1, 144\)$"),
+        (_npy(np.ones((2, 144))), r"holds <f8 \(2, 144\), not <f8 \(1, 144\)$"),
+        (_npy(np.ones((1, 143))), r"holds <f8 \(1, 143\), not <f8 \(1, 144\)$"),
+        (_npy(np.ones(144)), r"holds <f8 \(144,\), not <f8 \(1, 144\)$"),
+        (_npy(np.ones((1, 144)))[:-8], "mmap length is greater than file size$"),
+        (_npy(np.ones((1, 144))) + b"\n", "holds bytes after its array$"),
+        (_npy(_one_slot(7, np.nan)), r"tower t1 slot 7 holds nan, not a number in \[0, inf\)$"),
+        (_npy(_one_slot(7, np.inf)), r"tower t1 slot 7 holds inf, not a number in \[0, inf\)$"),
+        (_npy(_one_slot(143, -np.inf)), r"tower t1 slot 143 holds -inf, not a number in \[0, inf\)$"),
+        (_npy(_one_slot(0, -7.5)), r"tower t1 slot 0 holds -7.5, not a number in \[0, inf\)$"),
+    ],
+    ids=["missing", "empty", "csv", "npz", "object", "float32", "int64", "big_endian", "two_rows",
+         "143_slots", "1d", "truncated", "trailing_byte", "nan", "inf", "minus_inf", "negative"],
+)
+def test_read_binned_rejects_malformed_array(tmp_path, content, message):
+    paths = write_binned(tmp_path, bin_traffic([], 0, 1, registry("t1")), origin=0, days=1)
+    if content is None:
+        paths[0].unlink()
+    else:
+        paths[0].write_bytes(content)
+    with pytest.raises(IngestError, match=f"^{re.escape(str(paths[0]))}: {message}"):
         read_binned(*paths)
 
 
-def test_read_binned_rejects_tower_missing_from_manifest(tmp_path):
-    paths = _binned_files(tmp_path, ["ghost,5,1.0"])
-    with pytest.raises(IngestError, match="line 4: tower ghost is not in the manifest"):
-        read_binned(*paths)
-
-
-@pytest.mark.parametrize("slot", [144, -1])
-def test_read_binned_rejects_slot_outside_window(tmp_path, slot):
-    paths = _binned_files(tmp_path, [f"t1,{slot},1.0"])
-    with pytest.raises(IngestError, match=f"line 4: slot {slot} outside 0..143"):
-        read_binned(*paths)
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((2**32 - 1, 144), "mmap length is greater than file size"),
+        # the size overflows int64, as a Python int or in numpy's own product
+        ((2**64, 1), "Python int too large to convert to C long"),
+        ((2**62, 2**62), "overflow encountered in scalar multiply"),
+    ],
+    ids=["2**32-1_rows", "2**64_rows", "2**124_slots"],
+)
+def test_read_binned_rejects_a_header_claiming_more_than_the_file_holds(tmp_path, shape, message):
+    paths = write_binned(tmp_path, bin_traffic([], 0, 1, registry("t1")), origin=0, days=1)
+    paths[0].write_bytes(_npy_header(shape))
+    tracemalloc.start()
+    try:
+        with pytest.raises(IngestError, match=f"^{re.escape(str(paths[0]))}: {message}$"):
+            read_binned(*paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- reference oracles: the per-session loops the array passes replaced -----
@@ -545,65 +604,40 @@ def test_session_log_rejects_empty_id(ids):
 
 
 @pytest.mark.parametrize(
-    "binned, manifest, message",
+    "manifest, message",
     [
-        ("", None, "binned.csv: bad binned header: no header row"),
-        ("tower_id,slot,bytes\n", None, "binned.csv line 1: bad binned header"),
-        (None, '{"origin_epoch_s": 0, "days": 1}', "binned_manifest.json: KeyError: 'towers'"),
-        (None, '{"origin_epoch_s": 0, "days": 1, "towers": "t1"}',
+        ('{"origin_epoch_s": 0, "days": 1}', "binned_manifest.json: KeyError: 'towers'"),
+        ('{"origin_epoch_s": 0, "days": 1, "towers": "t1"}',
          "binned_manifest.json: TypeError: towers is not a list of strings"),
-        (None, '{"origin_epoch_s": null, "days": 1, "towers": []}', "binned_manifest.json: TypeError"),
-        (None, '{"origin_epoch_s": 1.7, "slot_seconds": 600, "days": 1, "towers": []}',
+        ('{"origin_epoch_s": null, "days": 1, "towers": []}', "binned_manifest.json: TypeError"),
+        ('{"origin_epoch_s": 1.7, "slot_seconds": 600, "days": 1, "towers": []}',
          "binned_manifest.json: TypeError: origin_epoch_s is 1.7, not an integer"),
-        (None, '{"origin_epoch_s": true, "slot_seconds": 600, "days": 1, "towers": []}',
+        ('{"origin_epoch_s": true, "slot_seconds": 600, "days": 1, "towers": []}',
          "binned_manifest.json: TypeError: origin_epoch_s is True, not an integer"),
-        (None, '{"origin_epoch_s": "0", "slot_seconds": 600, "days": 1, "towers": []}',
+        ('{"origin_epoch_s": "0", "slot_seconds": 600, "days": 1, "towers": []}',
          "binned_manifest.json: TypeError: origin_epoch_s is '0', not an integer"),
-        (None, "{", "binned_manifest.json: JSONDecodeError"),
-        (None, '{"origin_epoch_s": 0, "slot_seconds": 300, "days": 1, "towers": []}',
+        ("{", "binned_manifest.json: JSONDecodeError"),
+        ('{"origin_epoch_s": 0, "slot_seconds": 300, "days": 1, "towers": []}',
          "binned_manifest.json: ValueError: slot_seconds is 300, not 600"),
-        (None, '{"origin_epoch_s": 0, "slot_seconds": 600, "days": 1.7, "towers": []}',
+        ('{"origin_epoch_s": 0, "slot_seconds": 600, "days": 1.7, "towers": []}',
          "binned_manifest.json: ValueError: days is 1.7, not a positive integer"),
-        (None, '{"origin_epoch_s": 0, "slot_seconds": 600, "days": true, "towers": []}',
+        ('{"origin_epoch_s": 0, "slot_seconds": 600, "days": true, "towers": []}',
          "binned_manifest.json: ValueError: days is True, not a positive integer"),
-        (None, '{"origin_epoch_s": 0, "slot_seconds": 600, "days": 0, "towers": []}',
+        ('{"origin_epoch_s": 0, "slot_seconds": 600, "days": 0, "towers": []}',
          "binned_manifest.json: ValueError: days is 0, not a positive integer"),
-        (None, '{"origin_epoch_s": 0, "slot_seconds": 600, "days": 1, "towers": ["t1", "t2", "t1"]}',
+        ('{"origin_epoch_s": 0, "slot_seconds": 600, "days": 1, "towers": ["t1", "t2", "t1"]}',
          "binned_manifest.json: ValueError: tower t1 is repeated"),
-        (None, '{"origin_epoch_s": 0, "slot_seconds": 600, "days": 1, "tz_offset_minutes": 0,'
-               ' "towers": []}',
+        ('{"origin_epoch_s": 0, "slot_seconds": 600, "days": 1, "tz_offset_minutes": 0,'
+         ' "towers": []}',
          "binned_manifest.json: ValueError: tz_offset_minutes is 0, not 480"),
-        ("tower_id,slot_index,bytes\nt1,5,nan\n", None, "binned.csv line 2: bytes nan is not a number"),
-        ("tower_id,slot_index,bytes\nt1,5,1.0\nt1,6,-NaN\n", None,
-         "binned.csv line 3: bytes -NaN is not a number"),
-        ("tower_id,slot_index,bytes\nt1,5,1.0\nt1,5,2.0\n", None,
-         "binned.csv line 3: tower t1 slot 5 already holds 1.0"),
-        # write_binned writes no zero slot, so a row of 0 (or -0.0) bytes is
-        # malformed, before or after a row of the same slot
-        ("tower_id,slot_index,bytes\nt1,5,0\nt1,5,7\n", None,
-         r"binned.csv line 2: bytes 0 is not a number in \(0, inf\)"),
-        ("tower_id,slot_index,bytes\nt1,5,-0.0\nt1,5,7\n", None,
-         r"binned.csv line 2: bytes -0.0 is not a number in \(0, inf\)"),
-        ("tower_id,slot_index,bytes\nt1,5,7\nt1,5,0\n", None,
-         r"binned.csv line 3: bytes 0 is not a number in \(0, inf\)"),
-        ("tower_id,slot_index,bytes\nt1,5,7\nt1,5,-0.0\n", None,
-         r"binned.csv line 3: bytes -0.0 is not a number in \(0, inf\)"),
-        ("tower_id,slot_index,bytes\nt1,5,inf\n", None,
-         r"binned.csv line 2: bytes inf is not a number in \(0, inf\)"),
-        ("tower_id,slot_index,bytes\nt1,5,1.0\nt1,6,-inf\n", None,
-         r"binned.csv line 3: bytes -inf is not a number in \(0, inf\)"),
-        ("tower_id,slot_index,bytes\nt1,5,-7.5\n", None,
-         r"binned.csv line 2: bytes -7.5 is not a number in \(0, inf\)"),
+        pytest.param("[" * 200000, "binned_manifest.json: RecursionError", id="deep_nesting"),
     ],
 )
-def test_read_binned_rejects_malformed_file(tmp_path, binned, manifest, message):
-    csv_path, manifest_path = _binned_files(tmp_path, [])
-    if binned is not None:
-        csv_path.write_text(binned)
-    if manifest is not None:
-        manifest_path.write_text(manifest)
+def test_read_binned_rejects_malformed_manifest(tmp_path, manifest, message):
+    paths = write_binned(tmp_path, bin_traffic([], 0, 1, registry("t1")), origin=0, days=1)
+    paths[1].write_text(manifest)
     with pytest.raises(IngestError, match=message):
-        read_binned(csv_path, manifest_path)
+        read_binned(*paths)
 
 
 @pytest.mark.parametrize("row, reason", [
@@ -622,6 +656,14 @@ def test_parse_sessions_rejects_malformed_row(row, reason):
 def test_bin_traffic_rejects_days_below_one(days):
     with pytest.raises(IngestError, match=f"^days must be positive, got {days}$"):
         bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, days, registry("t1"))
+
+
+@pytest.mark.parametrize("days", [0, -1])
+def test_write_binned_rejects_days_below_one(tmp_path, days):
+    # read_binned would reject its manifest
+    with pytest.raises(IngestError, match=f"^days must be positive, got {days}$"):
+        write_binned(tmp_path, BinResult({}, 0, 0.0), origin=0, days=days)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("row", [",t1,0,10,5", "u1, ,x,10,5", " ,t1,0,10,-1"])
@@ -651,7 +693,7 @@ def test_write_binned_rejects_impossible_byte_count(tmp_path, value):
     result.series["t1"].slot_bytes[7] = value
     with pytest.raises(IngestError, match=f"tower t1 slot 7 holds {value}, not a number"):
         write_binned(tmp_path, result, origin=0, days=1)
-    assert not (tmp_path / "binned.csv").exists()
+    assert not (tmp_path / "binned.npy").exists()
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import codecs
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 import cellmine
 from cellmine.cluster import (
+    ASSIGNMENTS_HEADER,
     ClusterError,
     ClusterModel,
     DbiTracePoint,
@@ -34,6 +36,7 @@ from cellmine.cluster import (
 )
 from cellmine.common import csv_cell, read_csv, write_json
 from cellmine.decompose import (
+    MIXTURES_HEADER,
     DecomposeError,
     FeaturePoint,
     FeatureSpace,
@@ -44,15 +47,28 @@ from cellmine.decompose import (
     write_mixtures,
     write_vertices,
 )
-from cellmine.ingest import BinnedSeries, BinResult, IngestError, read_binned, write_binned
+from cellmine.ingest import (
+    SESSIONS_HEADER,
+    TOWERS_HEADER,
+    BinnedSeries,
+    BinResult,
+    IngestError,
+    parse_sessions,
+    parse_towers,
+    read_binned,
+    write_binned,
+)
 from cellmine.poi import (
+    POIS_HEADER,
     PoiClusterTable,
     PoiError,
     PoiProfile,
+    parse_pois,
     write_poi_cluster_table,
     write_poi_profiles,
 )
 from cellmine.spectrum import (
+    FEATURES_HEADER,
     SpectralFeature,
     SpectrumError,
     read_spectral_features,
@@ -161,19 +177,12 @@ def test_write_binned_golden(tmp_path):
         series[tower] = BinnedSeries(tower, 0, np.zeros(144))
         for slot, value in values.items():
             series[tower].slot_bytes[slot] = value
-    csv_path, manifest_path = write_binned(tmp_path, BinResult(series, 3, F17), 0, 1)
-    # zero slots, -0.0 and the all-zero tower z among them, are omitted;
-    # read_bytes keeps the quoted "\r"
-    assert csv_path.read_bytes() == (
-        "tower_id,slot_index,bytes\n"
-        ",4,0.5\n"
-        "a,0,0.30000000000000004\n"
-        "a,5,5e-324\n"
-        '"a\rb",2,1.0\n'
-        '"say ""hi""",1,2.5\n'
-        '"x,y",143,1e+308\n'
-        "塔-é,3,7.0\n"
-    ).encode("utf-8")
+    npy_path, manifest_path = write_binned(tmp_path, BinResult(series, 3, F17), 0, 1)
+    # a version 1.0 .npy header, padded to 128 bytes, then the rows in tower
+    # order as little-endian float64, -0.0 and the all-zero tower z among them
+    header = b"\x93NUMPY\x01\x00v\x00{'descr': '<f8', 'fortran_order': False, 'shape': (7, 144), }"
+    rows = [series[t].slot_bytes for t in ["", "a", "a\rb", 'say "hi"', "x,y", "z", "塔-é"]]
+    assert npy_path.read_bytes() == header.ljust(127) + b"\n" + np.array(rows).astype("<f8").tobytes()
     assert manifest_path.read_bytes() == (
         b'{\n  "days": 1,\n  "origin_epoch_s": 0,\n'
         b'  "origin_iso": "1970-01-01T08:00:00+08:00",\n'
@@ -208,7 +217,7 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.79
 FLOATS = st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS)
 IDS = st.text()
 # write_binned rejects a slot that is not a finite, non-negative byte count,
-# so the binned round trip draws slots from these; -0.0 is not written.
+# so the binned round trip draws slots from these, -0.0 among them.
 BYTE_COUNTS = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(
     [x for x in EDGE_FLOATS if x >= 0]
 )
@@ -254,8 +263,7 @@ def test_binned_round_trip_property(case):
     assert manifest["towers"] == list(series) == sorted(result.series)
     for tower, s in series.items():
         assert s.tower_id == tower and s.origin == origin
-        # zero slots, -0.0 among them, are not written and read back as 0.0
-        assert np.array_equal(s.slot_bytes, result.series[tower].slot_bytes)
+        assert same(s.slot_bytes, result.series[tower].slot_bytes)
 
 
 @st.composite
@@ -372,12 +380,14 @@ def test_csv_cell_quotes_as_csv_writer_does(text, number, value):
     csv.writer(out, lineterminator="\r\n").writerow([text, number, value])
     assert csv_cell(text) + "," + str(number) + "," + repr(value) + "\r\n" == out.getvalue()
 
-# (module, function) of the only calls allowed to each csv/json entry point
+# (module, function) of the only calls allowed to each csv/json/npy entry point
 ALLOWED_CALLS = {
     "csv.reader": {("common", "read_csv"), ("ingest", "parse_sessions")},
     "csv.writer": set(),
     "json.dump": {("common", "write_json")},
     "json.load": {("common", "read_json")},
+    "np.load": {("ingest", "read_binned")},
+    "np.save": {("ingest", "write_binned")},
 }
 
 
@@ -404,6 +414,23 @@ def test_csv_and_json_calls_stay_in_the_io_helpers():
             if name in found:
                 found[name].add((path.stem, function))
     assert found == ALLOWED_CALLS
+
+
+def test_every_npy_call_refuses_pickles():
+    # a pickle in a file runs code when it is loaded
+    calls = 0
+    for path in sorted(Path(cellmine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("load", "save") and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "np"):
+                continue
+            calls += 1
+            pickle = {kw.arg: kw.value for kw in node.keywords}.get("allow_pickle")
+            assert isinstance(pickle, ast.Constant) and pickle.value is False, (
+                f"{path.name} line {node.lineno}: np.{node.func.attr} without allow_pickle=False"
+            )
+    assert calls == 2
 
 
 def test_every_open_is_binary_or_utf8():
@@ -448,9 +475,6 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, write):
 @pytest.mark.parametrize(
     "write, error",
     [
-        (lambda directory, tower: write_binned(directory, BinResult(
-            {t: BinnedSeries(t, 0, np.ones(144)) for t in ("a", tower)}, 0, 0.0), 0, 1),
-         IngestError),
         (lambda directory, tower: write_vectors_csv(
             directory / "v.csv", [TrafficVector("a", np.zeros(3)), TrafficVector(tower, np.ones(3))]),
          VectorizeError),
@@ -474,7 +498,7 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, write):
             {t: PoiProfile(t, np.zeros(4, dtype=int), np.zeros(4), None) for t in ("a", tower)}),
          PoiError),
     ],
-    ids=["binned", "vectors_csv", "vectors_binary", "assignments", "spectral_features", "mixtures",
+    ids=["vectors_csv", "vectors_binary", "assignments", "spectral_features", "mixtures",
          "time_features", "poi_profiles"],
 )
 def test_a_tower_id_utf8_cannot_encode_fails_with_the_module_error(tmp_path, write, error):
@@ -485,6 +509,17 @@ def test_a_tower_id_utf8_cannot_encode_fails_with_the_module_error(tmp_path, wri
     with pytest.raises(error, match=r": 'b\\udc80' is not UTF-8 \(surrogates not allowed\)$"):
         write(tmp_path, "b\udc80")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_tower_id_utf8_cannot_encode_round_trips_through_the_binned_manifest(tmp_path):
+    # binned.npy holds no ids, and the manifest's JSON escapes the surrogate
+    tower = "b\udc80"
+    result = BinResult({t: BinnedSeries(t, 0, np.arange(144.0)) for t in ("a", tower)}, 0, 0.0)
+    npy_path, manifest_path = write_binned(tmp_path, result, 0, 1)
+    assert b'"b\\udc80"' in manifest_path.read_bytes()
+    series, manifest = read_binned(npy_path, manifest_path)
+    assert manifest["towers"] == list(series) == ["a", tower]
+    assert same(series[tower].slot_bytes, np.arange(144.0))
 
 
 @pytest.mark.parametrize(
@@ -524,10 +559,11 @@ def _non_ascii_round_trips(directory):
     binned manifest, with a non-ASCII id."""
     directory = Path(directory)
     series = {TOWER: BinnedSeries(TOWER, 0, np.arange(144.0))}
-    binned, manifest = read_binned(*write_binned(directory, BinResult(series, 0, 0.0), 0, 1))
+    npy_path, manifest_path = write_binned(directory, BinResult(series, 0, 0.0), 0, 1)
+    assert b'"\\u5854-\\u00e9"' in manifest_path.read_bytes()
+    binned, manifest = read_binned(npy_path, manifest_path)
     assert manifest["towers"] == [TOWER]
     assert np.array_equal(binned[TOWER].slot_bytes, series[TOWER].slot_bytes)
-    assert TOWER.encode("utf-8") in (directory / "binned.csv").read_bytes()
     vector = TrafficVector(TOWER, np.array([1.0, -1.0]), False)
     assert read_vectors(write_vectors_csv(directory / "v.csv", [vector]))[0].tower_id == TOWER
     assignments = write_assignments(directory / "a.csv", _model({TOWER: 3}))
@@ -575,3 +611,41 @@ def test_header_error_gives_the_column_counts():
     message = r"^t\.csv line 2: bad test header, 2 columns, expected 3$"
     with pytest.raises(ValueError, match=message):
         list(read_csv(["\n", "a,b\n"], ["a", "b", "c"], ValueError, "t.csv", "test", tuple))
+
+
+def _from_file(parse):
+    """``parse``, which reads lines, as a reader of the file at a path."""
+    def read(path):
+        with open(path, encoding="utf-8", newline="") as f:
+            return parse(f)
+    return read
+
+
+@pytest.mark.parametrize(
+    "read, error, source, header",
+    [
+        (_from_file(parse_sessions), IngestError, "sessions", SESSIONS_HEADER),
+        (_from_file(parse_towers), IngestError, "towers", TOWERS_HEADER),
+        (_from_file(parse_pois), PoiError, "pois", POIS_HEADER),
+        (read_assignments, ClusterError, None, ASSIGNMENTS_HEADER),
+        (read_vectors, VectorizeError, None, ["tower_id", "degenerate", "v0"]),
+        (read_spectral_features, SpectrumError, None, FEATURES_HEADER),
+        (read_mixtures, DecomposeError, None, MIXTURES_HEADER),
+    ],
+    ids=["sessions", "towers", "pois", "assignments", "vectors", "spectral_features", "mixtures"],
+)
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        (b"x" * 200_000 + b"\n", r" line 2: field larger than field limit \(131072\)$"),
+        # the file is decoded ahead of its rows, so no line is named
+        (b"t,\xff\n", r": 'utf-8' codec can't decode byte 0xff in position \d+: invalid start byte$"),
+    ],
+    ids=["long_field", "not_utf8"],
+)
+def test_a_row_csv_cannot_read_fails_with_the_module_error(tmp_path, read, error, source, header,
+                                                           row, reason):
+    path = tmp_path / "t.csv"
+    path.write_bytes(",".join(header).encode("utf-8") + b"\n" + row)
+    with pytest.raises(error, match="^" + re.escape(source or str(path)) + reason):
+        read(path)

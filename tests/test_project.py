@@ -182,8 +182,8 @@ def test_the_package_writes_files_only_through_open_replacing():
 
 
 # The file helpers of ``common`` that take the caller's error class.
-FILE_HELPERS = ("open_replacing", "write_csv", "write_csv_blocks", "write_json", "read_csv",
-                "read_json", "read_header", "sorted_by_tower")
+FILE_HELPERS = ("open_replacing", "write_csv", "write_csv_blocks", "write_json", "csv_errors",
+                "read_csv", "read_json", "read_header", "sorted_by_tower")
 
 
 def test_every_file_helper_call_passes_its_own_module_error():
