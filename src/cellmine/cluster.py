@@ -24,7 +24,7 @@ from scipy.cluster.hierarchy import linkage
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .common import read_csv, reject_repeat, sorted_by_tower, write_csv
+from .common import read_table, sorted_by_tower, write_csv
 from .vectorize import TrafficVector
 
 ASSIGNMENTS_HEADER = ["tower_id", "cluster"]
@@ -264,17 +264,13 @@ def write_assignments(path: str | Path, model: ClusterModel) -> Path:
 
 
 def read_assignments(path: str | Path) -> dict[str, int]:
-    seen: set[str] = set()
-
     def assignment(fields: list[str]) -> tuple[str, int]:
-        reject_repeat(seen, fields[0])
         cluster = int(fields[1])
         if cluster < 1:
             raise ValueError(f"cluster {cluster} is below 1")
         return fields[0], cluster
 
-    with open(path, encoding="utf-8", newline="") as f:
-        return dict(read_csv(f, ASSIGNMENTS_HEADER, ClusterError, path, "assignments", assignment))
+    return dict(read_table(path, ASSIGNMENTS_HEADER, ClusterError, "assignments", assignment))
 
 
 def write_centroids(path: str | Path, model: ClusterModel) -> Path:

@@ -1,6 +1,8 @@
-"""Shared time constants, the CSV and JSON file helpers every stage reads and
-writes its tables with, and small helpers used across pipeline stages. Every
-file is UTF-8, and text that UTF-8 cannot encode raises the writer's error."""
+"""Shared time constants, the file helpers every stage reads and writes its
+files with, and small helpers used across pipeline stages. Every file is
+written through ``open_replacing`` and read through ``open_reading``; either
+turns an ``OSError`` into the stage's own error naming the file. Every file is
+UTF-8, and text that UTF-8 cannot encode raises the writer's error."""
 
 from __future__ import annotations
 
@@ -92,7 +94,7 @@ def open_replacing(path: Path, binary: bool, error: type[Exception]) -> Iterator
     raises ``error``, the writer's own, quoting the text up to and including
     the first such character (at most its last 40 characters). A text file
     encodes each non-ASCII ``write`` at once, so that text is the row or
-    block being written."""
+    block being written. An ``OSError`` raises ``error`` naming ``path``."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as f:
@@ -103,7 +105,22 @@ def open_replacing(path: Path, binary: bool, error: type[Exception]) -> Iterator
         if isinstance(exc, UnicodeEncodeError):
             text = exc.object[: exc.start + 1][-40:]
             raise error(f"{path}: {text!r} is not UTF-8 ({exc.reason})") from None
+        if isinstance(exc, OSError):  # its message names the temporary file
+            raise error(f"{path}: [Errno {exc.errno}] {exc.strerror}") from None
         raise
+
+
+@contextmanager
+def open_reading(path: str | Path, binary: bool, error: type[Exception]) -> Iterator[IO]:
+    """Open ``path`` for reading, as bytes or as UTF-8 text with no newline
+    translation, the twin of ``open_replacing``: every file the package reads
+    is opened here. An ``OSError`` while the file is opened or read raises
+    ``error``, the reader's own, naming ``path``."""
+    try:
+        with open(path, "rb") if binary else open(path, encoding="utf-8", newline="") as f:
+            yield f
+    except OSError as exc:  # as in open_replacing, the message names path once
+        raise error(f"{path}: [Errno {exc.errno}] {exc.strerror}") from None
 
 
 def write_csv_blocks(path: str | Path, header: Sequence[str], blocks: Iterable[str],
@@ -180,6 +197,21 @@ def read_csv(lines: Iterable[str], header: Sequence[str], error: type[Exception]
             yield row
 
 
+def read_table(path: str | Path, header: Sequence[str], error: type[Exception], kind: str,
+               parse: Callable[[list[str]], T]) -> list[T]:
+    """Every row ``read_csv`` parses from the file at ``path``, a table of one
+    row per tower: a row whose first cell repeats an earlier row's raises
+    ``error`` naming the tower and the line."""
+    seen: set[str] = set()
+
+    def row(fields: list[str]) -> T:
+        reject_repeat(seen, fields[0])
+        return parse(fields)
+
+    with open_reading(path, binary=False, error=error) as f:
+        return list(read_csv(f, header, error, path, kind, row))
+
+
 def unit_scaled(values: np.ndarray) -> tuple[np.ndarray, np.integer | np.ndarray]:
     """``(values * 2**-e, e)``, ``e`` the binary exponent of the largest |value|
     (0 for zeros): one for a 1-D series, one per column of a 2-D table. No sum,
@@ -226,11 +258,12 @@ def write_json(path: str | Path, payload: Any, error: type[Exception]) -> Path:
 
 
 def read_json(path: str | Path, error: type[Exception], parse: Callable[[Any], Any]) -> Any:
-    """Return ``parse`` of the JSON file at ``path``. Bad or too deeply nested
-    JSON, and the ``KeyError``, ``TypeError`` or ``ValueError`` that ``parse``
-    raises on a missing key or a wrong type, raise ``error`` naming the file."""
-    try:
-        with open(path, encoding="utf-8") as f:
+    """Return ``parse`` of the JSON file at ``path``. A file that cannot be
+    read (see ``open_reading``), bad or too deeply nested JSON, and the
+    ``KeyError``, ``TypeError`` or ``ValueError`` that ``parse`` raises on a
+    missing key or a wrong type, raise ``error`` naming the file."""
+    with open_reading(path, binary=False, error=error) as f:
+        try:
             return parse(json.load(f))
-    except (KeyError, RecursionError, TypeError, ValueError) as exc:
-        raise error(f"{path}: {type(exc).__name__}: {exc}") from None
+        except (KeyError, RecursionError, TypeError, ValueError) as exc:
+            raise error(f"{path}: {type(exc).__name__}: {exc}") from None

@@ -22,10 +22,9 @@ import numpy as np
 from scipy.spatial import KDTree
 
 from .common import (
-    read_csv,
     read_json,
+    read_table,
     reject_nan,
-    reject_repeat,
     sorted_by_tower,
     unit_scaled,
     write_csv,
@@ -291,16 +290,12 @@ def write_mixtures(path: str | Path, mixtures: Sequence[MixtureCoefficients]) ->
 
 
 def read_mixtures(path: str | Path) -> list[MixtureCoefficients]:
-    seen: set[str] = set()
-
     def mixture(fields: list[str]) -> MixtureCoefficients:
-        reject_repeat(seen, fields[0])
         vals = [float(v) for v in fields[1:]]
         reject_nan(vals, lambda i: MIXTURES_HEADER[1 + i])
         return MixtureCoefficients(fields[0], np.array(vals[:4]), vals[4])
 
-    with open(path, encoding="utf-8", newline="") as f:
-        return list(read_csv(f, MIXTURES_HEADER, DecomposeError, path, "mixtures", mixture))
+    return read_table(path, MIXTURES_HEADER, DecomposeError, "mixtures", mixture)
 
 
 def write_vertices(path: str | Path, model: PolygonModel) -> Path:

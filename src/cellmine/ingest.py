@@ -33,6 +33,7 @@ from .common import (
     TZ_OFFSET_MINUTES,
     csv_errors,
     epoch_to_iso,
+    open_reading,
     open_replacing,
     parse_lat_lon,
     read_csv,
@@ -352,18 +353,21 @@ def write_binned(
         raise IngestError(f"origin {origin} is not a date in the years 1 to 9999") from None
     towers = sorted(result.series)
     n_slots = days * SLOTS_PER_DAY
-    for tower_id, series in sorted(result.series.items()):
-        if series.origin != origin or series.n_slots != n_slots:
-            raise IngestError(
-                f"tower {tower_id}: series of {series.n_slots} slots from {series.origin},"
-                f" not of {n_slots} slots from origin {origin}"
-            )
-    matrix = np.array([result.series[t].slot_bytes for t in towers], float).reshape(-1, n_slots)
-    _check_slots(matrix, towers)
     path = Path(directory) / "binned.npy"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open_replacing(path, binary=True, error=IngestError) as f:
-        np.save(f, matrix, allow_pickle=False)
+        # the bytes np.save writes, one row at a time, so no copy of the matrix is made
+        header = {"descr": "<f8", "fortran_order": False, "shape": (len(towers), n_slots)}
+        np.lib.format.write_array_header_1_0(f, header)
+        for tower_id, series in sorted(result.series.items()):
+            if series.origin != origin or series.n_slots != n_slots:
+                raise IngestError(
+                    f"tower {tower_id}: series of {series.n_slots} slots from {series.origin},"
+                    f" not of {n_slots} slots from origin {origin}"
+                )
+            row = np.ascontiguousarray(series.slot_bytes, "<f8")
+            _check_slots(row.reshape(1, n_slots), [tower_id])
+            f.write(row)
     manifest = {
         "origin_epoch_s": origin,
         "origin_iso": origin_iso,
@@ -409,18 +413,18 @@ def read_binned(path: str | Path, manifest_path: str | Path) -> tuple[dict[str, 
     manifest = read_json(manifest_path, IngestError, _checked_manifest)
     towers = manifest["towers"]
     shape = (len(towers), manifest["days"] * SLOTS_PER_DAY)
-    try:
-        with open(path, "rb") as f:  # np.load would open a zip file as an .npz
-            np.lib.format.read_magic(f)
-        with np.errstate(over="raise"):  # for a shape whose size overflows
-            mapped = np.load(path, mmap_mode="r", allow_pickle=False)
-        if mapped.dtype != np.float64 or mapped.shape != shape:
-            raise ValueError(f"holds {mapped.dtype.str} {mapped.shape}, not <f8 {shape}")
-        if mapped.offset + mapped.nbytes != Path(path).stat().st_size:
-            raise ValueError("holds bytes after its array")
-        matrix = np.array(mapped, order="C")
-        _check_slots(matrix, towers)  # its IngestError is a ValueError, given the file's name here
-    except (ArithmeticError, OSError, ValueError) as exc:
-        raise IngestError(f"{path}: {exc}") from None
+    with open_reading(path, binary=True, error=IngestError) as f:
+        try:
+            np.lib.format.read_magic(f)  # np.load would open a zip file as an .npz
+            with np.errstate(over="raise"):  # for a shape whose size overflows
+                mapped = np.load(path, mmap_mode="r", allow_pickle=False)
+            if mapped.dtype != np.float64 or mapped.shape != shape:
+                raise ValueError(f"holds {mapped.dtype.str} {mapped.shape}, not <f8 {shape}")
+            if mapped.offset + mapped.nbytes != Path(path).stat().st_size:
+                raise ValueError("holds bytes after its array")
+            matrix = np.array(mapped, order="C")
+            _check_slots(matrix, towers)  # its IngestError is a ValueError, given the file's name here
+        except (ArithmeticError, OSError, ValueError) as exc:
+            raise IngestError(f"{path}: {exc}") from None
     origin = manifest["origin_epoch_s"]
     return {t: BinnedSeries(t, origin, matrix[i]) for i, t in enumerate(towers)}, manifest

@@ -25,9 +25,8 @@ import numpy as np
 
 from .common import (
     SLOTS_PER_WEEK,
-    read_csv,
+    read_table,
     reject_nan,
-    reject_repeat,
     sorted_by_tower,
     unit_scaled,
     write_csv,
@@ -179,15 +178,9 @@ def write_spectral_features(path: str | Path, features: Sequence[SpectralFeature
 
 
 def read_spectral_features(path: str | Path) -> list[SpectralFeature]:
-    seen: set[str] = set()
-
     def feature(fields: list[str]) -> SpectralFeature:
-        reject_repeat(seen, fields[0])
         vals = [float(x) for x in fields[1:]]
         reject_nan(vals, lambda i: FEATURES_HEADER[1 + i])
         return SpectralFeature(fields[0], *vals)
 
-    with open(path, encoding="utf-8", newline="") as f:
-        return list(read_csv(
-            f, FEATURES_HEADER, SpectrumError, path, "spectral features", feature
-        ))
+    return read_table(path, FEATURES_HEADER, SpectrumError, "spectral features", feature)

@@ -119,20 +119,9 @@ def daily_profile(series: BinnedSeries) -> DailyProfile:
     )
 
 
-def weekday_weekend_ratio(profile: DailyProfile) -> float | None:
-    """Mean weekday over mean weekend daily total, of the curves scaled by one
-    ``common.unit_scaled``; None when the weekend total is zero (undefined).
-    The two curves must be finite and of one length."""
-    return _ratio(_weekday_and_weekend(profile))
-
-
-def _weekday_and_weekend(profile: DailyProfile) -> np.ndarray:
-    return _curves(f"{profile.source_id}: weekday and weekend curves",
-                   (profile, "weekday"), (profile, "weekend"))
-
-
 def _ratio(curves: np.ndarray) -> float | None:
-    """``weekday_weekend_ratio`` of the rows of ``_weekday_and_weekend``."""
+    """Mean weekday over mean weekend daily total of the two rows of ``curves``,
+    scaled by one ``common.unit_scaled``; None when the weekend total is 0."""
     n = curves.shape[1]
     both, _ = unit_scaled(curves.reshape(-1))
     weekend_total = float(both[n:].sum())
@@ -230,7 +219,8 @@ def compute_time_features(profile: DailyProfile) -> TimeFeatures:
     """Peak and valley values come from the raw curves, their times from the
     smoothed ones. A peak/valley ratio is None when the valley is not above 0.
     The two curves must be finite and of one length."""
-    curves = _weekday_and_weekend(profile)
+    curves = _curves(f"{profile.source_id}: weekday and weekend curves",
+                     (profile, "weekday"), (profile, "weekend"))
     peaks = curves.max(axis=1).tolist()
     valleys = curves.min(axis=1).tolist()
     ratios = [p / v if v > 0.0 else None for p, v in zip(peaks, valleys)]

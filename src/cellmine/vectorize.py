@@ -10,6 +10,7 @@ holding a comma, a quote, ``\r`` or ``\n`` is quoted with its quotes doubled
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -25,8 +26,9 @@ from .common import (
     csv_cell,
     local_seconds_of_day,
     local_weekday,
+    open_reading,
     open_replacing,
-    read_csv,
+    read_table,
     reject_nan,
     reject_repeat,
     sorted_by_tower,
@@ -140,10 +142,7 @@ def write_vectors_csv(path: str | Path, vectors: Sequence[TrafficVector]) -> Pat
 
 
 def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
-    seen: set[str] = set()
-
     def vector(fields: list[str]) -> TrafficVector:
-        reject_repeat(seen, fields[0])
         flag = fields[1]
         if flag not in ("0", "1"):
             raise ValueError(f"degenerate is {flag!r}, not 0 or 1")
@@ -152,11 +151,11 @@ def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
         return TrafficVector(fields[0], values, flag == "1")
 
     # One header column per value, counted on the first non-blank line; read_csv checks it all.
-    with open(path, encoding="utf-8", errors="replace", newline="") as f:
-        first = next((line for line in iter(f.readline, "") if line.strip("\r\n")), "")
+    with open_reading(path, binary=True, error=VectorizeError) as f:
+        text = io.TextIOWrapper(f, encoding="utf-8", errors="replace", newline="")
+        first = next((line for line in text if line.strip("\r\n")), "")
     header = _vectors_header(first.count(",") - 1)
-    with open(path, encoding="utf-8", newline="") as f:
-        return list(read_csv(f, header, VectorizeError, path, "vectors", vector))
+    return read_table(path, header, VectorizeError, "vectors", vector)
 
 
 def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:
@@ -187,7 +186,7 @@ def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> 
 def read_vectors_binary(path: str | Path) -> list[TrafficVector]:
     out = []
     seen: set[str] = set()
-    with open(path, "rb") as f:
+    with open_reading(path, binary=True, error=VectorizeError) as f:
         end = os.fstat(f.fileno()).st_size
 
         def read_exact(size: int) -> bytes:
@@ -228,7 +227,7 @@ def read_vectors_binary(path: str | Path) -> list[TrafficVector]:
 
 def read_vectors(path: str | Path) -> list[TrafficVector]:
     """Read either format, sniffing the binary magic."""
-    with open(path, "rb") as f:
+    with open_reading(path, binary=True, error=VectorizeError) as f:
         magic = f.read(len(_BIN_MAGIC))
     if magic == _BIN_MAGIC:
         return read_vectors_binary(path)

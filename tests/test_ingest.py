@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cellmine import ingest
 from cellmine.ingest import (
+    BinnedSeries,
     BinResult,
     IngestError,
     SessionLog,
@@ -722,3 +723,19 @@ def test_write_binned_rejects_origin_outside_iso_dates(tmp_path, origin):
     result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1, registry("t1"))
     with pytest.raises(IngestError, match=f"origin {origin} is not a date"):
         write_binned(tmp_path, result, origin=origin, days=1)
+
+
+def test_write_binned_holds_one_row_at_a_time(tmp_path):
+    # 64 towers of 4 weeks: the matrix is 64 rows of 32,256 bytes each
+    row_bytes = 28 * 144 * 8
+    result = BinResult({f"t{i:02d}": BinnedSeries(f"t{i:02d}", 0, np.full(28 * 144, float(i)))
+                        for i in range(64)}, 0, 0.0)
+    tracemalloc.start()
+    try:
+        paths = write_binned(tmp_path, result, origin=0, days=28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * row_bytes
+    series, _ = read_binned(*paths)
+    assert all(np.array_equal(series[t].slot_bytes, result.series[t].slot_bytes) for t in series)

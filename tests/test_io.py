@@ -387,7 +387,7 @@ ALLOWED_CALLS = {
     "json.dump": {("common", "write_json")},
     "json.load": {("common", "read_json")},
     "np.load": {("ingest", "read_binned")},
-    "np.save": {("ingest", "write_binned")},
+    "np.save": set(),
 }
 
 
@@ -430,7 +430,7 @@ def test_every_npy_call_refuses_pickles():
             assert isinstance(pickle, ast.Constant) and pickle.value is False, (
                 f"{path.name} line {node.lineno}: np.{node.func.attr} without allow_pickle=False"
             )
-    assert calls == 2
+    assert calls == 1
 
 
 def test_every_open_is_binary_or_utf8():
@@ -547,6 +547,60 @@ def test_a_repeated_tower_fails_with_the_module_error(tmp_path, write, error):
         write(path, ["b", "a", "b"])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+MISSING, IS_A_DIRECTORY = "[Errno 2] No such file or directory", "[Errno 21] Is a directory"
+BINNED = BinResult({"t1": BinnedSeries("t1", 0, np.ones(144))}, 0, 0.0)
+UNIT_CORNER = PolygonModel([FeaturePoint(t, f) for t, f in zip("abcd", np.eye(4, 3, -1))],
+                           [1, 2, 3, 4], FeatureSpace(("x", "y", "z"), np.zeros(3), np.ones(3)))
+
+
+def _binned_without(directory, name):
+    """``directory / name``, one of the two files ``write_binned`` writes, deleted."""
+    write_binned(directory, BINNED, 0, 1)
+    (directory / name).unlink()
+    return directory / name
+
+
+def _directory(path):
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize(
+    "place, act, error, reason",
+    [
+        (lambda d: _binned_without(d, "binned.npy"),
+         lambda path: read_binned(path, path.with_name("binned_manifest.json")), IngestError, MISSING),
+        (lambda d: _binned_without(d, "binned_manifest.json"),
+         lambda path: read_binned(path.with_name("binned.npy"), path), IngestError, MISSING),
+        (lambda d: d / "vertices.json", read_vertices, DecomposeError, MISSING),
+        (lambda d: d / "assignments.csv", read_assignments, ClusterError, MISSING),
+        (lambda d: d / "spectral.csv", read_spectral_features, SpectrumError, MISSING),
+        (lambda d: d / "mixtures.csv", read_mixtures, DecomposeError, MISSING),
+        (lambda d: d / "vectors.csv", read_vectors, VectorizeError, MISSING),
+        (lambda d: _directory(d / "vectors.csv"), read_vectors, VectorizeError, IS_A_DIRECTORY),
+        (lambda d: d / "no" / "mixtures.csv", lambda path: write_mixtures(path, []),
+         DecomposeError, MISSING),
+        (lambda d: d / "no" / "vertices.json", lambda path: write_vertices(path, UNIT_CORNER),
+         DecomposeError, MISSING),
+        (lambda d: _directory(d / "vectors.bin"), lambda path: write_vectors_binary(path, []),
+         VectorizeError, IS_A_DIRECTORY),
+        (lambda d: _directory(d / "binned.npy"), lambda path: write_binned(path.parent, BINNED, 0, 1),
+         IngestError, IS_A_DIRECTORY),
+    ],
+    ids=["read_binned_npy", "read_binned_manifest", "read_vertices", "read_assignments",
+         "read_spectral_features", "read_mixtures", "read_vectors", "read_vectors_directory",
+         "write_csv", "write_json", "write_vectors_binary", "write_binned_directory"],
+)
+def test_a_file_error_fails_with_the_module_error_naming_the_path(tmp_path, place, act, error,
+                                                                   reason):
+    # a missing file or directory, or a directory where the file should be
+    path = place(tmp_path)
+    with pytest.raises(error) as info:
+        act(path)
+    assert str(info.value) == f"{path}: {reason}"
+    assert not list(tmp_path.rglob(".*")), "a temporary file was left behind"
 
 
 # --- encoding and header errors ---------------------------------------------

@@ -15,7 +15,6 @@ from cellmine.timefeat import (
     daily_profile,
     peak_offset,
     slot_to_hhmm,
-    weekday_weekend_ratio,
 )
 
 # Civil midnight in UTC+8 of Monday 2014-08-04.
@@ -99,26 +98,29 @@ def test_profile_conserves_totals():
     assert recovered == pytest.approx(weekly_total, rel=1e-6)
 
 
+def ratio(profile):
+    return compute_time_features(profile).weekday_weekend_ratio
+
+
 def test_ratio_equal_profiles():
     profile = DailyProfile("t", np.ones(144), np.ones(144))
-    assert weekday_weekend_ratio(profile) == pytest.approx(1.0)
+    assert ratio(profile) == pytest.approx(1.0)
 
 
 def test_ratio_weekday_double():
     profile = DailyProfile("t", 2 * np.ones(144), np.ones(144))
-    assert weekday_weekend_ratio(profile) == pytest.approx(2.0)
+    assert ratio(profile) == pytest.approx(2.0)
 
 
 def test_ratio_zero_weekend_undefined():
     profile = DailyProfile("t", np.ones(144), np.zeros(144))
-    assert weekday_weekend_ratio(profile) is None
+    assert ratio(profile) is None
 
 
 def test_ratio_of_slots_whose_sums_overflow():
     # every slot's mean is 1e307, and 144 of them sum past the largest float
     profile = daily_profile(BinnedSeries("t", MONDAY, np.full(4 * 1008, 1e307)))
-    assert weekday_weekend_ratio(profile) == 1.0
-    assert compute_time_features(profile).weekday_weekend_ratio == 1.0
+    assert ratio(profile) == 1.0
 
 
 @given(exponents(), st.integers(0, 2**32 - 1))
@@ -130,8 +132,7 @@ def test_ratio_is_exactly_scale_invariant(ek, seed):
     weekday, weekend = np.ldexp(rng.random((2, 144)) * (rng.random((2, 144)) < 0.9), e)
     scaled = np.ldexp([weekday, weekend], k)
     assume(is_normal([weekday, weekend]) and is_normal(scaled))
-    assert (weekday_weekend_ratio(DailyProfile("t", *scaled))
-            == weekday_weekend_ratio(DailyProfile("t", weekday, weekend)))
+    assert ratio(DailyProfile("t", *scaled)) == ratio(DailyProfile("t", weekday, weekend))
 
 
 def features_of(curve):
@@ -309,8 +310,6 @@ def test_curves_of_unequal_lengths_fail_with_timefeat_error():
     short = DailyProfile("s", day_curve(60)[:-1], day_curve(60))
     with pytest.raises(TimefeatError, match=r"^s: weekday and weekend curves hold unequal .*: \[143, 144\]$"):
         compute_time_features(short)
-    with pytest.raises(TimefeatError, match=r"^s: weekday and weekend curves hold unequal .*: \[143, 144\]$"):
-        weekday_weekend_ratio(short)
     peaked = DailyProfile("p", day_curve(60), day_curve(60))
     with pytest.raises(TimefeatError, match=r"^weekday curves of s and p hold unequal .*: \[143, 144\]$"):
         peak_offset(short, peaked)
@@ -324,8 +323,6 @@ def test_curves_with_a_non_finite_slot_fail_with_timefeat_error(bad):
         compute_time_features(DailyProfile("s", curve, day_curve(60)))
     with pytest.raises(TimefeatError, match=f"^s: weekend slot 7 holds {bad}, not a finite mean$"):
         compute_time_features(DailyProfile("s", day_curve(60), curve))
-    with pytest.raises(TimefeatError, match=f"^s: weekday slot 7 holds {bad}, not a finite mean$"):
-        weekday_weekend_ratio(DailyProfile("s", curve, day_curve(60)))
     peaked = DailyProfile("p", day_curve(60), day_curve(60))
     with pytest.raises(TimefeatError, match=f"^s: weekday slot 7 holds {bad}, not a finite mean$"):
         peak_offset(peaked, DailyProfile("s", curve, day_curve(60)))
