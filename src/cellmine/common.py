@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 from pathlib import Path
@@ -101,7 +101,8 @@ def open_replacing(path: Path, binary: bool, error: type[Exception]) -> Iterator
             yield f
         os.replace(tmp, path)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        with suppress(FileNotFoundError, NotADirectoryError):  # no temporary file was made
+            tmp.unlink()
         if isinstance(exc, UnicodeEncodeError):
             text = exc.object[: exc.start + 1][-40:]
             raise error(f"{path}: {text!r} is not UTF-8 ({exc.reason})") from None

@@ -10,9 +10,10 @@ Wire formats:
 session; ``bin_traffic`` also on arrays with one entry per session and slot,
 for one chunk of sessions at a time. ``deduplicate`` sorts on integer keys; it
 reads user ids, ends and byte counts only for the sessions that share a
-(tower_id, start) with another. Both compute in int64; ``SessionLog`` holds
-the one rule of a valid session, which keeps that exact, and
-``parse_sessions`` reports a row that breaks it.
+(tower_id, start) with another. Both compute in int64. ``_session_fault``
+holds the one rule of a valid session, which keeps that exact:
+``SessionLog`` raises its reason, and ``parse_sessions`` applies it once per
+row and reports a row that breaks it.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class SessionLog:
     """One anonymized data-usage session. A valid one has non-empty ids,
     ``end >= start``, ``bytes >= 0``, and ``start``, ``end``, ``end - start``
     and ``bytes * SLOT_SECONDS`` inside the int64 range that ``deduplicate``
-    and ``bin_traffic`` compute in. Building an invalid session, also by
-    ``dataclasses.replace``, raises ``IngestError`` with the reason that
-    ``parse_sessions`` reports for its row."""
+    and ``bin_traffic`` compute in. That rule is ``_session_fault``. Building
+    an invalid session, also by ``dataclasses.replace``, raises ``IngestError``
+    with its reason, the one ``parse_sessions`` reports for the row."""
 
     user_id: str
     tower_id: str
@@ -73,19 +74,28 @@ class SessionLog:
     bytes: int
 
     def __post_init__(self) -> None:
-        if not self.user_id or not self.tower_id:
-            raise IngestError("empty user_id or tower_id")
-        if self.end < self.start:
-            raise IngestError("end < start")
-        if self.bytes < 0:
-            raise IngestError("negative bytes")
-        # With end >= start and bytes >= 0, these are the int64 limits left.
-        if self.start < _INT64_MIN or self.end > _INT64_MAX:
-            raise IngestError("timestamp outside the int64 range")
-        if self.end - self.start > _INT64_MAX:
-            raise IngestError("end - start overflows int64")
-        if self.bytes > _MAX_BYTES:
-            raise IngestError(f"bytes * {SLOT_SECONDS} overflows int64")
+        reason = _session_fault(self.user_id, self.tower_id, self.start, self.end, self.bytes)
+        if reason is not None:
+            raise IngestError(reason)
+
+
+def _session_fault(user_id: str, tower_id: str, start: int, end: int, nbytes: int) -> str | None:
+    """Why a session of these fields is not valid, or None if it is: the one
+    rule that ``SessionLog`` and ``parse_sessions`` both apply."""
+    if not user_id or not tower_id:
+        return "empty user_id or tower_id"
+    if end < start:
+        return "end < start"
+    if nbytes < 0:
+        return "negative bytes"
+    # With end >= start and bytes >= 0, these are the int64 limits left.
+    if start < _INT64_MIN or end > _INT64_MAX:
+        return "timestamp outside the int64 range"
+    if end - start > _INT64_MAX:
+        return "end - start overflows int64"
+    if nbytes > _MAX_BYTES:
+        return f"bytes * {SLOT_SECONDS} overflows int64"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,42 +132,52 @@ class BinResult:
     out_of_window_bytes: float
 
 
-def _session_from_row(row: Sequence[str]) -> SessionLog:
-    if len(row) != 5:
-        raise ValueError(f"expected 5 fields, got {len(row)}")
-    user_id, tower_id, start_s, end_s, bytes_s = row
-    # One str per tower id: the many sessions of a tower share it.
-    user_id, tower_id = user_id.strip(), sys.intern(tower_id.strip())
-    try:
-        start, end, nbytes = int(start_s), int(end_s), int(bytes_s)
-    except ValueError:
-        # An empty id is the reason given even when a number is bad too.
-        SessionLog(user_id, tower_id, 0, 0, 0)
-        raise ValueError("non-integer timestamp or byte count") from None
-    return SessionLog(user_id, tower_id, start, end, nbytes)
-
-
 def parse_sessions(lines: Iterable[str]) -> tuple[list[SessionLog], list[RejectedRow]]:
     """Parse a sessions.csv stream.
 
     Malformed rows go to the reject report and parsing continues. An empty
     stream gives no sessions; otherwise its first non-blank row must be the
     header. This is the one reader that carries on past a bad row, so it
-    keeps its own row loop in place of ``read_csv``.
+    keeps its own row loop in place of ``read_csv``. Each row is checked once,
+    by the rule ``SessionLog`` applies; the session of a valid row has its
+    slots filled directly, since ``SessionLog(...)`` would check it again.
     """
     reader = csv.reader(lines)
     sessions: list[SessionLog] = []
     rejects: list[RejectedRow] = []
+    set_user, set_tower, set_start, set_end, set_bytes = (
+        getattr(SessionLog, name).__set__ for name in SessionLog.__slots__
+    )
     with csv_errors(reader, IngestError, "sessions"):
         if not read_header(reader, SESSIONS_HEADER, IngestError, "sessions", "sessions"):
             return sessions, rejects
         for row in reader:
             if not row:
                 continue
-            try:
-                sessions.append(_session_from_row(row))
-            except ValueError as exc:
-                rejects.append(RejectedRow(reader.line_num, ",".join(row), str(exc)))
+            if len(row) != 5:
+                reason = f"expected 5 fields, got {len(row)}"
+            else:
+                user_id, tower_id, start, end, nbytes = row
+                # One str per tower id: the many sessions of a tower share it.
+                user_id, tower_id = user_id.strip(), sys.intern(tower_id.strip())
+                try:
+                    start, end, nbytes = int(start), int(end), int(nbytes)
+                except ValueError:
+                    # An empty id is the reason given even when a number is bad too.
+                    reason = (_session_fault(user_id, tower_id, 0, 0, 0)
+                              or "non-integer timestamp or byte count")
+                else:
+                    reason = _session_fault(user_id, tower_id, start, end, nbytes)
+                if reason is None:
+                    session = object.__new__(SessionLog)
+                    set_user(session, user_id)
+                    set_tower(session, tower_id)
+                    set_start(session, start)
+                    set_end(session, end)
+                    set_bytes(session, nbytes)
+                    sessions.append(session)
+                    continue
+            rejects.append(RejectedRow(reader.line_num, ",".join(row), reason))
     return sessions, rejects
 
 
@@ -343,8 +363,9 @@ def write_binned(
 ) -> tuple[Path, Path]:
     """Write binned.npy, a C-order float64 array whose row i is the series of
     the i-th tower by id, and a JSON manifest that also dates ``origin`` in ISO,
-    so in the years 1 to 9999. Each series must start at ``origin``, span
-    ``days`` days and hold byte counts in [0, inf), as ``read_binned`` requires."""
+    so in the years 1 to 9999, into the existing ``directory``. Each series
+    must start at ``origin``, span ``days`` days and hold byte counts in
+    [0, inf), as ``read_binned`` requires."""
     if days <= 0:
         raise IngestError(f"days must be positive, got {days}")
     try:
@@ -354,7 +375,6 @@ def write_binned(
     towers = sorted(result.series)
     n_slots = days * SLOTS_PER_DAY
     path = Path(directory) / "binned.npy"
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open_replacing(path, binary=True, error=IngestError) as f:
         # the bytes np.save writes, one row at a time, so no copy of the matrix is made
         header = {"descr": "<f8", "fortran_order": False, "shape": (len(towers), n_slots)}

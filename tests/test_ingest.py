@@ -1,7 +1,10 @@
+import ast
+import csv
 import dataclasses
 import io
 import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -604,6 +607,92 @@ def test_session_log_rejects_empty_id(ids):
         SessionLog(*ids, 0, 10, 5)
 
 
+def _oracle_parse(text):
+    """Per-row oracle: each row of a sessions.csv text through the
+    validating ``SessionLog(...)``; rejects as (line_no, line, reason)."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    sessions, rejects = [], []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != 5:
+                raise IngestError(f"expected 5 fields, got {len(row)}")
+            user_id, tower_id = row[0].strip(), row[1].strip()
+            try:
+                numbers = [int(field) for field in row[2:]]
+            except ValueError:
+                SessionLog(user_id, tower_id, 0, 0, 0)  # an empty id is named first
+                raise IngestError("non-integer timestamp or byte count") from None
+            sessions.append(SessionLog(user_id, tower_id, *numbers))
+        except IngestError as exc:
+            rejects.append((reader.line_num, ",".join(row), str(exc)))
+    return sessions, rejects
+
+
+ROW_IDS = st.sampled_from(["", " ", "u", "t1", " t1 ", "a,b", ' "q", ', "x\ny"])
+NON_INTEGERS = st.sampled_from(["", " ", "1.5", "1e3", "x", "-", "0x10", "١.0"])
+
+
+@st.composite
+def session_rows(draw):
+    """A row of 4 to 6 fields, or a blank one: ids that are empty, blank or
+    need quoting, and numbers at and around the int64 limits and the byte
+    bound, or not integers at all."""
+    width = draw(st.sampled_from([5] * 6 + [4, 6, 0]))
+    start = draw(TIMES)
+    end = draw(st.integers(0, 2).map(lambda d: start + d) | TIMES)
+    numbers = [str(n) for n in (start, end, draw(near(0, MAX_BYTES)), draw(TIMES))]
+    if draw(st.integers(0, 3)) == 0:
+        numbers[draw(st.integers(0, 3))] = draw(NON_INTEGERS)
+    return [draw(ROW_IDS), draw(ROW_IDS), *numbers][:width]
+
+
+@settings(max_examples=150)
+@given(st.lists(session_rows(), max_size=6))
+def test_parse_sessions_equals_the_session_log_oracle(rows):
+    out = io.StringIO()
+    csv.writer(out).writerows([HEADER.split(","), *rows])
+    sessions, rejects = parse_sessions(io.StringIO(out.getvalue()))
+    expected_sessions, expected_rejects = _oracle_parse(out.getvalue())
+    assert sessions == expected_sessions
+    assert [(r.line_no, r.line, r.reason) for r in rejects] == expected_rejects
+
+
+def test_a_parsed_session_is_a_session_log():
+    (session,), _ = parse_sessions([HEADER, "u1, t1 ,1000,1600,500"])
+    assert type(session) is SessionLog
+    values = [getattr(session, field.name) for field in dataclasses.fields(SessionLog)]
+    assert list(map(type, values)) == [str, str, int, int, int]
+    assert session == SessionLog("u1", "t1", 1000, 1600, 500)
+    assert hash(session) == hash(SessionLog("u1", "t1", 1000, 1600, 500))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        session.bytes = 1
+    with pytest.raises(IngestError, match="^negative bytes$"):
+        dataclasses.replace(session, bytes=-1)
+
+
+def _slot_fills(node, function=None):
+    """(innermost enclosing function, name) for every ``x.__new__``,
+    ``x.__set__`` or ``x.__setattr__`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr in ("__new__", "__set__", "__setattr__"):
+            yield function, child.attr
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _slot_fills(child, inner)
+
+
+def test_only_parse_sessions_fills_session_slots_unchecked():
+    """A session built by ``object.__new__`` and its slots' ``__set__`` skips
+    the rule ``SessionLog`` applies, so only ``parse_sessions``, which has
+    just applied that rule to the row, may build one so."""
+    found = {(path.stem, function, name)
+             for path in sorted(Path(ingest.__file__).parent.glob("*.py"))
+             for function, name in _slot_fills(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {("ingest", "parse_sessions", "__new__"), ("ingest", "parse_sessions", "__set__")}
+
+
 @pytest.mark.parametrize(
     "manifest, message",
     [
@@ -716,6 +805,22 @@ def test_write_binned_rejects_a_series_off_its_origin_or_days(
     with pytest.raises(IngestError, match=message):
         write_binned(tmp_path, result, origin=origin, days=days)
     assert [p.read_bytes() for p in paths] == before
+
+
+@pytest.mark.parametrize("exists, reason", [
+    (True, "[Errno 20] Not a directory"), (False, "[Errno 2] No such file or directory"),
+])
+def test_write_binned_into_no_directory_fails_with_ingest_error(tmp_path, exists, reason):
+    # a file where the directory should be, or no directory at all
+    directory = tmp_path / "out"
+    if exists:
+        directory.write_bytes(b"old")
+    result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1, registry("t1"))
+    with pytest.raises(IngestError) as info:
+        write_binned(directory, result, origin=0, days=1)
+    assert str(info.value) == f"{directory / 'binned.npy'}: {reason}"
+    assert [p.name for p in tmp_path.iterdir()] == (["out"] if exists else [])
+    assert not exists or directory.read_bytes() == b"old"
 
 
 @pytest.mark.parametrize("origin", [-(2**40) * 600, 2**40 * 600, -62135596800 - 86400])

@@ -550,6 +550,7 @@ def test_a_repeated_tower_fails_with_the_module_error(tmp_path, write, error):
 
 
 MISSING, IS_A_DIRECTORY = "[Errno 2] No such file or directory", "[Errno 21] Is a directory"
+NOT_A_DIRECTORY = "[Errno 20] Not a directory"
 BINNED = BinResult({"t1": BinnedSeries("t1", 0, np.ones(144))}, 0, 0.0)
 UNIT_CORNER = PolygonModel([FeaturePoint(t, f) for t, f in zip("abcd", np.eye(4, 3, -1))],
                            [1, 2, 3, 4], FeatureSpace(("x", "y", "z"), np.zeros(3), np.ones(3)))
@@ -564,6 +565,12 @@ def _binned_without(directory, name):
 
 def _directory(path):
     path.mkdir()
+    return path
+
+
+def _under_a_file(path):
+    """``path``, whose parent is a file."""
+    path.parent.write_bytes(b"")
     return path
 
 
@@ -584,6 +591,8 @@ def _directory(path):
          DecomposeError, MISSING),
         (lambda d: d / "no" / "vertices.json", lambda path: write_vertices(path, UNIT_CORNER),
          DecomposeError, MISSING),
+        (lambda d: _under_a_file(d / "no" / "mixtures.csv"), lambda path: write_mixtures(path, []),
+         DecomposeError, NOT_A_DIRECTORY),
         (lambda d: _directory(d / "vectors.bin"), lambda path: write_vectors_binary(path, []),
          VectorizeError, IS_A_DIRECTORY),
         (lambda d: _directory(d / "binned.npy"), lambda path: write_binned(path.parent, BINNED, 0, 1),
@@ -591,7 +600,8 @@ def _directory(path):
     ],
     ids=["read_binned_npy", "read_binned_manifest", "read_vertices", "read_assignments",
          "read_spectral_features", "read_mixtures", "read_vectors", "read_vectors_directory",
-         "write_csv", "write_json", "write_vectors_binary", "write_binned_directory"],
+         "write_csv", "write_json", "write_csv_under_a_file", "write_vectors_binary",
+         "write_binned_directory"],
 )
 def test_a_file_error_fails_with_the_module_error_naming_the_path(tmp_path, place, act, error,
                                                                    reason):
