@@ -1,8 +1,8 @@
 """Shared time constants, the file helpers every stage reads and writes its
 files with, and small helpers used across pipeline stages. Every file is
 written through ``open_replacing`` and read through ``open_reading``; either
-turns an ``OSError`` into the stage's own error naming the file. Every file is
-UTF-8, and text that UTF-8 cannot encode raises the writer's error."""
+turns an ``OSError`` into the stage's own error naming the file. Every text
+file is UTF-8, and text that UTF-8 cannot encode raises the writer's error."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 T = TypeVar("T")
+NPY_MAGIC = np.lib.format.MAGIC_PREFIX
 
 SLOT_SECONDS = 600
 SLOTS_PER_DAY = 144
@@ -211,6 +212,46 @@ def read_table(path: str | Path, header: Sequence[str], error: type[Exception], 
 
     with open_reading(path, binary=False, error=error) as f:
         return list(read_csv(f, header, error, path, kind, row))
+
+
+def write_npy(path: str | Path, shape: tuple[int, int], rows: Iterable[np.ndarray],
+              error: type[Exception]) -> Path:
+    """Write ``rows``, of ``shape[1]`` values each, one at a time as the bytes of
+    a C-order float64 array of ``shape`` that ``np.save`` writes to ``path``."""
+    path = Path(path)
+    with open_replacing(path, binary=True, error=error) as f:
+        np.lib.format.write_array_header_1_0(f, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        for row in rows:
+            f.write(np.ascontiguousarray(row, "<f8"))
+    return path
+
+
+def read_npy(path: str | Path, shape: tuple[int, int], error: type[Exception],
+             parse: Callable[[np.ndarray], T]) -> T:
+    """``parse`` of a C-order copy of the array ``write_npy`` wrote, memory-mapped
+    while it is checked. Any array but a float64 one of ``shape``, bytes after it
+    and a ``ValueError`` from ``parse`` raise ``error`` naming the file."""
+    with open_reading(path, binary=True, error=error) as f:
+        try:
+            np.lib.format.read_magic(f)  # np.load would open a zip file as an .npz
+            with np.errstate(over="raise"):  # for a shape whose size overflows
+                mapped = np.load(path, mmap_mode="r", allow_pickle=False)
+            if mapped.dtype != np.float64 or mapped.shape != shape:
+                raise ValueError(f"holds {mapped.dtype.str} {mapped.shape}, not <f8 {shape}")
+            if mapped.offset + mapped.nbytes != os.fstat(f.fileno()).st_size:
+                raise ValueError("holds bytes after its array")
+            return parse(np.array(mapped, order="C"))
+        except (ArithmeticError, OSError, ValueError) as exc:
+            raise error(f"{path}: {exc}") from None
+
+
+def checked_towers(towers: Any) -> None:
+    """Raise ``TypeError`` unless ``towers`` is a list of ``str``, ``ValueError`` on a repeat."""
+    if not (isinstance(towers, list) and all(isinstance(t, str) for t in towers)):
+        raise TypeError("towers is not a list of strings")
+    seen: set[str] = set()
+    for tower_id in towers:
+        reject_repeat(seen, tower_id)
 
 
 def unit_scaled(values: np.ndarray) -> tuple[np.ndarray, np.integer | np.ndarray]:

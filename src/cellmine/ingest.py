@@ -3,8 +3,8 @@
 Wire formats:
     sessions.csv  ``user_id,tower_id,start_epoch_s,end_epoch_s,bytes``
     towers.csv    ``tower_id,lat,lon``
-    binned.npy    the towers x slots float64 array; its JSON manifest names the
-                  towers, origin, slot_seconds=600, days and tz_offset_minutes=480.
+    binned.npy    the towers x slots float64 array of ``common.write_npy``; its JSON
+                  manifest names the towers, origin, slot_seconds=600, days and tz_offset_minutes=480.
 
 ``deduplicate`` and ``bin_traffic`` work on whole arrays with one entry per
 session; ``bin_traffic`` also on arrays with one entry per session and slot,
@@ -32,16 +32,17 @@ from .common import (
     SLOT_SECONDS,
     SLOTS_PER_DAY,
     TZ_OFFSET_MINUTES,
+    checked_towers,
     csv_errors,
     epoch_to_iso,
-    open_reading,
-    open_replacing,
     parse_lat_lon,
     read_csv,
     read_header,
     read_json,
+    read_npy,
     reject_repeat,
     write_json,
+    write_npy,
 )
 
 SESSIONS_HEADER = ["user_id", "tower_id", "start_epoch_s", "end_epoch_s", "bytes"]
@@ -107,11 +108,15 @@ class TowerRecord:
 
 @dataclass(slots=True)
 class BinnedSeries:
-    """Per-tower traffic totals over consecutive 10-minute slots."""
+    """Per-tower traffic totals over consecutive 10-minute slots, a 1-D array."""
 
     tower_id: str
     origin: int
     slot_bytes: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.slot_bytes) != 1:
+            raise IngestError(f"tower {self.tower_id}: series of shape {np.shape(self.slot_bytes)}")
 
     @property
     def n_slots(self) -> int:
@@ -349,13 +354,14 @@ def bin_traffic(
     return BinResult(series, int(np.count_nonzero(~known)), out_of_window)
 
 
-def _check_slots(matrix: np.ndarray, towers: Sequence[str]) -> None:
-    """Raise ``IngestError`` naming the first slot not in [0, inf); row i is ``towers[i]``."""
+def _check_slots(matrix: np.ndarray, towers: Sequence[str]) -> np.ndarray:
+    """``matrix``, or ``IngestError`` naming its first slot not in [0, inf); row i is ``towers[i]``."""
     bad = ~((matrix >= 0.0) & (matrix < np.inf))  # also true for NaN
     if bad.any():
         i, slot = divmod(int(bad.argmax()), matrix.shape[1])
         raise IngestError(f"tower {towers[i]} slot {slot} holds {matrix[i, slot]},"
                           " not a number in [0, inf)")
+    return matrix
 
 
 def write_binned(
@@ -374,20 +380,13 @@ def write_binned(
         raise IngestError(f"origin {origin} is not a date in the years 1 to 9999") from None
     towers = sorted(result.series)
     n_slots = days * SLOTS_PER_DAY
-    path = Path(directory) / "binned.npy"
-    with open_replacing(path, binary=True, error=IngestError) as f:
-        # the bytes np.save writes, one row at a time, so no copy of the matrix is made
-        header = {"descr": "<f8", "fortran_order": False, "shape": (len(towers), n_slots)}
-        np.lib.format.write_array_header_1_0(f, header)
-        for tower_id, series in sorted(result.series.items()):
-            if series.origin != origin or series.n_slots != n_slots:
-                raise IngestError(
-                    f"tower {tower_id}: series of {series.n_slots} slots from {series.origin},"
-                    f" not of {n_slots} slots from origin {origin}"
-                )
-            row = np.ascontiguousarray(series.slot_bytes, "<f8")
-            _check_slots(row.reshape(1, n_slots), [tower_id])
-            f.write(row)
+    for tower_id, series in sorted(result.series.items()):
+        if series.origin != origin or series.n_slots != n_slots:
+            raise IngestError(f"tower {tower_id}: series of {series.n_slots} slots from"
+                              f" {series.origin}, not of {n_slots} slots from origin {origin}")
+        _check_slots(series.slot_bytes.reshape(1, n_slots), [tower_id])
+    rows = (result.series[tower_id].slot_bytes for tower_id in towers)
+    path = write_npy(Path(directory) / "binned.npy", (len(towers), n_slots), rows, IngestError)
     manifest = {
         "origin_epoch_s": origin,
         "origin_iso": origin_iso,
@@ -407,12 +406,7 @@ def _checked_manifest(manifest: dict) -> dict:
     origin = manifest["origin_epoch_s"]
     if type(origin) is not int:
         raise TypeError(f"origin_epoch_s is {origin!r}, not an integer")
-    towers = manifest["towers"]
-    if not (isinstance(towers, list) and all(isinstance(t, str) for t in towers)):
-        raise TypeError("towers is not a list of strings")
-    seen: set[str] = set()
-    for tower_id in towers:
-        reject_repeat(seen, tower_id)
+    checked_towers(manifest["towers"])
     if manifest["slot_seconds"] != SLOT_SECONDS:
         raise ValueError(f"slot_seconds is {manifest['slot_seconds']!r}, not {SLOT_SECONDS}")
     days = manifest["days"]
@@ -426,25 +420,10 @@ def _checked_manifest(manifest: dict) -> dict:
 
 
 def read_binned(path: str | Path, manifest_path: str | Path) -> tuple[dict[str, BinnedSeries], dict]:
-    """The series and manifest ``write_binned`` wrote. Any array but the float64
-    one of the manifest's shape, bytes after it or a slot outside [0, inf) raise
-    ``IngestError`` naming the file. It is memory-mapped while it is checked, so
-    a hostile header allocates nothing; each series is a row of one copy."""
+    """The series and manifest ``write_binned`` wrote, each series a row of the
+    array ``common.read_npy`` checks; a slot outside [0, inf) raises ``IngestError``."""
     manifest = read_json(manifest_path, IngestError, _checked_manifest)
-    towers = manifest["towers"]
+    towers, origin = manifest["towers"], manifest["origin_epoch_s"]
     shape = (len(towers), manifest["days"] * SLOTS_PER_DAY)
-    with open_reading(path, binary=True, error=IngestError) as f:
-        try:
-            np.lib.format.read_magic(f)  # np.load would open a zip file as an .npz
-            with np.errstate(over="raise"):  # for a shape whose size overflows
-                mapped = np.load(path, mmap_mode="r", allow_pickle=False)
-            if mapped.dtype != np.float64 or mapped.shape != shape:
-                raise ValueError(f"holds {mapped.dtype.str} {mapped.shape}, not <f8 {shape}")
-            if mapped.offset + mapped.nbytes != Path(path).stat().st_size:
-                raise ValueError("holds bytes after its array")
-            matrix = np.array(mapped, order="C")
-            _check_slots(matrix, towers)  # its IngestError is a ValueError, given the file's name here
-        except (ArithmeticError, OSError, ValueError) as exc:
-            raise IngestError(f"{path}: {exc}") from None
-    origin = manifest["origin_epoch_s"]
+    matrix = read_npy(path, shape, IngestError, lambda m: _check_slots(m, towers))
     return {t: BinnedSeries(t, origin, matrix[i]) for i, t in enumerate(towers)}, manifest

@@ -51,6 +51,11 @@ class Spectrum:
     coefficients: np.ndarray
     n: int
 
+    def __post_init__(self) -> None:
+        if self.n < 1 or np.shape(self.coefficients) != (self.n // 2 + 1,):
+            raise SpectrumError(f"n = {self.n} with coefficients of shape {np.shape(self.coefficients)}:"
+                                " a spectrum of n >= 1 values holds n//2 + 1 bins")
+
 
 @dataclass(frozen=True, slots=True)
 class SpectralFeature:
@@ -110,8 +115,8 @@ def _series(x: Sequence[float] | np.ndarray) -> np.ndarray:
 def principal_indices(n: int) -> tuple[int, int, int]:
     """Bin indices of the week / day / half-day periodicities for an
     ``n``-slot series of whole weeks (k = weeks, 7*weeks, 14*weeks)."""
-    if n % SLOTS_PER_WEEK != 0:
-        raise SpectrumError(f"series length {n} is not a whole number of weeks")
+    if n % SLOTS_PER_WEEK != 0 or n < SLOTS_PER_WEEK:
+        raise SpectrumError(f"series length {n} is not a positive whole number of weeks")
     weeks = n // SLOTS_PER_WEEK
     return weeks, 7 * weeks, 14 * weeks
 
@@ -164,6 +169,8 @@ def amplitude_variance(
     n = spectra[0].n
     if any(s.n != n for s in spectra):
         raise SpectrumError("spectra have mixed lengths")
+    if n // 2 < 3:
+        raise SpectrumError(f"spectra of n = {n} hold {n // 2} bins above DC, not 3")
     variances = np.abs(np.stack([s.coefficients for s in spectra])).var(axis=0)
     order = np.argsort(variances[1:])[::-1][:3] + 1
     return variances, tuple(int(k) for k in order)

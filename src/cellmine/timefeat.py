@@ -132,10 +132,14 @@ def _ratio(curves: np.ndarray) -> float | None:
 
 def _curves(what: str, *curves: tuple[DailyProfile, str]) -> np.ndarray:
     """The ``kind`` curve (``"weekday"`` or ``"weekend"``) of each
-    ``(profile, kind)`` as the rows of one array. Curves of unequal lengths
-    raise ``TimefeatError`` naming ``what`` they are, and a slot that is not
-    finite raises it naming the profile, the curve and the slot."""
+    ``(profile, kind)`` as the rows of one array. ``TimefeatError`` names an
+    empty or not 1-D curve, ``what`` curves of unequal lengths are, and the
+    profile, curve and slot of a slot that is not finite."""
     rows = [getattr(profile, kind) for profile, kind in curves]
+    for (profile, kind), c in zip(curves, rows):
+        if np.ndim(c) != 1 or np.size(c) == 0:
+            raise TimefeatError(f"{profile.source_id}: {kind} curve of shape {np.shape(c)},"
+                                " not a non-empty 1-D curve")
     lengths = [np.size(c) for c in rows]
     if len(set(lengths)) != 1:
         raise TimefeatError(f"{what} hold unequal numbers of slots: {lengths}")

@@ -2,17 +2,16 @@
 
 The canonical configuration is 4 aligned weeks of 10-minute slots (4032
 values). Vectors can be stored as CSV (``tower_id,degenerate,v0,...``) or as
-a compact length-prefixed little-endian binary. In the CSV, ``degenerate`` is
-``0`` or ``1``, each value is the shortest repr of its float, and a tower id
-holding a comma, a quote, ``\r`` or ``\n`` is quoted with its quotes doubled
-(``common.csv_cell``), as every CSV table is.
+a float64 ``.npy`` of one row per vector by tower id, beside its manifest
+``<name>.json`` (row ``values``, per-row ``towers`` and ``degenerate``). In the
+CSV, ``degenerate`` is ``0`` or ``1``, each value is the shortest repr of its
+float, and a tower id holding a comma, a quote, ``\r`` or ``\n`` is quoted
+with its quotes doubled (``common.csv_cell``), as every CSV table is.
 """
 
 from __future__ import annotations
 
 import io
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,26 +19,26 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .common import (
+    NPY_MAGIC,
     SLOT_SECONDS,
     SLOTS_PER_DAY,
     SLOTS_PER_WEEK,
+    checked_towers,
     csv_cell,
     local_seconds_of_day,
     local_weekday,
     open_reading,
-    open_replacing,
+    read_json,
+    read_npy,
     read_table,
     reject_nan,
-    reject_repeat,
     sorted_by_tower,
     unit_scaled,
     write_csv_blocks,
+    write_json,
+    write_npy,
 )
 from .ingest import BinnedSeries
-
-_BIN_MAGIC = b"CMVEC1\n"
-# a record's tower id length is a u16
-_MAX_ID_BYTES = 0xFFFF
 
 
 class VectorizeError(ValueError):
@@ -53,7 +52,7 @@ class TrafficVector:
     ``degenerate`` marks towers whose raw series was constant (dead towers);
     their values are all zero, and a degenerate vector holding any other
     value raises ``VectorizeError``. The caller drops them before clustering,
-    which raises ``ClusterError`` on a degenerate vector.
+    which raises ``ClusterError`` on a degenerate vector. ``values`` is 1-D.
     """
 
     tower_id: str
@@ -61,6 +60,8 @@ class TrafficVector:
     degenerate: bool = False
 
     def __post_init__(self):
+        if np.ndim(self.values) != 1:
+            raise VectorizeError(f"tower {self.tower_id}: vector of shape {np.shape(self.values)}")
         if self.degenerate and np.any(self.values):
             raise VectorizeError(f"tower {self.tower_id}: degenerate, but its values are not all 0")
 
@@ -122,23 +123,25 @@ def _vectors_header(n: int) -> list[str]:
     return ["tower_id", "degenerate"] + [f"v{i}" for i in range(n)]
 
 
+def _ordered(vectors: Sequence[TrafficVector]) -> tuple[list[TrafficVector], int]:
+    """``vectors`` in a writer's order, and the values each holds: as many as the first."""
+    for vec in vectors:
+        if vec.n != vectors[0].n:
+            raise VectorizeError(f"tower {vec.tower_id} holds {vec.n} values,"
+                                 f" but tower {vectors[0].tower_id} holds {vectors[0].n}")
+    return sorted_by_tower(vectors, VectorizeError), vectors[0].n if vectors else 0
+
+
 def write_vectors_csv(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:
     """Write one row per vector, sorted by tower id. Every vector must hold
     as many values as the first, which sizes the header."""
-    n = vectors[0].n if vectors else 0
-    for vec in vectors:
-        if vec.n != n:
-            raise VectorizeError(
-                f"tower {vec.tower_id} holds {vec.n} values,"
-                f" but tower {vectors[0].tower_id} holds {n}"
-            )
+    ordered, n = _ordered(vectors)
 
     def row(vec: TrafficVector) -> str:
         cells = [csv_cell(vec.tower_id), str(int(vec.degenerate)), *map(repr, vec.values.tolist())]
         return ",".join(cells) + "\n"
 
-    rows = map(row, sorted_by_tower(vectors, VectorizeError))
-    return write_csv_blocks(path, _vectors_header(n), rows, VectorizeError)
+    return write_csv_blocks(path, _vectors_header(n), map(row, ordered), VectorizeError)
 
 
 def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
@@ -159,79 +162,44 @@ def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
 
 
 def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> Path:
-    """Length-prefixed binary: magic, u32 record count, then per record a
-    u16 id length + UTF-8 id, u8 degenerate flag, u32 value count and the
-    values as little-endian float64. An id of more than 65,535 UTF-8 bytes,
-    too long for its u16 length, raises ``VectorizeError`` and, like any
-    failed write, leaves the file as it was."""
-    path = Path(path)
-    ordered = sorted_by_tower(vectors, VectorizeError)
-    with open_replacing(path, binary=True, error=VectorizeError) as f:
-        f.write(_BIN_MAGIC)
-        f.write(struct.pack("<I", len(ordered)))
-        for vec in ordered:
-            ident = vec.tower_id.encode("utf-8")
-            if len(ident) > _MAX_ID_BYTES:
-                raise VectorizeError(
-                    f"tower {vec.tower_id[:40]}...: id is {len(ident)} UTF-8 bytes,"
-                    f" more than the {_MAX_ID_BYTES} a vector file holds"
-                )
-            f.write(struct.pack("<H", len(ident)))
-            f.write(ident)
-            f.write(struct.pack("<BI", int(vec.degenerate), vec.n))
-            f.write(np.asarray(vec.values, dtype="<f8").tobytes())
+    """Write the ``.npy`` and manifest of the module docstring. Every vector
+    must hold as many values as the first."""
+    ordered, n = _ordered(vectors)
+    path = write_npy(path, (len(ordered), n), (vec.values for vec in ordered), VectorizeError)
+    manifest = {"towers": [vec.tower_id for vec in ordered], "values": n,
+                "degenerate": [bool(vec.degenerate) for vec in ordered]}
+    write_json(f"{path}.json", manifest, VectorizeError)
     return path
 
 
+def _checked_manifest(manifest: dict) -> tuple[list[str], list[bool], int]:
+    """The manifest's towers, flags and row width, once they are valid."""
+    towers, flags, width = manifest["towers"], manifest["degenerate"], manifest["values"]
+    checked_towers(towers)
+    if not isinstance(flags, list) or list(map(type, flags)) != [bool] * len(towers):
+        raise TypeError(f"degenerate is not a list of {len(towers)} bools")
+    if type(width) is not int or width < 0:
+        raise ValueError(f"values is {width!r}, not a count")
+    return towers, flags, width
+
+
 def read_vectors_binary(path: str | Path) -> list[TrafficVector]:
-    out = []
-    seen: set[str] = set()
-    with open_reading(path, binary=True, error=VectorizeError) as f:
-        end = os.fstat(f.fileno()).st_size
+    """The vectors ``write_vectors_binary`` wrote, rows of one copy of its array. A bad
+    manifest or array, a NaN and a degenerate row not all 0 raise ``VectorizeError``."""
+    towers, flags, width = read_json(f"{path}.json", VectorizeError, _checked_manifest)
 
-        def read_exact(size: int) -> bytes:
-            data = f.read(size)
-            if len(data) != size:
-                raise VectorizeError(f"truncated vector file: {path}")
-            return data
+    def vectors(matrix: np.ndarray) -> list[TrafficVector]:
+        reject_nan(matrix.ravel(), lambda i: f"tower {towers[i // width]}: v{i % width}")
+        return list(map(TrafficVector, towers, matrix, flags))
 
-        magic = f.read(len(_BIN_MAGIC))
-        if magic != _BIN_MAGIC:
-            raise VectorizeError(f"not a cellmine vector file: {path}")
-        (count,) = struct.unpack("<I", read_exact(4))
-        for record in range(1, count + 1):
-            (id_len,) = struct.unpack("<H", read_exact(2))
-            try:
-                tower_id = read_exact(id_len).decode("utf-8")
-            except UnicodeDecodeError:
-                raise VectorizeError(f"{path} record {record}: tower id is not UTF-8") from None
-            degenerate, n = struct.unpack("<BI", read_exact(5))
-            if degenerate > 1:
-                raise VectorizeError(
-                    f"{path} record {record}: degenerate flag is {degenerate}, not 0 or 1"
-                )
-            # checked before the read, so that a hostile count allocates nothing
-            if 8 * n > end - f.tell():
-                raise VectorizeError(f"truncated vector file: {path} record {record} claims {n} values")
-            values = np.frombuffer(f.read(8 * n), dtype="<f8").astype(float)
-            try:
-                reject_repeat(seen, tower_id)
-                reject_nan(values, "v{}".format)
-                out.append(TrafficVector(tower_id, values, bool(degenerate)))
-            except ValueError as exc:
-                raise VectorizeError(f"{path} record {record}: {exc}") from None
-        if f.read(1):
-            raise VectorizeError(f"{path}: bytes after the last of {count} records")
-    return out
+    return read_npy(path, (len(towers), width), VectorizeError, vectors)
 
 
 def read_vectors(path: str | Path) -> list[TrafficVector]:
-    """Read either format, sniffing the binary magic."""
+    """Read either format, sniffing the ``.npy`` magic."""
     with open_reading(path, binary=True, error=VectorizeError) as f:
-        magic = f.read(len(_BIN_MAGIC))
-    if magic == _BIN_MAGIC:
-        return read_vectors_binary(path)
-    return read_vectors_csv(path)
+        binary = f.read(len(NPY_MAGIC)) == NPY_MAGIC
+    return read_vectors_binary(path) if binary else read_vectors_csv(path)
 
 
 def vectorize_all(series: Iterable[BinnedSeries], weeks: int) -> list[TrafficVector]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from npyfiles import HUGE_HEADERS, MALFORMED_ARRAYS, npy, npy_header
 
 from cellmine import ingest
 from cellmine.ingest import (
@@ -250,54 +251,25 @@ def test_binned_round_trip_of_no_towers(tmp_path):
     assert series == {} and manifest["towers"] == [] and manifest["days"] == 2
 
 
-def _npy(array, **kwargs):
-    f = io.BytesIO()
-    np.save(f, array, **kwargs)
-    return f.getvalue()
-
-
-def _npy_header(shape):
-    """An .npy header of float64 values claiming ``shape``, followed by 64 bytes."""
-    f = io.BytesIO()
-    np.lib.format.write_array_header_1_0(f, {"descr": "<f8", "fortran_order": False, "shape": shape})
-    return f.getvalue() + bytes(64)
-
-
 def _one_slot(slot, value):
     slots = np.ones((1, 144))
     slots[0, slot] = value
     return slots
 
 
-def _npz():
-    f = io.BytesIO()
-    np.savez(f, binned=np.ones((1, 144)))
-    return f.getvalue()
-
-
 @pytest.mark.parametrize(
     "content, message",
     [
-        (None, r"\[Errno 2\] No such file or directory"),
-        (b"", "EOF: reading magic string"),
-        (b"tower_id,slot_index,bytes\nt1,5,1.0\n", "the magic string is not correct"),
-        (_npz(), "the magic string is not correct"),
-        (_npy(np.full((1, 144), None, dtype=object), allow_pickle=True), ".*Python objects in dtype"),
-        (_npy(np.ones((1, 144), dtype=np.float32)), r"holds <f4 \(1, 144\), not <f8 \(1, 144\)$"),
-        (_npy(np.ones((1, 144), dtype=np.int64)), r"holds <i8 \(1, 144\), not <f8 \(1, 144\)$"),
-        (_npy(np.ones((1, 144), dtype=">f8")), r"holds >f8 \(1, 144\), not <f8 \(1, 144\)$"),
-        (_npy(np.ones((2, 144))), r"holds <f8 \(2, 144\), not <f8 \(1, 144\)$"),
-        (_npy(np.ones((1, 143))), r"holds <f8 \(1, 143\), not <f8 \(1, 144\)$"),
-        (_npy(np.ones(144)), r"holds <f8 \(144,\), not <f8 \(1, 144\)$"),
-        (_npy(np.ones((1, 144)))[:-8], "mmap length is greater than file size$"),
-        (_npy(np.ones((1, 144))) + b"\n", "holds bytes after its array$"),
-        (_npy(_one_slot(7, np.nan)), r"tower t1 slot 7 holds nan, not a number in \[0, inf\)$"),
-        (_npy(_one_slot(7, np.inf)), r"tower t1 slot 7 holds inf, not a number in \[0, inf\)$"),
-        (_npy(_one_slot(143, -np.inf)), r"tower t1 slot 143 holds -inf, not a number in \[0, inf\)$"),
-        (_npy(_one_slot(0, -7.5)), r"tower t1 slot 0 holds -7.5, not a number in \[0, inf\)$"),
+        *MALFORMED_ARRAYS,
+        pytest.param(npy(_one_slot(7, np.nan)),
+                     r"tower t1 slot 7 holds nan, not a number in \[0, inf\)$", id="nan"),
+        pytest.param(npy(_one_slot(7, np.inf)),
+                     r"tower t1 slot 7 holds inf, not a number in \[0, inf\)$", id="inf"),
+        pytest.param(npy(_one_slot(143, -np.inf)),
+                     r"tower t1 slot 143 holds -inf, not a number in \[0, inf\)$", id="minus_inf"),
+        pytest.param(npy(_one_slot(0, -7.5)),
+                     r"tower t1 slot 0 holds -7.5, not a number in \[0, inf\)$", id="negative"),
     ],
-    ids=["missing", "empty", "csv", "npz", "object", "float32", "int64", "big_endian", "two_rows",
-         "143_slots", "1d", "truncated", "trailing_byte", "nan", "inf", "minus_inf", "negative"],
 )
 def test_read_binned_rejects_malformed_array(tmp_path, content, message):
     paths = write_binned(tmp_path, bin_traffic([], 0, 1, registry("t1")), origin=0, days=1)
@@ -309,19 +281,10 @@ def test_read_binned_rejects_malformed_array(tmp_path, content, message):
         read_binned(*paths)
 
 
-@pytest.mark.parametrize(
-    "shape, message",
-    [
-        ((2**32 - 1, 144), "mmap length is greater than file size"),
-        # the size overflows int64, as a Python int or in numpy's own product
-        ((2**64, 1), "Python int too large to convert to C long"),
-        ((2**62, 2**62), "overflow encountered in scalar multiply"),
-    ],
-    ids=["2**32-1_rows", "2**64_rows", "2**124_slots"],
-)
+@pytest.mark.parametrize("shape, message", HUGE_HEADERS)
 def test_read_binned_rejects_a_header_claiming_more_than_the_file_holds(tmp_path, shape, message):
     paths = write_binned(tmp_path, bin_traffic([], 0, 1, registry("t1")), origin=0, days=1)
-    paths[0].write_bytes(_npy_header(shape))
+    paths[0].write_bytes(npy_header(shape))
     tracemalloc.start()
     try:
         with pytest.raises(IngestError, match=f"^{re.escape(str(paths[0]))}: {message}$"):
@@ -775,6 +738,16 @@ def test_parse_towers_counts_physical_lines():
     text = 'tower_id,lat,lon\n"t\n1",0,0\nt2,95,0\n'
     with pytest.raises(IngestError, match="towers line 4: coordinate out of range"):
         parse_towers(io.StringIO(text))
+
+
+@pytest.mark.parametrize("slot_bytes", [np.zeros((1008, 2)), np.zeros((1, 144)), np.float64(7.0)],
+                         ids=["2d", "one_row", "0d"])
+def test_a_binned_series_is_1_d(slot_bytes):
+    # a (1008, 2) series once passed trim_to_weeks and vectorize_all, and
+    # write_binned raised a bare ValueError from its reshape
+    shape = re.escape(str(np.shape(slot_bytes)))
+    with pytest.raises(IngestError, match=f"^tower t1: series of shape {shape}$"):
+        BinnedSeries("t1", 0, slot_bytes)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -7.5, -5e-324])

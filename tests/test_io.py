@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cellmine
@@ -211,6 +211,26 @@ def test_write_vectors_csv_golden(tmp_path):
     assert write_vectors_csv(tmp_path / "w.csv", []).read_bytes() == b"tower_id,degenerate\n"
 
 
+def test_write_vectors_binary_golden(tmp_path):
+    ids = ["a", "x,y", "塔-é", "b\x00"]
+    values = [[5e-324, 1e308], [F17, -0.0], [1.0, -1.0], [0.0, 0.0]]
+    vectors = [TrafficVector(t, np.array(v), t == "b\x00") for t, v in zip(ids, values)]
+    path = write_vectors_binary(tmp_path / "v.bin", vectors)
+    # the .npy of write_binned, rows in tower order, and the manifest beside it
+    header = b"\x93NUMPY\x01\x00v\x00{'descr': '<f8', 'fortran_order': False, 'shape': (4, 2), }"
+    rows = [values[i] for i in (0, 3, 1, 2)]
+    assert path.read_bytes() == header.ljust(127) + b"\n" + np.array(rows).astype("<f8").tobytes()
+    assert (tmp_path / "v.bin.json").read_bytes() == (
+        b'{\n  "degenerate": [\n    false,\n    true,\n    false,\n    false\n  ],\n'
+        b'  "towers": [\n    "a",\n    "b\\u0000",\n    "x,y",\n    "\\u5854-\\u00e9"\n  ],\n'
+        b'  "values": 2\n}\n'
+    )
+    assert write_vectors_binary(tmp_path / "w.bin", []).read_bytes() == (
+        b"\x93NUMPY\x01\x00v\x00{'descr': '<f8', 'fortran_order': False, 'shape': (0, 0), }"
+        .ljust(127) + b"\n"
+    )
+
+
 # --- write -> read round trips ----------------------------------------------
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, F17]
@@ -267,12 +287,12 @@ def test_binned_round_trip_property(case):
 
 
 @st.composite
-def vector_lists(draw):
+def vector_lists(draw, ids=IDS):
     n = draw(st.integers(0, 4))
     values = st.lists(FLOATS, min_size=n, max_size=n).map(np.array)
     # a degenerate vector is all zeros
     zeros = st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n).map(np.array)
-    vector = st.builds(TrafficVector, IDS, values) | st.builds(TrafficVector, IDS, zeros, st.just(True))
+    vector = st.builds(TrafficVector, ids, values) | st.builds(TrafficVector, ids, zeros, st.just(True))
     # A file names each tower once, so the readers reject a repeated id.
     return draw(st.lists(vector, max_size=4, unique_by=lambda v: v.tower_id))
 
@@ -290,7 +310,10 @@ def test_vectors_csv_round_trip_property(vectors):
     _assert_same_vectors(round_trip(write_vectors_csv, read_vectors, vectors), vectors)
 
 
-@given(vector_lists())
+# The JSON manifest escapes any id, so the binary file also holds an id that
+# ends in NUL and one with a lone surrogate, which UTF-8 cannot encode.
+@given(vector_lists(IDS | st.sampled_from(["t\x00", "b\udc80"])))
+@example([TrafficVector("t\x00", np.array([1.0])), TrafficVector("b\udc80", np.zeros(1), True)])
 def test_vectors_binary_round_trip_property(vectors):
     _assert_same_vectors(round_trip(write_vectors_binary, read_vectors, vectors, "v.bin"), vectors)
 
@@ -386,7 +409,7 @@ ALLOWED_CALLS = {
     "csv.writer": set(),
     "json.dump": {("common", "write_json")},
     "json.load": {("common", "read_json")},
-    "np.load": {("ingest", "read_binned")},
+    "np.load": {("common", "read_npy")},
     "np.save": set(),
 }
 
@@ -418,19 +441,20 @@ def test_csv_and_json_calls_stay_in_the_io_helpers():
 
 def test_every_npy_call_refuses_pickles():
     # a pickle in a file runs code when it is loaded
-    calls = 0
+    calls = []
     for path in sorted(Path(cellmine.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("load", "save") and isinstance(node.func.value, ast.Name)
                     and node.func.value.id == "np"):
                 continue
-            calls += 1
+            calls.append(f"{path.name}: np.{node.func.attr}")
             pickle = {kw.arg: kw.value for kw in node.keywords}.get("allow_pickle")
             assert isinstance(pickle, ast.Constant) and pickle.value is False, (
                 f"{path.name} line {node.lineno}: np.{node.func.attr} without allow_pickle=False"
             )
-    assert calls == 1
+    # the one reader of every staged matrix
+    assert calls == ["common.py: np.load"]
 
 
 def test_every_open_is_binary_or_utf8():
@@ -456,14 +480,14 @@ def test_every_open_is_binary_or_utf8():
         lambda path: write_vectors_csv(path, [TrafficVector("a", np.zeros(3)),
                                               TrafficVector("b", np.ones(3), None)]),
         lambda path: write_vectors_binary(path, [TrafficVector("a", np.zeros(3)),
-                                                 TrafficVector("b", np.ones(3), None)]),
+                                                 TrafficVector("b", np.full(3, object()))]),
         lambda path: write_json(path, {"a": 1, "b": object()}, ValueError),
     ],
     ids=["vectors_csv", "vectors_binary", "json"],
 )
 def test_a_failed_write_keeps_the_old_file(tmp_path, write):
     # each write fails part way, after it has written a first record: a
-    # degenerate flag of None has no int, and an object() no JSON
+    # degenerate flag of None has no int, and an object() no float and no JSON
     path = write_vectors_csv(tmp_path / "old", [TrafficVector("z", np.arange(3.0))])
     before = path.read_bytes()
     with pytest.raises(TypeError):
@@ -477,9 +501,6 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, write):
     [
         (lambda directory, tower: write_vectors_csv(
             directory / "v.csv", [TrafficVector("a", np.zeros(3)), TrafficVector(tower, np.ones(3))]),
-         VectorizeError),
-        (lambda directory, tower: write_vectors_binary(
-            directory / "v.bin", [TrafficVector("a", np.zeros(3)), TrafficVector(tower, np.ones(3))]),
          VectorizeError),
         (lambda directory, tower: write_assignments(directory / "a.csv", _model({"a": 1, tower: 2})),
          ClusterError),
@@ -498,8 +519,8 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, write):
             {t: PoiProfile(t, np.zeros(4, dtype=int), np.zeros(4), None) for t in ("a", tower)}),
          PoiError),
     ],
-    ids=["vectors_csv", "vectors_binary", "assignments", "spectral_features", "mixtures",
-         "time_features", "poi_profiles"],
+    ids=["vectors_csv", "assignments", "spectral_features", "mixtures", "time_features",
+         "poi_profiles"],
 )
 def test_a_tower_id_utf8_cannot_encode_fails_with_the_module_error(tmp_path, write, error):
     write(tmp_path, "c")
@@ -522,6 +543,16 @@ def test_a_tower_id_utf8_cannot_encode_round_trips_through_the_binned_manifest(t
     assert same(series[tower].slot_bytes, np.arange(144.0))
 
 
+def test_a_tower_id_utf8_cannot_encode_round_trips_through_the_vectors_manifest(tmp_path):
+    # as in the binned manifest: the .npy holds no ids, and the JSON escapes the surrogate
+    vectors = [TrafficVector("a", np.zeros(3), True), TrafficVector("b\udc80", np.arange(3.0))]
+    path = write_vectors_binary(tmp_path / "v.bin", vectors)
+    assert b'"b\\udc80"' in (tmp_path / "v.bin.json").read_bytes()
+    loaded = read_vectors(path)
+    assert [v.tower_id for v in loaded] == ["a", "b\udc80"]
+    assert same(loaded[1].values, np.arange(3.0))
+
+
 @pytest.mark.parametrize(
     "write, error",
     [
@@ -540,13 +571,12 @@ def test_a_tower_id_utf8_cannot_encode_round_trips_through_the_binned_manifest(t
 )
 def test_a_repeated_tower_fails_with_the_module_error(tmp_path, write, error):
     # the readers reject a file that names a tower twice, so the writers do not write one
-    path = tmp_path / "out"
-    write(path, ["a", "b"])
-    before = path.read_bytes()
+    # every file the writer wrote (the binary one writes a manifest beside it) stays as it was
+    write(tmp_path / "out", ["a", "b"])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(error, match="^tower b is repeated$"):
-        write(path, ["b", "a", "b"])
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        write(tmp_path / "out", ["b", "a", "b"])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 MISSING, IS_A_DIRECTORY = "[Errno 2] No such file or directory", "[Errno 21] Is a directory"
@@ -561,6 +591,13 @@ def _binned_without(directory, name):
     write_binned(directory, BINNED, 0, 1)
     (directory / name).unlink()
     return directory / name
+
+
+def _vectors_without_manifest(directory):
+    """The manifest of a vectors.bin, deleted."""
+    write_vectors_binary(directory / "vectors.bin", [TrafficVector("a", np.ones(3))])
+    (directory / "vectors.bin.json").unlink()
+    return directory / "vectors.bin.json"
 
 
 def _directory(path):
@@ -587,6 +624,8 @@ def _under_a_file(path):
         (lambda d: d / "mixtures.csv", read_mixtures, DecomposeError, MISSING),
         (lambda d: d / "vectors.csv", read_vectors, VectorizeError, MISSING),
         (lambda d: _directory(d / "vectors.csv"), read_vectors, VectorizeError, IS_A_DIRECTORY),
+        (_vectors_without_manifest, lambda path: read_vectors(path.with_name("vectors.bin")),
+         VectorizeError, MISSING),
         (lambda d: d / "no" / "mixtures.csv", lambda path: write_mixtures(path, []),
          DecomposeError, MISSING),
         (lambda d: d / "no" / "vertices.json", lambda path: write_vertices(path, UNIT_CORNER),
@@ -600,7 +639,7 @@ def _under_a_file(path):
     ],
     ids=["read_binned_npy", "read_binned_manifest", "read_vertices", "read_assignments",
          "read_spectral_features", "read_mixtures", "read_vectors", "read_vectors_directory",
-         "write_csv", "write_json", "write_csv_under_a_file", "write_vectors_binary",
+         "read_vectors_manifest", "write_csv", "write_json", "write_csv_under_a_file", "write_vectors_binary",
          "write_binned_directory"],
 )
 def test_a_file_error_fails_with_the_module_error_naming_the_path(tmp_path, place, act, error,

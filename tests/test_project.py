@@ -180,10 +180,33 @@ def test_the_package_opens_files_only_through_the_file_layer():
     assert not found, f"opens that bypass open_replacing and open_reading: {found}"
 
 
+def test_only_common_knows_the_npy_format():
+    """Every staged matrix is written by ``common.write_npy`` and read by
+    ``common.read_npy``, so ``np.lib.format`` is named in ``common`` alone,
+    and nothing is imported from ``numpy.lib.format``."""
+    found, inside = [], 0
+    for path in sorted(ROOT.glob("src/cellmine/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                names = [_dotted(node) or ""]
+            if not any(name.startswith(("np.lib.format", "numpy.lib.format")) for name in names):
+                continue
+            if path.stem == "common":
+                inside += 1
+            else:
+                found.append(f"{path.name} line {node.lineno}")
+    assert inside, "common names no np.lib.format: the test checks nothing"
+    assert not found, f"np.lib.format outside common: {found}"
+
+
 # The file helpers of ``common`` that take the caller's error class.
 FILE_HELPERS = ("open_replacing", "open_reading", "write_csv", "write_csv_blocks", "write_json",
                 "csv_errors", "read_csv", "read_table", "read_json", "read_header",
-                "sorted_by_tower")
+                "sorted_by_tower", "write_npy", "read_npy")
 
 
 def test_every_file_helper_call_passes_its_own_module_error():

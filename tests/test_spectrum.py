@@ -249,7 +249,7 @@ def full_fft_amplitude_variance(series):
     return half, tuple(int(k) for k in top3)
 
 
-@given(st.integers(2, 8), st.integers(4, 257), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 8), st.integers(6, 257), st.integers(0, 2**32 - 1))
 @example(3, 1008, 0)
 @example(3, 1009, 0)
 def test_amplitude_variance_equals_full_fft_oracle(towers, n, seed):
@@ -337,7 +337,31 @@ def test_energy_ratio_of_zeros_is_one():
 @pytest.mark.parametrize("spectra, message", [
     ([dft(np.ones(1008))], "^amplitude variance needs at least 2 towers$"),
     ([dft(np.ones(1008)), dft(np.ones(2016))], "^spectra have mixed lengths$"),
+    # bins (1, 2) alone, where three were promised
+    ([dft(np.ones(4)), dft(np.arange(4.0))], "^spectra of n = 4 hold 2 bins above DC, not 3$"),
+    ([dft(np.ones(5)), dft(np.arange(5.0))], "^spectra of n = 5 hold 2 bins above DC, not 3$"),
+    ([dft(np.ones(1)), dft(np.ones(1))], "^spectra of n = 1 hold 0 bins above DC, not 3$"),
 ])
 def test_amplitude_variance_rejects_bad_spectra(spectra, message):
     with pytest.raises(SpectrumError, match=message):
         amplitude_variance(spectra)
+
+
+@pytest.mark.parametrize("coefficients, n, shape", [
+    (np.ones(10), 4032, r"\(10,\)"),  # principal_components raised a bare IndexError
+    (np.ones(2017), 2016, r"\(2017,\)"),  # it read DC as all three components
+    (np.ones((1, 2017)), 4032, r"\(1, 2017\)"),
+    (np.ones(1), 0, r"\(1,\)"),
+    (np.ones(0), 0, r"\(0,\)"),
+    (np.ones(1), -1, r"\(1,\)"),
+])
+def test_a_spectrum_holds_the_bins_of_its_length(coefficients, n, shape):
+    message = f"^n = {n} with coefficients of shape {shape}: a spectrum of n >= 1 values holds"
+    with pytest.raises(SpectrumError, match=message):
+        Spectrum(coefficients, n)
+
+
+@pytest.mark.parametrize("n", [0, -1008, 1007, 1009])
+def test_principal_indices_need_a_positive_whole_number_of_weeks(n):
+    with pytest.raises(SpectrumError, match=f"^series length {n} is not a positive whole number of weeks$"):
+        principal_indices(n)

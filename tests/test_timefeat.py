@@ -326,3 +326,18 @@ def test_curves_with_a_non_finite_slot_fail_with_timefeat_error(bad):
     peaked = DailyProfile("p", day_curve(60), day_curve(60))
     with pytest.raises(TimefeatError, match=f"^s: weekday slot 7 holds {bad}, not a finite mean$"):
         peak_offset(peaked, DailyProfile("s", curve, day_curve(60)))
+
+
+@pytest.mark.parametrize("curve, shape", [
+    (np.zeros(0), r"\(0,\)"),  # a bare ValueError: zero-size array to reduction
+    (np.ones((2, 72)), r"\(2, 72\)"),  # a bare TypeError
+    (np.float64(1.0), r"\(\)"),
+])
+def test_an_empty_or_not_1_d_curve_fails_with_timefeat_error(curve, shape):
+    message = f"^s: {{}} curve of shape {shape}, not a non-empty 1-D curve$"
+    with pytest.raises(TimefeatError, match=message.format("weekday")):
+        compute_time_features(DailyProfile("s", curve, curve))
+    with pytest.raises(TimefeatError, match=message.format("weekend")):
+        compute_time_features(DailyProfile("s", day_curve(60), curve))
+    with pytest.raises(TimefeatError, match=message.format("weekday")):
+        peak_offset(DailyProfile("p", day_curve(60), day_curve(60)), DailyProfile("s", curve, curve))

@@ -1,12 +1,20 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from npyfiles import HUGE_HEADERS, MALFORMED_ARRAYS, npy, npy_header
 from scaling import exponents, is_normal, same_bits
 
-from cellmine.common import SLOT_SECONDS, SLOTS_PER_WEEK, local_seconds_of_day, local_weekday
+from cellmine.common import (
+    NPY_MAGIC,
+    SLOT_SECONDS,
+    SLOTS_PER_WEEK,
+    local_seconds_of_day,
+    local_weekday,
+)
 from cellmine.ingest import BinnedSeries
 from cellmine.timefeat import daily_profile
 from cellmine.vectorize import (
@@ -169,34 +177,21 @@ def test_normalize_is_exactly_scale_invariant(ek, seed):
                      normalize(BinnedSeries("t", 0, x)).values)
 
 
-def test_write_vectors_csv_rejects_vectors_of_different_lengths(tmp_path):
+@pytest.mark.parametrize("write", [write_vectors_csv, write_vectors_binary], ids=["csv", "binary"])
+def test_vector_writers_reject_vectors_of_different_lengths(tmp_path, write):
     vectors = [TrafficVector("a", np.zeros(2)), TrafficVector("b", np.zeros(3))]
-    with pytest.raises(VectorizeError, match="tower b holds 3 values, but tower a holds 2"):
-        write_vectors_csv(tmp_path / "v.csv", vectors)
-    assert not (tmp_path / "v.csv").exists()
+    with pytest.raises(VectorizeError, match="^tower b holds 3 values, but tower a holds 2$"):
+        write(tmp_path / "v", vectors)
+    assert not list(tmp_path.iterdir())
 
 
-def test_write_vectors_binary_rejects_id_too_long_and_keeps_the_file(tmp_path):
-    path = write_vectors_binary(tmp_path / "v.bin", [TrafficVector("a", np.arange(2.0))])
-    before = path.read_bytes()
-    # 65,535 UTF-8 bytes is the most a u16 length holds; "é" is two bytes
-    vectors = [TrafficVector("a", np.zeros(2)), TrafficVector("é" * 32768, np.zeros(2))]
-    with pytest.raises(VectorizeError, match="id is 65536 UTF-8 bytes, more than the 65535"):
-        write_vectors_binary(path, vectors)
-    assert path.read_bytes() == before
-    longest = [TrafficVector("x" * 65535, np.ones(2))]
-    assert read_vectors(write_vectors_binary(path, longest))[0].tower_id == "x" * 65535
-
-
-def test_read_vectors_binary_truncated(tmp_path):
-    vectors = [TrafficVector("a", np.arange(5.0)), TrafficVector("b", np.ones(5))]
-    path = write_vectors_binary(tmp_path / "v.bin", vectors)
-    data = path.read_bytes()
-    # cut inside the count, an id length, an id, the flag/length header and the values
-    for size in (9, 13, 15, 16, 30, len(data) - 1):
-        path.write_bytes(data[:size])
-        with pytest.raises(VectorizeError, match="truncated vector file: .*v.bin"):
-            read_vectors(path)
+def test_vectors_binary_round_trips_an_id_of_any_length(tmp_path):
+    # 65,536 UTF-8 bytes: one more than the u16 length of the earlier record format held
+    vectors = [TrafficVector("é" * 32768, np.arange(2.0)), TrafficVector("a", np.zeros(2), True)]
+    loaded = read_vectors(write_vectors_binary(tmp_path / "v.bin", vectors))
+    assert [(v.tower_id, v.degenerate, v.values.tolist()) for v in loaded] == [
+        ("a", True, [0.0, 0.0]), ("é" * 32768, False, [0.0, 1.0])
+    ]
 
 
 @pytest.mark.parametrize(
@@ -237,40 +232,95 @@ def test_read_vectors_csv_checks_value_columns(tmp_path, header):
         read_vectors(path)
 
 
-# magic, one record: id length, id "ab", degenerate flag, value count, one value
-BINARY_RECORD = b"CMVEC1\n" + b"\x01\x00\x00\x00" + b"\x02\x00ab" + b"\x00\x01\x00\x00\x00" + bytes(8)
+def _vectors_bin(tmp_path):
+    """A vectors.bin of tower t1, whose array has the shape of the arrays in
+    ``npyfiles``, and the message prefix of its reader's errors."""
+    path = write_vectors_binary(tmp_path / "vectors.bin", [TrafficVector("t1", np.ones(144))])
+    return path, f"^{re.escape(str(path))}: "
+
+
+@pytest.mark.parametrize("content, message", MALFORMED_ARRAYS)
+def test_read_vectors_binary_rejects_malformed_array(tmp_path, content, message):
+    path, prefix = _vectors_bin(tmp_path)
+    if content is None:
+        path.unlink()
+    else:
+        path.write_bytes(content)
+    readers = [read_vectors_binary]
+    if content is None or content.startswith(NPY_MAGIC):  # read_vectors reads other files as CSV
+        readers.append(read_vectors)
+    for read in readers:
+        with pytest.raises(VectorizeError, match=prefix + message):
+            read(path)
+
+
+@pytest.mark.parametrize("shape, message", HUGE_HEADERS)
+def test_read_vectors_rejects_a_header_claiming_more_than_the_file_holds(tmp_path, shape, message):
+    path, prefix = _vectors_bin(tmp_path)
+    path.write_bytes(npy_header(shape))
+    tracemalloc.start()
+    try:
+        with pytest.raises(VectorizeError, match=f"{prefix}{message}$"):
+            read_vectors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
-    "data, message",
+    "row, slot, value, message",
     [
-        (BINARY_RECORD.replace(b"ab", b"a\xff"), "v.bin record 1: tower id is not UTF-8"),
-        # a value count of 2**32 - 1, some 34 GB, in a 28-byte file
-        (BINARY_RECORD[:-12] + b"\xff\xff\xff\xff" + bytes(8),
-         "v.bin record 1 claims 4294967295 values"),
-        (BINARY_RECORD.replace(b"ab\x00", b"ab\x07"), "v.bin record 1: degenerate flag is 7, not 0 or 1"),
-        (BINARY_RECORD + b"\x00", "v.bin: bytes after the last of 1 records"),
-        (BINARY_RECORD[:-8] + bytes(6) + b"\xf8\x7f", "v.bin record 1: v0 is NaN"),
-        # flagged degenerate, with the value 1.0
-        (BINARY_RECORD.replace(b"ab\x00", b"ab\x01")[:-8] + bytes(6) + b"\xf0\x3f",
-         "v.bin record 1: tower ab: degenerate, but its values are not all 0"),
-        (BINARY_RECORD.replace(b"\x01", b"\x02", 1) + BINARY_RECORD[11:],
-         "v.bin record 2: tower ab is repeated"),
+        (1, 7, np.nan, "tower t1: v7 is NaN$"),
+        (0, 143, -np.nan, "tower t0: v143 is NaN$"),
+        (0, 0, 1.0, "tower t0: degenerate, but its values are not all 0$"),
     ],
+    ids=["nan", "negative_nan", "degenerate_not_zero"],
 )
-def test_read_vectors_binary_rejects_malformed_file(tmp_path, data, message):
-    path = tmp_path / "v.bin"
-    path.write_bytes(data)
-    with pytest.raises(VectorizeError, match=message):
+def test_read_vectors_binary_rejects_a_bad_value(tmp_path, row, slot, value, message):
+    vectors = [TrafficVector("t0", np.zeros(144), True), TrafficVector("t1", np.ones(144))]
+    path = write_vectors_binary(tmp_path / "vectors.bin", vectors)
+    matrix = np.stack([v.values for v in vectors])
+    matrix[row, slot] = value
+    path.write_bytes(npy(matrix))
+    with pytest.raises(VectorizeError, match=f"^{re.escape(str(path))}: {message}"):
         read_vectors(path)
-    # the same record, well formed, reads back
-    path.write_bytes(BINARY_RECORD)
-    assert [(v.tower_id, v.degenerate, v.values.tolist()) for v in read_vectors(path)] == [
-        ("ab", False, [0.0])
-    ]
 
 
-def test_read_vectors_binary_rejects_a_file_without_the_magic(tmp_path):
-    path = write_vectors_csv(tmp_path / "v.csv", [TrafficVector("a", np.arange(2.0))])
-    with pytest.raises(VectorizeError, match=f"^not a cellmine vector file: {re.escape(str(path))}$"):
-        read_vectors_binary(path)
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ('{"towers": ["t1"], "values": 144}', "KeyError: 'degenerate'"),
+        ('{"towers": "t1", "degenerate": [false], "values": 144}',
+         "TypeError: towers is not a list of strings"),
+        ('{"towers": ["t1", "t1"], "degenerate": [false, false], "values": 144}',
+         "ValueError: tower t1 is repeated"),
+        ('{"towers": ["t1"], "degenerate": [0], "values": 144}',
+         "TypeError: degenerate is not a list of 1 bools"),
+        ('{"towers": ["t1"], "degenerate": [false, false], "values": 144}',
+         "TypeError: degenerate is not a list of 1 bools"),
+        ('{"towers": ["t1"], "degenerate": false, "values": 144}',
+         "TypeError: degenerate is not a list of 1 bools"),
+        ('{"towers": ["t1"], "degenerate": [false], "values": 144.0}',
+         "ValueError: values is 144.0, not a count"),
+        ('{"towers": ["t1"], "degenerate": [false], "values": -1}',
+         "ValueError: values is -1, not a count"),
+        ("[", "JSONDecodeError"),
+    ],
+    ids=["no_flags", "towers_not_a_list", "repeated_tower", "flag_not_bool", "two_flags",
+         "flags_not_a_list", "float_width", "negative_width", "bad_json"],
+)
+def test_read_vectors_binary_rejects_malformed_manifest(tmp_path, manifest, message):
+    path, _ = _vectors_bin(tmp_path)
+    manifest_path = tmp_path / "vectors.bin.json"
+    manifest_path.write_text(manifest)
+    with pytest.raises(VectorizeError, match=f"^{re.escape(str(manifest_path))}: {message}"):
+        read_vectors(path)
+
+
+def test_a_vector_is_1_d():
+    # a (1008, 2) series once gave a (1008, 2) vector, on which HAC failed with a bare ValueError
+    with pytest.raises(VectorizeError, match=r"^tower t: vector of shape \(1008, 2\)$"):
+        TrafficVector("t", np.zeros((1008, 2)))
+    with pytest.raises(VectorizeError, match=r"^tower t: vector of shape \(\)$"):
+        TrafficVector("t", np.float64(1.0))
