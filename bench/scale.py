@@ -7,7 +7,8 @@ Run from the repository root:
 For 500, 2,000 and 10,000 towers it generates the seed-1 city
 ``CitySpec(towers=N, sessions_per_block=1)`` with ``perfbench/citygen.py``
 (cached under ``bench/.cache``), then runs ``perfbench/pipeline.py``'s traced, in-memory
-``run_pipeline`` on it in a fresh process, with BLAS pinned to one thread.
+``run_pipeline`` on it in a fresh process, with BLAS pinned to ``BLAS_THREADS``
+threads.
 ``--root`` picks the checkout whose ``src`` and ``perfbench`` are run, so an
 older commit can be measured with this script. The record of each run (the
 seconds and ``ru_maxrss`` of importing numpy, scipy and the pipeline with every
@@ -17,8 +18,9 @@ environment) goes into
 ``BENCH_scale.json`` under ``--label``; records under other labels are kept.
 ``pipeline_s`` and ``self_s`` are wall seconds; ``pipeline_s_scaled`` and
 ``self_s_scaled`` are the same times multiplied by the record's ``probe_scale``,
-as ``perfbench/run.py`` scales them, so that records made while the host ran
-at different speeds can be compared.
+``PROBE_REF_S`` over the probe time. ``BLAS_THREADS`` and ``PROBE_REF_S`` are
+imported from ``perfbench/run.py``, so these records are made and scaled as the
+benchmark's are. Every benchmark module comes from the ``--root`` checkout.
 The 10k city takes minutes and a few GB of memory. This is not part of the
 test suite.
 """
@@ -41,9 +43,6 @@ OUT = REPO / "BENCH_scale.json"
 CACHE = REPO / "bench" / ".cache"
 TOWERS = (500, 2000, 10000)
 SEED = 1
-BLAS_THREADS = "1"
-# the probe time at the reference CPU speed, as in perfbench/run.py
-PROBE_REF_S = 0.45
 
 
 def _import_bench(root: Path) -> None:
@@ -78,6 +77,7 @@ def run_one(root: Path, city: Path) -> dict:
     import numpy
     import pipeline
     import scipy
+    from run import PROBE_REF_S
 
     import_s = perf_counter() - t0
     import_maxrss_mb = pipeline._maxrss_mb()
@@ -130,7 +130,6 @@ def run_one(root: Path, city: Path) -> dict:
 def city_for(root: Path, towers: int) -> Path:
     city = CACHE / f"city-{towers}-s{SEED}"
     if not (city / "truth.json").exists():
-        _import_bench(root)
         from citygen import CitySpec, generate
 
         generate(CitySpec(towers=towers, sessions_per_block=1), SEED, city)
@@ -147,6 +146,9 @@ def main(argv=None) -> int:
     if args.one:
         print(json.dumps(run_one(root, args.one)))
         return 0
+
+    _import_bench(root)
+    from run import BLAS_THREADS
 
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

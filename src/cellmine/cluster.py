@@ -111,13 +111,8 @@ def _check_vectors(vectors: Sequence[TrafficVector]) -> np.ndarray:
     n = vectors[0].n
     if any(v.n != n for v in vectors):
         raise ClusterError("vectors have mixed lengths")
-    matrix = np.stack([v.values for v in vectors])
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise ClusterError(
-            f"tower {vectors[int(np.argmin(finite))].tower_id}: vector holds non-finite values"
-        )
-    return matrix
+    # finite: every TrafficVector checks its own values
+    return np.stack([v.values for v in vectors])
 
 
 def _leaf_matrix(dendrogram: Dendrogram, vectors: Sequence[TrafficVector]) -> np.ndarray:

@@ -2,7 +2,9 @@
 files with, and small helpers used across pipeline stages. Every file is
 written through ``open_replacing`` and read through ``open_reading``; either
 turns an ``OSError`` into the stage's own error naming the file. Every text
-file is UTF-8, and text that UTF-8 cannot encode raises the writer's error."""
+file is UTF-8, and text that UTF-8 cannot encode raises the writer's error.
+``reject_bad`` is the one bad-value rule: every check of a module's values
+names the first bad entry and its value through it."""
 
 from __future__ import annotations
 
@@ -263,13 +265,16 @@ def unit_scaled(values: np.ndarray) -> tuple[np.ndarray, np.integer | np.ndarray
     return np.ldexp(values, -e), e
 
 
-def reject_nan(values: Sequence[float] | np.ndarray, column: Callable[[int], str]) -> None:
-    """Raise ``ValueError`` naming ``column(i)`` for the first NaN
-    ``values[i]``, if there is one. A reader calls it on each row it parses,
-    so that no NaN in a file passes on in silence."""
-    nan = np.isnan(values)
-    if nan.any():
-        raise ValueError(f"{column(int(nan.argmax()))} is NaN")
+def reject_bad(values: Sequence | np.ndarray, ok: np.ndarray, error: type[Exception],
+               where: Callable[..., str], what: str) -> None:
+    """Raise ``error`` as ``<where(*i)> holds <values[i]>, not <what>`` for the
+    first index ``i`` (C order, any rank) at which ``ok``, a mask of the shape of
+    ``values``, is False. The package's one bad-value rule: every check on the
+    values of a series, a vector, a matrix or a parsed row names its first bad
+    entry through it."""
+    if not ok.all():
+        i = np.unravel_index(int(ok.argmin()), ok.shape)
+        raise error(f"{where(*i)} holds {np.asarray(values)[i]}, not {what}")
 
 
 def reject_repeat(seen: set[str], tower_id: str) -> None:

@@ -24,7 +24,7 @@ from scipy.spatial import KDTree
 from .common import (
     read_json,
     read_table,
-    reject_nan,
+    reject_bad,
     sorted_by_tower,
     unit_scaled,
     write_csv,
@@ -50,7 +50,8 @@ MIXTURES_HEADER = ["tower_id", "x1", "x2", "x3", "x4", "residual"]
 #   [2 V'V on S x S, 1 on S] [x     ]   [2 V'f on S]
 #   [1 on S,         0     ] [lambda] = [1         ]
 # with the row and column of each i off S reduced to x_i = 0. _KKT_FRAME holds
-# the parts that do not depend on V: the border and the 1 that pins x_i.
+# the parts that do not depend on V: the border and the 1 that pins x_i;
+# PolygonModel adds its 2 V'V to them once.
 _SUPPORTS = np.array(
     [[i in s for i in range(4)] for k in (2, 3, 4) for s in itertools.combinations(range(4), k)],
     dtype=float,
@@ -107,7 +108,8 @@ class FeaturePoint:
 class PolygonModel:
     """Simplex spanned by the four representative towers (one per
     non-comprehensive cluster, in ``vertex_clusters`` order). ``matrix``
-    holds the vertices as columns. ``space`` checks itself (see
+    holds the vertices as columns, and ``kkt`` the KKT matrices of
+    ``solve_mixture``'s eleven supports. ``space`` checks itself (see
     ``FeatureSpace``). A model of other than 4 vertices, of vertices that are
     not ``len(space.names)`` finite values, of vertices so large that their
     Gram matrix overflows, or of a flat simplex (see ``MIN_SIMPLEX_VOLUME``)
@@ -117,6 +119,7 @@ class PolygonModel:
     vertex_clusters: list[int]
     space: FeatureSpace
     matrix: np.ndarray = field(init=False, repr=False, compare=False)  # (dims, 4)
+    kkt: np.ndarray = field(init=False, repr=False, compare=False)  # (11, 5, 5)
 
     def __post_init__(self):
         dims = len(self.space.names)
@@ -126,12 +129,13 @@ class PolygonModel:
             raise DecomposeError(f"polygon model needs 4 vertices of {dims} finite values each")
         self.matrix = np.stack([v.f for v in self.vertices], axis=1)
         with np.errstate(all="ignore"):
-            # the doubled Gram matrix that solve_mixture's KKT systems hold
-            kkt_finite = np.isfinite(2.0 * (self.matrix.T @ self.matrix)).all()
-        if not kkt_finite:
+            gram = 2.0 * (self.matrix.T @ self.matrix)  # doubled, as the KKT systems hold it
+        if not np.isfinite(gram).all():
             raise DecomposeError(
                 "polygon model's vertices are too large: their Gram matrix overflows"
             )
+        self.kkt = _KKT_FRAME.copy()
+        self.kkt[:, :4, :4] += gram * _KKT_PAIRS
         edges = self.matrix.T - self.matrix.T[0]  # the simplex moved to the origin
         scaled = unit_scaled(edges.ravel())[0].reshape(edges.shape)
         if not simplex_volume(scaled) > MIN_SIMPLEX_VOLUME:
@@ -152,10 +156,8 @@ def build_feature_points(
         raise DecomposeError("feature standardization needs at least 2 towers")
     names = FEATURE_NAMES
     raw = np.array([[getattr(f, n) for n in names] for f in features], dtype=float)
-    bad = np.argwhere(~np.isfinite(raw))
-    if bad.size:
-        i, j = bad[0]
-        raise DecomposeError(f"tower {features[i].tower_id}: {names[j]} is {raw[i, j]}, not finite")
+    reject_bad(raw, np.isfinite(raw), DecomposeError,
+               lambda i, j: f"tower {features[i].tower_id}: {names[j]}", "finite")
     scaled, e = unit_scaled(raw)
     # A column of one value is flat even when its mean rounds, which leaves
     # its std a little above 0; a flat dimension fails FeatureSpace's check
@@ -255,15 +257,13 @@ def solve_mixture(
         raise DecomposeError(
             f"tower {tower_id!r}: point {f.tolist()} is not {v_full.shape[0]} finite values"
         )
-    kkt = _KKT_FRAME.copy()
-    kkt[:, :4, :4] += (2.0 * (v_full.T @ v_full)) * _KKT_PAIRS
     rhs = np.ones((len(_SUPPORTS), 5, 1))
     # A point far enough out overflows here; its objectives come out inf or
     # NaN, and the check on the winner below turns that into an error.
     with np.errstate(all="ignore"):
         rhs[:, :4, 0] = (2.0 * (v_full.T @ f)) * _SUPPORTS
         try:
-            solved = np.linalg.solve(kkt, rhs)[:, :4, 0]
+            solved = np.linalg.solve(model.kkt, rhs)[:, :4, 0]
         except np.linalg.LinAlgError:
             raise DecomposeError("degenerate vertex subset in mixture solve") from None
         candidates = np.concatenate([np.eye(4), solved])
@@ -292,7 +292,7 @@ def write_mixtures(path: str | Path, mixtures: Sequence[MixtureCoefficients]) ->
 def read_mixtures(path: str | Path) -> list[MixtureCoefficients]:
     def mixture(fields: list[str]) -> MixtureCoefficients:
         vals = [float(v) for v in fields[1:]]
-        reject_nan(vals, lambda i: MIXTURES_HEADER[1 + i])
+        reject_bad(vals, ~np.isnan(vals), ValueError, lambda i: MIXTURES_HEADER[1 + i], "a number")
         return MixtureCoefficients(fields[0], np.array(vals[:4]), vals[4])
 
     return read_table(path, MIXTURES_HEADER, DecomposeError, "mixtures", mixture)

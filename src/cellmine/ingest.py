@@ -40,6 +40,7 @@ from .common import (
     read_header,
     read_json,
     read_npy,
+    reject_bad,
     reject_repeat,
     write_json,
     write_npy,
@@ -356,11 +357,8 @@ def bin_traffic(
 
 def _check_slots(matrix: np.ndarray, towers: Sequence[str]) -> np.ndarray:
     """``matrix``, or ``IngestError`` naming its first slot not in [0, inf); row i is ``towers[i]``."""
-    bad = ~((matrix >= 0.0) & (matrix < np.inf))  # also true for NaN
-    if bad.any():
-        i, slot = divmod(int(bad.argmax()), matrix.shape[1])
-        raise IngestError(f"tower {towers[i]} slot {slot} holds {matrix[i, slot]},"
-                          " not a number in [0, inf)")
+    reject_bad(matrix, (matrix >= 0.0) & (matrix < np.inf), IngestError,  # False for NaN
+               lambda i, slot: f"tower {towers[i]} slot {slot}", "a number in [0, inf)")
     return matrix
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .common import (
     SLOTS_PER_WEEK,
     read_table,
-    reject_nan,
+    reject_bad,
     sorted_by_tower,
     unit_scaled,
     write_csv,
@@ -45,8 +45,8 @@ class SpectrumError(ValueError):
 
 @dataclass(slots=True)
 class Spectrum:
-    """DFT bins 0..n//2 of one real series of length ``n``. The bins alone do
-    not give ``n``: lengths 2m and 2m + 1 both have m + 1 of them."""
+    """DFT bins 0..n//2 of one real series of length ``n``, each finite. The
+    bins alone do not give ``n``: lengths 2m and 2m + 1 both have m + 1 of them."""
 
     coefficients: np.ndarray
     n: int
@@ -55,6 +55,8 @@ class Spectrum:
         if self.n < 1 or np.shape(self.coefficients) != (self.n // 2 + 1,):
             raise SpectrumError(f"n = {self.n} with coefficients of shape {np.shape(self.coefficients)}:"
                                 " a spectrum of n >= 1 values holds n//2 + 1 bins")
+        reject_bad(self.coefficients, np.isfinite(self.coefficients), SpectrumError,
+                   "bin {}".format, "a finite coefficient")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,10 +107,7 @@ def _series(x: Sequence[float] | np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise SpectrumError("dft expects a non-empty 1-D real vector")
-    finite = np.isfinite(x)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise SpectrumError(f"dft expects finite values, but value {i} is {x[i]}")
+    reject_bad(x, np.isfinite(x), SpectrumError, "dft input value {}".format, "a finite value")
     return x
 
 
@@ -187,7 +186,7 @@ def write_spectral_features(path: str | Path, features: Sequence[SpectralFeature
 def read_spectral_features(path: str | Path) -> list[SpectralFeature]:
     def feature(fields: list[str]) -> SpectralFeature:
         vals = [float(x) for x in fields[1:]]
-        reject_nan(vals, lambda i: FEATURES_HEADER[1 + i])
+        reject_bad(vals, ~np.isnan(vals), ValueError, lambda i: FEATURES_HEADER[1 + i], "a number")
         return SpectralFeature(fields[0], *vals)
 
     return read_table(path, FEATURES_HEADER, SpectrumError, "spectral features", feature)

@@ -39,6 +39,7 @@ from .common import (
     SLOTS_PER_WEEK,
     local_seconds_of_day,
     local_weekday,
+    reject_bad,
     unit_scaled,
     write_csv,
 )
@@ -105,10 +106,8 @@ def daily_profile(series: BinnedSeries) -> DailyProfile:
         raise TimefeatError(
             f"{series.tower_id}: profile needs whole weeks of slots, got {values.size}"
         )
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise TimefeatError(f"{series.tower_id}: slot {i} holds {values[i]}, not a finite count")
+    reject_bad(values, np.isfinite(values), TimefeatError,
+               lambda i: f"{series.tower_id}: slot {i}", "a finite count")
     days, e = unit_scaled(values.reshape(-1, SLOTS_PER_DAY))
     weekdays = (local_weekday(series.origin) + np.arange(days.shape[0])) % 7
     weekday_mask = weekdays < 5
@@ -144,13 +143,8 @@ def _curves(what: str, *curves: tuple[DailyProfile, str]) -> np.ndarray:
     if len(set(lengths)) != 1:
         raise TimefeatError(f"{what} hold unequal numbers of slots: {lengths}")
     rows = np.array(rows, dtype=float)
-    finite = np.isfinite(rows)
-    if not finite.all():
-        k, slot = np.argwhere(~finite)[0]
-        profile, kind = curves[k]
-        raise TimefeatError(
-            f"{profile.source_id}: {kind} slot {slot} holds {rows[k, slot]}, not a finite mean"
-        )
+    reject_bad(rows, np.isfinite(rows), TimefeatError,
+               lambda k, slot: f"{curves[k][0].source_id}: {curves[k][1]} slot {slot}", "a finite mean")
     return rows
 
 

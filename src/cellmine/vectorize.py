@@ -31,7 +31,7 @@ from .common import (
     read_json,
     read_npy,
     read_table,
-    reject_nan,
+    reject_bad,
     sorted_by_tower,
     unit_scaled,
     write_csv_blocks,
@@ -49,10 +49,13 @@ class VectorizeError(ValueError):
 class TrafficVector:
     """Zero-score-normalized per-tower time series.
 
-    ``degenerate`` marks towers whose raw series was constant (dead towers);
-    their values are all zero, and a degenerate vector holding any other
-    value raises ``VectorizeError``. The caller drops them before clustering,
-    which raises ``ClusterError`` on a degenerate vector. ``values`` is 1-D.
+    ``values`` is a 1-D float64 array of finite values: the constructor
+    converts them, and a value that is not finite raises ``VectorizeError``
+    naming the tower and its index. ``degenerate`` marks towers whose raw
+    series was constant (dead towers); their values are all zero, and a
+    degenerate vector holding any other value raises ``VectorizeError``. The
+    caller drops them before clustering, which raises ``ClusterError`` on a
+    degenerate vector.
     """
 
     tower_id: str
@@ -60,9 +63,12 @@ class TrafficVector:
     degenerate: bool = False
 
     def __post_init__(self):
-        if np.ndim(self.values) != 1:
-            raise VectorizeError(f"tower {self.tower_id}: vector of shape {np.shape(self.values)}")
-        if self.degenerate and np.any(self.values):
+        self.values = values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 1:
+            raise VectorizeError(f"tower {self.tower_id}: vector of shape {values.shape}")
+        reject_bad(values, np.isfinite(values), VectorizeError,
+                   lambda i: f"tower {self.tower_id}: v{i}", "a finite value")
+        if self.degenerate and np.any(values):
             raise VectorizeError(f"tower {self.tower_id}: degenerate, but its values are not all 0")
 
     @property
@@ -109,10 +115,8 @@ def normalize(series: BinnedSeries) -> TrafficVector:
     raw = np.asarray(series.slot_bytes, dtype=float)
     if raw.size == 0:
         raise VectorizeError(f"tower {series.tower_id}: empty series")
-    finite = np.isfinite(raw)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise VectorizeError(f"tower {series.tower_id}: slot {i} holds {raw[i]}, not a finite count")
+    reject_bad(raw, np.isfinite(raw), VectorizeError,
+               lambda i: f"tower {series.tower_id}: slot {i}", "a finite count")
     scaled, _ = unit_scaled(raw)
     if np.ptp(scaled) == 0.0:
         return TrafficVector(series.tower_id, np.zeros_like(raw), degenerate=True)
@@ -149,9 +153,7 @@ def read_vectors_csv(path: str | Path) -> list[TrafficVector]:
         flag = fields[1]
         if flag not in ("0", "1"):
             raise ValueError(f"degenerate is {flag!r}, not 0 or 1")
-        values = np.array([float(x) for x in fields[2:]])
-        reject_nan(values, "v{}".format)
-        return TrafficVector(fields[0], values, flag == "1")
+        return TrafficVector(fields[0], np.array([float(x) for x in fields[2:]]), flag == "1")
 
     # One header column per value, counted on the first non-blank line; read_csv checks it all.
     with open_reading(path, binary=True, error=VectorizeError) as f:
@@ -185,14 +187,10 @@ def _checked_manifest(manifest: dict) -> tuple[list[str], list[bool], int]:
 
 def read_vectors_binary(path: str | Path) -> list[TrafficVector]:
     """The vectors ``write_vectors_binary`` wrote, rows of one copy of its array. A bad
-    manifest or array, a NaN and a degenerate row not all 0 raise ``VectorizeError``."""
+    manifest or array and a row ``TrafficVector`` rejects raise ``VectorizeError``."""
     towers, flags, width = read_json(f"{path}.json", VectorizeError, _checked_manifest)
-
-    def vectors(matrix: np.ndarray) -> list[TrafficVector]:
-        reject_nan(matrix.ravel(), lambda i: f"tower {towers[i // width]}: v{i % width}")
-        return list(map(TrafficVector, towers, matrix, flags))
-
-    return read_npy(path, (len(towers), width), VectorizeError, vectors)
+    return read_npy(path, (len(towers), width), VectorizeError,
+                    lambda matrix: list(map(TrafficVector, towers, matrix, flags)))
 
 
 def read_vectors(path: str | Path) -> list[TrafficVector]:

@@ -17,7 +17,7 @@ from cellmine.cluster import (
     tune_cut,
 )
 from cellmine.cluster import _condensed_distances, _dbi, _sq_norms
-from cellmine.vectorize import TrafficVector
+from cellmine.vectorize import TrafficVector, VectorizeError
 
 
 def vecs(points, prefix="t"):
@@ -134,11 +134,12 @@ def test_hac_permutation_invariance():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_hac_rejects_non_finite_vector(bad):
+    # A vector checks its own values, so a non-finite one never reaches HAC.
     pts = np.zeros((3, 2))
     pts[1] = [1.0, 2.0]
     pts[2] = [bad, 0.0]
-    with pytest.raises(ClusterError, match="t002"):
-        hac_average_linkage(vecs(pts))
+    with pytest.raises(VectorizeError, match=f"^tower t002: v0 holds {bad}, not a finite value$"):
+        vecs(pts)
 
 
 def leaf_sets(n, merges):

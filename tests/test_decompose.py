@@ -376,7 +376,7 @@ def test_build_feature_points_rejects_flat_dimension():
 def test_build_feature_points_rejects_non_finite_feature(bad):
     feats = [SpectralFeature(f"t{i}", 1.0, 0.1, float(i), 0.2 * i, 2.0 + i, 0.0) for i in range(6)]
     feats[3] = SpectralFeature("t3", 1.0, 0.1, 3.0, bad, 5.0, 0.0)
-    with pytest.raises(DecomposeError, match=f"tower t3: phase_day is {bad}, not finite"):
+    with pytest.raises(DecomposeError, match=f"tower t3: phase_day holds {bad}, not finite"):
         build_feature_points(feats)
 
 
@@ -614,8 +614,8 @@ def test_mixture_and_vertices_io(tmp_path):
         ("tower_id,x1,x2,x3,x4,residual\nt1,1,0\n", "m.csv line 2: expected 6 fields, got 3"),
         ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,0,9\n", "m.csv line 2: expected 6 fields, got 7"),
         ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,x\n", "m.csv line 2: could not convert"),
-        ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,0\nt2,1,nan,0,0,0\n", "m.csv line 3: x2 is NaN"),
-        ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,NaN\n", "m.csv line 2: residual is NaN"),
+        ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,0\nt2,1,nan,0,0,0\n", "m.csv line 3: x2 holds nan, not a number"),
+        ("tower_id,x1,x2,x3,x4,residual\nt1,1,0,0,0,NaN\n", "m.csv line 2: residual holds nan, not a number"),
         ("tower_id,x1,x2,x3,x4,residual\na,1,0,0,0,0\na,0,1,0,0,0\n", "m.csv line 3: tower a is repeated"),
     ],
 )

@@ -235,6 +235,8 @@ def test_write_vectors_binary_golden(tmp_path):
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, F17]
 FLOATS = st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS)
+# a vector holds finite values only
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
 IDS = st.text()
 # write_binned rejects a slot that is not a finite, non-negative byte count,
 # so the binned round trip draws slots from these, -0.0 among them.
@@ -289,7 +291,7 @@ def test_binned_round_trip_property(case):
 @st.composite
 def vector_lists(draw, ids=IDS):
     n = draw(st.integers(0, 4))
-    values = st.lists(FLOATS, min_size=n, max_size=n).map(np.array)
+    values = st.lists(FINITE, min_size=n, max_size=n).map(np.array)
     # a degenerate vector is all zeros
     zeros = st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n).map(np.array)
     vector = st.builds(TrafficVector, ids, values) | st.builds(TrafficVector, ids, zeros, st.just(True))
@@ -474,13 +476,19 @@ def test_every_open_is_binary_or_utf8():
     assert opens
 
 
+def _holding_objects(vec):
+    """``vec`` with its values, checked when it was built, replaced by objects."""
+    vec.values = np.full(vec.n, object())
+    return vec
+
+
 @pytest.mark.parametrize(
     "write",
     [
         lambda path: write_vectors_csv(path, [TrafficVector("a", np.zeros(3)),
                                               TrafficVector("b", np.ones(3), None)]),
         lambda path: write_vectors_binary(path, [TrafficVector("a", np.zeros(3)),
-                                                 TrafficVector("b", np.full(3, object()))]),
+                                                 _holding_objects(TrafficVector("b", np.zeros(3)))]),
         lambda path: write_json(path, {"a": 1, "b": object()}, ValueError),
     ],
     ids=["vectors_csv", "vectors_binary", "json"],

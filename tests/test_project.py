@@ -245,6 +245,7 @@ def test_every_file_helper_call_passes_its_own_module_error():
 DEFAULTS = [
     "cluster.tune_cut.r_max",
     "cluster.tune_cut.r_min",
+    "decompose.PolygonModel.kkt",
     "decompose.PolygonModel.matrix",
     "poi.count_poi.radius_m",
     "vectorize.TrafficVector.degenerate",

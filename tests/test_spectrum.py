@@ -298,8 +298,8 @@ def test_spectral_features_io(tmp_path):
         ("", "f.csv: bad spectral features header: no header row"),
         ("tower_id,A4,P4,A28,P28,A56,P56\nt1,1.0,0.0\n", "f.csv line 2: expected 7 fields, got 3"),
         ("tower_id,A4,P4,A28,P28,A56,P56\nt1,1,0,1,x,1,0\n", "f.csv line 2: could not convert"),
-        ("tower_id,A4,P4,A28,P28,A56,P56\nt1,1,0,1,nan,1,0\n", "f.csv line 2: P28 is NaN"),
-        ("tower_id,A4,P4,A28,P28,A56,P56\nt1,-nan,0,1,0,1,0\n", "f.csv line 2: A4 is NaN"),
+        ("tower_id,A4,P4,A28,P28,A56,P56\nt1,1,0,1,nan,1,0\n", "f.csv line 2: P28 holds nan, not a number"),
+        ("tower_id,A4,P4,A28,P28,A56,P56\nt1,-nan,0,1,0,1,0\n", "f.csv line 2: A4 holds nan, not a number"),
         ("tower_id,A4,P4,A28,P28,A56,P56\na,1,0,1,0,1,0\nb,1,0,1,0,1,0\na,2,0,1,0,1,0\n",
          "f.csv line 4: tower a is repeated"),
     ],
@@ -314,7 +314,7 @@ def test_read_spectral_features_rejects_malformed_file(tmp_path, text, message):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("transform", [dft, reconstruction_energy_ratio])
 def test_a_non_finite_series_fails_with_spectrum_error(transform, bad):
-    with pytest.raises(SpectrumError, match=f"finite values, but value 1 is {bad}$"):
+    with pytest.raises(SpectrumError, match=f"dft input value 1 holds {bad}, not a finite value$"):
         transform(np.array([1.0, bad, 2.0, 3.0]))
 
 
@@ -359,6 +359,17 @@ def test_a_spectrum_holds_the_bins_of_its_length(coefficients, n, shape):
     message = f"^n = {n} with coefficients of shape {shape}: a spectrum of n >= 1 values holds"
     with pytest.raises(SpectrumError, match=message):
         Spectrum(coefficients, n)
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (np.nan, r"\(nan\+0j\)"), (complex(0.5, np.inf), r"\(0\.5\+infj\)"), (-np.inf, r"\(-inf\+0j\)"),
+])
+def test_a_spectrum_holds_finite_bins(bad, shown):
+    # A NaN day bin once gave amp_day = phase_day = nan, and amplitude_variance ranked it first.
+    coefficients = dft(np.cos(2 * np.pi * 28 * np.arange(4032) / 4032)).coefficients
+    coefficients[28] = bad
+    with pytest.raises(SpectrumError, match=f"^bin 28 holds {shown}, not a finite coefficient$"):
+        Spectrum(coefficients, 4032)
 
 
 @pytest.mark.parametrize("n", [0, -1008, 1007, 1009])

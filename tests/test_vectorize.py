@@ -203,7 +203,7 @@ def test_vectors_binary_round_trips_an_id_of_any_length(tmp_path):
         ("a,0,1.0,x", "line 2: could not convert"),
         ("a,2,1.0,2.0", "line 2: degenerate is '2', not 0 or 1"),
         ("a, 1,1.0,2.0", "line 2: degenerate is ' 1', not 0 or 1"),
-        ("a,0,1.0,nan", "line 2: v1 is NaN"),
+        ("a,0,1.0,nan", "line 2: tower a: v1 holds nan, not a finite value"),
         ("a,1,1.0,-1.0", "line 2: tower a: degenerate, but its values are not all 0"),
         ("a,0,1.0,2.0\nb,0,1.0,2.0\na,1,0.0,0.0", "line 4: tower a is repeated"),
     ],
@@ -271,8 +271,8 @@ def test_read_vectors_rejects_a_header_claiming_more_than_the_file_holds(tmp_pat
 @pytest.mark.parametrize(
     "row, slot, value, message",
     [
-        (1, 7, np.nan, "tower t1: v7 is NaN$"),
-        (0, 143, -np.nan, "tower t0: v143 is NaN$"),
+        (1, 7, np.nan, "tower t1: v7 holds nan, not a finite value$"),
+        (0, 143, -np.nan, "tower t0: v143 holds nan, not a finite value$"),
         (0, 0, 1.0, "tower t0: degenerate, but its values are not all 0$"),
     ],
     ids=["nan", "negative_nan", "degenerate_not_zero"],
@@ -316,6 +316,26 @@ def test_read_vectors_binary_rejects_malformed_manifest(tmp_path, manifest, mess
     manifest_path.write_text(manifest)
     with pytest.raises(VectorizeError, match=f"^{re.escape(str(manifest_path))}: {message}"):
         read_vectors(path)
+
+
+@pytest.mark.parametrize("values, bad", [
+    ([1.0, np.nan, 2.0], "v1 holds nan"),
+    ([0.0, 2.0, np.inf], "v2 holds inf"),
+    ([-np.inf, np.nan, 0.0], "v0 holds -inf"),
+    (np.full(3, None), "v0 holds nan"),
+], ids=["nan", "inf", "minus_inf", "none"])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_a_vector_holds_finite_values(values, bad, degenerate):
+    # Such a vector was once built and written, and its reader then rejected the file.
+    with pytest.raises(VectorizeError, match=f"^tower b: {bad}, not a finite value$"):
+        TrafficVector("b", values, degenerate)
+
+
+def test_a_vector_holds_float64_values():
+    vec = TrafficVector("a", [1, 2, 3])
+    assert vec.values.dtype == np.float64 and vec.values.tolist() == [1.0, 2.0, 3.0]
+    values = np.arange(3.0)
+    assert TrafficVector("a", values).values is values
 
 
 def test_a_vector_is_1_d():
