@@ -11,6 +11,12 @@ form, ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b with BLAS dot products; pairs too
 close for it are recomputed as direct differences (see ``REFINE_SHARE``). The
 condensed matrix is filled a block of rows at a time, so no n x n matrix is
 built.
+
+The cuts that ``tune_cut`` scores nest, so their DBIs come from one pass: the
+finest cut's cluster sums and one product with the matrix give every cut's
+centroids and member-centroid products (``_dbis``). That product sums fine
+terms that may cancel, so its refine scale is ||x||^2 + m_c^2, with m_c the
+mean norm of the fine centroids in the member's cluster, not ||x||^2 + ||c||^2.
 """
 
 from __future__ import annotations
@@ -129,6 +135,17 @@ def _sq_norms(matrix: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", matrix, matrix)
 
 
+def _direct_sq(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``sum((a[rows] - b[cols]) ** 2)`` per pair, as direct differences,
+    ``REFINE_ELEMENTS`` matrix elements at a time."""
+    out = np.empty(rows.size)
+    step = max(1, REFINE_ELEMENTS // a.shape[1])
+    for s in range(0, rows.size, step):
+        diff = a[rows[s : s + step]] - b[cols[s : s + step]]
+        out[s : s + step] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
 def _sq_distances(
     a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray
 ) -> np.ndarray:
@@ -138,11 +155,7 @@ def _sq_distances(
     scale = a_sq[:, None] + b_sq
     d2 = scale - 2.0 * (a @ b.T)
     rows, cols = np.nonzero(d2 < REFINE_SHARE * scale)
-    step = max(1, REFINE_ELEMENTS // a.shape[1])
-    for s in range(0, rows.size, step):
-        i, j = rows[s : s + step], cols[s : s + step]
-        diff = a[i] - b[j]
-        d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+    d2[rows, cols] = _direct_sq(a, b, rows, cols)
     return d2
 
 
@@ -181,32 +194,55 @@ def hac_average_linkage(vectors: Sequence[TrafficVector]) -> Dendrogram:
     return Dendrogram(len(vectors), merges, [v.tower_id for v in vectors])
 
 
-def _dbi(matrix: np.ndarray, sq_norms: np.ndarray, labels: np.ndarray) -> float:
-    """DBI of the rows of ``matrix``, whose squared norms are ``sq_norms``:
-    the mean over clusters of the worst (S_i + S_j) / M_ij ratio, where S is
-    the mean member-to-centroid distance and M the centroid distance."""
-    cluster_ids, member_of, sizes = np.unique(
-        labels, return_inverse=True, return_counts=True
+def _dbis(matrix: np.ndarray, cuts: Sequence[np.ndarray]) -> list[float]:
+    """The DBI of each of ``cuts``, nested labellings of the rows of ``matrix``
+    of which the last is the finest: the mean over clusters of the worst
+    (S_i + S_j) / M_ij ratio, where S is the mean member-to-centroid distance
+    and M the centroid distance.
+
+    One pass serves every cut. The finest cut's cluster sums F and the one
+    product G = matrix @ F.T give each cut's centroids, W @ F / sizes, and
+    its member-centroid products, G @ W.T / sizes, where W maps the fine
+    clusters onto the cut's. A product's rounding error scales with ||x|| m_c,
+    m_c the size-weighted mean norm of cluster c's fine centroids, so every
+    member with d^2 < REFINE_SHARE * (||x||^2 + m_c^2) is recomputed directly.
+    """
+    sq_norms = _sq_norms(matrix)
+    _, first, fine_of, fine_sizes = np.unique(
+        cuts[-1], return_index=True, return_inverse=True, return_counts=True
     )
-    r = cluster_ids.size
-    if r < 2:
-        raise ClusterError(f"Davies-Bouldin index needs >= 2 clusters, got {r}")
-    one_hot = member_of == np.arange(r)[:, None]
-    centroids = (one_hot @ matrix) / sizes[:, None]
-    c_sq = _sq_norms(centroids)
-    own = _sq_distances(matrix, sq_norms, centroids, c_sq)[np.arange(member_of.size), member_of]
-    scatter = np.bincount(member_of, np.sqrt(own)) / sizes
-    separation = np.sqrt(_sq_distances(centroids, c_sq, centroids, c_sq))
-    np.fill_diagonal(separation, np.inf)
-    coincident = np.argwhere(separation == 0.0)
-    if coincident.size:
-        i, j = coincident[0]
-        raise ClusterError(
-            f"coincident centroids for clusters {cluster_ids[i]} and "
-            f"{cluster_ids[j]}: separation is zero"
-        )
-    ratios = (scatter[:, None] + scatter[None, :]) / separation
-    return float(ratios.max(axis=1).mean())
+    fine_sums = (fine_of == np.arange(fine_sizes.size)[:, None]) @ matrix
+    gram = matrix @ fine_sums.T
+    fine_norms = np.sqrt(_sq_norms(fine_sums))  # size times the fine centroid's norm
+    rows = np.arange(matrix.shape[0])
+    dbis = []
+    for labels in cuts:
+        cluster_ids, up = np.unique(labels[first], return_inverse=True)
+        r = cluster_ids.size
+        if r < 2:
+            raise ClusterError(f"Davies-Bouldin index needs >= 2 clusters, got {r}")
+        merge = (up == np.arange(r)[:, None]).astype(float)
+        sizes = merge @ fine_sizes
+        centroids = (merge @ fine_sums) / sizes[:, None]
+        spread = (merge @ fine_norms) / sizes
+        member_of = up[fine_of]
+        c_sq = _sq_norms(centroids)
+        own = sq_norms + c_sq[member_of] - 2.0 * (gram @ merge.T)[rows, member_of] / sizes[member_of]
+        close = np.flatnonzero(own < REFINE_SHARE * (sq_norms + spread[member_of] ** 2))
+        own[close] = _direct_sq(matrix, centroids, close, member_of[close])
+        scatter = np.bincount(member_of, np.sqrt(own)) / sizes
+        separation = np.sqrt(_sq_distances(centroids, c_sq, centroids, c_sq))
+        np.fill_diagonal(separation, np.inf)
+        coincident = np.argwhere(separation == 0.0)
+        if coincident.size:
+            i, j = coincident[0]
+            raise ClusterError(
+                f"coincident centroids for clusters {cluster_ids[i]} and "
+                f"{cluster_ids[j]}: separation is zero"
+            )
+        ratios = (scatter[:, None] + scatter[None, :]) / separation
+        dbis.append(float(ratios.max(axis=1).mean()))
+    return dbis
 
 
 def tune_cut(
@@ -218,19 +254,19 @@ def tune_cut(
     """Evaluate the DBI at every cut producing r_min..r_max clusters and keep
     the minimizer (ties go to the smaller R). Returns the model of that cut
     and the trace of every cut evaluated. The cut height reported for R
-    clusters is the height of the first merge NOT performed."""
+    clusters is the height of the first merge NOT performed. Every cut's DBI
+    comes from one pass over the finest cut (``_dbis``); the winner's
+    centroids are the means of its members."""
     if dendrogram.n_leaves < 3:
         raise ClusterError("cut tuning needs a dendrogram over >= 3 leaves")
     matrix = _leaf_matrix(dendrogram, vectors)
-    sq_norms = _sq_norms(matrix)
     r_hi = min(r_max, dendrogram.n_leaves)
     if r_min < 2 or r_min > r_hi:
         raise ClusterError(f"invalid cluster range [{r_min}, {r_max}]")
     cuts = {r: dendrogram.cut(r) for r in range(r_min, r_hi + 1)}
     trace = [
-        DbiTracePoint(r, dendrogram.merges[dendrogram.n_leaves - r].height,
-                      _dbi(matrix, sq_norms, labels))
-        for r, labels in cuts.items()
+        DbiTracePoint(r, dendrogram.merges[dendrogram.n_leaves - r].height, dbi)
+        for r, dbi in zip(cuts, _dbis(matrix, list(cuts.values())))
     ]
     best = min(trace, key=lambda p: (p.dbi, p.r))
     labels = cuts[best.r]

@@ -277,6 +277,27 @@ def reject_bad(values: Sequence | np.ndarray, ok: np.ndarray, error: type[Except
         raise error(f"{where(*i)} holds {np.asarray(values)[i]}, not {what}")
 
 
+def finite_entries(values: Any, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as a ``dtype`` array, and the mask of its finite entries for
+    ``reject_bad``. If an entry is no number of ``dtype`` (an ``object()``, say),
+    the array holds the entries as objects and the mask is False at each such
+    entry, so that ``reject_bad`` names it as it names a NaN."""
+    try:
+        array = np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        array = np.asarray(values, dtype=object)
+        return array, np.vectorize(lambda v: _finite_number(v, dtype), otypes=[bool])(array)
+    return array, np.isfinite(array)
+
+
+def _finite_number(value: Any, dtype: type) -> bool:
+    try:
+        number = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return number.ndim == 0 and bool(np.isfinite(number))
+
+
 def reject_repeat(seen: set[str], tower_id: str) -> None:
     """Raise ``ValueError`` if a reader's row repeats a tower in ``seen``, else add it."""
     if tower_id in seen:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .common import (
     SLOTS_PER_WEEK,
+    finite_entries,
     read_table,
     reject_bad,
     sorted_by_tower,
@@ -45,8 +46,10 @@ class SpectrumError(ValueError):
 
 @dataclass(slots=True)
 class Spectrum:
-    """DFT bins 0..n//2 of one real series of length ``n``, each finite. The
-    bins alone do not give ``n``: lengths 2m and 2m + 1 both have m + 1 of them."""
+    """DFT bins 0..n//2 of one real series of length ``n``, each a finite
+    complex128; a bin that is not finite, or no number at all, raises
+    ``SpectrumError`` naming it. The bins alone do not give ``n``: lengths 2m
+    and 2m + 1 both have m + 1 of them."""
 
     coefficients: np.ndarray
     n: int
@@ -55,8 +58,8 @@ class Spectrum:
         if self.n < 1 or np.shape(self.coefficients) != (self.n // 2 + 1,):
             raise SpectrumError(f"n = {self.n} with coefficients of shape {np.shape(self.coefficients)}:"
                                 " a spectrum of n >= 1 values holds n//2 + 1 bins")
-        reject_bad(self.coefficients, np.isfinite(self.coefficients), SpectrumError,
-                   "bin {}".format, "a finite coefficient")
+        self.coefficients, finite = finite_entries(self.coefficients, np.complex128)
+        reject_bad(self.coefficients, finite, SpectrumError, "bin {}".format, "a finite coefficient")
 
 
 @dataclass(frozen=True, slots=True)

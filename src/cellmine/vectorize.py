@@ -25,6 +25,7 @@ from .common import (
     SLOTS_PER_WEEK,
     checked_towers,
     csv_cell,
+    finite_entries,
     local_seconds_of_day,
     local_weekday,
     open_reading,
@@ -45,13 +46,15 @@ class VectorizeError(ValueError):
     pass
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class TrafficVector:
     """Zero-score-normalized per-tower time series.
 
-    ``values`` is a 1-D float64 array of finite values: the constructor
-    converts them, and a value that is not finite raises ``VectorizeError``
-    naming the tower and its index. ``degenerate`` marks towers whose raw
+    ``values`` is a read-only 1-D float64 array of finite values: the
+    constructor converts them and keeps a read-only view, so the caller's own
+    array stays writable and no value changes once checked. A value that is
+    not finite, or no number at all, raises ``VectorizeError`` naming the
+    tower and its index. ``degenerate`` marks towers whose raw
     series was constant (dead towers); their values are all zero, and a
     degenerate vector holding any other value raises ``VectorizeError``. The
     caller drops them before clustering, which raises ``ClusterError`` on a
@@ -63,13 +66,16 @@ class TrafficVector:
     degenerate: bool = False
 
     def __post_init__(self):
-        self.values = values = np.asarray(self.values, dtype=np.float64)
+        values, finite = finite_entries(self.values, np.float64)
         if values.ndim != 1:
             raise VectorizeError(f"tower {self.tower_id}: vector of shape {values.shape}")
-        reject_bad(values, np.isfinite(values), VectorizeError,
+        reject_bad(values, finite, VectorizeError,
                    lambda i: f"tower {self.tower_id}: v{i}", "a finite value")
         if self.degenerate and np.any(values):
             raise VectorizeError(f"tower {self.tower_id}: degenerate, but its values are not all 0")
+        values = values.view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:

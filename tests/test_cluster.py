@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
@@ -11,12 +11,13 @@ from cellmine.cluster import (
     REFINE_SHARE,
     ClusterError,
     Dendrogram,
+    Merge,
     distance_cdf,
     hac_average_linkage,
     read_assignments,
     tune_cut,
 )
-from cellmine.cluster import _condensed_distances, _dbi, _sq_norms
+from cellmine.cluster import _condensed_distances, _dbis
 from cellmine.vectorize import TrafficVector, VectorizeError
 
 
@@ -231,7 +232,7 @@ def test_cut_property_equals_union_find(n, dim, n_dup, seed):
 
 
 def dbi(matrix, labels):
-    return _dbi(matrix, _sq_norms(matrix), labels)
+    return _dbis(matrix, [labels])[0]
 
 
 def test_dbi_hand_case():
@@ -345,6 +346,100 @@ def test_model_centroids_are_member_means():
             model.centroids[c - 1], pts[labels == c].mean(axis=0), atol=1e-9
         )
     assert sum(model.sizes) == 15
+
+
+def nested_dendrogram(units, first, rng):
+    """A dendrogram over the leaves of ``units`` (lists of leaf indices): each
+    unit's leaves merge at height 0, then the units ``first`` merge in order,
+    then the rest at random, one merge per height 1, 2, ..."""
+    n = sum(map(len, units))
+    merges, size = [], {leaf: 1 for leaf in range(n)}
+
+    def merge(a, b, height):
+        node = n + len(merges)
+        size[node] = size[a] + size[b]
+        merges.append(Merge(min(a, b), max(a, b), float(height), size[node]))
+        return node
+
+    roots = []
+    for unit in units:
+        root = unit[0]
+        for leaf in unit[1:]:
+            root = merge(root, leaf, 0.0)
+        roots.append(root)
+    joined = roots[first[0]]
+    for u in first[1:]:
+        joined = merge(joined, roots[u], len(merges) + 1)
+    active = [joined] + [root for u, root in enumerate(roots) if u not in first]
+    while len(active) > 1:
+        i, j = sorted(rng.choice(len(active), size=2, replace=False))
+        b, a = active.pop(j), active.pop(i)
+        active.append(merge(a, b, len(merges) + 1))
+    return Dendrogram(n, merges, [f"t{i:03d}" for i in range(n)])
+
+
+def well_separated(pts, labels):
+    """Whether every two centroids are further apart than 1e-2 of the mean
+    norms of their members, which bound how far rounding moves a centroid."""
+    members = [pts[labels == c] for c in np.unique(labels)]
+    centroids = np.array([m.mean(axis=0) for m in members])
+    norms = np.array([np.linalg.norm(m, axis=1).mean() for m in members])
+    gaps = np.linalg.norm(centroids[:, None] - centroids, axis=2) + np.diag(np.full(len(members), np.inf))
+    return bool(np.all(gaps > 1e-2 * (norms[:, None] + norms)))
+
+
+@settings(deadline=None)
+@given(
+    k=st.integers(3, 18),
+    dim=st.integers(2, 4),
+    reps=st.lists(st.integers(1, 3), min_size=18, max_size=18),
+    spread=st.lists(st.sampled_from([0.0, 0.3]), min_size=18, max_size=18),
+    a_exp=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nested_dbi_matches_each_cut_recomputed(k, dim, reps, spread, a_exp, seed):
+    """Units of 1-3 members, identical ones where the spread is 0, on a random
+    dendrogram. Units 0, 1 and 2 sit at +a, near -a and within about 1e-3 of
+    0, with ||a|| = 10 or 100, and merge first, in the order 0, 2, 1: the
+    coarse cluster they make sums fine terms of norm ||a|| that cancel.
+    Examples in which two centroids of a cut come closer than the rounding of
+    their members allows are skipped (``well_separated``): there the DBI is
+    ill-conditioned for any order of summation. The other units sit at least
+    1 from 0 in each coordinate, so that few examples are skipped."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-5, 5, size=(k, dim))
+    centres += np.sign(centres)
+    a = rng.normal(size=dim)
+    centres[0] = a * 10.0**a_exp / np.linalg.norm(a)
+    centres[1:3] = rng.normal(size=(2, dim)) * 1e-3
+    centres[1] -= centres[0]
+    spread = np.array(spread[:k])
+    spread[2] *= 1e-3
+    leaves = rng.permutation(sum(reps[:k]))
+    units = np.split(leaves, np.cumsum(reps[: k - 1]))
+    pts = np.empty((leaves.size, dim))
+    for unit, centre, s in zip(units, centres, spread):
+        pts[unit] = centre + s * rng.normal(size=(unit.size, dim))
+    dend = nested_dendrogram([u.tolist() for u in units], [0, 2, 1], rng)
+    vectors = [TrafficVector(t, row) for t, row in zip(dend.leaf_ids, pts)]
+    r_hi = min(15, k)
+    model, trace = tune_cut(dend, vectors, 2, r_hi)
+    assume(all(well_separated(pts, dend.cut(r)) for r in range(2, r_hi + 1)))
+    want = {r: reference_dbi(pts, dend.cut(r)) for r in range(2, r_hi + 1)}
+    assert [p.r for p in trace] == list(want)
+    for p in trace:
+        assert p.dbi == pytest.approx(want[p.r], rel=1e-12)
+        assert p.cut_height == dend.merges[dend.n_leaves - p.r].height
+    first, second = sorted(want.values())[:2]
+    assume(second - first > 1e-9 * second)  # no near-tie for the rounding to break
+    best = min(want, key=lambda r: (want[r], r))
+    labels = dend.cut(best)
+    assert model.r == best
+    assert model.assignments == dict(zip(dend.leaf_ids, labels.tolist()))
+    assert model.sizes == np.bincount(labels)[1:].tolist()
+    np.testing.assert_array_equal(
+        model.centroids, [pts[labels == c].mean(axis=0) for c in range(1, best + 1)]
+    )
 
 
 def test_distance_cdf_cases():

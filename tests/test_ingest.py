@@ -649,11 +649,13 @@ def _slot_fills(node, function=None):
 def test_only_parse_sessions_fills_session_slots_unchecked():
     """A session built by ``object.__new__`` and its slots' ``__set__`` skips
     the rule ``SessionLog`` applies, so only ``parse_sessions``, which has
-    just applied that rule to the row, may build one so."""
+    just applied that rule to the row, may build one so. The one other slot
+    fill is the frozen ``TrafficVector`` setting its own values, once checked."""
     found = {(path.stem, function, name)
              for path in sorted(Path(ingest.__file__).parent.glob("*.py"))
              for function, name in _slot_fills(ast.parse(path.read_text(encoding="utf-8")))}
-    assert found == {("ingest", "parse_sessions", "__new__"), ("ingest", "parse_sessions", "__set__")}
+    assert found == {("ingest", "parse_sessions", "__new__"), ("ingest", "parse_sessions", "__set__"),
+                     ("vectorize", "__post_init__", "__setattr__")}
 
 
 @pytest.mark.parametrize(

@@ -478,7 +478,7 @@ def test_every_open_is_binary_or_utf8():
 
 def _holding_objects(vec):
     """``vec`` with its values, checked when it was built, replaced by objects."""
-    vec.values = np.full(vec.n, object())
+    object.__setattr__(vec, "values", np.full(vec.n, object()))
     return vec
 
 

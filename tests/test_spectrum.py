@@ -372,6 +372,14 @@ def test_a_spectrum_holds_finite_bins(bad, shown):
         Spectrum(coefficients, 4032)
 
 
+def test_a_spectrum_holds_numbers():
+    # object coefficients once let a bare TypeError out of np.isfinite
+    coefficients = np.full(3, 1 + 0j, dtype=object)
+    coefficients[1] = object()
+    with pytest.raises(SpectrumError, match=r"^bin 1 holds <object object at 0x[0-9a-f]+>, not a finite coefficient$"):
+        Spectrum(coefficients, 4)
+
+
 @pytest.mark.parametrize("n", [0, -1008, 1007, 1009])
 def test_principal_indices_need_a_positive_whole_number_of_weeks(n):
     with pytest.raises(SpectrumError, match=f"^series length {n} is not a positive whole number of weeks$"):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -331,11 +332,34 @@ def test_a_vector_holds_finite_values(values, bad, degenerate):
         TrafficVector("b", values, degenerate)
 
 
+def test_a_vector_holds_numbers():
+    # np.full(3, object()) once let a bare TypeError out of the float64 conversion
+    with pytest.raises(VectorizeError, match=r"^tower b: v0 holds <object object at 0x[0-9a-f]+>, not a finite value$"):
+        TrafficVector("b", np.full(3, object()))
+    with pytest.raises(VectorizeError, match=r"^tower b: v2 holds x, not a finite value$"):
+        TrafficVector("b", np.array([1.0, "2", "x"], dtype=object))
+
+
 def test_a_vector_holds_float64_values():
     vec = TrafficVector("a", [1, 2, 3])
     assert vec.values.dtype == np.float64 and vec.values.tolist() == [1.0, 2.0, 3.0]
     values = np.arange(3.0)
-    assert TrafficVector("a", values).values is values
+    assert TrafficVector("a", values).values.base is values
+
+
+def test_a_vector_cannot_change_once_checked():
+    # A NaN set after the check once reached scipy, which raised a bare ValueError.
+    values = np.arange(3.0)
+    vs = [TrafficVector(f"t{i}", values + i) for i in range(3)]
+    with pytest.raises(ValueError, match="read-only"):
+        vs[1].values[0] = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        vs[1].values = np.full(3, np.nan)
+    assert vs[1].values.tolist() == [1.0, 2.0, 3.0]
+    # the caller's own array stays writable
+    vec = TrafficVector("a", values)
+    values[0] = 9.0
+    assert vec.values[0] == 9.0 and values.flags.writeable
 
 
 def test_a_vector_is_1_d():
