@@ -27,8 +27,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .common import read_table, sorted_by_tower, write_csv
 from .vectorize import TrafficVector
@@ -78,12 +76,14 @@ class Dendrogram:
         if not 1 <= r <= self.n_leaves:
             raise ClusterError(f"cannot cut {self.n_leaves} leaves into {r} clusters")
         k = self.n_leaves - r
-        # the first k merges as edges: merge i joins its two nodes to node n_leaves + i
-        ends = np.array([m[:2] for m in self.merges[:k]], dtype=np.intp).reshape(k, 2).T.ravel()
-        joins = np.tile(np.arange(self.n_leaves, self.n_leaves + k), 2)
-        graph = coo_matrix((np.ones(2 * k), (ends, joins)), shape=(self.n_leaves + k,) * 2)
-        _, component = connected_components(graph, directed=False)
-        _, smallest, label = np.unique(component[: self.n_leaves], return_index=True, return_inverse=True)
+        # merge i, node n_leaves + i, is the parent of its two nodes; a node is at most k merges
+        # below its root, so k.bit_length() doublings of the pointers reach it
+        children = np.array([m[:2] for m in self.merges[:k]], dtype=np.intp).reshape(k, 2)
+        root = np.arange(self.n_leaves + k)
+        root[children] = np.arange(self.n_leaves, self.n_leaves + k)[:, None]
+        for _ in range(k.bit_length()):
+            root = root[root]
+        _, smallest, label = np.unique(root[: self.n_leaves], return_index=True, return_inverse=True)
         return np.argsort(np.argsort(smallest))[label] + 1
 
 

@@ -206,9 +206,8 @@ def select_representatives(
     labeled = [p for p in points if p.tower_id in assignments]
     coords = np.stack([p.f for p in labeled])
     labels = np.array([assignments[p.tower_id] for p in labeled])
-    ids = [p.tower_id for p in labeled]
-    rank = dict(zip(sorted(set(ids)), itertools.count()))
-    id_rank = np.array([rank[t] for t in ids])
+    # an object array: a str array would drop an id's trailing NULs
+    id_rank = np.unique(np.array([p.tower_id for p in labeled], dtype=object), return_inverse=True)[1]
     # every point lies within the radius of itself
     density = KDTree(coords).query_ball_point(coords, DENSITY_RADIUS, return_length=True) - 1
     vertices: list[FeaturePoint] = []

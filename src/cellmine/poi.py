@@ -175,18 +175,11 @@ def cluster_poi_table(
     normalized = (raw - lo) / np.where(span > 0.0, span, np.nan)
     clusters = sorted(set(labels.tolist()))
     matrix = np.vstack([normalized[labels == c].mean(axis=0) for c in clusters])
-    row_max: dict[int, str] = {}
-    for r, c in enumerate(clusters):
-        row = matrix[r]
-        if np.all(np.isnan(row)):
-            continue
-        row_max[c] = POI_TYPES[int(np.nanargmax(row))]
-    col_max: dict[str, int] = {}
-    for i, name in enumerate(POI_TYPES):
-        col = matrix[:, i]
-        if np.all(np.isnan(col)):
-            continue
-        col_max[name] = clusters[int(np.nanargmax(col))]
+    # each row's and column's first maximum, NaN read as -inf; an all-NaN one has none
+    defined = ~np.isnan(matrix)
+    top = np.where(defined, matrix, -np.inf)
+    row_max = {c: POI_TYPES[i] for c, i, ok in zip(clusters, top.argmax(1), defined.any(1)) if ok}
+    col_max = {t: clusters[i] for t, i, ok in zip(POI_TYPES, top.argmax(0), defined.any(0)) if ok}
     return PoiClusterTable(clusters, matrix, row_max, col_max)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class Spectrum:
         reject_bad(self.coefficients, finite, SpectrumError, "bin {}".format, "a finite coefficient")
 
 
-@dataclass(frozen=True, slots=True)
-class SpectralFeature:
+class SpectralFeature(NamedTuple):
     """Amplitude/phase at the week, day and half-day bins for one tower.
 
     Phases are principal values in (-pi, pi]. A bin is null when its
@@ -79,16 +78,7 @@ class SpectralFeature:
     phase_half_day: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.amp_week,
-                self.phase_week,
-                self.amp_day,
-                self.phase_day,
-                self.amp_half_day,
-                self.phase_half_day,
-            ]
-        )
+        return np.array(self[1:], dtype=float)
 
 
 def dft(x: Sequence[float] | np.ndarray) -> Spectrum:
@@ -179,10 +169,7 @@ def amplitude_variance(
 
 
 def write_spectral_features(path: str | Path, features: Sequence[SpectralFeature]) -> Path:
-    rows = (
-        [feat.tower_id] + feat.as_array().tolist()
-        for feat in sorted_by_tower(features, SpectrumError)
-    )
+    rows = ((f.tower_id, *map(float, f[1:])) for f in sorted_by_tower(features, SpectrumError))
     return write_csv(path, FEATURES_HEADER, rows, SpectrumError)
 
 

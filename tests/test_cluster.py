@@ -231,6 +231,17 @@ def test_cut_property_equals_union_find(n, dim, n_dup, seed):
         np.testing.assert_array_equal(dend.cut(r), union_find_cut(dend, r))
 
 
+def test_cut_of_a_deep_chain_equals_union_find():
+    """A chain of 2,000 leaves, each merge adding one leaf, is 1,999 merges
+    deep: far deeper than the property's dendrograms of at most 40 leaves."""
+    n = 2000
+    merges = [Merge(0, 1, 1.0, 2)]
+    merges += [Merge(i, n + i - 2, float(i), i + 1) for i in range(2, n)]
+    dend = Dendrogram(n, merges, [f"t{i:04d}" for i in range(n)])
+    for r in (1, 2, 15, 1000, 2000):
+        np.testing.assert_array_equal(dend.cut(r), union_find_cut(dend, r))
+
+
 def dbi(matrix, labels):
     return _dbis(matrix, [labels])[0]
 

@@ -515,13 +515,15 @@ def representative_cases(draw):
     with duplicates among them, in clusters 1 to 4 and a fifth cluster that
     is no vertex. Every distance is 0.5 * sqrt(k) for an integer k, so it is
     exact: a neighbour lies exactly at DENSITY_RADIUS, separations tie, and
-    dense blobs give neighbour counts on both sides of MIN_DENSITY."""
+    dense blobs give neighbour counts on both sides of MIN_DENSITY. The ids
+    are numbers, or differ only in how many NULs end them."""
     grid = st.lists(st.integers(-4, 4), min_size=3, max_size=3)
     centers = draw(st.lists(grid, min_size=2, max_size=4))
     offset = st.lists(st.integers(0, 1), min_size=3, max_size=3)
     size = draw(st.integers(4, 60))
     cells = draw(st.lists(st.tuples(st.sampled_from(centers), offset), min_size=size, max_size=size))
-    ids = [str(i) for i in draw(st.permutations(range(size)))]
+    nuls = draw(st.booleans())
+    ids = ["t" + "\0" * i if nuls else str(i) for i in draw(st.permutations(range(size)))]
     labels = [1, 2, 3, 4] + draw(
         st.lists(st.integers(1, 5), min_size=size - 4, max_size=size - 4)
     )

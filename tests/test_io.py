@@ -211,6 +211,43 @@ def test_write_vectors_csv_golden(tmp_path):
     assert write_vectors_csv(tmp_path / "w.csv", []).read_bytes() == b"tower_id,degenerate\n"
 
 
+def test_write_spectral_features_golden(tmp_path):
+    features = [
+        SpectralFeature("塔-é", 1e308, -0.0, 2.5, 0.5, 0.0, 3.0),
+        SpectralFeature('say "hi"', F17, 5e-324, 1.0, -1.5, 2.0, 0.25),
+        SpectralFeature("x,y", 0.0, 0.0, 1e-300, 3.141592653589793, 7.0, -0.0),
+        # one int among the floats is still written as a float
+        SpectralFeature("a", 1, 0.5, 2.0, 0.0, 4.0, -1.0),
+    ]
+    path = write_spectral_features(tmp_path / "f.csv", features)
+    assert path.read_bytes() == (
+        "tower_id,A4,P4,A28,P28,A56,P56\n"
+        "a,1.0,0.5,2.0,0.0,4.0,-1.0\n"
+        '"say ""hi""",0.30000000000000004,5e-324,1.0,-1.5,2.0,0.25\n'
+        '"x,y",0.0,0.0,1e-300,3.141592653589793,7.0,-0.0\n'
+        "塔-é,1e+308,-0.0,2.5,0.5,0.0,3.0\n"
+    ).encode("utf-8")
+    assert write_spectral_features(tmp_path / "g.csv", []).read_bytes() == b"tower_id,A4,P4,A28,P28,A56,P56\n"
+
+
+def test_write_mixtures_golden(tmp_path):
+    mixtures = [
+        MixtureCoefficients("x,y", np.array([F17, 0.7, -0.0, 0.0]), 1e308),
+        MixtureCoefficients("塔-é", np.array([0.25, 0.25, 0.25, 0.25]), -0.0),
+        MixtureCoefficients("a", np.array([1.0, 0.0, 0.0, 0.0]), 5e-324),
+        MixtureCoefficients('say "hi"', np.array([0.5, 0.5, 0.0, 0.0]), 0.125),
+    ]
+    path = write_mixtures(tmp_path / "m.csv", mixtures)
+    assert path.read_bytes() == (
+        "tower_id,x1,x2,x3,x4,residual\n"
+        "a,1.0,0.0,0.0,0.0,5e-324\n"
+        '"say ""hi""",0.5,0.5,0.0,0.0,0.125\n'
+        '"x,y",0.30000000000000004,0.7,-0.0,0.0,1e+308\n'
+        "塔-é,0.25,0.25,0.25,0.25,-0.0\n"
+    ).encode("utf-8")
+    assert write_mixtures(tmp_path / "n.csv", []).read_bytes() == b"tower_id,x1,x2,x3,x4,residual\n"
+
+
 def test_write_vectors_binary_golden(tmp_path):
     ids = ["a", "x,y", "塔-é", "b\x00"]
     values = [[5e-324, 1e308], [F17, -0.0], [1.0, -1.0], [0.0, 0.0]]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cellmine.ingest import TowerRecord
@@ -218,6 +218,39 @@ def test_cluster_poi_table_flags_zero_range():
     assert [POI_TYPES[i] for i in np.flatnonzero(undefined)] == ["resident", "transport", "entertain"]
     assert np.isnan(table.matrix[0, 0])
     assert table.matrix[0, POI_TYPES.index("office")] == pytest.approx(0.5)
+
+
+def nanargmax_maxima(table):
+    """Each row's and each column's maximum by ``np.nanargmax``, one row or
+    column at a time, skipping those that are all NaN: the loops that
+    cluster_poi_table replaced, kept as its oracle."""
+    row_max = {c: POI_TYPES[int(np.nanargmax(row))]
+               for c, row in zip(table.clusters, table.matrix) if not np.all(np.isnan(row))}
+    col_max = {name: table.clusters[int(np.nanargmax(col))]
+               for name, col in zip(POI_TYPES, table.matrix.T) if not np.all(np.isnan(col))}
+    return row_max, col_max
+
+
+@st.composite
+def poi_count_cases(draw):
+    """Counts of 0..2, so maxima tie, over 1..8 towers in 1..4 clusters. Some
+    types are constant, so their columns are undefined (NaN)."""
+    towers = draw(st.integers(1, 8))
+    constant = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    counts = {}
+    for i in range(towers):
+        row = [draw(st.integers(0, 2)) for _ in range(4)]
+        counts[f"t{i}"] = np.array([1 if same else v for v, same in zip(row, constant)])
+    assignments = {t: draw(st.integers(1, 4)) for t in counts}
+    return counts, assignments
+
+
+@given(poi_count_cases())
+# every type constant: every row and column is NaN, and neither map has an entry
+@example(({"t0": np.array([1, 0, 2, 2]), "t1": np.array([1, 0, 2, 2])}, {"t0": 1, "t1": 2}))
+def test_cluster_poi_table_maxima_equal_nanargmax(case):
+    table = cluster_poi_table(*case)
+    assert (table.row_max, table.col_max) == nanargmax_maxima(table)
 
 
 def test_ntfidf_hand_case():

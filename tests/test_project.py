@@ -23,17 +23,19 @@ def test_console_scripts_import():
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
-def test_importing_the_package_loads_no_scipy_signal_or_stats():
+def test_importing_the_package_loads_no_scipy_signal_stats_or_csgraph():
     """Importing ``scipy.signal``, which imports ``scipy.stats``, takes more
     than half of a fresh process's set-up, so no ``cellmine`` module may
-    import either. A fresh interpreter imports every module and reports
-    which of the two it holds."""
+    import either; nor ``scipy.sparse.csgraph``, which a dendrogram cut does
+    not need. A fresh interpreter imports every module and reports which of
+    the three it holds."""
     modules = sorted(f"cellmine.{p.stem}" for p in (ROOT / "src" / "cellmine").glob("[!_]*.py"))
     code = (
         "import importlib, json, sys\n"
         f"for name in {modules!r}:\n"
         "    importlib.import_module(name)\n"
-        "print(json.dumps([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules]))\n"
+        "print(json.dumps([m for m in ('scipy.signal', 'scipy.stats', 'scipy.sparse.csgraph')\n"
+        "                  if m in sys.modules]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     child = subprocess.run(
