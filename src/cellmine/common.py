@@ -4,7 +4,8 @@ written through ``open_replacing`` and read through ``open_reading``; either
 turns an ``OSError`` into the stage's own error naming the file. Every text
 file is UTF-8, and text that UTF-8 cannot encode raises the writer's error.
 ``reject_bad`` is the one bad-value rule: every check of a module's values
-names the first bad entry and its value through it."""
+names the first bad entry and its value through it, and ``finite_array`` is the
+one conversion rule: every float array a stage takes in goes through it."""
 
 from __future__ import annotations
 
@@ -277,17 +278,23 @@ def reject_bad(values: Sequence | np.ndarray, ok: np.ndarray, error: type[Except
         raise error(f"{where(*i)} holds {np.asarray(values)[i]}, not {what}")
 
 
-def finite_entries(values: Any, dtype: type) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as a ``dtype`` array, and the mask of its finite entries for
-    ``reject_bad``. If an entry is no number of ``dtype`` (an ``object()``, say),
-    the array holds the entries as objects and the mask is False at each such
-    entry, so that ``reject_bad`` names it as it names a NaN."""
+def finite_array(values: Any, dtype: type, error: type[Exception], where: Callable[..., str],
+                 what: str) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` view (the caller's array stays
+    writable) once every entry is a finite number of ``dtype``; otherwise
+    ``reject_bad`` names the first entry that is not, an ``object()`` as a NaN.
+    Every float array a stage takes in comes through here. ``where`` gets one
+    index per axis of the converted array: check the shape first, or take any."""
     try:
         array = np.asarray(values, dtype=dtype)
+        finite = np.isfinite(array)
     except (TypeError, ValueError, OverflowError):
         array = np.asarray(values, dtype=object)
-        return array, np.vectorize(lambda v: _finite_number(v, dtype), otypes=[bool])(array)
-    return array, np.isfinite(array)
+        finite = np.vectorize(lambda v: _finite_number(v, dtype), otypes=[bool])(array)
+    reject_bad(array, finite, error, where, what)
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _finite_number(value: Any, dtype: type) -> bool:

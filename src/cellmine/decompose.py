@@ -22,6 +22,7 @@ import numpy as np
 from scipy.spatial import KDTree
 
 from .common import (
+    finite_array,
     read_json,
     read_table,
     reject_bad,
@@ -72,8 +73,8 @@ class FeatureSpace:
     """Per-dimension population standardization, recorded so it is invertible;
     ``build_feature_points`` finds it on columns scaled by ``common.unit_scaled``.
 
-    A valid space has one finite mean and one positive, finite std per name;
-    any other raises ``DecomposeError``, naming the first bad dimension."""
+    A valid space has one finite mean and one positive, finite std per name,
+    held read-only; any other raises ``DecomposeError`` naming the first bad one."""
 
     names: tuple[str, ...]
     mean: np.ndarray
@@ -86,11 +87,14 @@ class FeatureSpace:
                 f"feature space of {dims} names needs {dims} means and {dims} stds,"
                 f" not mean {np.asarray(mean).tolist()} and std {np.asarray(std).tolist()}"
             )
-        bad = ~(np.isfinite(mean) & np.isfinite(std) & (std > 0))
-        if bad.any():
-            j = int(bad.argmax())
+        for name in ("mean", "std"):
+            checked = finite_array(getattr(self, name), np.float64, DecomposeError,
+                                   lambda j: f"feature {self.names[j]}: {name}", f"a finite {name}")
+            setattr(self, name, checked)
+        if not (self.std > 0).all():
+            j = int(np.argmax(self.std <= 0))
             raise DecomposeError(
-                f"feature {self.names[j]}: mean {mean[j]} and std {std[j]} are not"
+                f"feature {self.names[j]}: mean {self.mean[j]} and std {self.std[j]} are not"
                 " a finite mean and a positive finite std"
             )
 
@@ -123,11 +127,12 @@ class PolygonModel:
 
     def __post_init__(self):
         dims = len(self.space.names)
-        if len(self.vertices) != 4 or any(
-            np.shape(v.f) != (dims,) or not np.isfinite(v.f).all() for v in self.vertices
-        ):
-            raise DecomposeError(f"polygon model needs 4 vertices of {dims} finite values each")
-        self.matrix = np.stack([v.f for v in self.vertices], axis=1)
+        needs = f"polygon model needs 4 vertices of {dims} finite values each"
+        if len(self.vertices) != 4 or any(np.shape(v.f) != (dims,) for v in self.vertices):
+            raise DecomposeError(needs)
+        vertices = finite_array([v.f for v in self.vertices], np.float64, DecomposeError,
+                                lambda k, j: f"{needs}: vertex {k} value {j}", "a finite value")
+        self.matrix = np.ascontiguousarray(vertices.T)
         with np.errstate(all="ignore"):
             gram = 2.0 * (self.matrix.T @ self.matrix)  # doubled, as the KKT systems hold it
         if not np.isfinite(gram).all():
@@ -155,9 +160,8 @@ def build_feature_points(
     if len(features) < 2:
         raise DecomposeError("feature standardization needs at least 2 towers")
     names = FEATURE_NAMES
-    raw = np.array([[getattr(f, n) for n in names] for f in features], dtype=float)
-    reject_bad(raw, np.isfinite(raw), DecomposeError,
-               lambda i, j: f"tower {features[i].tower_id}: {names[j]}", "finite")
+    raw = finite_array([[getattr(f, n) for n in names] for f in features], np.float64, DecomposeError,
+                       lambda i, j: f"tower {features[i].tower_id}: {names[j]}", "finite")
     scaled, e = unit_scaled(raw)
     # A column of one value is flat even when its mean rounds, which leaves
     # its std a little above 0; a flat dimension fails FeatureSpace's check
@@ -204,6 +208,8 @@ def select_representatives(
     if len(vertex_clusters) != 4:
         raise DecomposeError(f"expected 4 vertex clusters, got {len(vertex_clusters)}")
     labeled = [p for p in points if p.tower_id in assignments]
+    if not labeled:
+        raise DecomposeError("representative selection needs points with a cluster in assignments")
     coords = np.stack([p.f for p in labeled])
     labels = np.array([assignments[p.tower_id] for p in labeled])
     # an object array: a str array would drop an id's trailing NULs
@@ -247,15 +253,12 @@ def solve_mixture(
     is not one finite value per feature dimension, or one so far out that
     the winning squared distance is not finite, raises ``DecomposeError``.
     """
-    if isinstance(point, FeaturePoint):
-        tower_id, f = point.tower_id, point.f
-    else:
-        tower_id, f = "", np.asarray(point, dtype=float)
+    tower_id, f = (point.tower_id, point.f) if isinstance(point, FeaturePoint) else ("", point)
     v_full = model.matrix
-    if f.shape != v_full.shape[:1] or not np.isfinite(f).all():
-        raise DecomposeError(
-            f"tower {tower_id!r}: point {f.tolist()} is not {v_full.shape[0]} finite values"
-        )
+    needs = f"tower {tower_id!r}: point is not {v_full.shape[0]} finite values"
+    if np.shape(f) != v_full.shape[:1]:
+        raise DecomposeError(f"{needs}: its shape is {np.shape(f)}")
+    f = finite_array(f, np.float64, DecomposeError, lambda i: f"{needs}: value {i}", "a finite value")
     rhs = np.ones((len(_SUPPORTS), 5, 1))
     # A point far enough out overflows here; its objectives come out inf or
     # NaN, and the check on the winner below turns that into an error.

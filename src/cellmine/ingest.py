@@ -109,7 +109,9 @@ class TowerRecord:
 
 @dataclass(slots=True)
 class BinnedSeries:
-    """Per-tower traffic totals over consecutive 10-minute slots, a 1-D array."""
+    """Per-tower traffic totals over consecutive 10-minute slots, a 1-D array. It
+    stays writable, as the benchmark's gate test adds bytes to a slot in place,
+    so ``normalize`` and ``daily_profile`` check the slots they read."""
 
     tower_id: str
     origin: int

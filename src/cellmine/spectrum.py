@@ -25,7 +25,7 @@ import numpy as np
 
 from .common import (
     SLOTS_PER_WEEK,
-    finite_entries,
+    finite_array,
     read_table,
     reject_bad,
     sorted_by_tower,
@@ -47,9 +47,9 @@ class SpectrumError(ValueError):
 @dataclass(slots=True)
 class Spectrum:
     """DFT bins 0..n//2 of one real series of length ``n``, each a finite
-    complex128; a bin that is not finite, or no number at all, raises
-    ``SpectrumError`` naming it. The bins alone do not give ``n``: lengths 2m
-    and 2m + 1 both have m + 1 of them."""
+    complex128, held read-only; a bin that is not finite, or no number at all,
+    raises ``SpectrumError`` naming it. The bins alone do not give ``n``:
+    lengths 2m and 2m + 1 both have m + 1 of them."""
 
     coefficients: np.ndarray
     n: int
@@ -58,8 +58,8 @@ class Spectrum:
         if self.n < 1 or np.shape(self.coefficients) != (self.n // 2 + 1,):
             raise SpectrumError(f"n = {self.n} with coefficients of shape {np.shape(self.coefficients)}:"
                                 " a spectrum of n >= 1 values holds n//2 + 1 bins")
-        self.coefficients, finite = finite_entries(self.coefficients, np.complex128)
-        reject_bad(self.coefficients, finite, SpectrumError, "bin {}".format, "a finite coefficient")
+        self.coefficients = finite_array(self.coefficients, np.complex128, SpectrumError,
+                                         "bin {}".format, "a finite coefficient")
 
 
 class SpectralFeature(NamedTuple):
@@ -97,11 +97,9 @@ def dft(x: Sequence[float] | np.ndarray) -> Spectrum:
 
 
 def _series(x: Sequence[float] | np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
+    if np.ndim(x) != 1 or np.size(x) < 1:
         raise SpectrumError("dft expects a non-empty 1-D real vector")
-    reject_bad(x, np.isfinite(x), SpectrumError, "dft input value {}".format, "a finite value")
-    return x
+    return finite_array(x, np.float64, SpectrumError, "dft input value {}".format, "a finite value")
 
 
 def principal_indices(n: int) -> tuple[int, int, int]:

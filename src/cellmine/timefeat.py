@@ -4,7 +4,7 @@ Daily profiles average each 10-minute slot of day separately over weekdays
 and weekends. From a profile we extract the weekday/weekend traffic ratio,
 peak and valley values, their ratio, and the times of prominent peaks and
 valleys; between two profiles we measure the circular lag that best aligns
-them.
+them. A ``DailyProfile`` checks its own curves when it is built.
 
 Peak and valley times are read on the smoothed curve as a circle, the
 circular moving average over ``SMOOTH_WINDOW`` slots:
@@ -26,10 +26,9 @@ copy; the tests hold the two equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,9 +36,9 @@ from .common import (
     SLOT_SECONDS,
     SLOTS_PER_DAY,
     SLOTS_PER_WEEK,
+    finite_array,
     local_seconds_of_day,
     local_weekday,
-    reject_bad,
     unit_scaled,
     write_csv,
 )
@@ -60,17 +59,32 @@ class TimefeatError(ValueError):
     pass
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class DailyProfile:
-    """Slotwise mean day, in bytes per slot, for weekdays and weekends separately."""
+    """Slotwise mean day, in bytes per slot, for weekdays and weekends
+    separately: two read-only, non-empty 1-D curves of finite values and of one
+    length, converted as ``TrafficVector``'s values are; others raise ``TimefeatError``."""
 
     source_id: str
     weekday: np.ndarray
     weekend: np.ndarray
 
+    def __post_init__(self) -> None:
+        for kind in ("weekday", "weekend"):
+            curve = getattr(self, kind)
+            if np.ndim(curve) != 1 or np.size(curve) == 0:
+                raise TimefeatError(f"{self.source_id}: {kind} curve of shape {np.shape(curve)},"
+                                    " not a non-empty 1-D curve")
+            object.__setattr__(self, kind, finite_array(
+                curve, np.float64, TimefeatError,
+                lambda slot: f"{self.source_id}: {kind} slot {slot}", "a finite mean"))
+        lengths = [self.weekday.size, self.weekend.size]
+        if lengths[0] != lengths[1]:
+            raise TimefeatError(f"{self.source_id}: weekday and weekend curves hold unequal"
+                                f" numbers of slots: {lengths}")
 
-@dataclass(slots=True)
-class TimeFeatures:
+
+class TimeFeatures(NamedTuple):
     source_id: str
     weekday_weekend_ratio: float | None
     weekday_peak: float
@@ -101,13 +115,12 @@ def daily_profile(series: BinnedSeries) -> DailyProfile:
             f"{series.tower_id}: series origin is not civil midnight; "
             "profiles need day-aligned data"
         )
-    values = np.asarray(series.slot_bytes, dtype=float)
+    values = finite_array(series.slot_bytes, np.float64, TimefeatError,
+                          lambda i: f"{series.tower_id}: slot {i}", "a finite count")
     if values.size == 0 or values.size % SLOTS_PER_WEEK != 0:
         raise TimefeatError(
             f"{series.tower_id}: profile needs whole weeks of slots, got {values.size}"
         )
-    reject_bad(values, np.isfinite(values), TimefeatError,
-               lambda i: f"{series.tower_id}: slot {i}", "a finite count")
     days, e = unit_scaled(values.reshape(-1, SLOTS_PER_DAY))
     weekdays = (local_weekday(series.origin) + np.arange(days.shape[0])) % 7
     weekday_mask = weekdays < 5
@@ -127,25 +140,6 @@ def _ratio(curves: np.ndarray) -> float | None:
     if weekend_total == 0.0:
         return None
     return float(both[:n].sum()) / weekend_total
-
-
-def _curves(what: str, *curves: tuple[DailyProfile, str]) -> np.ndarray:
-    """The ``kind`` curve (``"weekday"`` or ``"weekend"``) of each
-    ``(profile, kind)`` as the rows of one array. ``TimefeatError`` names an
-    empty or not 1-D curve, ``what`` curves of unequal lengths are, and the
-    profile, curve and slot of a slot that is not finite."""
-    rows = [getattr(profile, kind) for profile, kind in curves]
-    for (profile, kind), c in zip(curves, rows):
-        if np.ndim(c) != 1 or np.size(c) == 0:
-            raise TimefeatError(f"{profile.source_id}: {kind} curve of shape {np.shape(c)},"
-                                " not a non-empty 1-D curve")
-    lengths = [np.size(c) for c in rows]
-    if len(set(lengths)) != 1:
-        raise TimefeatError(f"{what} hold unequal numbers of slots: {lengths}")
-    rows = np.array(rows, dtype=float)
-    reject_bad(rows, np.isfinite(rows), TimefeatError,
-               lambda k, slot: f"{curves[k][0].source_id}: {curves[k][1]} slot {slot}", "a finite mean")
-    return rows
 
 
 def _circular_smooth(curves: np.ndarray) -> np.ndarray:
@@ -215,10 +209,8 @@ def _extrema(smoothed: np.ndarray) -> list[tuple[list[int], list[int]]]:
 
 def compute_time_features(profile: DailyProfile) -> TimeFeatures:
     """Peak and valley values come from the raw curves, their times from the
-    smoothed ones. A peak/valley ratio is None when the valley is not above 0.
-    The two curves must be finite and of one length."""
-    curves = _curves(f"{profile.source_id}: weekday and weekend curves",
-                     (profile, "weekday"), (profile, "weekend"))
+    smoothed ones. A peak/valley ratio is None when the valley is not above 0."""
+    curves = np.stack([profile.weekday, profile.weekend])
     peaks = curves.max(axis=1).tolist()
     valleys = curves.min(axis=1).tolist()
     ratios = [p / v if v > 0.0 else None for p, v in zip(peaks, valleys)]
@@ -245,10 +237,12 @@ def peak_offset(a: DailyProfile, b: DailyProfile) -> int:
     smoothed, mean-removed curves. Both weekday curves must contain at least
     one prominent peak: a smoothed curve has one unless it is flat, since
     its highest sample's prominence is the whole span. The two curves must
-    be finite and of one length."""
-    curves = _curves(f"weekday curves of {a.source_id} and {b.source_id}",
-                     (a, "weekday"), (b, "weekday"))
-    smoothed = _circular_smooth(curves)[:, :-1]
+    be of one length."""
+    lengths = [a.weekday.size, b.weekday.size]
+    if lengths[0] != lengths[1]:
+        raise TimefeatError(f"weekday curves of {a.source_id} and {b.source_id} hold unequal"
+                            f" numbers of slots: {lengths}")
+    smoothed = _circular_smooth(np.stack([a.weekday, b.weekday]))[:, :-1]
     for label, span in zip("ab", np.ptp(smoothed, axis=1)):
         if not span > 0.0:
             raise TimefeatError(f"profile {label} has no prominent peak; offset undefined")
@@ -269,7 +263,5 @@ def _times(slots: Sequence[int]) -> str:
 def write_time_features(path: str | Path, features: Sequence[TimeFeatures]) -> Path:
     """One column per ``TimeFeatures`` field; slot lists are written as
     space-separated HH:MM times."""
-    header = [f.name for f in fields(TimeFeatures)]
-    values = attrgetter(*header)
-    rows = ([_times(v) if isinstance(v, list) else v for v in values(t)] for t in features)
-    return write_csv(path, header, rows, TimefeatError)
+    rows = ([_times(v) if isinstance(v, list) else v for v in t] for t in features)
+    return write_csv(path, TimeFeatures._fields, rows, TimefeatError)

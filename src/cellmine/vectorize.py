@@ -25,14 +25,13 @@ from .common import (
     SLOTS_PER_WEEK,
     checked_towers,
     csv_cell,
-    finite_entries,
+    finite_array,
     local_seconds_of_day,
     local_weekday,
     open_reading,
     read_json,
     read_npy,
     read_table,
-    reject_bad,
     sorted_by_tower,
     unit_scaled,
     write_csv_blocks,
@@ -66,15 +65,14 @@ class TrafficVector:
     degenerate: bool = False
 
     def __post_init__(self):
-        values, finite = finite_entries(self.values, np.float64)
+        # converted before its shape is checked, as a ragged list has none
+        values = finite_array(self.values, np.float64, VectorizeError,
+                              lambda *i: f"tower {self.tower_id}: v{','.join(map(str, i))}",
+                              "a finite value")
         if values.ndim != 1:
             raise VectorizeError(f"tower {self.tower_id}: vector of shape {values.shape}")
-        reject_bad(values, finite, VectorizeError,
-                   lambda i: f"tower {self.tower_id}: v{i}", "a finite value")
         if self.degenerate and np.any(values):
             raise VectorizeError(f"tower {self.tower_id}: degenerate, but its values are not all 0")
-        values = values.view()
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -118,11 +116,10 @@ def normalize(series: BinnedSeries) -> TrafficVector:
     finite series. A constant series cannot be scaled; it yields an all-zero
     vector with the degenerate flag set rather than an error. An empty series,
     or one that holds inf or NaN, raises ``VectorizeError``."""
-    raw = np.asarray(series.slot_bytes, dtype=float)
+    raw = finite_array(series.slot_bytes, np.float64, VectorizeError,
+                       lambda i: f"tower {series.tower_id}: slot {i}", "a finite count")
     if raw.size == 0:
         raise VectorizeError(f"tower {series.tower_id}: empty series")
-    reject_bad(raw, np.isfinite(raw), VectorizeError,
-               lambda i: f"tower {series.tower_id}: slot {i}", "a finite count")
     scaled, _ = unit_scaled(raw)
     if np.ptp(scaled) == 0.0:
         return TrafficVector(series.tower_id, np.zeros_like(raw), degenerate=True)

@@ -593,6 +593,17 @@ def test_select_representatives_rejects_bad_vertex_clusters(vertex_clusters, rel
         select_representatives(points, assignments, vertex_clusters, space)
 
 
+@pytest.mark.parametrize("keep_points, keep_assignments", [(False, True), (True, False)])
+def test_select_representatives_needs_a_labelled_point(keep_points, keep_assignments):
+    # numpy's bare "need at least one array to stack" once escaped here
+    centers = np.array([[2.0, 0, 0], [-2.0, 0, 0], [0, 2.0, 0], [0, 0, 2.0]])
+    points, assignments = _blob_points(np.random.default_rng(49), centers, per_cluster=20, spread=0.1)
+    space = FeatureSpace(("a", "b", "c"), np.zeros(3), np.ones(3))
+    with pytest.raises(DecomposeError, match="^representative selection needs points with a cluster"):
+        select_representatives(points if keep_points else [], assignments if keep_assignments else {},
+                               [1, 2, 3, 4], space)
+
+
 def test_mixture_and_vertices_io(tmp_path):
     rng = np.random.default_rng(50)
     model = make_model(random_simplex(rng))
@@ -655,10 +666,10 @@ def _vertices_json(standardized, mean=(0, 0, 0), std=(1, 1, 1)):
         (_vertices_json([[0, 0, 0], [1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e200]]),
          "v.json: DecomposeError: .* vertices are too large"),
         (_vertices_json(SIMPLEX, mean=(0, math.nan, 0)),
-         r"v.json: DecomposeError: feature b: mean nan and std 1.0 are not a finite mean"),
+         r"v.json: DecomposeError: feature b: mean holds nan, not a finite mean$"),
         (_vertices_json(SIMPLEX, mean=(0, 0)), r"v.json: DecomposeError: .* not mean \[0.0, 0.0\] and"),
         (_vertices_json(SIMPLEX, std=(1, math.nan, 1)),
-         r"v.json: DecomposeError: feature b: mean 0.0 and std nan are not .* positive finite std"),
+         r"v.json: DecomposeError: feature b: std holds nan, not a finite std$"),
         (_vertices_json(SIMPLEX, std=(1, 0, 1)), r"v.json: DecomposeError: feature b: mean 0.0 and std 0.0"),
         (_vertices_json(SIMPLEX, std=(1, 1, 1, 1)), r"v.json: DecomposeError: .* and std \[1.0, 1.0, 1.0, 1.0\]"),
     ],

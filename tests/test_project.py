@@ -161,6 +161,31 @@ def test_only_unit_scaled_takes_a_binary_exponent():
     assert not found, f"frexp outside common.unit_scaled: {found}"
 
 
+def test_only_finite_array_converts_and_checks_finite_entries():
+    """Every float array a stage takes in is converted and checked by
+    ``common.finite_array``, so outside ``common`` no ``reject_bad`` call takes
+    ``np.isfinite(...)`` as its mask, and no code names ``finite_entries``, the
+    helper it replaced: as a name, an attribute, a definition or an import."""
+    found, inside = [], 0
+    for path in sorted(ROOT.glob("src/cellmine/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+            else:
+                names = [getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)]
+            if "finite_entries" in names:
+                found.append(f"{path.name} line {node.lineno}: finite_entries")
+            if not (isinstance(node, ast.Call) and (_dotted(node.func) or "").rpartition(".")[2] == "reject_bad"):
+                continue
+            mask = node.args[1] if len(node.args) > 1 else {kw.arg: kw.value for kw in node.keywords}.get("ok")
+            if isinstance(mask, ast.Call) and _dotted(mask.func) in ("np.isfinite", "numpy.isfinite"):
+                found.append(f"{path.name} line {node.lineno}: reject_bad of np.isfinite")
+            elif path.stem == "common":
+                inside += 1
+    assert not found, f"finite checks that bypass common.finite_array: {found}"
+    assert inside, "common calls no reject_bad: the test checks nothing"
+
+
 def test_the_package_opens_files_only_through_the_file_layer():
     """Every call of the builtin ``open`` in the package lies inside
     ``common.open_replacing`` or ``common.open_reading``, so that no writer

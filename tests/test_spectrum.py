@@ -4,6 +4,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scaling import exponents, is_normal
 
+from cellmine.common import SLOT_SECONDS
+from cellmine.ingest import SESSIONS_HEADER, TowerRecord, bin_traffic, deduplicate, parse_sessions
 from cellmine.spectrum import (
     NULL_AMPLITUDE,
     Spectrum,
@@ -16,6 +18,7 @@ from cellmine.spectrum import (
     read_spectral_features,
     write_spectral_features,
 )
+from cellmine.vectorize import vectorize_all
 
 
 def naive_dft(x):
@@ -223,6 +226,28 @@ def test_known_answer_city_top_bins_are_the_principal_bins():
     assert top3 == principal_indices(4032)
 
 
+def test_known_answer_city_through_sessions_gives_its_bytes_and_principal_bins():
+    # The city shifted to a least slot of 0 and rounded to whole bytes, one
+    # session per slot from a civil-midnight Monday: binning must give back
+    # every byte in its slot, and the spectra the principal bins.
+    series, _ = known_answer_city()
+    known = np.rint(np.array(series) - np.min(series))
+    monday = 1407081600  # 2014-08-04 00:00 in UTC+8
+    lines = [",".join(SESSIONS_HEADER)] + [
+        f"u,t{i:02d},{monday + k * SLOT_SECONDS},{monday + (k + 1) * SLOT_SECONDS},{int(b)}"
+        for i, row in enumerate(known) for k, b in enumerate(row)
+    ]
+    sessions, rejects = parse_sessions(lines)
+    assert not rejects
+    towers = {f"t{i:02d}": TowerRecord(f"t{i:02d}", 0.0, 0.0) for i in range(len(known))}
+    binned = bin_traffic(deduplicate(sessions), monday, 28, towers)
+    assert binned.unknown_towers == 0 and binned.out_of_window_bytes == 0.0
+    assert np.array_equal([s.slot_bytes for s in binned.series.values()], known)
+    vectors = vectorize_all(binned.series.values(), weeks=4)
+    _, top3 = amplitude_variance([dft(v.values) for v in vectors])
+    assert top3 == principal_indices(4032)
+
+
 def test_known_answer_city_energy_ratio_reaches_one_minus_noise_share():
     # With x = s + e and s in the kept bins, the reconstruction misses only the
     # noise outside them, so 1 - ratio = |e outside|^2 / |x|^2 <= |e|^2 / |x|^2.
@@ -366,7 +391,7 @@ def test_a_spectrum_holds_the_bins_of_its_length(coefficients, n, shape):
 ])
 def test_a_spectrum_holds_finite_bins(bad, shown):
     # A NaN day bin once gave amp_day = phase_day = nan, and amplitude_variance ranked it first.
-    coefficients = dft(np.cos(2 * np.pi * 28 * np.arange(4032) / 4032)).coefficients
+    coefficients = dft(np.cos(2 * np.pi * 28 * np.arange(4032) / 4032)).coefficients.copy()  # read-only
     coefficients[28] = bad
     with pytest.raises(SpectrumError, match=f"^bin 28 holds {shown}, not a finite coefficient$"):
         Spectrum(coefficients, 4032)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -307,9 +309,10 @@ def test_peak_offset_reads_only_the_weekday_curves():
 
 
 def test_curves_of_unequal_lengths_fail_with_timefeat_error():
-    short = DailyProfile("s", day_curve(60)[:-1], day_curve(60))
+    # A profile checks its own curves, so such a profile is never built.
     with pytest.raises(TimefeatError, match=r"^s: weekday and weekend curves hold unequal .*: \[143, 144\]$"):
-        compute_time_features(short)
+        DailyProfile("s", day_curve(60)[:-1], day_curve(60))
+    short = DailyProfile("s", day_curve(60)[:-1], day_curve(60)[:-1])
     peaked = DailyProfile("p", day_curve(60), day_curve(60))
     with pytest.raises(TimefeatError, match=r"^weekday curves of s and p hold unequal .*: \[143, 144\]$"):
         peak_offset(short, peaked)
@@ -320,12 +323,9 @@ def test_curves_with_a_non_finite_slot_fail_with_timefeat_error(bad):
     curve = day_curve(60)
     curve[7] = bad
     with pytest.raises(TimefeatError, match=f"^s: weekday slot 7 holds {bad}, not a finite mean$"):
-        compute_time_features(DailyProfile("s", curve, day_curve(60)))
+        DailyProfile("s", curve, day_curve(60))
     with pytest.raises(TimefeatError, match=f"^s: weekend slot 7 holds {bad}, not a finite mean$"):
-        compute_time_features(DailyProfile("s", day_curve(60), curve))
-    peaked = DailyProfile("p", day_curve(60), day_curve(60))
-    with pytest.raises(TimefeatError, match=f"^s: weekday slot 7 holds {bad}, not a finite mean$"):
-        peak_offset(peaked, DailyProfile("s", curve, day_curve(60)))
+        DailyProfile("s", day_curve(60), curve)
 
 
 @pytest.mark.parametrize("curve, shape", [
@@ -336,8 +336,19 @@ def test_curves_with_a_non_finite_slot_fail_with_timefeat_error(bad):
 def test_an_empty_or_not_1_d_curve_fails_with_timefeat_error(curve, shape):
     message = f"^s: {{}} curve of shape {shape}, not a non-empty 1-D curve$"
     with pytest.raises(TimefeatError, match=message.format("weekday")):
-        compute_time_features(DailyProfile("s", curve, curve))
+        DailyProfile("s", curve, curve)
     with pytest.raises(TimefeatError, match=message.format("weekend")):
-        compute_time_features(DailyProfile("s", day_curve(60), curve))
-    with pytest.raises(TimefeatError, match=message.format("weekday")):
-        peak_offset(DailyProfile("p", day_curve(60), day_curve(60)), DailyProfile("s", curve, curve))
+        DailyProfile("s", day_curve(60), curve)
+
+
+def test_a_profile_cannot_change_once_checked():
+    # Its curves are read-only float64 views; the caller's own arrays stay writable.
+    weekday, weekend = day_curve(60), np.ones(144, dtype=int)
+    profile = DailyProfile("s", weekday, weekend)
+    assert profile.weekday.base is weekday and profile.weekend.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        profile.weekday[0] = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        profile.weekend = np.full(144, np.nan)
+    weekday[0] = 9.0
+    assert profile.weekday[0] == 9.0 and weekday.flags.writeable
