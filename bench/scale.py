@@ -14,7 +14,7 @@ older commit can be measured with this script. The record of each run (the
 seconds and ``ru_maxrss`` of importing numpy, scipy and the pipeline with every
 ``cellmine`` stage, self seconds per stage, ``ru_maxrss``, each stage's
 ``ru_maxrss`` growth, quality, failed gates, the probe time and the
-environment) goes into
+environment, with ``nproc`` and the ``cpus`` the process may run on) goes into
 ``BENCH_scale.json`` under ``--label``; records under other labels are kept.
 ``pipeline_s`` and ``self_s`` are wall seconds; ``pipeline_s_scaled`` and
 ``self_s_scaled`` are the same times multiplied by the record's ``probe_scale``,
@@ -123,6 +123,7 @@ def run_one(root: Path, city: Path) -> dict:
         "scipy": scipy.__version__,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "nproc": os.cpu_count(),
+        "cpus": len(os.sched_getaffinity(0)),
     }
     return record
 

@@ -9,8 +9,12 @@ distance ties between distinct clusters are broken as scipy breaks them.
 The condensed matrix and the Davies-Bouldin distances come from one Gram
 form, ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b with BLAS dot products; pairs too
 close for it are recomputed as direct differences (see ``REFINE_SHARE``). The
-condensed matrix is filled a block of rows at a time, so no n x n matrix is
-built.
+condensed matrix is filled a block of ``HAC_BLOCK_ROWS`` rows at a time, so no
+n x n matrix is built. The blocks run on one thread per CPU the process may use
+(``os.sched_getaffinity``), the calling thread included, and never more threads
+than blocks. Each block in flight holds about three 128 x n float64 arrays (32
+MB at n = 10,000). A block's arithmetic does not depend on the thread that runs
+it, so the matrix, and the dendrogram, are the same for any number of threads.
 
 The cuts that ``tune_cut`` scores nest, so their DBIs come from one pass: the
 finest cut's cluster sums and one product with the matrix give every cut's
@@ -21,6 +25,8 @@ mean norm of the fine centroids in the member's cluster, not ||x||^2 + ||c||^2.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -159,19 +165,42 @@ def _sq_distances(
     return d2
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _condensed_distances(matrix: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows, in ``pdist``'s condensed order."""
+    """Euclidean distances between the rows, in ``pdist``'s condensed order.
+
+    The row blocks are dealt round-robin to one lane per usable CPU, at most
+    one per block; the calling thread runs the first lane and a thread pool
+    the rest. numpy releases the GIL in the product and the elementwise
+    passes, so the lanes overlap. Each block writes its own slice of
+    ``condensed``."""
     n = matrix.shape[0]
     sq_norms = _sq_norms(matrix)
     condensed = np.empty(n * (n - 1) // 2)
-    filled = 0
-    for s in range(0, n - 1, HAC_BLOCK_ROWS):
-        e = min(s + HAC_BLOCK_ROWS, n - 1)
-        # row i of the block against rows s+1.., of which it keeps those past i
-        d2 = _sq_distances(matrix[s:e], sq_norms[s:e], matrix[s + 1 :], sq_norms[s + 1 :])
-        upper = d2[np.arange(e - s)[:, None] <= np.arange(n - s - 1)]
-        np.sqrt(upper, out=condensed[filled : filled + upper.size])
-        filled += upper.size
+
+    def fill(starts: range) -> None:
+        for s in starts:
+            e = min(s + HAC_BLOCK_ROWS, n - 1)
+            # row i of the block against rows s+1.., of which it keeps those past i
+            d2 = _sq_distances(matrix[s:e], sq_norms[s:e], matrix[s + 1 :], sq_norms[s + 1 :])
+            upper = d2[np.arange(e - s)[:, None] <= np.arange(n - s - 1)]
+            first = s * n - s * (s + 1) // 2  # row s's offset in the condensed order
+            np.sqrt(upper, out=condensed[first : first + upper.size])
+
+    blocks = range(0, n - 1, HAC_BLOCK_ROWS)
+    lanes = min(_usable_cpus(), len(blocks))
+    # a pool starts its threads only as work is submitted, so one lane starts none
+    with ThreadPoolExecutor(max(1, lanes - 1)) as pool:
+        others = [pool.submit(fill, blocks[k::lanes]) for k in range(1, lanes)]
+        fill(blocks[0::lanes])
+        for lane in others:
+            lane.result()
     return condensed
 
 
@@ -182,6 +211,12 @@ def hac_average_linkage(vectors: Sequence[TrafficVector]) -> Dendrogram:
     distinct clusters the tree follows scipy's tie order, so a permuted input
     can give a different tree; sorting the input, say by tower id, makes the
     result independent of the caller's order.
+
+    The condensed distance fill runs its blocks of ``HAC_BLOCK_ROWS`` rows on
+    one thread per usable CPU, at most one per block: the calling thread and
+    a pool of the rest, joined before ``linkage`` runs. Each block in flight
+    holds about three 128 x n float64 arrays. The tree does not depend on the
+    number of threads. ``linkage`` itself runs on the calling thread.
     """
     matrix = _check_vectors(vectors)
     condensed = _condensed_distances(matrix)

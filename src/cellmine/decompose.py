@@ -102,10 +102,22 @@ class FeatureSpace:
         return standardized * self.std + self.mean
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class FeaturePoint:
+    """A tower's standardized feature coordinates: a read-only 1-D float64
+    array of finite values, converted as ``TrafficVector``'s values are. Any
+    other raises ``DecomposeError`` naming the tower and the first bad
+    coordinate."""
+
     tower_id: str
-    f: np.ndarray  # standardized
+    f: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.f) != 1:
+            raise DecomposeError(f"tower {self.tower_id!r}: point of shape {np.shape(self.f)}")
+        object.__setattr__(self, "f", finite_array(
+            self.f, np.float64, DecomposeError,
+            lambda j: f"tower {self.tower_id!r}: coordinate {j}", "a finite value"))
 
 
 @dataclass(slots=True)
@@ -130,9 +142,8 @@ class PolygonModel:
         needs = f"polygon model needs 4 vertices of {dims} finite values each"
         if len(self.vertices) != 4 or any(np.shape(v.f) != (dims,) for v in self.vertices):
             raise DecomposeError(needs)
-        vertices = finite_array([v.f for v in self.vertices], np.float64, DecomposeError,
-                                lambda k, j: f"{needs}: vertex {k} value {j}", "a finite value")
-        self.matrix = np.ascontiguousarray(vertices.T)
+        # finite: every FeaturePoint checks its own coordinates
+        self.matrix = np.stack([v.f for v in self.vertices], axis=1)
         with np.errstate(all="ignore"):
             gram = 2.0 * (self.matrix.T @ self.matrix)  # doubled, as the KKT systems hold it
         if not np.isfinite(gram).all():

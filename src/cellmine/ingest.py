@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,17 +109,19 @@ class TowerRecord:
 
 @dataclass(slots=True)
 class BinnedSeries:
-    """Per-tower traffic totals over consecutive 10-minute slots, a 1-D array. It
-    stays writable, as the benchmark's gate test adds bytes to a slot in place,
-    so ``normalize`` and ``daily_profile`` check the slots they read."""
+    """Per-tower traffic totals over consecutive 10-minute slots, a 1-D array
+    whenever it is set, at construction or later. It stays writable, as the
+    benchmark's gate test adds bytes to a slot in place, so ``normalize`` and
+    ``daily_profile`` check the slots they read."""
 
     tower_id: str
     origin: int
     slot_bytes: np.ndarray
 
-    def __post_init__(self) -> None:
-        if np.ndim(self.slot_bytes) != 1:
-            raise IngestError(f"tower {self.tower_id}: series of shape {np.shape(self.slot_bytes)}")
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "slot_bytes" and np.ndim(value) != 1:
+            raise IngestError(f"tower {self.tower_id}: series of shape {np.shape(value)}")
+        object.__setattr__(self, name, value)
 
     @property
     def n_slots(self) -> int:

@@ -1,4 +1,7 @@
 import itertools
+import os
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
+from cellmine import cluster
 from cellmine.cluster import (
     REFINE_SHARE,
     ClusterError,
@@ -287,17 +291,8 @@ def test_dbi_matches_reference_reimplementation():
         assert got == pytest.approx(reference_dbi(matrix, labels), rel=1e-12)
 
 
-@given(
-    n=st.integers(2, 12),
-    width=st.integers(1, 300),
-    norm_exp=st.integers(0, 6),
-    spread_exp=st.integers(-6, 0),
-    n_dup=st.integers(0, 3),
-    n_near=st.integers(0, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_condensed_distances_match_pdist(n, width, norm_exp, spread_exp, n_dup, n_near, seed):
-    """Rows around a centre of norm up to 1e6, spread from 1e-6 to 1 of it,
+def _cloud(n, width, norm_exp, spread_exp, n_dup, n_near, seed):
+    """Rows around a centre of norm 10**norm_exp, spread 10**spread_exp of it,
     with exact duplicates and near-duplicates 1e-7 apart in one coordinate."""
     rng = np.random.default_rng(seed)
     centre = rng.normal(size=width)
@@ -309,16 +304,67 @@ def test_condensed_distances_match_pdist(n, width, norm_exp, spread_exp, n_dup, 
         i, j = rng.integers(n, size=2)
         pts[i] = pts[j]
         pts[i, rng.integers(width)] += 1e-7
-    got, want = _condensed_distances(pts), pdist(pts)
+    return pts
+
+
+def _assert_within_refine_bound(got, want, width):
     # the relative error bound that REFINE_SHARE's derivation gives
     bound = (width + 3) * 2.0**-53 / REFINE_SHARE
     assert np.all(np.abs(got - want) <= bound * want)
     assert np.array_equal(got == 0.0, want == 0.0)
+
+
+@given(
+    n=st.integers(2, 12),
+    width=st.integers(1, 300),
+    norm_exp=st.integers(0, 6),
+    spread_exp=st.integers(-6, 0),
+    n_dup=st.integers(0, 3),
+    n_near=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_condensed_distances_match_pdist(n, width, norm_exp, spread_exp, n_dup, n_near, seed):
+    pts = _cloud(n, width, norm_exp, spread_exp, n_dup, n_near, seed)
+    got, want = _condensed_distances(pts), pdist(pts)
+    _assert_within_refine_bound(got, want, width)
     heights = np.sort(linkage(want, "average")[:, 2])
     if np.all(np.diff(heights) > 1e-6 * heights[-1]):  # tie-free
         np.testing.assert_array_equal(
             linkage(got, "average")[:, [0, 1, 3]], linkage(want, "average")[:, [0, 1, 3]]
         )
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(2, 30),
+    width=st.integers(1, 40),
+    block_rows=st.integers(1, 7),
+    norm_exp=st.integers(0, 6),
+    spread_exp=st.integers(-6, 0),
+    n_dup=st.integers(0, 3),
+    n_near=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_condensed_distances_are_the_same_on_any_number_of_cpus(
+    n, width, block_rows, norm_exp, spread_exp, n_dup, n_near, seed
+):
+    """Blocks of 1-7 rows on 1-4 CPUs: every CPU count gives the same bytes,
+    within pdist's bound, and leaves no thread behind; one CPU starts none."""
+    pts = _cloud(n, width, norm_exp, spread_exp, n_dup, n_near, seed)
+    blocks = len(range(0, n - 1, block_rows))
+    results = []
+    for cpus in range(1, 5):
+        threads = threading.active_count()
+        with mock.patch.object(cluster, "HAC_BLOCK_ROWS", block_rows), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True), \
+                mock.patch.object(threading.Thread, "start", autospec=True,
+                                  side_effect=threading.Thread.start) as start:
+            results.append(_condensed_distances(pts))
+        assert threading.active_count() == threads
+        # a pool thread that is idle again may take the next lane
+        assert start.call_count <= min(cpus, blocks) - 1
+    assert all(r.tobytes() == results[0].tobytes() for r in results)
+    _assert_within_refine_bound(results[0], pdist(pts), width)
 
 
 def test_tune_cut_two_blobs():

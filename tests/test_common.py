@@ -109,12 +109,12 @@ MONDAY = 1407081600  # civil midnight in UTC+8
     (lambda: build_feature_points([*FEATURES, FEATURES[0]._replace(tower_id="t", amp_half_day=object())]),
      DecomposeError, "tower t: amp_half_day"),
     (lambda: solve_mixture(FeaturePoint("t", list(POINT)), MODEL), DecomposeError,
-     "tower 't': point is not 3 finite values: value 1"),
+     "tower 't': coordinate 1"),
     (lambda: solve_mixture(POINT, MODEL), DecomposeError, "tower '': point is not 3 finite values: value 1"),
     (lambda: FeatureSpace(("a", "b", "c"), np.zeros(3), POINT), DecomposeError, "feature b: std"),
     (lambda: PolygonModel([FeaturePoint(f"v{i}", v) for i, v in enumerate([*CORNERS[:3], POINT])],
                           [1, 2, 3, 4], SPACE),
-     DecomposeError, "polygon model needs 4 vertices of 3 finite values each: vertex 3 value 1"),
+     DecomposeError, "tower 'v3': coordinate 1"),
 ], ids=["normalize", "daily_profile", "dft", "reconstruction_energy_ratio", "compute_time_features",
         "peak_offset", "build_feature_points", "solve_mixture_point", "solve_mixture_array",
         "FeatureSpace", "PolygonModel"])

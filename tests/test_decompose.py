@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -316,8 +317,11 @@ BAD_SHAPE = "needs 4 vertices of 3 finite values each"
         ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]], BAD_SHAPE),
         ([[0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], BAD_SHAPE),
         ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]], BAD_SHAPE),
-        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]], BAD_SHAPE),
-        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, math.inf, 1.0]], BAD_SHAPE),
+        # each vertex checks its own coordinates
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]],
+         "^tower 'v3': coordinate 2 holds nan, not a finite value$"),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, math.inf, 1.0]],
+         "^tower 'v3': coordinate 1 holds inf, not a finite value$"),
         # finite, but the KKT solve's Gram matrix overflows
         ([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1e200]],
          "vertices are too large: their Gram matrix overflows"),
@@ -567,6 +571,33 @@ def test_select_representatives_rejects_outlier():
     space = FeatureSpace(("a", "b", "c"), np.zeros(3), np.ones(3))
     model = select_representatives(points, assignments, [1, 2, 3, 4], space)
     assert model.vertices[0].tower_id != "c1_outlier"
+
+
+@pytest.mark.parametrize("f, message", [
+    ([math.nan, 0.0, 0.0], "^tower 'c1_007': coordinate 0 holds nan, not a finite value$"),
+    ([0.0, 0.0, -math.inf], "^tower 'c1_007': coordinate 2 holds -inf, not a finite value$"),
+    ([[0.0, 0.0, 0.0]], r"^tower 'c1_007': point of shape \(1, 3\)$"),
+])
+def test_select_representatives_names_a_point_that_is_not_finite(f, message):
+    # a nan coordinate once reached KDTree, which raised a bare ValueError
+    rng = np.random.default_rng(49)
+    centers = np.array([[2.0, 0, 0], [-2.0, 0, 0], [0, 2.0, 0], [0, 0, 2.0]])
+    points, assignments = _blob_points(rng, centers, per_cluster=10, spread=0.1)
+    space = FeatureSpace(("a", "b", "c"), np.zeros(3), np.ones(3))
+    with pytest.raises(DecomposeError, match=message):
+        points[7] = FeaturePoint(points[7].tower_id, f)
+        select_representatives(points, assignments, [1, 2, 3, 4], space)
+
+
+def test_a_point_cannot_change_once_checked():
+    # Its coordinates are a read-only float64 view; the caller's own array stays writable.
+    f = np.arange(3)
+    point = FeaturePoint("p", f)
+    assert point.f.dtype == np.float64 and f.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        point.f[0] = math.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.f = np.full(3, math.nan)
 
 
 def test_select_representatives_density_error_names_the_cluster():

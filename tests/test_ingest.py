@@ -650,12 +650,14 @@ def test_only_parse_sessions_fills_session_slots_unchecked():
     """A session built by ``object.__new__`` and its slots' ``__set__`` skips
     the rule ``SessionLog`` applies, so only ``parse_sessions``, which has
     just applied that rule to the row, may build one so. The other slot
-    fills are the frozen ``TrafficVector`` and ``DailyProfile`` setting their
-    own values and curves, once checked."""
+    fills are the frozen ``TrafficVector``, ``DailyProfile`` and
+    ``FeaturePoint`` setting their own values, curves and coordinates, once
+    checked, and ``BinnedSeries`` setting a series whose shape it has checked."""
     found = {(path.stem, function, name)
              for path in sorted(Path(ingest.__file__).parent.glob("*.py"))
              for function, name in _slot_fills(ast.parse(path.read_text(encoding="utf-8")))}
     assert found == {("ingest", "parse_sessions", "__new__"), ("ingest", "parse_sessions", "__set__"),
+                     ("ingest", "__setattr__", "__setattr__"), ("decompose", "__post_init__", "__setattr__"),
                      ("timefeat", "__post_init__", "__setattr__"), ("vectorize", "__post_init__", "__setattr__")}
 
 
@@ -751,6 +753,19 @@ def test_a_binned_series_is_1_d(slot_bytes):
     shape = re.escape(str(np.shape(slot_bytes)))
     with pytest.raises(IngestError, match=f"^tower t1: series of shape {shape}$"):
         BinnedSeries("t1", 0, slot_bytes)
+
+
+@pytest.mark.parametrize("slot_bytes", [np.zeros((1008, 2)), np.zeros((1, 144)), np.float64("nan")],
+                         ids=["2d", "one_row", "0d"])
+def test_a_binned_series_stays_1_d(slot_bytes):
+    # a 0-d nan once reached normalize and daily_profile, whose slot check
+    # raised a bare TypeError naming no slot
+    series = BinnedSeries("t1", 0, np.zeros(1008))
+    shape = re.escape(str(np.shape(slot_bytes)))
+    with pytest.raises(IngestError, match=f"^tower t1: series of shape {shape}$"):
+        series.slot_bytes = slot_bytes
+    series.slot_bytes[3] += 5.0  # the benchmark's gate test edits a slot in place
+    assert series.slot_bytes.shape == (1008,) and series.slot_bytes[3] == 5.0
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -7.5, -5e-324])
