@@ -3,8 +3,9 @@ Davies-Bouldin cut tuner.
 
 The dendrogram is scipy's average linkage: the nearest-neighbour chain
 (Muellner 2011) over the condensed n(n-1)/2 Euclidean distance matrix, O(n^2)
-in time and memory. It is deterministic for a given input order. Exact
-distance ties between distinct clusters are broken as scipy breaks them.
+in time and memory. It is deterministic for a given input order and number of
+BLAS threads, whose dot products round by thread count. Exact distance ties
+between distinct clusters are broken as scipy breaks them.
 
 The condensed matrix and the Davies-Bouldin distances come from one Gram
 form, ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b with BLAS dot products; pairs too
@@ -14,7 +15,7 @@ n x n matrix is built. The blocks run on one thread per CPU the process may use
 (``os.sched_getaffinity``), the calling thread included, and never more threads
 than blocks. Each block in flight holds about three 128 x n float64 arrays (32
 MB at n = 10,000). A block's arithmetic does not depend on the thread that runs
-it, so the matrix, and the dendrogram, are the same for any number of threads.
+it, so the matrix, and the dendrogram, are the same however many run at once.
 
 The cuts that ``tune_cut`` scores nest, so their DBIs come from one pass: the
 finest cut's cluster sums and one product with the matrix give every cut's
@@ -215,8 +216,8 @@ def hac_average_linkage(vectors: Sequence[TrafficVector]) -> Dendrogram:
     The condensed distance fill runs its blocks of ``HAC_BLOCK_ROWS`` rows on
     one thread per usable CPU, at most one per block: the calling thread and
     a pool of the rest, joined before ``linkage`` runs. Each block in flight
-    holds about three 128 x n float64 arrays. The tree does not depend on the
-    number of threads. ``linkage`` itself runs on the calling thread.
+    holds about three 128 x n float64 arrays. The tree does not depend on how
+    many blocks run at once. ``linkage`` itself runs on the calling thread.
     """
     matrix = _check_vectors(vectors)
     condensed = _condensed_distances(matrix)

@@ -68,7 +68,7 @@ class DecomposeError(ValueError):
     pass
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class FeatureSpace:
     """Per-dimension population standardization, recorded so it is invertible;
     ``build_feature_points`` finds it on columns scaled by ``common.unit_scaled``.
@@ -90,7 +90,7 @@ class FeatureSpace:
         for name in ("mean", "std"):
             checked = finite_array(getattr(self, name), np.float64, DecomposeError,
                                    lambda j: f"feature {self.names[j]}: {name}", f"a finite {name}")
-            setattr(self, name, checked)
+            object.__setattr__(self, name, checked)
         if not (self.std > 0).all():
             j = int(np.argmax(self.std <= 0))
             raise DecomposeError(
@@ -120,7 +120,7 @@ class FeaturePoint:
             lambda j: f"tower {self.tower_id!r}: coordinate {j}", "a finite value"))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class PolygonModel:
     """Simplex spanned by the four representative towers (one per
     non-comprehensive cluster, in ``vertex_clusters`` order). ``matrix``
@@ -143,14 +143,14 @@ class PolygonModel:
         if len(self.vertices) != 4 or any(np.shape(v.f) != (dims,) for v in self.vertices):
             raise DecomposeError(needs)
         # finite: every FeaturePoint checks its own coordinates
-        self.matrix = np.stack([v.f for v in self.vertices], axis=1)
+        object.__setattr__(self, "matrix", np.stack([v.f for v in self.vertices], axis=1))
         with np.errstate(all="ignore"):
             gram = 2.0 * (self.matrix.T @ self.matrix)  # doubled, as the KKT systems hold it
         if not np.isfinite(gram).all():
             raise DecomposeError(
                 "polygon model's vertices are too large: their Gram matrix overflows"
             )
-        self.kkt = _KKT_FRAME.copy()
+        object.__setattr__(self, "kkt", _KKT_FRAME.copy())
         self.kkt[:, :4, :4] += gram * _KKT_PAIRS
         edges = self.matrix.T - self.matrix.T[0]  # the simplex moved to the origin
         scaled = unit_scaled(edges.ravel())[0].reshape(edges.shape)
@@ -207,7 +207,8 @@ def select_representatives(
     towers lie within ``DENSITY_RADIUS`` of it (standardized units). Among
     passing points the winner maximizes the minimum distance to points of
     other clusters; ties prefer the denser point, then the smaller tower id.
-    A vertex cluster with no passing point raises ``DecomposeError``.
+    A vertex cluster with no passing point, and a labelled point that is not
+    ``len(space.names)`` coordinates, raise ``DecomposeError``.
 
     Both searches run on ``scipy.spatial.KDTree``: the neighbour counts on
     one tree over every labelled point, each separation on a tree over the
@@ -221,6 +222,9 @@ def select_representatives(
     labeled = [p for p in points if p.tower_id in assignments]
     if not labeled:
         raise DecomposeError("representative selection needs points with a cluster in assignments")
+    sizes = np.array([p.f.size for p in labeled])  # a FeaturePoint is 1-D
+    reject_bad(sizes, sizes == len(space.names), DecomposeError,
+               lambda i: f"tower {labeled[i].tower_id!r}: point", f"{len(space.names)} coordinates")
     coords = np.stack([p.f for p in labeled])
     labels = np.array([assignments[p.tower_id] for p in labeled])
     # an object array: a str array would drop an id's trailing NULs

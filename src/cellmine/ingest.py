@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .common import (
     checked_towers,
     csv_errors,
     epoch_to_iso,
+    finite_array,
     parse_lat_lon,
     read_csv,
     read_header,
@@ -57,7 +58,7 @@ BIN_PAIRS = 1 << 16
 
 
 class IngestError(ValueError):
-    """Raised on malformed input files and on an invalid ``SessionLog``."""
+    """Raised on malformed input files and on an invalid ``SessionLog`` or ``BinnedSeries``."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,21 +108,24 @@ class TowerRecord:
     lon: float
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class BinnedSeries:
-    """Per-tower traffic totals over consecutive 10-minute slots, a 1-D array
-    whenever it is set, at construction or later. It stays writable, as the
-    benchmark's gate test adds bytes to a slot in place, so ``normalize`` and
-    ``daily_profile`` check the slots they read."""
+    """Per-tower traffic totals over consecutive 10-minute slots: a read-only
+    1-D float64 view, made by ``common.finite_array``, of byte counts in [0, inf),
+    the one rule of a valid count. Any other raises ``IngestError`` naming the
+    tower and its shape or first bad slot; the caller's own array stays writable."""
 
     tower_id: str
     origin: int
     slot_bytes: np.ndarray
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name == "slot_bytes" and np.ndim(value) != 1:
-            raise IngestError(f"tower {self.tower_id}: series of shape {np.shape(value)}")
-        object.__setattr__(self, name, value)
+    def __post_init__(self) -> None:
+        if np.ndim(self.slot_bytes) != 1:
+            raise IngestError(f"tower {self.tower_id}: series of shape {np.shape(self.slot_bytes)}")
+        where, what = (lambda i: f"tower {self.tower_id} slot {i}"), "a number in [0, inf)"
+        slots = finite_array(self.slot_bytes, np.float64, IngestError, where, what)
+        reject_bad(slots, slots >= 0.0, IngestError, where, what)
+        object.__setattr__(self, "slot_bytes", slots)
 
     @property
     def n_slots(self) -> int:
@@ -359,21 +363,14 @@ def bin_traffic(
     return BinResult(series, int(np.count_nonzero(~known)), out_of_window)
 
 
-def _check_slots(matrix: np.ndarray, towers: Sequence[str]) -> np.ndarray:
-    """``matrix``, or ``IngestError`` naming its first slot not in [0, inf); row i is ``towers[i]``."""
-    reject_bad(matrix, (matrix >= 0.0) & (matrix < np.inf), IngestError,  # False for NaN
-               lambda i, slot: f"tower {towers[i]} slot {slot}", "a number in [0, inf)")
-    return matrix
-
-
 def write_binned(
     directory: str | Path, result: BinResult, origin: int, days: int
 ) -> tuple[Path, Path]:
     """Write binned.npy, a C-order float64 array whose row i is the series of
     the i-th tower by id, and a JSON manifest that also dates ``origin`` in ISO,
     so in the years 1 to 9999, into the existing ``directory``. Each series
-    must start at ``origin``, span ``days`` days and hold byte counts in
-    [0, inf), as ``read_binned`` requires."""
+    must start at ``origin`` and span ``days`` days, as ``read_binned``
+    requires; ``BinnedSeries`` holds its byte counts in [0, inf)."""
     if days <= 0:
         raise IngestError(f"days must be positive, got {days}")
     try:
@@ -386,7 +383,6 @@ def write_binned(
         if series.origin != origin or series.n_slots != n_slots:
             raise IngestError(f"tower {tower_id}: series of {series.n_slots} slots from"
                               f" {series.origin}, not of {n_slots} slots from origin {origin}")
-        _check_slots(series.slot_bytes.reshape(1, n_slots), [tower_id])
     rows = (result.series[tower_id].slot_bytes for tower_id in towers)
     path = write_npy(Path(directory) / "binned.npy", (len(towers), n_slots), rows, IngestError)
     manifest = {
@@ -422,10 +418,10 @@ def _checked_manifest(manifest: dict) -> dict:
 
 
 def read_binned(path: str | Path, manifest_path: str | Path) -> tuple[dict[str, BinnedSeries], dict]:
-    """The series and manifest ``write_binned`` wrote, each series a row of the
-    array ``common.read_npy`` checks; a slot outside [0, inf) raises ``IngestError``."""
+    """The series and manifest ``write_binned`` wrote: a ``BinnedSeries`` of each
+    row of the array ``common.read_npy`` checks, whose errors name the file."""
     manifest = read_json(manifest_path, IngestError, _checked_manifest)
     towers, origin = manifest["towers"], manifest["origin_epoch_s"]
     shape = (len(towers), manifest["days"] * SLOTS_PER_DAY)
-    matrix = read_npy(path, shape, IngestError, lambda m: _check_slots(m, towers))
-    return {t: BinnedSeries(t, origin, matrix[i]) for i, t in enumerate(towers)}, manifest
+    rows = read_npy(path, shape, IngestError, lambda m: list(map(BinnedSeries, towers, repeat(origin), m)))
+    return dict(zip(towers, rows)), manifest

@@ -44,7 +44,7 @@ class SpectrumError(ValueError):
     pass
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Spectrum:
     """DFT bins 0..n//2 of one real series of length ``n``, each a finite
     complex128, held read-only; a bin that is not finite, or no number at all,
@@ -58,8 +58,8 @@ class Spectrum:
         if self.n < 1 or np.shape(self.coefficients) != (self.n // 2 + 1,):
             raise SpectrumError(f"n = {self.n} with coefficients of shape {np.shape(self.coefficients)}:"
                                 " a spectrum of n >= 1 values holds n//2 + 1 bins")
-        self.coefficients = finite_array(self.coefficients, np.complex128, SpectrumError,
-                                         "bin {}".format, "a finite coefficient")
+        object.__setattr__(self, "coefficients", finite_array(
+            self.coefficients, np.complex128, SpectrumError, "bin {}".format, "a finite coefficient"))
 
 
 class SpectralFeature(NamedTuple):

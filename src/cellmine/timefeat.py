@@ -108,20 +108,18 @@ def daily_profile(series: BinnedSeries) -> DailyProfile:
     """Mean weekday and weekend day of a series whose origin is a civil
     midnight; each day's weekday follows from the origin's (Monday = 0), so
     a series may start on any day. Requires whole weeks so each weekday is
-    represented equally, and a finite byte count in every slot. Each slot's
+    represented equally; ``BinnedSeries`` holds finite counts. Each slot's
     days are scaled by ``common.unit_scaled``, averaged and scaled back."""
     if local_seconds_of_day(series.origin) != 0:
         raise TimefeatError(
             f"{series.tower_id}: series origin is not civil midnight; "
             "profiles need day-aligned data"
         )
-    values = finite_array(series.slot_bytes, np.float64, TimefeatError,
-                          lambda i: f"{series.tower_id}: slot {i}", "a finite count")
-    if values.size == 0 or values.size % SLOTS_PER_WEEK != 0:
+    if series.n_slots == 0 or series.n_slots % SLOTS_PER_WEEK != 0:
         raise TimefeatError(
-            f"{series.tower_id}: profile needs whole weeks of slots, got {values.size}"
+            f"{series.tower_id}: profile needs whole weeks of slots, got {series.n_slots}"
         )
-    days, e = unit_scaled(values.reshape(-1, SLOTS_PER_DAY))
+    days, e = unit_scaled(series.slot_bytes.reshape(-1, SLOTS_PER_DAY))
     weekdays = (local_weekday(series.origin) + np.arange(days.shape[0])) % 7
     weekday_mask = weekdays < 5
     return DailyProfile(

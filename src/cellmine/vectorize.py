@@ -53,18 +53,19 @@ class TrafficVector:
     constructor converts them and keeps a read-only view, so the caller's own
     array stays writable and no value changes once checked. A value that is
     not finite, or no number at all, raises ``VectorizeError`` naming the
-    tower and its index. ``degenerate`` marks towers whose raw
-    series was constant (dead towers); their values are all zero, and a
-    degenerate vector holding any other value raises ``VectorizeError``. The
-    caller drops them before clustering, which raises ``ClusterError`` on a
-    degenerate vector.
-    """
+    tower and its index. ``degenerate``, a ``bool`` or ``np.bool_`` held as
+    ``bool``, marks towers whose raw series was constant (dead towers); their
+    values are all zero. Any other flag, or a degenerate vector holding a value
+    but 0, raises ``VectorizeError``. The caller drops degenerate vectors before
+    clustering, which raises ``ClusterError`` on one."""
 
     tower_id: str
     values: np.ndarray
     degenerate: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.degenerate, (bool, np.bool_)):
+            raise VectorizeError(f"tower {self.tower_id}: degenerate is {self.degenerate!r}, not a bool")
         # converted before its shape is checked, as a ragged list has none
         values = finite_array(self.values, np.float64, VectorizeError,
                               lambda *i: f"tower {self.tower_id}: v{','.join(map(str, i))}",
@@ -74,6 +75,7 @@ class TrafficVector:
         if self.degenerate and np.any(values):
             raise VectorizeError(f"tower {self.tower_id}: degenerate, but its values are not all 0")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "degenerate", bool(self.degenerate))
 
     @property
     def n(self) -> int:
@@ -82,8 +84,8 @@ class TrafficVector:
 
 def trim_to_weeks(series: BinnedSeries, weeks: int) -> BinnedSeries:
     """Keep the first ``weeks`` whole weeks, each starting on a Monday at
-    civil midnight. Slots before the first such Monday are dropped.
-    """
+    civil midnight. Slots before the first such Monday are dropped. The
+    trimmed series holds a view of the source's read-only slots, not a copy."""
     if weeks < 1:
         raise VectorizeError(f"weeks must be >= 1, got {weeks}")
     sod = local_seconds_of_day(series.origin)
@@ -106,23 +108,21 @@ def trim_to_weeks(series: BinnedSeries, weeks: int) -> BinnedSeries:
     return BinnedSeries(
         series.tower_id,
         series.origin + offset * SLOT_SECONDS,
-        series.slot_bytes[offset : offset + weeks * SLOTS_PER_WEEK].copy(),
+        series.slot_bytes[offset : offset + weeks * SLOTS_PER_WEEK],
     )
 
 
 def normalize(series: BinnedSeries) -> TrafficVector:
     """Zero-score normalization with the population standard deviation, of
     the series scaled by ``common.unit_scaled``, so it is finite for every
-    finite series. A constant series cannot be scaled; it yields an all-zero
-    vector with the degenerate flag set rather than an error. An empty series,
-    or one that holds inf or NaN, raises ``VectorizeError``."""
-    raw = finite_array(series.slot_bytes, np.float64, VectorizeError,
-                       lambda i: f"tower {series.tower_id}: slot {i}", "a finite count")
-    if raw.size == 0:
+    series; ``BinnedSeries`` holds only finite byte counts. A constant series
+    cannot be scaled; it yields an all-zero vector with the degenerate flag set
+    rather than an error. An empty series raises ``VectorizeError``."""
+    if series.n_slots == 0:
         raise VectorizeError(f"tower {series.tower_id}: empty series")
-    scaled, _ = unit_scaled(raw)
+    scaled, _ = unit_scaled(series.slot_bytes)
     if np.ptp(scaled) == 0.0:
-        return TrafficVector(series.tower_id, np.zeros_like(raw), degenerate=True)
+        return TrafficVector(series.tower_id, np.zeros(series.n_slots), degenerate=True)
     return TrafficVector(series.tower_id, (scaled - scaled.mean()) / scaled.std(), degenerate=False)
 
 
@@ -172,7 +172,7 @@ def write_vectors_binary(path: str | Path, vectors: Sequence[TrafficVector]) -> 
     ordered, n = _ordered(vectors)
     path = write_npy(path, (len(ordered), n), (vec.values for vec in ordered), VectorizeError)
     manifest = {"towers": [vec.tower_id for vec in ordered], "values": n,
-                "degenerate": [bool(vec.degenerate) for vec in ordered]}
+                "degenerate": [vec.degenerate for vec in ordered]}
     write_json(f"{path}.json", manifest, VectorizeError)
     return path
 

@@ -14,10 +14,9 @@ from cellmine.decompose import (
     build_feature_points,
     solve_mixture,
 )
-from cellmine.ingest import BinnedSeries
+from cellmine.ingest import BinnedSeries, IngestError
 from cellmine.spectrum import SpectralFeature, SpectrumError, dft, reconstruction_energy_ratio
-from cellmine.timefeat import DailyProfile, TimefeatError, compute_time_features, daily_profile, peak_offset
-from cellmine.vectorize import VectorizeError, normalize
+from cellmine.timefeat import DailyProfile, TimefeatError, compute_time_features, peak_offset
 
 
 class Bad(ValueError):
@@ -95,12 +94,10 @@ CORNERS = [np.zeros(3), *np.eye(3)]
 MODEL = PolygonModel([FeaturePoint(f"v{i}", v) for i, v in enumerate(CORNERS)], [1, 2, 3, 4], SPACE)
 CURVE = OBJECT[:144]
 POINT = np.array([0.2, object(), 0.2], dtype=object)
-MONDAY = 1407081600  # civil midnight in UTC+8
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: normalize(BinnedSeries("t", MONDAY, OBJECT)), VectorizeError, "tower t: slot 5"),
-    (lambda: daily_profile(BinnedSeries("t", MONDAY, OBJECT)), TimefeatError, "t: slot 5"),
+    (lambda: BinnedSeries("t", 0, OBJECT), IngestError, "tower t slot 5"),
     (lambda: dft(OBJECT), SpectrumError, "dft input value 5"),
     (lambda: reconstruction_energy_ratio(OBJECT), SpectrumError, "dft input value 5"),
     (lambda: compute_time_features(DailyProfile("t", CURVE, np.ones(144))), TimefeatError, "t: weekday slot 5"),
@@ -115,7 +112,7 @@ MONDAY = 1407081600  # civil midnight in UTC+8
     (lambda: PolygonModel([FeaturePoint(f"v{i}", v) for i, v in enumerate([*CORNERS[:3], POINT])],
                           [1, 2, 3, 4], SPACE),
      DecomposeError, "tower 'v3': coordinate 1"),
-], ids=["normalize", "daily_profile", "dft", "reconstruction_energy_ratio", "compute_time_features",
+], ids=["BinnedSeries", "dft", "reconstruction_energy_ratio", "compute_time_features",
         "peak_offset", "build_feature_points", "solve_mixture_point", "solve_mixture_array",
         "FeatureSpace", "PolygonModel"])
 def test_an_object_entry_fails_with_the_stages_error_naming_it(call, error, message):

@@ -577,9 +577,11 @@ def test_select_representatives_rejects_outlier():
     ([math.nan, 0.0, 0.0], "^tower 'c1_007': coordinate 0 holds nan, not a finite value$"),
     ([0.0, 0.0, -math.inf], "^tower 'c1_007': coordinate 2 holds -inf, not a finite value$"),
     ([[0.0, 0.0, 0.0]], r"^tower 'c1_007': point of shape \(1, 3\)$"),
+    ([0.0, 0.0], "^tower 'c1_007': point holds 2, not 3 coordinates$"),
 ])
 def test_select_representatives_names_a_point_that_is_not_finite(f, message):
-    # a nan coordinate once reached KDTree, which raised a bare ValueError
+    # a nan coordinate once reached KDTree, and a point of 2 coordinates
+    # np.stack, and each raised a bare ValueError
     rng = np.random.default_rng(49)
     centers = np.array([[2.0, 0, 0], [-2.0, 0, 0], [0, 2.0, 0], [0, 0, 2.0]])
     points, assignments = _blob_points(rng, centers, per_cluster=10, spread=0.1)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from npyfiles import HUGE_HEADERS, MALFORMED_ARRAYS, npy, npy_header
 
-from cellmine import ingest
+from cellmine import ingest, vectorize
 from cellmine.ingest import (
     BinnedSeries,
     BinResult,
@@ -650,15 +650,18 @@ def test_only_parse_sessions_fills_session_slots_unchecked():
     """A session built by ``object.__new__`` and its slots' ``__set__`` skips
     the rule ``SessionLog`` applies, so only ``parse_sessions``, which has
     just applied that rule to the row, may build one so. The other slot
-    fills are the frozen ``TrafficVector``, ``DailyProfile`` and
-    ``FeaturePoint`` setting their own values, curves and coordinates, once
-    checked, and ``BinnedSeries`` setting a series whose shape it has checked."""
+    fills are frozen records setting their own fields, once checked, in
+    ``__post_init__``: ``BinnedSeries`` its slots, ``TrafficVector`` its
+    values and flag, ``Spectrum`` its bins, ``DailyProfile`` its curves,
+    ``FeatureSpace`` its mean and std, ``FeaturePoint`` its coordinates and
+    ``PolygonModel`` its matrices."""
     found = {(path.stem, function, name)
              for path in sorted(Path(ingest.__file__).parent.glob("*.py"))
              for function, name in _slot_fills(ast.parse(path.read_text(encoding="utf-8")))}
     assert found == {("ingest", "parse_sessions", "__new__"), ("ingest", "parse_sessions", "__set__"),
-                     ("ingest", "__setattr__", "__setattr__"), ("decompose", "__post_init__", "__setattr__"),
-                     ("timefeat", "__post_init__", "__setattr__"), ("vectorize", "__post_init__", "__setattr__")}
+                     ("ingest", "__post_init__", "__setattr__"), ("decompose", "__post_init__", "__setattr__"),
+                     ("spectrum", "__post_init__", "__setattr__"), ("timefeat", "__post_init__", "__setattr__"),
+                     ("vectorize", "__post_init__", "__setattr__")}
 
 
 @pytest.mark.parametrize(
@@ -755,25 +758,27 @@ def test_a_binned_series_is_1_d(slot_bytes):
         BinnedSeries("t1", 0, slot_bytes)
 
 
-@pytest.mark.parametrize("slot_bytes", [np.zeros((1008, 2)), np.zeros((1, 144)), np.float64("nan")],
-                         ids=["2d", "one_row", "0d"])
-def test_a_binned_series_stays_1_d(slot_bytes):
-    # a 0-d nan once reached normalize and daily_profile, whose slot check
-    # raised a bare TypeError naming no slot
-    series = BinnedSeries("t1", 0, np.zeros(1008))
-    shape = re.escape(str(np.shape(slot_bytes)))
-    with pytest.raises(IngestError, match=f"^tower t1: series of shape {shape}$"):
-        series.slot_bytes = slot_bytes
-    series.slot_bytes[3] += 5.0  # the benchmark's gate test edits a slot in place
-    assert series.slot_bytes.shape == (1008,) and series.slot_bytes[3] == 5.0
+def test_a_binned_series_cannot_change_once_checked():
+    # Its slots are a read-only float64 view; the caller's own array stays writable.
+    slots = np.arange(2016.0)
+    series = BinnedSeries("t1", 0, slots)
+    assert np.shares_memory(series.slot_bytes, slots) and slots.flags.writeable
+    assert BinnedSeries("t1", 0, range(3)).slot_bytes.dtype == np.float64
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.slot_bytes = np.full(2016, np.nan)
+    with pytest.raises(ValueError, match="read-only"):
+        series.slot_bytes[3] = -1.0
+    # a view of checked slots needs no copy
+    trimmed = vectorize.trim_to_weeks(series, 1)
+    assert np.shares_memory(trimmed.slot_bytes, series.slot_bytes)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -7.5, -5e-324])
 def test_write_binned_rejects_impossible_byte_count(tmp_path, value):
-    result = bin_traffic([SessionLog("u", "t1", 0, 900, 600)], 0, 1, registry("t1"))
-    result.series["t1"].slot_bytes[7] = value
+    slots = np.zeros(144)
+    slots[7] = value
     with pytest.raises(IngestError, match=f"tower t1 slot 7 holds {value}, not a number"):
-        write_binned(tmp_path, result, origin=0, days=1)
+        write_binned(tmp_path, BinResult({"t1": BinnedSeries("t1", 0, slots)}, 0, 0.0), origin=0, days=1)
     assert not (tmp_path / "binned.npy").exists()
 
 

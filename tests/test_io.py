@@ -174,9 +174,10 @@ def test_write_binned_golden(tmp_path):
              "a\rb": {2: 1.0}, "塔-é": {3: 7.0}, "": {4: 0.5}, "z": {}}
     series = {}
     for tower, values in slots.items():
-        series[tower] = BinnedSeries(tower, 0, np.zeros(144))
+        row = np.zeros(144)
         for slot, value in values.items():
-            series[tower].slot_bytes[slot] = value
+            row[slot] = value
+        series[tower] = BinnedSeries(tower, 0, row)
     npy_path, manifest_path = write_binned(tmp_path, BinResult(series, 3, F17), 0, 1)
     # a version 1.0 .npy header, padded to 128 bytes, then the rows in tower
     # order as little-endian float64, -0.0 and the all-zero tower z among them
@@ -513,9 +514,9 @@ def test_every_open_is_binary_or_utf8():
     assert opens
 
 
-def _holding_objects(vec):
-    """``vec`` with its values, checked when it was built, replaced by objects."""
-    object.__setattr__(vec, "values", np.full(vec.n, object()))
+def _corrupted(vec, name, value):
+    """``vec`` with its field ``name``, checked when it was built, replaced by ``value``."""
+    object.__setattr__(vec, name, value)
     return vec
 
 
@@ -523,9 +524,9 @@ def _holding_objects(vec):
     "write",
     [
         lambda path: write_vectors_csv(path, [TrafficVector("a", np.zeros(3)),
-                                              TrafficVector("b", np.ones(3), None)]),
-        lambda path: write_vectors_binary(path, [TrafficVector("a", np.zeros(3)),
-                                                 _holding_objects(TrafficVector("b", np.zeros(3)))]),
+                                              _corrupted(TrafficVector("b", np.ones(3)), "degenerate", None)]),
+        lambda path: write_vectors_binary(path, [TrafficVector("a", np.zeros(3)), _corrupted(
+            TrafficVector("b", np.zeros(3)), "values", np.full(3, object()))]),
         lambda path: write_json(path, {"a": 1, "b": object()}, ValueError),
     ],
     ids=["vectors_csv", "vectors_binary", "json"],

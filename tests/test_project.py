@@ -186,6 +186,31 @@ def test_only_finite_array_converts_and_checks_finite_entries():
     assert inside, "common calls no reject_bad: the test checks nothing"
 
 
+def test_every_record_that_checks_itself_is_frozen():
+    """Every dataclass of the package that defines ``__post_init__`` passes
+    ``frozen=True``, and no class defines ``__setattr__``: a frozen record
+    that checks its fields once, in ``__post_init__``, is the one way to hold
+    a checked value, so no field changes after it is checked."""
+    found, checked = [], 0
+    for path in sorted(ROOT.glob("src/cellmine/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            if "__setattr__" in methods:
+                found.append(f"{path.stem}.{node.name} defines __setattr__")
+            decorators = [d for d in node.decorator_list
+                          if (_dotted(getattr(d, "func", d)) or "").rpartition(".")[2] == "dataclass"]
+            if not decorators or "__post_init__" not in methods:
+                continue
+            checked += 1
+            keywords = {kw.arg: kw.value for kw in getattr(decorators[0], "keywords", [])}
+            if not (isinstance(keywords.get("frozen"), ast.Constant) and keywords["frozen"].value is True):
+                found.append(f"{path.stem}.{node.name} checks itself but is not frozen")
+    assert checked, "no dataclass defines __post_init__: the test checks nothing"
+    assert not found, f"records that can change after they are checked: {found}"
+
+
 def test_the_package_opens_files_only_through_the_file_layer():
     """Every call of the builtin ``open`` in the package lies inside
     ``common.open_replacing`` or ``common.open_reading``, so that no writer

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scaling import exponents, is_normal
 from scipy.signal import find_peaks
 
-from cellmine.ingest import BinnedSeries
+from cellmine.ingest import BinnedSeries, IngestError
 from cellmine.timefeat import (
     PROMINENCE_FRACTION,
     SMOOTH_WINDOW,
@@ -65,9 +65,10 @@ def test_daily_profile_requires_whole_weeks_and_alignment():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_daily_profile_rejects_a_non_finite_slot(bad):
+    # the series' constructor rejects the slot before daily_profile can read it
     values = np.ones(1008)
     values[300] = bad
-    with pytest.raises(TimefeatError, match=f"^t: slot 300 holds {bad}, not a finite count$"):
+    with pytest.raises(IngestError, match=fr"^tower t slot 300 holds {bad}, not a number in \[0, inf\)$"):
         daily_profile(BinnedSeries("t", MONDAY, values))
 
 
@@ -83,11 +84,11 @@ def test_daily_profile_of_huge_finite_slots_is_finite():
     features = compute_time_features(profile)
     assert features.weekday_peak == pytest.approx(1.7e308, rel=1e-15)
     assert features.weekend_peak == pytest.approx(1.7e308, rel=1e-15)
-    # every slot at the largest float, of either sign
-    for top in (np.finfo(float).max, -np.finfo(float).max):
-        profile = daily_profile(BinnedSeries("t", MONDAY, np.full(4 * 1008, top)))
-        np.testing.assert_allclose(profile.weekday, top, rtol=1e-15)
-        np.testing.assert_allclose(profile.weekend, top, rtol=1e-15)
+    # every slot at the largest float
+    top = np.finfo(float).max
+    profile = daily_profile(BinnedSeries("t", MONDAY, np.full(4 * 1008, top)))
+    np.testing.assert_allclose(profile.weekday, top, rtol=1e-15)
+    np.testing.assert_allclose(profile.weekend, top, rtol=1e-15)
 
 
 def test_profile_conserves_totals():

@@ -16,7 +16,7 @@ from cellmine.common import (
     local_seconds_of_day,
     local_weekday,
 )
-from cellmine.ingest import BinnedSeries
+from cellmine.ingest import BinnedSeries, IngestError
 from cellmine.timefeat import daily_profile
 from cellmine.vectorize import (
     TrafficVector,
@@ -115,10 +115,19 @@ def test_normalize_scale_invariance():
     for _ in range(20):
         raw = rng.uniform(0, 100, size=200)
         k = float(rng.uniform(0.1, 50))
-        b = float(rng.uniform(-20, 20))
+        b = float(rng.uniform(0, 20))
         base = normalize(BinnedSeries("t", 0, raw))
         scaled = normalize(BinnedSeries("t", 0, k * raw + b))
         np.testing.assert_allclose(scaled.values, base.values, atol=1e-9)
+
+
+@pytest.mark.parametrize("flag", [2, "yes", None])
+def test_a_vector_flag_is_a_bool(flag):
+    # 2 was once written to CSV as a row read_vectors rejects, and to .npy as
+    # True; "yes" and None made the CSV writer raise a bare ValueError and TypeError
+    with pytest.raises(VectorizeError, match=f"^tower a: degenerate is {re.escape(repr(flag))}, not a bool$"):
+        TrafficVector("a", np.zeros(3), flag)
+    assert type(TrafficVector("a", np.zeros(3), np.True_).degenerate) is bool
 
 
 def test_vector_io_round_trip(tmp_path):
@@ -138,9 +147,10 @@ def test_vector_io_round_trip(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_normalize_rejects_non_finite_series(bad):
+    # the series' constructor rejects the slot before normalize can read it
     raw = np.arange(10, dtype=float)
     raw[4] = bad
-    with pytest.raises(VectorizeError, match=f"^tower t7: slot 4 holds {bad}, not a finite count$"):
+    with pytest.raises(IngestError, match=fr"^tower t7 slot 4 holds {bad}, not a number in \[0, inf\)$"):
         normalize(BinnedSeries("t7", 0, raw))
 
 
